@@ -7,6 +7,12 @@ cheap and single-use: build a graph, call backward once, throw the tape
 away.  A tape must not be shared between threads; tensors that are not
 tracked on any tape are immutable and safe to share.
 
+Row gathers (``embedding_lookup``) are the one op whose gradient is not
+accumulated node by node: the sweep collects each gather's gradient rows
+against its source tensor and scatters them all with one ``np.add.at``
+when it reaches that source, so gathering rows from a large tensor many
+times costs no full-size buffer per gather.
+
 Operands may be Tensors, numpy arrays, or Python scalars; non-Tensor
 operands are treated as constants.  Limited broadcasting is supported in
 ``add``/``multiply_elementwise`` (equal shapes, scalar against anything,
@@ -421,13 +427,6 @@ def _bk_clamp(ids, saved, g, acc):
     acc(ids[0], g * mask)
 
 
-def _bk_lookup(ids, saved, g, acc):
-    idx, tshape = saved
-    gt = np.zeros(tshape)
-    np.add.at(gt, idx, g)
-    acc(ids[0], gt)
-
-
 def _bk_dropout(ids, saved, g, acc):
     (mask,) = saved
     acc(ids[0], g * mask)
@@ -455,17 +454,32 @@ _BACKWARD = {
     "dot": _bk_dot,
     "log": _bk_log,
     "clamp": _bk_clamp,
-    "embedding_lookup": _bk_lookup,
     "dropout_mask_apply": _bk_dropout,
     "reshape": _bk_reshape,
     "transpose": _bk_transpose,
 }
 
 
+def _scatter_rows(dense, shape, gathers) -> np.ndarray:
+    """Add every gather's gradient rows into a fresh buffer of ``shape``.
+
+    The buffer starts as a copy of the dense gradient (never that array
+    itself, which another node may share) or as zeros.
+    """
+    buf = np.zeros(shape) if dense is None else np.array(dense)
+    idx = np.concatenate([np.reshape(i, -1) for i, _ in gathers])
+    rows = np.concatenate([np.reshape(g, (-1,) + shape[1:]) for _, g in gathers])
+    np.add.at(buf, idx, rows)
+    return buf
+
+
 def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
     """Reverse sweep from a scalar root; returns gradients per leaf node id.
 
     Leaves the root does not depend on get explicit zero gradients.
+    Gather gradients wait in ``pending`` until the sweep reaches their
+    source; every node that reads the source has a larger id, so by then
+    all of them have been collected.
     """
     if root.tape is not tape or root.node_id is None:
         raise ValueError("backward: root is not tracked on this tape")
@@ -481,13 +495,20 @@ def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
         cur = grads[nid]
         grads[nid] = g if cur is None else cur + g
 
+    pending: dict[int, tuple] = {}  # source id -> (shape, [(indices, gradient rows)])
     rules = _BACKWARD
     for nid in range(root.node_id, -1, -1):
-        g = grads[nid]
-        if g is None:
-            continue
         kind, ids, saved = nodes[nid]
-        if kind == "leaf":
+        if nid in pending:
+            tshape, gathers = pending.pop(nid)
+            grads[nid] = _scatter_rows(grads[nid], tshape, gathers)
+        g = grads[nid]
+        if g is None or kind == "leaf":
+            continue
+        if kind == "embedding_lookup":
+            if ids[0] is not None:
+                idx, tshape = saved
+                pending.setdefault(ids[0], (tshape, []))[1].append((idx, g))
             continue
         rules[kind](ids, saved, g, acc)
 

@@ -4,7 +4,8 @@ The static encoder sums per-feature embedding vectors (first order) plus
 elementwise products of every embedding pair (second order), so feature
 conjunctions contribute their own directions.  The sequence encoder is a
 standard LSTM over already-encoded item vectors, returning every
-position's hidden state because downstream attention needs them all.
+position's hidden state because downstream attention needs them all:
+one (L, d) matrix per history, row t being the state after item t.
 """
 from __future__ import annotations
 
@@ -59,12 +60,16 @@ class LstmParams:
 
 @dataclass
 class EncodedSequence:
-    """Per-position LSTM hidden states for one history."""
+    """LSTM hidden states for one history.
 
-    hidden_states: list
+    ``hidden_states`` is one (L, d) tensor whose row t is the state after
+    item t, or None for an empty history.
+    """
+
+    hidden_states: Tensor | None
 
     def __len__(self) -> int:
-        return len(self.hidden_states)
+        return 0 if self.hidden_states is None else self.hidden_states.shape[0]
 
 
 def field_offsets(vocab_sizes: Sequence[int]) -> tuple[int, ...]:
@@ -160,16 +165,11 @@ def encode_sequence(item_embeddings, params: LstmParams) -> EncodedSequence:
     tensor.  An empty input yields an empty sequence.
     """
     if isinstance(item_embeddings, Tensor):
-        n, dim = item_embeddings.shape
-        xs = []
-        for t in range(n):
-            sel = np.zeros((1, n))
-            sel[0, t] = 1.0
-            xs.append(ad.reshape(ad.matmul(sel, item_embeddings), (dim,)))
+        xs = [ad.embedding_lookup(item_embeddings, t) for t in range(item_embeddings.shape[0])]
     else:
         xs = list(item_embeddings)
     if not xs:
-        return EncodedSequence([])
+        return EncodedSequence(None)
     dim = xs[0].shape[0]
     h = np.zeros(dim)
     c = np.zeros(dim)
@@ -177,13 +177,18 @@ def encode_sequence(item_embeddings, params: LstmParams) -> EncodedSequence:
     for x in xs:
         h, c = lstm_step(x, h, c, params)
         states.append(h)
-    return EncodedSequence(states)
+    return EncodedSequence(stack_states(states))
 
 
 def stack_states(states) -> Tensor:
-    """Stack a non-empty list of (d,) tensors into an (M, d) tensor."""
-    dim = states[0].shape[0]
-    return ad.reshape(ad.concat(states), (len(states), dim))
+    """Stack a non-empty list of (d,) tensors into an (M, d) tensor.
+
+    A list of T (B, d) blocks stacks block after block into a (T*B, d)
+    tensor.
+    """
+    dim = states[0].shape[-1]
+    flat = ad.concat([s if len(s.shape) == 1 else ad.reshape(s, (s.data.size,)) for s in states])
+    return ad.reshape(flat, (flat.shape[0] // dim, dim))
 
 
 def encode_sequences_batched(position_matrices, kind: str, pnn: PnnEncoderParams,
@@ -198,13 +203,14 @@ def encode_sequences_batched(position_matrices, kind: str, pnn: PnnEncoderParams
 
     ``position_matrices`` is a list of (L_i, F) one-hot position arrays
     sharing the same field count F.  Returns one EncodedSequence per
-    input, aligned.
+    input, aligned.  The T step states are stacked once into a (T*B, d)
+    tensor and each sequence takes its rows ``t*B + b`` with one gather.
     """
     lengths = [int(m.shape[0]) for m in position_matrices]
     n_seq = len(lengths)
     maxlen = max(lengths, default=0)
     if maxlen == 0:
-        return [EncodedSequence([]) for _ in lengths]
+        return [EncodedSequence(None) for _ in lengths]
     nonempty = [m for m in position_matrices if m.shape[0]]
     flat = np.concatenate(nonempty, axis=0)
     embedded = pnn_encode_batch(kind, flat, pnn)  # (sum L_i, d)
@@ -243,8 +249,8 @@ def encode_sequences_batched(position_matrices, kind: str, pnn: PnnEncoderParams
         h = ad.multiply_elementwise(o_g, ad.tanh(c))
         per_step.append(h)
 
-    out = []
-    for b, n in enumerate(lengths):
-        states = [ad.embedding_lookup(per_step[t], int(b)) for t in range(n)]
-        out.append(EncodedSequence(states))
-    return out
+    stacked = stack_states(per_step)  # row t*B + b is sequence b's state after step t
+    return [
+        EncodedSequence(ad.embedding_lookup(stacked, np.arange(n) * n_seq + b) if n else None)
+        for b, n in enumerate(lengths)
+    ]

@@ -59,13 +59,13 @@ class InteractionStats:
 def _state_matrix(states):
     """Normalize state input to an (M, d) tensor; None when empty.
 
-    Accepts an EncodedSequence, a list of (d,) tensors, or an already
-    stacked (M, d) tensor.
+    Accepts an EncodedSequence (whose states are already one (M, d)
+    matrix), an (M, d) tensor or array, or a list of (d,) tensors.
     """
-    if states is None:
-        return None
     if isinstance(states, EncodedSequence):
         states = states.hidden_states
+    if states is None:
+        return None
     if isinstance(states, Tensor) or (isinstance(states, np.ndarray) and states.ndim == 2):
         return states if states.shape[0] else None
     states = list(states)
@@ -87,13 +87,9 @@ def embed_similarity(e_u, e_a) -> Tensor:
 
 
 def _split(w, dim: int, k: int) -> list[Tensor]:
-    """Slice a (k*dim,) weight vector into k (dim,) pieces via selector matmuls."""
-    pieces = []
-    for i in range(k):
-        sel = np.zeros((dim, k * dim))
-        sel[:, i * dim : (i + 1) * dim] = np.eye(dim)
-        pieces.append(ad.matmul(sel, w))
-    return pieces
+    """Slice a (k*dim,) weight vector into k (dim,) pieces: one reshape, k row gathers."""
+    rows = ad.reshape(w, (k, dim))
+    return [ad.embedding_lookup(rows, i) for i in range(k)]
 
 
 def svdpp_similarity(e_u, user_item_states, e_a, anchor_item_states, weights: SvdppWeights | None = None) -> Tensor:

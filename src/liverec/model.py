@@ -18,6 +18,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from math import prod
 
 import numpy as np
 
@@ -200,7 +201,6 @@ class _PairContext:
         self.config = config
         self._static: dict[tuple[str, int], Tensor] = {}
         self._states: dict[tuple[str, int], EncodedSequence] = {}
-        self._stacked: dict[tuple[str, int], Tensor | None] = {}
         self._browsed: dict[int, Tensor | None] = {}
         self._item_pieces = None
         self._anchor_pieces = None
@@ -285,13 +285,7 @@ class _PairContext:
 
     def stacked_states(self, side: str, owner_id: int) -> Tensor | None:
         """(M, d) matrix of an owner's item states; None for empty history."""
-        key = (side, owner_id)
-        got = self._stacked.get(key, _MISSING)
-        if got is _MISSING:
-            states = self.item_states(side, owner_id).hidden_states
-            got = stack_states(states) if states else None
-            self._stacked[key] = got
-        return got
+        return self.item_states(side, owner_id).hidden_states
 
     def browsed_anchor_matrix(self, user_id: int) -> Tensor | None:
         got = self._browsed.get(user_id, _MISSING)
@@ -303,6 +297,11 @@ class _PairContext:
 
 
 _MISSING = object()
+
+
+def _rows(states: Tensor | None, positions) -> Tensor | None:
+    """Gather the given rows of a state matrix in one step; None when there are none."""
+    return ad.embedding_lookup(states, np.asarray(positions, dtype=np.intp)) if len(positions) else None
 
 
 def _dropout_mask(config: TrainConfig, rng: np.random.Generator | None):
@@ -338,11 +337,9 @@ def _forward(ctx: _PairContext, user_id: int, anchor_id: int,
             stats.pair_budgets.append(0)
     else:
         if config.variant == "with_co_retrieval":
-            full_u = ctx.item_states("user", user_id).hidden_states
-            full_a = ctx.item_states("anchor", anchor_id).hidden_states
             ret = co_retrieve(ctx.user_index, ctx.anchor_index, user_id, anchor_id, config.co_retrieval_k)
-            ustates = [full_u[p] for p in ret.user_positions]
-            astates = [full_a[p] for p in ret.anchor_positions]
+            ustates = _rows(ctx.stacked_states("user", user_id), ret.user_positions)
+            astates = _rows(ctx.stacked_states("anchor", anchor_id), ret.anchor_positions)
         else:
             ustates = ctx.stacked_states("user", user_id)
             astates = ctx.stacked_states("anchor", anchor_id)
@@ -604,7 +601,76 @@ def save_checkpoint(params: ModelParams, config: TrainConfig, path) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _array_shapes(dim: int) -> dict[str, tuple]:
+    """The shape each checkpoint array must have; None is a table's free row count."""
+    shapes = {f"pnn.{kind}": (None, dim) for kind in ("user", "anchor", "item")}
+    shapes.update({f"lstm.{n}": (dim, dim) for n in ("wi", "wf", "wo", "wc", "ui", "uf", "uo", "uc")})
+    shapes.update({f"lstm.{n}": (dim,) for n in ("bi", "bf", "bo", "bc")})
+    shapes.update({
+        "attn.item_w": (4 * dim,), "attn.item_b": (), "attn.anchor_w": (3 * dim,), "attn.anchor_b": (),
+        "mlp.w1": (dim, 3 * dim), "mlp.b1": (dim,), "mlp.w2": (dim,), "mlp.b2": (),
+    })
+    return shapes
+
+
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _parse_header(header) -> tuple[TrainConfig, int, dict, list]:
+    """Validate a decoded v1 header; returns (config, dim, offsets, array specs)."""
+    if not isinstance(header, dict):
+        raise CheckpointError("header is not a JSON object")
+    if header.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"not a {CHECKPOINT_FORMAT} file")
+    version = header.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint version {version} does not match supported version {CHECKPOINT_VERSION}"
+        )
+    for key, kind, json_kind in (("config", dict, "object"), ("dim", int, "integer"),
+                                 ("offsets", dict, "object"), ("arrays", list, "array")):
+        if type(header.get(key)) is not kind:
+            raise CheckpointError(f"header field {key!r} is missing or not a JSON {json_kind}")
+    defaults = asdict(TrainConfig())
+    for key, value in header["config"].items():
+        kind = type(defaults[key]) if key in defaults else None
+        if kind is None or not (type(value) is kind or (kind is float and type(value) is int)):
+            raise CheckpointError(f"config field {key!r} is unknown or has a bad value {value!r}")
+    try:
+        config = TrainConfig(**header["config"])
+    except ValueError as exc:
+        raise CheckpointError(f"bad config in header: {exc}") from None
+    dim = header["dim"]
+    if dim < 1 or config.dim != dim:
+        raise CheckpointError(f"header dim {dim} must be positive and equal config dim {config.dim}")
+    offsets = header["offsets"]
+    if set(offsets) != {"user", "anchor", "item"} or not all(
+        isinstance(v, list) and all(_is_count(x) for x in v) for v in offsets.values()
+    ):
+        raise CheckpointError("header offsets must list non-negative ints for user, anchor and item")
+    want = _array_shapes(dim)
+    specs = []
+    for spec in header["arrays"]:
+        name = spec.get("name") if isinstance(spec, dict) else None
+        shape = spec.get("shape") if isinstance(spec, dict) else None
+        expected = want.pop(name, False) if isinstance(name, str) else False
+        if expected is False:
+            raise CheckpointError(f"unknown or repeated array entry {spec!r}")
+        if not (isinstance(shape, list) and len(shape) == len(expected)
+                and all(_is_count(n) and e in (None, n) for n, e in zip(shape, expected))):
+            raise CheckpointError(f"array {name} has shape {shape!r}, expected {expected}")
+        specs.append((name, tuple(shape)))
+    if want:
+        raise CheckpointError(f"header lists no array {sorted(want)[0]}")
+    return config, dim, {k: tuple(v) for k, v in offsets.items()}, specs
+
+
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
+    """Read a file written by save_checkpoint.
+
+    A file that is not a well-formed v1 checkpoint raises CheckpointError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     nl = blob.find(b"\n")
@@ -614,29 +680,19 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
         header = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable header: {exc}") from None
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"not a {CHECKPOINT_FORMAT} file")
-    version = header.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {version} does not match supported version {CHECKPOINT_VERSION}"
-        )
-    config = TrainConfig(**header["config"])
-    offsets = {k: tuple(v) for k, v in header["offsets"].items()}
+    config, dim, offsets, specs = _parse_header(header)
     body = blob[nl + 1 :]
     arrays = {}
     off = 0
-    for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        nbytes = n * 8
+    for name, shape in specs:
+        nbytes = prod(shape) * 8
         if off + nbytes > len(body):
-            raise CheckpointError(f"truncated checkpoint: array {spec['name']} is incomplete")
-        arrays[spec["name"]] = np.frombuffer(body[off : off + nbytes], dtype="<f8").reshape(shape).copy()
+            raise CheckpointError(f"truncated checkpoint: array {name} is incomplete")
+        arrays[name] = np.frombuffer(body[off : off + nbytes], dtype="<f8").reshape(shape).copy()
         off += nbytes
     if off != len(body):
         raise CheckpointError(f"{len(body) - off} trailing bytes after arrays")
-    params = _params_from_arrays(header["dim"], offsets, arrays)
+    params = _params_from_arrays(dim, offsets, arrays)
     return params, config
 
 

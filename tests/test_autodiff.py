@@ -151,6 +151,61 @@ def test_embedding_lookup_scatters_gradient():
         ad.embedding_lookup(table.data, np.array([4]))
 
 
+def test_gather_gradient_buffers_are_not_shared():
+    # reduce_sum hands its source a read-only broadcast view as the dense
+    # gradient; scattering the gather rows must not write into it
+    t = Tape()
+    table = t.watch(np.ones((3, 2)))
+    src = ad.multiply_elementwise(table, 1.0)
+    loss = ad.add(ad.reduce_sum(src), ad.reduce_sum(ad.embedding_lookup(src, np.array([2, 2]))))
+    g = backward(t, loss)
+    np.testing.assert_array_equal(g[table.node_id], [[1.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
+    assert not np.shares_memory(t.gradients[src.node_id], t.gradients[loss.node_id])
+
+
+def _gather_case(case, rng):
+    """(build(arrays) -> scalar Tensor, arrays) exercising the deferred gather scatter."""
+    v, d = rng.integers(2, 6), rng.integers(1, 5)
+
+    def cot(out):  # the same cotangent on every rebuild
+        return _cotangent_sum(out, np.random.default_rng(7))
+
+    if case == "repeated_indices":
+        idx = rng.integers(0, v, size=rng.integers(v + 1, 3 * v + 2))  # pigeonhole: some index repeats
+        return (lambda xs: cot(ad.embedding_lookup(xs[0], idx))), [rng.normal(size=(v, d))]
+    if case == "scalar_index":
+        i = int(rng.integers(v))
+        return (lambda xs: cot(ad.embedding_lookup(xs[0], i))), [rng.normal(size=(v, d))]
+    gathers = [rng.integers(0, v, size=rng.integers(1, 5)) for _ in range(3)]
+    gathers.append(int(rng.integers(v)))
+    gathers.append(rng.integers(0, v, size=(2, 3)))
+
+    def many_gathers_and_dense(src):
+        total = ad.reduce_sum(ad.multiply_elementwise(src, src))  # dense use
+        for idx in gathers:
+            total = ad.add(total, cot(ad.embedding_lookup(src, idx)))
+        return ad.add(total, ad.reduce_sum(ad.matmul(src, np.arange(1.0, d + 1))))  # second dense use
+
+    if case == "many_gathers_and_dense_leaf":
+        return (lambda xs: many_gathers_and_dense(xs[0])), [rng.normal(size=(v, d))]
+    if case == "many_gathers_and_dense_nonleaf":
+        k = rng.integers(1, 4)
+        return (lambda xs: many_gathers_and_dense(ad.tanh(ad.matmul(xs[0], xs[1])))), [
+            rng.normal(size=(v, k)), rng.normal(size=(k, d))
+        ]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", [
+    "repeated_indices", "scalar_index", "many_gathers_and_dense_leaf", "many_gathers_and_dense_nonleaf",
+])
+def test_gather_gradients_match_finite_differences(case):
+    rng = np.random.default_rng(sum(map(ord, case)))
+    for _ in range(50):
+        build, arrays = _gather_case(case, rng)
+        assert fd_max_rel_error(build, arrays) <= FD_TOL
+
+
 # ---------------------------------------------------------------------------
 # finite-difference suite, 100 random instances per op kind
 

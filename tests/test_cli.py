@@ -108,6 +108,17 @@ def test_eval_is_deterministic_and_prints_table(tmp_path, capsys):
     assert any(l.startswith("logloss") for l in outputs[0])
 
 
+def test_eval_malformed_checkpoint_header_exits_2(tmp_path, capsys):
+    cat, prs = _gen(tmp_path)
+    ckpt, _ = _train(tmp_path, cat, prs, "bad")
+    _, _, body = ckpt.read_bytes().partition(b"\n")
+    ckpt.write_bytes(b'["not", "an", "object"]\n' + body)
+    capsys.readouterr()
+    rc = main(["eval", "--catalog", str(cat), "--pairs", str(prs), "--checkpoint", str(ckpt)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: header is not a JSON object")
+
+
 def test_eval_zero_mlp_checkpoint_acc_is_majority_rate(tmp_path, capsys):
     cat, prs = _gen(tmp_path)
     ckpt, _ = _train(tmp_path, cat, prs, "zm")

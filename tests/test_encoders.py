@@ -103,8 +103,7 @@ def test_lstm_zero_weights_fixpoint():
     rng = np.random.default_rng(7)
     xs = [ad.Tensor(rng.normal(size=3)) for _ in range(5)]
     seq = encode_sequence(xs, _zero_lstm(3))
-    for h in seq.hidden_states:
-        np.testing.assert_array_equal(h.data, np.zeros(3))
+    np.testing.assert_array_equal(seq.hidden_states.data, np.zeros((5, 3)))
 
 
 def test_lstm_length_contract():
@@ -112,7 +111,9 @@ def test_lstm_length_contract():
     params = init_lstm_params(4, rng)
     xs = [ad.Tensor(rng.normal(size=4)) for _ in range(7)]
     assert len(encode_sequence(xs, params)) == 7
-    assert len(encode_sequence([], params)) == 0
+    assert encode_sequence(xs, params).hidden_states.shape == (7, 4)
+    empty = encode_sequence([], params)
+    assert len(empty) == 0 and empty.hidden_states is None
 
 
 def test_lstm_matches_scalar_reference():
@@ -121,8 +122,7 @@ def test_lstm_matches_scalar_reference():
     xs = [rng.normal(size=3) for _ in range(3)]
     got = encode_sequence([ad.Tensor(x) for x in xs], params)
     want = lstm_reference(xs, params)
-    for h, ref in zip(got.hidden_states, want):
-        np.testing.assert_allclose(h.data, ref, atol=1e-12)
+    np.testing.assert_allclose(got.hidden_states.data, np.array(want), atol=1e-12)
 
 
 def test_lstm_prefix_property():
@@ -131,8 +131,8 @@ def test_lstm_prefix_property():
     xs = [rng.normal(size=4) for _ in range(6)]
     full = encode_sequence([ad.Tensor(x) for x in xs], params)
     prefix = encode_sequence([ad.Tensor(x) for x in xs[:4]], params)
-    for h_full, h_pre in zip(full.hidden_states[:4], prefix.hidden_states):
-        np.testing.assert_array_equal(h_full.data, h_pre.data)
+    assert prefix.hidden_states.shape == (4, 4)
+    np.testing.assert_array_equal(full.hidden_states.data[:4], prefix.hidden_states.data)
 
 
 def test_lstm_matrix_input_matches_list_input():
@@ -141,13 +141,15 @@ def test_lstm_matrix_input_matches_list_input():
     xs = rng.normal(size=(5, 3))
     as_list = encode_sequence([ad.Tensor(x) for x in xs], params)
     as_matrix = encode_sequence(ad.Tensor(xs), params)
-    for a, b in zip(as_list.hidden_states, as_matrix.hidden_states):
-        np.testing.assert_allclose(a.data, b.data, atol=1e-14)
+    assert as_matrix.hidden_states.shape == as_list.hidden_states.shape == (5, 3)
+    np.testing.assert_allclose(as_list.hidden_states.data, as_matrix.hidden_states.data, atol=1e-14)
 
 
 def test_stack_states():
     states = [ad.Tensor(np.array([1.0, 2.0])), ad.Tensor(np.array([3.0, 4.0]))]
     np.testing.assert_array_equal(stack_states(states).data, [[1.0, 2.0], [3.0, 4.0]])
+    blocks = [ad.Tensor(np.arange(6.0).reshape(3, 2)), ad.Tensor(np.arange(6.0, 12.0).reshape(3, 2))]
+    np.testing.assert_array_equal(stack_states(blocks).data, np.arange(12.0).reshape(6, 2))
 
 
 def test_batched_sequences_match_sequential_paths():
@@ -160,11 +162,15 @@ def test_batched_sequences_match_sequential_paths():
     lstm = init_lstm_params(d, rng)
     matrices = [rng.integers(0, 20, size=(n, 3)) for n in (5, 1, 0, 7, 3)]
     batched = encode_sequences_batched(matrices, "item", params, lstm)
+    assert len(batched) == len(matrices)
     for mat, seq in zip(matrices, batched):
         want = encode_sequence(pnn_encode_batch("item", mat, params) if len(mat) else [], lstm)
         assert len(seq) == len(want) == len(mat)
-        for a, b in zip(seq.hidden_states, want.hidden_states):
-            np.testing.assert_allclose(a.data, b.data, atol=1e-12)
+        if not len(mat):
+            assert seq.hidden_states is None and want.hidden_states is None
+            continue
+        assert seq.hidden_states.shape == (len(mat), d)
+        np.testing.assert_allclose(seq.hidden_states.data, want.hidden_states.data, atol=1e-12)
 
 
 def test_batched_sequences_gradients_match_sequential():
@@ -176,7 +182,7 @@ def test_batched_sequences_gradients_match_sequential():
     table = rng.normal(size=(10, d))
     params_raw = init_lstm_params(d, rng)
     matrices = [rng.integers(0, 10, size=(n, 2)) for n in (3, 2)]
-    cot = [rng.normal(size=d) for _ in range(2)]
+    cot = [rng.normal(size=(len(m), d)) for m in matrices]
 
     def run(batched):
         tape = ad.Tape()
@@ -188,11 +194,33 @@ def test_batched_sequences_gradients_match_sequential():
             seqs = [encode_sequence(pnn_encode_batch("item", m, pnn), params_raw) for m in matrices]
         total = None
         for seq, c in zip(seqs, cot):
-            v = ad.reduce_sum(ad.multiply_elementwise(seq.hidden_states[-1], c))
+            v = ad.reduce_sum(ad.multiply_elementwise(seq.hidden_states, c))
             total = v if total is None else ad.add(total, v)
         return ad.backward(tape, total)[tbl.node_id]
 
     np.testing.assert_allclose(run(True), run(False), atol=1e-12)
+
+
+def test_batched_tape_grows_by_a_constant_per_sequence():
+    # for a fixed longest length T, one more sequence adds one gather of its
+    # rows from the stacked step states, whatever its length
+    from liverec.encoders import encode_sequences_batched
+
+    rng = np.random.default_rng(16)
+    d, longest = 3, 12
+    lstm = init_lstm_params(d, rng)
+
+    def tape_nodes(lengths):
+        tape = ad.Tape()
+        tbl = tape.watch(rng.normal(size=(10, d)))
+        matrices = [rng.integers(0, 10, size=(n, 2)) for n in lengths]
+        encode_sequences_batched(matrices, "item", PnnEncoderParams(tbl, tbl, tbl), lstm)
+        return len(tape.nodes)
+
+    base = tape_nodes([longest])
+    for extra in ([1], [longest], [5, longest, 1, 7]):
+        assert tape_nodes([longest] + extra) - base == len(extra)
+    assert tape_nodes([longest, 0, 0]) == base
 
 
 def test_pnn_gradients():
@@ -214,7 +242,7 @@ def test_lstm_gradients_through_sequence():
     params = init_lstm_params(d, rng)
     arrays = [params.wi, params.ui, params.bi, params.wc, params.uc]
     xs = [rng.normal(size=d) for _ in range(3)]
-    cot = rng.normal(size=d)
+    cot = rng.normal(size=(3, d))
 
     def build(ws):
         p = LstmParams(
@@ -223,6 +251,6 @@ def test_lstm_gradients_through_sequence():
             ws[2], params.bf, params.bo, params.bc,
         )
         seq = encode_sequence([ad.Tensor(x) for x in xs], p)
-        return ad.reduce_sum(ad.multiply_elementwise(seq.hidden_states[-1], cot))
+        return ad.reduce_sum(ad.multiply_elementwise(seq.hidden_states, cot))
 
     assert fd_max_rel_error(build, [a.copy() for a in arrays]) <= 1e-4

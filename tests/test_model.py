@@ -1,4 +1,5 @@
 """Whole-model forward, loss, training loop, and checkpoint behavior."""
+import json
 import math
 
 import numpy as np
@@ -358,6 +359,74 @@ def test_checkpoint_version_mismatch(tmp_path):
     head = head.replace(b'"version": 1', b'"version": 99')
     path.write_bytes(head + b"\n" + rest)
     with pytest.raises(CheckpointError, match=r"99.*1"):
+        load_checkpoint(path)
+
+
+def _edit(fn):
+    """Turn an in-place header edit into one that returns the edited header."""
+    def apply(header):
+        fn(header)
+        return header
+    return apply
+
+
+def _drop(key):
+    return _edit(lambda h: h.pop(key))
+
+
+def _set(path, value):
+    def edit(h):
+        *outer, last = path
+        for k in outer:
+            h = h[k]
+        h[last] = value
+    return _edit(edit)
+
+
+# each edit returns the new header and leaves the array bytes as saved
+MALFORMED_HEADERS = {
+    "unknown config key": _set(("config", "bogus"), 1),
+    "unknown config key set to null": _set(("config", "bogus"), None),
+    "config field of the wrong type": _set(("config", "epochs"), "ten"),
+    "config value rejected by TrainConfig": _set(("config", "variant"), "nope"),
+    "config not an object": _set(("config",), [1, 2]),
+    "missing config": _drop("config"),
+    "missing arrays": _drop("arrays"),
+    "missing dim": _drop("dim"),
+    "missing offsets": _drop("offsets"),
+    "dim not an int": _set(("dim",), "6"),
+    "dim disagrees with config": _set(("dim",), 7),
+    "offsets not an object": _set(("offsets",), [0, 1]),
+    "offsets missing a kind": _edit(lambda h: h["offsets"].pop("item")),
+    "negative offset": _set(("offsets", "user"), [-1]),
+    "arrays not a list": _set(("arrays",), {"pnn.user": [1, 6]}),
+    "array entry not an object": _set(("arrays", 0), "pnn.user"),
+    "array entry without a name": _edit(lambda h: h["arrays"][0].pop("name")),
+    "array entry without a shape": _edit(lambda h: h["arrays"][0].pop("shape")),
+    "unknown array name": _set(("arrays", 3, "name"), "lstm.zz"),
+    "repeated array name": _set(("arrays", 4, "name"), "lstm.wi"),
+    "missing array name": _edit(lambda h: h["arrays"].pop()),
+    "negative array size": _set(("arrays", 0, "shape"), [-2, 6]),
+    "float array size": _set(("arrays", 3, "shape"), [6.0, 6.0]),
+    "string array size": _set(("arrays", 0, "shape"), ["a", 6]),
+    "array of the wrong rank": _set(("arrays", 3, "shape"), [36]),
+    "array disagrees with dim": _set(("arrays", 3, "shape"), [6, 5]),
+    "header is a list": lambda h: [h],
+    "header is a string": lambda h: "liverec-checkpoint",
+    "header is null": lambda h: None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, case):
+    catalog, _ = _tiny()
+    config = TrainConfig(dim=6)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_params(catalog, config), config, path)
+    head, _, body = path.read_bytes().partition(b"\n")
+    header = MALFORMED_HEADERS[case](json.loads(head))
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
