@@ -6,7 +6,7 @@ co-retrieval index prunes the attention pair set.  Everything runs on a
 minimal float64 reverse-mode autodiff tape and is deterministic per seed.
 """
 
-from .autodiff import ShapeError, Tape, Tensor, backward, forward_op
+from .autodiff import ShapeError, Tape, Tensor, backward
 from .data import (
     Anchor,
     Catalog,

@@ -16,7 +16,8 @@ times costs no full-size buffer per gather.
 Operands may be Tensors, numpy arrays, or Python scalars; non-Tensor
 operands are treated as constants.  Limited broadcasting is supported in
 ``add``/``multiply_elementwise`` (equal shapes, scalar against anything,
-and the (M,1)/(1,N) outer pattern the attention layers use).
+and the (M,1)/(1,N) outer pattern the attention layers use).  ``concat``
+joins along axis 0 and ``reduce_sum`` sums all elements or one axis.
 """
 from __future__ import annotations
 
@@ -31,8 +32,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "backward",
-    "forward_op",
-    "FORWARD_OPS",
     "add",
     "multiply_elementwise",
     "matmul",
@@ -197,13 +196,17 @@ def matmul(a, b) -> Tensor:
 
 
 def concat(tensors: Sequence) -> Tensor:
-    """Concatenate 1-D tensors (scalars are lifted to length-1 vectors)."""
+    """Join tensors along axis 0: 1-D vectors, or (k_i, d) blocks.
+
+    Scalars are lifted to length-1 vectors; every part must have the same
+    trailing shape.
+    """
     parts = [_parts(t) for t in tensors]
-    for d, _, _ in parts:
-        if d.ndim > 1:
-            raise ShapeError("concat", *[p[0].shape for p in parts])
-    datas = [d.reshape(-1) for d, _, _ in parts]
-    out = np.concatenate(datas) if datas else np.zeros(0)
+    datas = [d if d.ndim else d.reshape(1) for d, _, _ in parts]
+    try:
+        out = np.concatenate(datas) if datas else np.zeros(0)
+    except ValueError:
+        raise ShapeError("concat", *[d.shape for d, _, _ in parts]) from None
     tape = _tape_of(*[(nid, tp) for _, nid, tp in parts])
     ids = tuple(nid for _, nid, tp in parts)
     shapes = tuple(d.shape for d, _, _ in parts)
@@ -211,11 +214,14 @@ def concat(tensors: Sequence) -> Tensor:
 
 
 def reduce_sum(x, axis: int | None = None) -> Tensor:
+    """Sum over all elements (axis None) or along one axis."""
     xd, xi, xt = _parts(x)
-    if axis not in (None, 0):
-        raise ValueError("sum: only axis None (all) or 0 is supported")
+    if axis is not None:
+        if not -xd.ndim <= axis < xd.ndim:
+            raise ShapeError("sum", xd.shape)
+        axis %= xd.ndim
     out = xd.sum(axis=axis)
-    return _emit(_tape_of((xi, xt)), "sum", (xi,), (xd.shape,), out)
+    return _emit(_tape_of((xi, xt)), "sum", (xi,), (xd.shape, axis), out)
 
 
 def sigmoid(x) -> Tensor:
@@ -308,35 +314,6 @@ def transpose(x) -> Tensor:
     return _emit(_tape_of((xi, xt)), "transpose", (xi,), (), xd.T)
 
 
-FORWARD_OPS = {
-    "add": add,
-    "multiply_elementwise": multiply_elementwise,
-    "matmul": matmul,
-    "concat": concat,
-    "sum": reduce_sum,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "softmax": softmax,
-    "dot": dot,
-    "embedding_lookup": embedding_lookup,
-    "dropout_mask_apply": dropout_mask_apply,
-    "log": log,
-    "clamp": clamp,
-    "relu": relu,
-    "reshape": reshape,
-    "transpose": transpose,
-}
-
-
-def forward_op(kind: str, *inputs, **kwargs) -> Tensor:
-    """Apply one of the registered op kinds by name."""
-    try:
-        fn = FORWARD_OPS[kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind {kind!r}") from None
-    return fn(*inputs, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # backward rules, one per kind
 
@@ -378,15 +355,15 @@ def _bk_concat(ids, saved, g, acc):
     (shapes,) = saved
     off = 0
     for nid, shape in zip(ids, shapes):
-        n = prod(shape)
+        n = shape[0] if shape else 1
         if nid is not None:
             acc(nid, g[off : off + n].reshape(shape))
         off += n
 
 
 def _bk_sum(ids, saved, g, acc):
-    (xshape,) = saved
-    acc(ids[0], np.broadcast_to(g, xshape))
+    xshape, axis = saved
+    acc(ids[0], np.broadcast_to(g if axis is None else np.expand_dims(g, axis), xshape))
 
 
 def _bk_sigmoid(ids, saved, g, acc):

@@ -12,6 +12,7 @@ deterministic given its flags and seed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 
@@ -96,7 +97,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--optimizer", choices=("sgd", "adam"), default="sgd")
     p.add_argument("--svdpp-head", action="store_true",
                    help="score with the dot-product baseline head instead of the MLP")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _config_from_args(args) -> TrainConfig:
@@ -114,7 +114,6 @@ def _config_from_args(args) -> TrainConfig:
         literal_eq4_product=args.literal_eq4_product,
         optimizer=args.optimizer,
         svdpp_head=args.svdpp_head,
-        threads=args.threads,
     )
 
 
@@ -141,15 +140,7 @@ def cmd_generate(args) -> int:
 
 
 def _ingest_catalog_only(path):
-    import os
-    import tempfile
-
-    fd, empty = tempfile.mkstemp(suffix=".jsonl")
-    os.close(fd)
-    try:
-        catalog, _ = ingest_logs(path, empty)
-    finally:
-        os.unlink(empty)
+    catalog, _ = ingest_logs(path, os.devnull)
     return catalog
 
 

@@ -6,6 +6,11 @@ conjunctions contribute their own directions.  The sequence encoder is a
 standard LSTM over already-encoded item vectors, returning every
 position's hidden state because downstream attention needs them all:
 one (L, d) matrix per history, row t being the state after item t.
+
+Each encoder has one kernel.  ``pnn_encode_batch`` encodes a block of
+objects and ``pnn_encode`` is its one-object form; ``encode_sequence``
+runs the LSTM loop of ``encode_sequences_batched`` on a single history.
+Objects with fewer feature slots than the layout pad with position -1.
 """
 from __future__ import annotations
 
@@ -100,138 +105,76 @@ def init_lstm_params(dim: int, rng: np.random.Generator) -> LstmParams:
     return LstmParams(*mats, *biases)
 
 
-def pnn_encode(kind: str, active_fields: Sequence[tuple[int, float]], params: PnnEncoderParams) -> Tensor:
-    """Encode one object from its active one-hot fields.
+def pnn_encode(kind: str, positions: Sequence[int], params: PnnEncoderParams) -> Tensor:
+    """Encode one object from its one-hot positions; a (d,) vector.
 
-    ``active_fields`` lists (position j, value x_j) pairs; categorical
-    features use x_j = 1.  Output is
-    ``sum_j x_j v_j + sum_{j'<j''} (v_j' * v_j'') x_j' x_j''``, computed
-    through the half-square identity rather than the double loop.
+    One row of ``pnn_encode_batch``: same kernel, same padding rule.
     """
-    table = params.table(kind)
-    tdata = table.data if isinstance(table, Tensor) else np.asarray(table)
-    total, dim = tdata.shape
-    for j, _ in active_fields:
-        if not 0 <= j < total:
-            raise IndexError(f"{kind} field position {j} out of range [0, {total})")
-    if not active_fields:
-        return Tensor(np.zeros(dim))
-    idx = np.array([j for j, _ in active_fields], dtype=np.intp)
-    values = np.array([x for _, x in active_fields])
-    vecs = ad.embedding_lookup(table, idx)  # (F, d)
-    scaled = ad.multiply_elementwise(vecs, values[:, None])
-    s = ad.reduce_sum(scaled, axis=0)
-    sq = ad.reduce_sum(ad.multiply_elementwise(scaled, scaled), axis=0)
-    second = ad.multiply_elementwise(ad.add(ad.multiply_elementwise(s, s), ad.multiply_elementwise(sq, -1.0)), 0.5)
-    return ad.add(s, second)
+    return _pnn(params.table(kind), np.asarray(positions, dtype=np.intp))
 
 
 def pnn_encode_batch(kind: str, positions: np.ndarray, params: PnnEncoderParams) -> Tensor:
-    """Encode a batch of same-layout categorical objects at once.
+    """Encode a batch of categorical objects at once.
 
-    ``positions`` is an (L, F) int array of one-hot positions with all
-    values implicitly 1.  Returns an (L, d) tensor; row order follows the
-    input.
+    ``positions`` is an (L, F) int array of one-hot positions, every
+    active field having value 1.  An object with fewer than F slots pads
+    its row with position -1, which contributes nothing.  Returns an
+    (L, d) tensor; row order follows the input.  The output per row is
+    ``sum_j v_j + sum_{j'<j''} v_j' * v_j''``, computed through the
+    half-square identity rather than the double loop.
     """
-    table = params.table(kind)
     positions = np.asarray(positions, dtype=np.intp)
     if positions.ndim != 2:
         raise ValueError(f"positions must be 2-D, got shape {positions.shape}")
-    per_field = [ad.embedding_lookup(table, positions[:, j]) for j in range(positions.shape[1])]  # (L, d) each
-    s = per_field[0]
-    for v in per_field[1:]:
-        s = ad.add(s, v)
-    sq = ad.multiply_elementwise(per_field[0], per_field[0])
-    for v in per_field[1:]:
-        sq = ad.add(sq, ad.multiply_elementwise(v, v))
+    return _pnn(params.table(kind), positions)
+
+
+def _pnn(table, positions: np.ndarray) -> Tensor:
+    """The PNN kernel: one (..., F, d) gather, then sums along the field axis."""
+    absent = positions < 0
+    if absent.any():
+        vecs = ad.multiply_elementwise(ad.embedding_lookup(table, np.where(absent, 0, positions)),
+                                       ~absent[..., None])
+    else:
+        vecs = ad.embedding_lookup(table, positions)
+    s = ad.reduce_sum(vecs, axis=-2)
+    sq = ad.reduce_sum(ad.multiply_elementwise(vecs, vecs), axis=-2)
     second = ad.multiply_elementwise(ad.add(ad.multiply_elementwise(s, s), ad.multiply_elementwise(sq, -1.0)), 0.5)
     return ad.add(s, second)
 
 
-def lstm_step(x: Tensor, h, c, p: LstmParams):
-    i = ad.sigmoid(ad.add(ad.add(ad.matmul(p.wi, x), ad.matmul(p.ui, h)), p.bi))
-    f = ad.sigmoid(ad.add(ad.add(ad.matmul(p.wf, x), ad.matmul(p.uf, h)), p.bf))
-    o = ad.sigmoid(ad.add(ad.add(ad.matmul(p.wo, x), ad.matmul(p.uo, h)), p.bo))
-    g = ad.tanh(ad.add(ad.add(ad.matmul(p.wc, x), ad.matmul(p.uc, h)), p.bc))
-    c_new = ad.add(ad.multiply_elementwise(f, c), ad.multiply_elementwise(i, g))
-    h_new = ad.multiply_elementwise(o, ad.tanh(c_new))
-    return h_new, c_new
+def encode_sequence(embedded: Tensor, params: LstmParams) -> EncodedSequence:
+    """Run the LSTM over one (L, d) block of encoded items, oldest first.
 
-
-def encode_sequence(item_embeddings, params: LstmParams) -> EncodedSequence:
-    """Run the LSTM over encoded items (oldest first, zero initial state).
-
-    ``item_embeddings`` is either a list of (d,) tensors or one (L, d)
-    tensor.  An empty input yields an empty sequence.
+    The state starts at zero; an empty block yields an empty sequence.
     """
-    if isinstance(item_embeddings, Tensor):
-        xs = [ad.embedding_lookup(item_embeddings, t) for t in range(item_embeddings.shape[0])]
-    else:
-        xs = list(item_embeddings)
-    if not xs:
+    n = embedded.shape[0]
+    if not n:
         return EncodedSequence(None)
-    dim = xs[0].shape[0]
-    h = np.zeros(dim)
-    c = np.zeros(dim)
-    states = []
-    for x in xs:
-        h, c = lstm_step(x, h, c, params)
-        states.append(h)
-    return EncodedSequence(stack_states(states))
+    return EncodedSequence(_lstm(embedded, np.arange(n)[:, None], params))
 
 
 def stack_states(states) -> Tensor:
-    """Stack a non-empty list of (d,) tensors into an (M, d) tensor.
+    """Stack a non-empty list of (d,) tensors into an (M, d) tensor."""
+    return ad.reshape(ad.concat(states), (len(states), states[0].shape[0]))
 
-    A list of T (B, d) blocks stacks block after block into a (T*B, d)
-    tensor.
+
+def _lstm(embedded: Tensor, step_rows: np.ndarray, p: LstmParams) -> Tensor:
+    """The LSTM loop over B sequences advancing together.
+
+    Step t reads rows ``step_rows[t]`` of ``embedded`` as its (B, d) input
+    block.  Returns the T step states stacked into one (T*B, d) tensor:
+    row ``t*B + b`` is sequence b's state after step t.
     """
-    dim = states[0].shape[-1]
-    flat = ad.concat([s if len(s.shape) == 1 else ad.reshape(s, (s.data.size,)) for s in states])
-    return ad.reshape(flat, (flat.shape[0] // dim, dim))
-
-
-def encode_sequences_batched(position_matrices, kind: str, pnn: PnnEncoderParams,
-                             lstm: LstmParams) -> list[EncodedSequence]:
-    """Encode many same-kind categorical item sequences through one LSTM.
-
-    Equivalent to calling ``pnn_encode_batch`` + ``encode_sequence`` per
-    sequence, but all sequences advance together: each step works on a
-    (B, d) state block, so the tape grows with the longest sequence
-    instead of the summed lengths.  Rows of finished sequences keep
-    computing garbage that is never read.
-
-    ``position_matrices`` is a list of (L_i, F) one-hot position arrays
-    sharing the same field count F.  Returns one EncodedSequence per
-    input, aligned.  The T step states are stacked once into a (T*B, d)
-    tensor and each sequence takes its rows ``t*B + b`` with one gather.
-    """
-    lengths = [int(m.shape[0]) for m in position_matrices]
-    n_seq = len(lengths)
-    maxlen = max(lengths, default=0)
-    if maxlen == 0:
-        return [EncodedSequence(None) for _ in lengths]
-    nonempty = [m for m in position_matrices if m.shape[0]]
-    flat = np.concatenate(nonempty, axis=0)
-    embedded = pnn_encode_batch(kind, flat, pnn)  # (sum L_i, d)
-    offsets = np.zeros(n_seq, dtype=np.intp)
-    off = 0
-    for b, n in enumerate(lengths):
-        offsets[b] = off
-        off += n
-
-    wxt = [ad.transpose(w) for w in (lstm.wi, lstm.wf, lstm.wo, lstm.wc)]
-    uht = [ad.transpose(u) for u in (lstm.ui, lstm.uf, lstm.uo, lstm.uc)]
-    biases = (lstm.bi, lstm.bf, lstm.bo, lstm.bc)
-    lens_arr = np.array(lengths, dtype=np.intp)
-
-    total = int(flat.shape[0])
+    dim = embedded.shape[1]
+    wxt = [ad.transpose(w) for w in (p.wi, p.wf, p.wo, p.wc)]
+    uht = [ad.transpose(u) for u in (p.ui, p.uf, p.uo, p.uc)]
+    # (1, d) biases: an add of equal-rank operands is cheaper per step
+    biases = [ad.reshape(b, (1, dim)) for b in (p.bi, p.bf, p.bo, p.bc)]
     h = c = None
     per_step: list[Tensor] = []
-    for t in range(maxlen):
-        # finished rows gather a stale placeholder; their states are never read
-        idx = np.minimum(offsets + np.minimum(t, np.maximum(lens_arr - 1, 0)), total - 1)
-        x = ad.embedding_lookup(embedded, idx)  # (B, d)
+    for rows in step_rows:
+        x = ad.embedding_lookup(embedded, rows)  # (B, d)
         if h is None:
             pre = [ad.add(ad.matmul(x, wt), b) for wt, b in zip(wxt, biases)]
         else:
@@ -248,9 +191,37 @@ def encode_sequences_batched(position_matrices, kind: str, pnn: PnnEncoderParams
         )
         h = ad.multiply_elementwise(o_g, ad.tanh(c))
         per_step.append(h)
+    return ad.concat(per_step)
 
-    stacked = stack_states(per_step)  # row t*B + b is sequence b's state after step t
+
+def encode_sequences_batched(position_matrices, kind: str, pnn: PnnEncoderParams,
+                             lstm: LstmParams) -> list[EncodedSequence]:
+    """Encode many same-kind categorical item sequences through one LSTM.
+
+    Equivalent to calling ``pnn_encode_batch`` + ``encode_sequence`` per
+    sequence, but all sequences advance together: each step works on a
+    (B, d) state block, so the tape grows with the longest sequence
+    instead of the summed lengths.  Rows of finished sequences keep
+    computing garbage that is never read.
+
+    ``position_matrices`` is a list of (L_i, F) one-hot position arrays
+    sharing the same field count F, padded with -1 as in
+    ``pnn_encode_batch``.  Returns one EncodedSequence per input,
+    aligned.  The T step states are stacked once into a (T*B, d) tensor
+    and each sequence takes its rows ``t*B + b`` with one gather.
+    """
+    lengths = np.array([m.shape[0] for m in position_matrices], dtype=np.intp)
+    n_seq = len(lengths)
+    maxlen = int(lengths.max(initial=0))
+    if maxlen == 0:
+        return [EncodedSequence(None) for _ in lengths]
+    embedded = pnn_encode_batch(kind, np.concatenate(position_matrices, axis=0), pnn)  # (sum L_i, d)
+    offsets = np.cumsum(lengths) - lengths
+    # finished rows gather a stale placeholder; their states are never read
+    last = np.maximum(lengths - 1, 0)
+    step_rows = np.minimum(offsets + np.minimum(np.arange(maxlen)[:, None], last), embedded.shape[0] - 1)
+    stacked = _lstm(embedded, step_rows, lstm)
     return [
         EncodedSequence(ad.embedding_lookup(stacked, np.arange(n) * n_seq + b) if n else None)
-        for b, n in enumerate(lengths)
+        for b, n in enumerate(lengths.tolist())
     ]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoders import EncodedSequence, stack_states
+from .encoders import stack_states
 
 
 @dataclass
@@ -59,11 +59,8 @@ class InteractionStats:
 def _state_matrix(states):
     """Normalize state input to an (M, d) tensor; None when empty.
 
-    Accepts an EncodedSequence (whose states are already one (M, d)
-    matrix), an (M, d) tensor or array, or a list of (d,) tensors.
+    Accepts an (M, d) tensor or array, None, or a list of (d,) tensors.
     """
-    if isinstance(states, EncodedSequence):
-        states = states.hidden_states
     if states is None:
         return None
     if isinstance(states, Tensor) or (isinstance(states, np.ndarray) and states.ndim == 2):

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from math import prod
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .data import Catalog, LabeledPair
+from .data import Catalog
 from .encoders import (
     EncodedSequence,
     LstmParams,
@@ -91,7 +90,7 @@ class TrainConfig:
     literal_eq4_product: bool = False
     optimizer: str = "sgd"
     svdpp_head: bool = False
-    threads: int = 1
+    threads: int = 1  # the only legal value; kept so existing configs still construct
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -102,6 +101,8 @@ class TrainConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+        if self.threads != 1:
+            raise ValueError(f"threads must be 1 (training runs on one thread), got {self.threads!r}")
 
 
 @dataclass
@@ -191,14 +192,20 @@ class _PairContext:
     Static embeddings and full-history item states depend only on the
     object and the parameters, so within one tape they are computed once
     and reused by every pair that touches the object.  ``precompute``
-    pushes whole groups of histories through the batched sequence encoder,
-    which is much cheaper on the tape than owner-by-owner encoding.
+    pushes whole groups of histories through the batched sequence
+    encoder, which is much cheaper on the tape than owner-by-owner
+    encoding; an owner missed there is encoded alone on first use through
+    the same kernels.  Items with fewer feature slots than the layout pad
+    their position rows with -1.  A catalog slot whose vocabulary outgrew
+    its trained size raises ValueError on construction.
     """
 
     def __init__(self, catalog: Catalog, params: ModelParams, config: TrainConfig):
         self.catalog = catalog
         self.params = params
         self.config = config
+        for kind in ("user", "anchor", "item"):
+            _check_layout(kind, catalog.vocab(kind), params.offsets[kind], params.pnn.table(kind).shape[0])
         self._static: dict[tuple[str, int], Tensor] = {}
         self._states: dict[tuple[str, int], EncodedSequence] = {}
         self._browsed: dict[int, Tensor | None] = {}
@@ -223,69 +230,51 @@ class _PairContext:
         got = self._static.get(key)
         if got is None:
             obj = (self.catalog.users if kind == "user" else self.catalog.anchors)[obj_id]
-            fields = [(p, 1.0) for p in active_positions(obj.features, self.params.offsets[kind])]
-            got = pnn_encode(kind, fields, self.params.pnn)
+            got = pnn_encode(kind, active_positions(obj.features, self.params.offsets[kind]), self.params.pnn)
             self._static[key] = got
         return got
 
-    def _history(self, side: str, owner_id: int):
+    def _item_positions(self, side: str, owner_id: int) -> np.ndarray:
+        """(L, F) one-hot positions of an owner's history items, -1 padded."""
         if side == "user":
-            return self.catalog.users[owner_id].browsed_items
-        return self.catalog.anchors[owner_id].broadcast_items
-
-    def _position_rows(self, item_ids):
+            ids = self.catalog.users[owner_id].browsed_items
+        else:
+            ids = self.catalog.anchors[owner_id].broadcast_items
         offsets = self.params.offsets["item"]
-        return [active_positions(self.catalog.items[i].features, offsets) for i in item_ids]
+        n_fields = len(offsets)
+        rows = [active_positions(self.catalog.items[i].features, offsets) for i in ids]
+        if any(len(r) != n_fields for r in rows):
+            rows = [r + [-1] * (n_fields - len(r)) for r in rows]
+        return np.array(rows, dtype=np.intp).reshape(len(rows), n_fields)
 
-    def precompute(self, user_ids, anchor_ids) -> None:
-        """Encode all listed owners' item histories in one batched pass.
+    def precompute(self, pairs) -> None:
+        """Encode the item histories of every owner in the pairs in one batched pass.
 
-        Owners with a ragged or nonstandard per-item field layout fall back
-        to the owner-by-owner path.
+        Does nothing when the variant's head reads no item history.
         """
+        if self.config.variant == "no_item_aspect" and not self.config.svdpp_head:
+            return
         pending = [
             (side, oid)
-            for side, ids in (("user", user_ids), ("anchor", anchor_ids))
-            for oid in ids
+            for side in ("user", "anchor")
+            for oid in dict.fromkeys(getattr(p, f"{side}_id") for p in pairs)
             if (side, oid) not in self._states
         ]
         if not pending:
             return
-        n_fields = len(self.params.offsets["item"])
-        matrices = []
-        regular = []
-        for side, oid in pending:
-            rows = self._position_rows(self._history(side, oid))
-            if any(len(r) != n_fields for r in rows):
-                self.item_states(side, oid)
-                continue
-            regular.append((side, oid))
-            matrices.append(np.array(rows, dtype=np.intp).reshape(len(rows), n_fields))
-        if regular:
-            encoded = encode_sequences_batched(matrices, "item", self.params.pnn, self.params.lstm)
-            for (side, oid), seq in zip(regular, encoded):
-                self._states[(side, oid)] = seq
+        matrices = [self._item_positions(side, oid) for side, oid in pending]
+        encoded = encode_sequences_batched(matrices, "item", self.params.pnn, self.params.lstm)
+        self._states.update(zip(pending, encoded))
 
-    def item_states(self, side: str, owner_id: int) -> EncodedSequence:
+    def item_states(self, side: str, owner_id: int) -> Tensor | None:
+        """(M, d) matrix of an owner's item states; None for empty history."""
         key = (side, owner_id)
         got = self._states.get(key)
         if got is None:
-            ids = self._history(side, owner_id)
-            rows = self._position_rows(ids)
-            widths = {len(r) for r in rows}
-            if not rows:
-                encoded = []
-            elif len(widths) == 1:
-                encoded = pnn_encode_batch("item", np.array(rows, dtype=np.intp), self.params.pnn)
-            else:
-                encoded = [pnn_encode("item", [(p, 1.0) for p in row], self.params.pnn) for row in rows]
-            got = encode_sequence(encoded, self.params.lstm)
+            embedded = pnn_encode_batch("item", self._item_positions(side, owner_id), self.params.pnn)
+            got = encode_sequence(embedded, self.params.lstm)
             self._states[key] = got
-        return got
-
-    def stacked_states(self, side: str, owner_id: int) -> Tensor | None:
-        """(M, d) matrix of an owner's item states; None for empty history."""
-        return self.item_states(side, owner_id).hidden_states
+        return got.hidden_states
 
     def browsed_anchor_matrix(self, user_id: int) -> Tensor | None:
         got = self._browsed.get(user_id, _MISSING)
@@ -294,6 +283,20 @@ class _PairContext:
             got = stack_states([self.static("anchor", h) for h in hist]) if hist else None
             self._browsed[user_id] = got
         return got
+
+
+def _check_layout(kind: str, vocab, offsets, rows: int) -> None:
+    """Raise ValueError when a catalog feature slot outgrows its trained slot.
+
+    A catalog with more slots than the layout fails in ``active_positions``.
+    """
+    ends = tuple(offsets[1:]) + (rows,)
+    for j, (size, start, end) in enumerate(zip(vocab, offsets, ends)):
+        if size > end - start:
+            raise ValueError(
+                f"catalog {kind} feature slot {j} has vocabulary {size}, "
+                f"the parameters were trained with {end - start}"
+            )
 
 
 _MISSING = object()
@@ -338,11 +341,11 @@ def _forward(ctx: _PairContext, user_id: int, anchor_id: int,
     else:
         if config.variant == "with_co_retrieval":
             ret = co_retrieve(ctx.user_index, ctx.anchor_index, user_id, anchor_id, config.co_retrieval_k)
-            ustates = _rows(ctx.stacked_states("user", user_id), ret.user_positions)
-            astates = _rows(ctx.stacked_states("anchor", anchor_id), ret.anchor_positions)
+            ustates = _rows(ctx.item_states("user", user_id), ret.user_positions)
+            astates = _rows(ctx.item_states("anchor", anchor_id), ret.anchor_positions)
         else:
-            ustates = ctx.stacked_states("user", user_id)
-            astates = ctx.stacked_states("anchor", anchor_id)
+            ustates = ctx.item_states("user", user_id)
+            astates = ctx.item_states("anchor", anchor_id)
         y_i = item_aspect_interaction(
             e_u, ustates, e_a, astates, ctx.params.attn,
             literal_square=config.literal_eq4_product, stats=stats,
@@ -429,11 +432,7 @@ def _batch_gradients(catalog, params, config, chunk, dropout_rng):
     tape = Tape()
     bound, leaves = params.bind(tape)
     ctx = _PairContext(catalog, bound, config)
-    if config.svdpp_head or config.variant != "no_item_aspect":
-        ctx.precompute(
-            dict.fromkeys(p.user_id for p in chunk),
-            dict.fromkeys(p.anchor_id for p in chunk),
-        )
+    ctx.precompute(chunk)
     preds = [
         _forward(ctx, p.user_id, p.anchor_id, _dropout_mask(config, dropout_rng), None)
         for p in chunk
@@ -449,43 +448,6 @@ def _batch_gradients(catalog, params, config, chunk, dropout_rng):
     gmap = ad.backward(tape, loss)
     grads = [gmap[t.node_id] for t in leaves]
     return data_value, loss_value, grads
-
-
-def _batch_gradients_threaded(catalog, params, config, chunk, dropout_rng):
-    """Per-pair tapes on a worker pool; gradients summed in pair order.
-
-    Dropout masks are drawn up front in pair order so scheduling cannot
-    change the random stream.  The L2 gradient is added analytically.
-    """
-    masks = [_dropout_mask(config, dropout_rng) for _ in chunk]
-
-    def one(i: int):
-        pair = chunk[i]
-        tape = Tape()
-        bound, leaves = params.bind(tape)
-        ctx = _PairContext(catalog, bound, config)
-        pred = _forward(ctx, pair.user_id, pair.anchor_id, masks[i], None)
-        loss = batch_loss([pred], [pair.label])
-        gmap = ad.backward(tape, loss)
-        return float(loss.data), [gmap[t.node_id] for t in leaves]
-
-    with ThreadPoolExecutor(max_workers=config.threads) as ex:
-        results = list(ex.map(one, range(len(chunk))))
-
-    totals = [np.zeros_like(a) for _, a in params.named_arrays()]
-    data_value = 0.0
-    for loss_val, grads in results:  # fixed pair order
-        data_value += loss_val
-        for i, g in enumerate(grads):
-            totals[i] = totals[i] + g
-    loss_value = data_value
-    if config.l2_weight > 0.0:
-        for i, (_, arr) in enumerate(params.named_arrays()):
-            totals[i] = totals[i] + 2.0 * config.l2_weight * arr
-            loss_value += config.l2_weight * float((arr * arr).sum())
-    if not np.isfinite(loss_value):
-        return data_value, loss_value, None
-    return data_value, loss_value, totals
 
 
 def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
@@ -518,14 +480,7 @@ def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             chunk = [pairs[int(i)] for i in order[start : start + config.batch_size]]
-            if config.threads > 1:
-                data_value, loss_value, grads = _batch_gradients_threaded(
-                    catalog, params, config, chunk, rng_dropout
-                )
-            else:
-                data_value, loss_value, grads = _batch_gradients(
-                    catalog, params, config, chunk, rng_dropout
-                )
+            data_value, loss_value, grads = _batch_gradients(catalog, params, config, chunk, rng_dropout)
             if grads is None:
                 raise TrainingDiverged(global_batch)
             _clip_gradients(grads)
@@ -566,11 +521,7 @@ def evaluate_pairs(catalog: Catalog, params: ModelParams, config: TrainConfig, p
         stats = InteractionStats()
     t0 = time.perf_counter()
     ctx = _PairContext(catalog, params, config)
-    if config.svdpp_head or config.variant != "no_item_aspect":
-        ctx.precompute(
-            dict.fromkeys(p.user_id for p in pairs),
-            dict.fromkeys(p.anchor_id for p in pairs),
-        )
+    ctx.precompute(pairs)
     scores = [float(_forward(ctx, p.user_id, p.anchor_id, None, stats).data) for p in pairs]
     labels = [p.label for p in pairs]
     return make_report(
@@ -638,7 +589,8 @@ def _parse_header(header) -> tuple[TrainConfig, int, dict, list]:
         if kind is None or not (type(value) is kind or (kind is float and type(value) is int)):
             raise CheckpointError(f"config field {key!r} is unknown or has a bad value {value!r}")
     try:
-        config = TrainConfig(**header["config"])
+        # v1 headers may record any integer thread count; training now runs on one
+        config = TrainConfig(**{**header["config"], "threads": 1})
     except ValueError as exc:
         raise CheckpointError(f"bad config in header: {exc}") from None
     dim = header["dim"]

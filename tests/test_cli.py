@@ -224,7 +224,7 @@ def test_config_file_supplies_flags_and_flags_override(tmp_path):
     roundtrip.write_text(
         "variant=full\nlr-start=0.01\nlr-end=0.001\nbatch-size=16\nl2=0.0004\n"
         "dropout=0.1\ndim=6\nk=4\nepochs=1\nseed=3\nliteral-eq4-product=false\n"
-        "optimizer=sgd\nsvdpp-head=false\nthreads=1\nsplit-seed=0\ntiming-in-csv=false\n",
+        "optimizer=sgd\nsvdpp-head=false\nsplit-seed=0\ntiming-in-csv=false\n",
         encoding="utf-8",
     )
     rc = main(["train", "--config", str(roundtrip), "--catalog", str(cat), "--pairs", str(prs),
@@ -234,6 +234,18 @@ def test_config_file_supplies_flags_and_flags_override(tmp_path):
     assert config == TrainConfig(variant="full", lr_start=0.01, lr_end=0.001, batch_size=16,
                                  l2_weight=0.0004, dropout=0.1, dim=6, co_retrieval_k=4,
                                  epochs=1, seed=3)
+
+
+def test_checkpoint_from_a_smaller_catalog_exits_2(tmp_path, capsys):
+    small_cat, small_prs = _gen(tmp_path / "small", extra=("--categories", "3"))
+    big_cat, big_prs = _gen(tmp_path / "big", extra=("--categories", "9"))
+    ckpt, _ = _train(tmp_path, small_cat, small_prs, "small")
+    capsys.readouterr()
+    for argv in (["eval", "--catalog", str(big_cat), "--pairs", str(big_prs), "--checkpoint", str(ckpt)],
+                 ["score", "--catalog", str(big_cat), "--checkpoint", str(ckpt), "--user", "1", "--anchor", "2"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "feature slot 0 has vocabulary 9" in err
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):

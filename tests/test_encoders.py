@@ -23,21 +23,26 @@ def _params(table):
 
 
 def test_pnn_all_zero_values():
+    # an all-zero one-hot input: no active position, or only padded slots
     table = np.arange(8.0).reshape(4, 2)
-    out = pnn_encode("user", [(0, 0.0), (1, 0.0), (3, 0.0)], _params(table))
-    np.testing.assert_array_equal(out.data, np.zeros(2))
+    np.testing.assert_array_equal(pnn_encode("user", [], _params(table)).data, np.zeros(2))
+    np.testing.assert_array_equal(pnn_encode("user", [-1, -1, -1], _params(table)).data, np.zeros(2))
 
 
 def test_pnn_single_active_field_is_its_embedding():
     table = np.arange(8.0).reshape(4, 2)
-    out = pnn_encode("item", [(2, 1.0)], _params(table))
+    out = pnn_encode("item", [2], _params(table))
     np.testing.assert_allclose(out.data, table[2], atol=1e-15)
 
 
 def test_pnn_two_field_hand_example():
     table = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = pnn_encode("user", [(0, 1.0), (1, 1.0)], _params(table))
+    out = pnn_encode("user", [0, 1], _params(table))
     np.testing.assert_allclose(out.data, [7.0, 14.0], atol=1e-12)
+
+
+def _unit(positions):
+    return [(j, 1.0) for j in positions if j >= 0]
 
 
 def test_pnn_matches_double_loop_reference():
@@ -45,37 +50,39 @@ def test_pnn_matches_double_loop_reference():
     for _ in range(50):
         table = rng.normal(size=(10, 5))
         k = rng.integers(1, 6)
-        fields = [(int(j), float(rng.normal())) for j in rng.choice(10, size=k, replace=False)]
-        got = pnn_encode("anchor", fields, _params(table)).data
-        np.testing.assert_allclose(got, pnn_reference(fields, table), atol=1e-12)
+        positions = [int(j) for j in rng.choice(10, size=k, replace=False)]
+        got = pnn_encode("anchor", positions, _params(table)).data
+        np.testing.assert_allclose(got, pnn_reference(_unit(positions), table), atol=1e-12)
 
 
 def test_pnn_permutation_invariant():
     rng = np.random.default_rng(4)
     table = rng.normal(size=(8, 3))
-    fields = [(1, 0.5), (4, 1.0), (6, -2.0)]
-    base = pnn_encode("user", fields, _params(table)).data
+    positions = [1, 4, 6]
+    base = pnn_encode("user", positions, _params(table)).data
     for perm in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
-        out = pnn_encode("user", [fields[i] for i in perm], _params(table)).data
+        out = pnn_encode("user", [positions[i] for i in perm], _params(table)).data
         np.testing.assert_allclose(out, base, atol=1e-12)
 
 
 def test_pnn_swap_symmetry():
-    # swapping two fields' embedding rows together with their values
+    # swapping two fields' embedding rows together with their positions
     # leaves the output unchanged
     rng = np.random.default_rng(5)
     table = rng.normal(size=(6, 4))
     swapped = table.copy()
     swapped[[1, 3]] = swapped[[3, 1]]
-    a = pnn_encode("user", [(1, 0.7), (3, -1.2), (5, 1.0)], _params(table)).data
-    b = pnn_encode("user", [(3, 0.7), (1, -1.2), (5, 1.0)], _params(swapped)).data
+    a = pnn_encode("user", [1, 3, 5], _params(table)).data
+    b = pnn_encode("user", [3, 1, 5], _params(swapped)).data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_pnn_out_of_range_field():
     table = np.zeros((4, 2))
     with pytest.raises(IndexError, match="out of range"):
-        pnn_encode("user", [(4, 1.0)], _params(table))
+        pnn_encode("user", [4], _params(table))
+    with pytest.raises(IndexError, match="out of range"):
+        pnn_encode_batch("user", np.array([[0, 4]]), _params(table))
 
 
 def test_pnn_batch_matches_single():
@@ -84,8 +91,19 @@ def test_pnn_batch_matches_single():
     rows = rng.integers(0, 12, size=(7, 3))
     batch = pnn_encode_batch("item", rows, _params(table)).data
     for r in range(7):
-        single = pnn_encode("item", [(int(j), 1.0) for j in rows[r]], _params(table)).data
-        np.testing.assert_allclose(batch[r], single, atol=1e-12)
+        single = pnn_encode("item", rows[r], _params(table)).data
+        np.testing.assert_array_equal(batch[r], single)
+        np.testing.assert_allclose(batch[r], pnn_reference(_unit(rows[r]), table), atol=1e-12)
+
+
+def test_pnn_batch_ragged_rows_pad_with_minus_one():
+    rng = np.random.default_rng(17)
+    table = rng.normal(size=(12, 4))
+    rows = np.array([[3, -1, -1], [0, 5, 11], [7, 2, -1], [-1, -1, -1]])
+    batch = pnn_encode_batch("item", rows, _params(table)).data
+    assert batch.shape == (4, 4)
+    for r in range(4):
+        np.testing.assert_allclose(batch[r], pnn_reference(_unit(rows[r]), table), atol=1e-12)
 
 
 def test_field_offsets():
@@ -101,7 +119,7 @@ def _zero_lstm(d):
 
 def test_lstm_zero_weights_fixpoint():
     rng = np.random.default_rng(7)
-    xs = [ad.Tensor(rng.normal(size=3)) for _ in range(5)]
+    xs = ad.Tensor(rng.normal(size=(5, 3)))
     seq = encode_sequence(xs, _zero_lstm(3))
     np.testing.assert_array_equal(seq.hidden_states.data, np.zeros((5, 3)))
 
@@ -109,47 +127,35 @@ def test_lstm_zero_weights_fixpoint():
 def test_lstm_length_contract():
     rng = np.random.default_rng(8)
     params = init_lstm_params(4, rng)
-    xs = [ad.Tensor(rng.normal(size=4)) for _ in range(7)]
+    xs = ad.Tensor(rng.normal(size=(7, 4)))
     assert len(encode_sequence(xs, params)) == 7
     assert encode_sequence(xs, params).hidden_states.shape == (7, 4)
-    empty = encode_sequence([], params)
+    empty = encode_sequence(ad.Tensor(np.zeros((0, 4))), params)
     assert len(empty) == 0 and empty.hidden_states is None
 
 
 def test_lstm_matches_scalar_reference():
     rng = np.random.default_rng(9)
     params = init_lstm_params(3, rng)
-    xs = [rng.normal(size=3) for _ in range(3)]
-    got = encode_sequence([ad.Tensor(x) for x in xs], params)
-    want = lstm_reference(xs, params)
+    xs = rng.normal(size=(3, 3))
+    got = encode_sequence(ad.Tensor(xs), params)
+    want = lstm_reference(list(xs), params)
     np.testing.assert_allclose(got.hidden_states.data, np.array(want), atol=1e-12)
 
 
 def test_lstm_prefix_property():
     rng = np.random.default_rng(10)
     params = init_lstm_params(4, rng)
-    xs = [rng.normal(size=4) for _ in range(6)]
-    full = encode_sequence([ad.Tensor(x) for x in xs], params)
-    prefix = encode_sequence([ad.Tensor(x) for x in xs[:4]], params)
+    xs = rng.normal(size=(6, 4))
+    full = encode_sequence(ad.Tensor(xs), params)
+    prefix = encode_sequence(ad.Tensor(xs[:4]), params)
     assert prefix.hidden_states.shape == (4, 4)
     np.testing.assert_array_equal(full.hidden_states.data[:4], prefix.hidden_states.data)
-
-
-def test_lstm_matrix_input_matches_list_input():
-    rng = np.random.default_rng(11)
-    params = init_lstm_params(3, rng)
-    xs = rng.normal(size=(5, 3))
-    as_list = encode_sequence([ad.Tensor(x) for x in xs], params)
-    as_matrix = encode_sequence(ad.Tensor(xs), params)
-    assert as_matrix.hidden_states.shape == as_list.hidden_states.shape == (5, 3)
-    np.testing.assert_allclose(as_list.hidden_states.data, as_matrix.hidden_states.data, atol=1e-14)
 
 
 def test_stack_states():
     states = [ad.Tensor(np.array([1.0, 2.0])), ad.Tensor(np.array([3.0, 4.0]))]
     np.testing.assert_array_equal(stack_states(states).data, [[1.0, 2.0], [3.0, 4.0]])
-    blocks = [ad.Tensor(np.arange(6.0).reshape(3, 2)), ad.Tensor(np.arange(6.0, 12.0).reshape(3, 2))]
-    np.testing.assert_array_equal(stack_states(blocks).data, np.arange(12.0).reshape(6, 2))
 
 
 def test_batched_sequences_match_sequential_paths():
@@ -161,16 +167,20 @@ def test_batched_sequences_match_sequential_paths():
     params = PnnEncoderParams(user=table, anchor=table, item=table)
     lstm = init_lstm_params(d, rng)
     matrices = [rng.integers(0, 20, size=(n, 3)) for n in (5, 1, 0, 7, 3)]
+    for mat in matrices[3:]:  # ragged items: padded slots
+        mat[:, 1:][rng.random((len(mat), 2)) < 0.4] = -1
     batched = encode_sequences_batched(matrices, "item", params, lstm)
     assert len(batched) == len(matrices)
     for mat, seq in zip(matrices, batched):
-        want = encode_sequence(pnn_encode_batch("item", mat, params) if len(mat) else [], lstm)
+        want = encode_sequence(pnn_encode_batch("item", mat, params), lstm)
         assert len(seq) == len(want) == len(mat)
         if not len(mat):
             assert seq.hidden_states is None and want.hidden_states is None
             continue
         assert seq.hidden_states.shape == (len(mat), d)
         np.testing.assert_allclose(seq.hidden_states.data, want.hidden_states.data, atol=1e-12)
+        ref = lstm_reference([pnn_reference(_unit(row), table) for row in mat], lstm)
+        np.testing.assert_allclose(seq.hidden_states.data, np.array(ref), atol=1e-12)
 
 
 def test_batched_sequences_gradients_match_sequential():
@@ -227,11 +237,15 @@ def test_pnn_gradients():
     rng = np.random.default_rng(12)
     for _ in range(10):
         table = rng.normal(size=(6, 3))
-        fields = [(int(j), float(rng.normal())) for j in rng.choice(6, size=3, replace=False)]
+        positions = [int(j) for j in rng.choice(6, size=3, replace=False)]
+        block = rng.integers(0, 6, size=(2, 3))
+        block[rng.random((2, 3)) < 0.3] = -1
 
         def build(xs):
-            out = pnn_encode("user", fields, _params(xs[0]))
-            return ad.reduce_sum(ad.multiply_elementwise(out, np.arange(1.0, 4.0)))
+            out = pnn_encode("user", positions, _params(xs[0]))
+            rows = pnn_encode_batch("user", block, _params(xs[0]))
+            return ad.add(ad.reduce_sum(ad.multiply_elementwise(out, np.arange(1.0, 4.0))),
+                          ad.reduce_sum(ad.multiply_elementwise(rows, np.arange(1.0, 7.0).reshape(2, 3))))
 
         assert fd_max_rel_error(build, [table]) <= 1e-4
 
@@ -241,7 +255,7 @@ def test_lstm_gradients_through_sequence():
     d = 3
     params = init_lstm_params(d, rng)
     arrays = [params.wi, params.ui, params.bi, params.wc, params.uc]
-    xs = [rng.normal(size=d) for _ in range(3)]
+    xs = rng.normal(size=(3, d))
     cot = rng.normal(size=(3, d))
 
     def build(ws):
@@ -250,7 +264,7 @@ def test_lstm_gradients_through_sequence():
             ws[1], params.uf, params.uo, ws[4],
             ws[2], params.bf, params.bo, params.bc,
         )
-        seq = encode_sequence([ad.Tensor(x) for x in xs], p)
+        seq = encode_sequence(ad.Tensor(xs), p)
         return ad.reduce_sum(ad.multiply_elementwise(seq.hidden_states, cot))
 
     assert fd_max_rel_error(build, [a.copy() for a in arrays]) <= 1e-4

@@ -1,12 +1,14 @@
 """Whole-model forward, loss, training loop, and checkpoint behavior."""
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from liverec import autodiff as ad
-from liverec.data import LabeledPair, SyntheticSpec, generate_synthetic
+from liverec.data import LabeledPair, SyntheticSpec, _link_catalog, generate_synthetic
+from liverec.metrics import compute_logloss
 from liverec.model import (
     CheckpointError,
     TrainConfig,
@@ -251,13 +253,43 @@ def test_with_co_retrieval_equals_full_when_everything_shared():
         assert a == pytest.approx(b, abs=1e-15)
 
 
-def test_threaded_training_matches_deterministically():
-    catalog, pairs = _tiny(seed=12)
-    config = TrainConfig(dim=6, epochs=2, batch_size=10, dropout=0.2, seed=5, threads=3)
-    pa, _ = train(catalog, pairs, config)
-    pb, _ = train(catalog, pairs, config)
-    for (_, a), (_, b) in zip(pa.named_arrays(), pb.named_arrays()):
-        np.testing.assert_array_equal(a, b)
+def _ragged(catalog, seed):
+    """The catalog with items cut to 1-3 feature slots and users to 2-3."""
+    rng = np.random.default_rng(seed)
+    users = {k: replace(u, features=u.features[: rng.integers(2, 4)]) for k, u in catalog.users.items()}
+    items = {k: replace(i, features=i.features[: rng.integers(1, 4)]) for k, i in catalog.items.items()}
+    return _link_catalog(users, catalog.anchors, items)
+
+
+@pytest.mark.parametrize("variant", ["full", "with_co_retrieval"])
+def test_ragged_feature_layouts_train_and_score_like_the_reference(variant):
+    catalog, pairs = _tiny(seed=12, id_features=True)
+    catalog = _ragged(catalog, seed=12)
+    assert {len(i.features) for i in catalog.items.values()} == {1, 2, 3}
+    assert {len(u.features) for u in catalog.users.values()} == {2, 3}
+    config = TrainConfig(variant=variant, dim=6, epochs=2, batch_size=10, dropout=0.2, seed=5, co_retrieval_k=3)
+    params, _ = train(catalog, pairs[:30], config)
+    test = pairs[30:]
+    report = evaluate_pairs(catalog, params, config, test)
+    scores = [forward_pair(catalog, params, config, p.user_id, p.anchor_id) for p in test]
+    assert report.logloss == compute_logloss(scores, [p.label for p in test])
+    for p, got in zip(test, scores):
+        assert got == pytest.approx(forward_reference(catalog, params, config, p.user_id, p.anchor_id), abs=1e-12)
+
+
+def test_catalog_that_outgrows_the_trained_layout_raises():
+    catalog, _ = _tiny(seed=12)
+    config = TrainConfig(**DIMS)
+    params = _params(catalog, config)
+    vocab = catalog.anchor_vocab
+    # one anchor takes a slot-0 value one past the trained vocabulary, which
+    # would otherwise read the first row of slot 1
+    anchor = catalog.anchors[0]
+    grown = replace(anchor, features=(vocab[0],) + anchor.features[1:])
+    bigger = _link_catalog(catalog.users, {**catalog.anchors, 0: grown}, catalog.items)
+    assert bigger.anchor_vocab == (vocab[0] + 1,) + vocab[1:]
+    with pytest.raises(ValueError, match=rf"anchor feature slot 0 has vocabulary {vocab[0] + 1}.* {vocab[0]}"):
+        forward_pair(bigger, params, config, 1, 2)
 
 
 def test_adam_optimizer_runs_and_is_deterministic():
@@ -276,6 +308,8 @@ def test_config_validation():
         TrainConfig(lr_start=1e-4, lr_end=1e-2)
     with pytest.raises(ValueError, match="dropout"):
         TrainConfig(dropout=1.0)
+    with pytest.raises(ValueError, match="threads"):
+        TrainConfig(threads=2)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +448,8 @@ MALFORMED_HEADERS = {
     "header is a list": lambda h: [h],
     "header is a string": lambda h: "liverec-checkpoint",
     "header is null": lambda h: None,
+    "threads not an integer": _set(("config", "threads"), 2.5),
+    "threads a string": _set(("config", "threads"), "4"),
 }
 
 
@@ -428,6 +464,24 @@ def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, case):
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_any_integer_thread_count_loads_as_one(tmp_path):
+    catalog, pairs = _tiny(seed=15)
+    config = TrainConfig(dim=6, epochs=1, batch_size=25, dropout=0.0)
+    params, _ = train(catalog, pairs, config)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, config, path)
+    head, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    assert header["config"]["threads"] == 1
+    header["config"]["threads"] = 4
+    four = tmp_path / "four.ckpt"
+    four.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    (p1, c1), (p4, c4) = load_checkpoint(path), load_checkpoint(four)
+    assert c4 == c1 and c4.threads == 1
+    for p in pairs[:20]:
+        assert forward_pair(catalog, p4, c4, p.user_id, p.anchor_id) == forward_pair(catalog, p1, c1, p.user_id, p.anchor_id)
 
 
 def test_checkpoint_variant_honored(tmp_path):
