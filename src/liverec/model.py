@@ -36,7 +36,6 @@ from .encoders import (
     init_pnn_params,
     pnn_encode,
     pnn_encode_batch,
-    stack_states,
 )
 from .interaction import (
     AttentionParams,
@@ -193,19 +192,23 @@ class _PairContext:
     object and the parameters, so within one tape they are computed once
     and reused by every pair that touches the object.  ``precompute``
     pushes whole groups of histories through the batched sequence
-    encoder, which is much cheaper on the tape than owner-by-owner
-    encoding; an owner missed there is encoded alone on first use through
-    the same kernels.  Items with fewer feature slots than the layout pad
-    their position rows with -1.  A catalog slot whose vocabulary outgrew
-    its trained size raises ValueError on construction.
+    encoder, and the anchors the users browsed through one PNN pass,
+    which is much cheaper on the tape than owner-by-owner encoding; an
+    owner missed there is encoded alone on first use through the same
+    kernels.  Objects with fewer feature slots than the layout pad their
+    position rows with -1.  ``item_rows`` (from ``_item_rows``) carries
+    every item's position row, built once per train or eval call; without
+    it an owner's rows are derived from its items.  A catalog slot whose
+    vocabulary outgrew its trained size raises ValueError on construction.
     """
 
-    def __init__(self, catalog: Catalog, params: ModelParams, config: TrainConfig):
+    def __init__(self, catalog: Catalog, params: ModelParams, config: TrainConfig, item_rows=None):
         self.catalog = catalog
         self.params = params
         self.config = config
         for kind in ("user", "anchor", "item"):
             _check_layout(kind, catalog.vocab(kind), params.offsets[kind], params.pnn.table(kind).shape[0])
+        self._item_rows = item_rows
         self._static: dict[tuple[str, int], Tensor] = {}
         self._states: dict[tuple[str, int], EncodedSequence] = {}
         self._browsed: dict[int, Tensor | None] = {}
@@ -240,31 +243,32 @@ class _PairContext:
             ids = self.catalog.users[owner_id].browsed_items
         else:
             ids = self.catalog.anchors[owner_id].broadcast_items
-        offsets = self.params.offsets["item"]
-        n_fields = len(offsets)
-        rows = [active_positions(self.catalog.items[i].features, offsets) for i in ids]
-        if any(len(r) != n_fields for r in rows):
-            rows = [r + [-1] * (n_fields - len(r)) for r in rows]
-        return np.array(rows, dtype=np.intp).reshape(len(rows), n_fields)
+        if self._item_rows is None:
+            return _position_rows([self.catalog.items[i] for i in ids], self.params.offsets["item"])
+        index, rows = self._item_rows
+        return rows[[index[i] for i in ids]]
 
     def precompute(self, pairs) -> None:
-        """Encode the item histories of every owner in the pairs in one batched pass.
+        """Encode what the owners in the pairs share, in batched passes.
 
-        Does nothing when the variant's head reads no item history.
+        Item histories go through the batched sequence encoder and the
+        users' browsed anchors through one PNN pass; each is skipped when
+        the variant's head does not read it.
         """
-        if self.config.variant == "no_item_aspect" and not self.config.svdpp_head:
-            return
-        pending = [
-            (side, oid)
-            for side in ("user", "anchor")
-            for oid in dict.fromkeys(getattr(p, f"{side}_id") for p in pairs)
-            if (side, oid) not in self._states
-        ]
-        if not pending:
-            return
-        matrices = [self._item_positions(side, oid) for side, oid in pending]
-        encoded = encode_sequences_batched(matrices, "item", self.params.pnn, self.params.lstm)
-        self._states.update(zip(pending, encoded))
+        config = self.config
+        if config.variant != "no_item_aspect" or config.svdpp_head:
+            pending = [
+                (side, oid)
+                for side in ("user", "anchor")
+                for oid in dict.fromkeys(getattr(p, f"{side}_id") for p in pairs)
+                if (side, oid) not in self._states
+            ]
+            if pending:
+                matrices = [self._item_positions(side, oid) for side, oid in pending]
+                encoded = encode_sequences_batched(matrices, "item", self.params.pnn, self.params.lstm)
+                self._states.update(zip(pending, encoded))
+        if config.variant != "no_anchor_aspect" and not config.svdpp_head:
+            self._encode_browsed([u for u in dict.fromkeys(p.user_id for p in pairs) if u not in self._browsed])
 
     def item_states(self, side: str, owner_id: int) -> Tensor | None:
         """(M, d) matrix of an owner's item states; None for empty history."""
@@ -276,13 +280,36 @@ class _PairContext:
             self._states[key] = got
         return got.hidden_states
 
+    def _encode_browsed(self, user_ids) -> None:
+        """Encode every anchor the users browsed in one PNN pass; each user's
+        (N, d) matrix is then one gather of its rows (None for no history)."""
+        histories = {u: self.catalog.users[u].browsed_anchors for u in user_ids}
+        anchors = list(dict.fromkeys(a for hist in histories.values() for a in hist))
+        if anchors:
+            positions = _position_rows([self.catalog.anchors[a] for a in anchors], self.params.offsets["anchor"])
+            encoded = pnn_encode_batch("anchor", positions, self.params.pnn)
+            row = {a: k for k, a in enumerate(anchors)}
+        for u, hist in histories.items():
+            self._browsed[u] = ad.embedding_lookup(encoded, [row[a] for a in hist]) if hist else None
+
     def browsed_anchor_matrix(self, user_id: int) -> Tensor | None:
-        got = self._browsed.get(user_id, _MISSING)
-        if got is _MISSING:
-            hist = self.catalog.users[user_id].browsed_anchors
-            got = stack_states([self.static("anchor", h) for h in hist]) if hist else None
-            self._browsed[user_id] = got
-        return got
+        if user_id not in self._browsed:
+            self._encode_browsed([user_id])
+        return self._browsed[user_id]
+
+
+def _position_rows(objects, offsets) -> np.ndarray:
+    """(n, F) one-hot positions of the objects' features, rows padded with -1."""
+    n_fields = len(offsets)
+    rows = [active_positions(obj.features, offsets) for obj in objects]
+    if any(len(r) != n_fields for r in rows):
+        rows = [r + [-1] * (n_fields - len(r)) for r in rows]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), n_fields)
+
+
+def _item_rows(catalog: Catalog, offsets) -> tuple[dict[int, int], np.ndarray]:
+    """Every item's position row: (row index per item id, (n_items, F) rows)."""
+    return {iid: k for k, iid in enumerate(catalog.items)}, _position_rows(catalog.items.values(), offsets)
 
 
 def _check_layout(kind: str, vocab, offsets, rows: int) -> None:
@@ -297,9 +324,6 @@ def _check_layout(kind: str, vocab, offsets, rows: int) -> None:
                 f"catalog {kind} feature slot {j} has vocabulary {size}, "
                 f"the parameters were trained with {end - start}"
             )
-
-
-_MISSING = object()
 
 
 def _rows(states: Tensor | None, positions) -> Tensor | None:
@@ -427,11 +451,11 @@ def _clip_gradients(grads) -> None:
             grads[i] = grads[i] * scale
 
 
-def _batch_gradients(catalog, params, config, chunk, dropout_rng):
+def _batch_gradients(catalog, params, config, chunk, dropout_rng, item_rows=None):
     """Forward+backward over one batch on a shared tape."""
     tape = Tape()
     bound, leaves = params.bind(tape)
-    ctx = _PairContext(catalog, bound, config)
+    ctx = _PairContext(catalog, bound, config, item_rows)
     ctx.precompute(chunk)
     preds = [
         _forward(ctx, p.user_id, p.anchor_id, _dropout_mask(config, dropout_rng), None)
@@ -463,6 +487,7 @@ def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
     params = init_model_params(catalog, config, rng_init)
     rng_shuffle = stream_rng(config.seed, "shuffle")
     rng_dropout = stream_rng(config.seed, "dropout")
+    item_rows = _item_rows(catalog, params.offsets["item"])
 
     adam_m = adam_v = None
     adam_t = 0
@@ -480,7 +505,7 @@ def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             chunk = [pairs[int(i)] for i in order[start : start + config.batch_size]]
-            data_value, loss_value, grads = _batch_gradients(catalog, params, config, chunk, rng_dropout)
+            data_value, loss_value, grads = _batch_gradients(catalog, params, config, chunk, rng_dropout, item_rows)
             if grads is None:
                 raise TrainingDiverged(global_batch)
             _clip_gradients(grads)
@@ -520,7 +545,7 @@ def evaluate_pairs(catalog: Catalog, params: ModelParams, config: TrainConfig, p
     if stats is None:
         stats = InteractionStats()
     t0 = time.perf_counter()
-    ctx = _PairContext(catalog, params, config)
+    ctx = _PairContext(catalog, params, config, _item_rows(catalog, params.offsets["item"]))
     ctx.precompute(pairs)
     scores = [float(_forward(ctx, p.user_id, p.anchor_id, None, stats).data) for p in pairs]
     labels = [p.label for p in pairs]

@@ -1,9 +1,11 @@
 """Tape engine: op semantics, shape errors, gradient checks per kind."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from liverec import autodiff as ad
-from liverec.autodiff import _BACKWARD, ShapeError, Tape, Tensor, backward
+from liverec.autodiff import _BACKWARD, ShapeError, Tape, Tensor, _scatter_rows, backward
 
 from oracles import fd_max_rel_error
 
@@ -12,7 +14,7 @@ FD_TOL = 1e-4
 # every differentiable op kind; gathers take their own route in backward
 FD_KINDS = (
     "add", "multiply_elementwise", "matmul", "concat", "sum", "sigmoid", "tanh", "softmax", "relu",
-    "dot", "log", "clamp", "embedding_lookup", "dropout_mask_apply", "reshape", "transpose",
+    "dot", "log", "clamp", "embedding_lookup", "dropout_mask_apply", "reshape", "transpose", "slice_last",
 )
 
 
@@ -92,6 +94,19 @@ def test_shape_errors_name_kind_and_shapes():
         ad.concat([np.ones(3), np.ones((1, 3))])
     with pytest.raises(ShapeError):
         ad.reduce_sum(np.ones((2, 3)), axis=2)
+    for start, stop in ((0, 0), (2, 1), (-1, 2), (0, 4), (3, 4)):
+        with pytest.raises(ShapeError) as info:
+            ad.slice_last(np.ones((2, 3)), start, stop)
+        assert info.value.kind == "slice_last" and info.value.shapes == ((2, 3), (start, stop))
+    with pytest.raises(ShapeError):
+        ad.slice_last(np.ones(()), 0, 1)
+
+
+def test_slice_last_is_a_view_of_the_last_axis():
+    x = np.arange(12.0).reshape(3, 4)
+    out = ad.slice_last(x, 1, 3).data
+    np.testing.assert_array_equal(out, x[:, 1:3])
+    assert np.shares_memory(out, x)
 
 
 def test_softmax_normalization_property():
@@ -168,7 +183,33 @@ def test_gather_gradient_buffers_are_not_shared():
     loss = ad.add(ad.reduce_sum(src), ad.reduce_sum(ad.embedding_lookup(src, np.array([2, 2]))))
     g = backward(t, loss)
     np.testing.assert_array_equal(g[table.node_id], [[1.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
-    assert not np.shares_memory(t.gradients[src.node_id], t.gradients[loss.node_id])
+    for idx in (np.array([2, 0]), np.array([2, 2])):  # unique and repeated rows
+        dense = np.broadcast_to(np.ones(()), (3, 2))
+        buf = _scatter_rows(dense, (3, 2), [(idx, np.full((2, 2), 5.0))])
+        np.testing.assert_array_equal(dense, np.ones((3, 2)))
+        assert not np.shares_memory(buf, dense)
+        want = np.ones((3, 2))
+        np.add.at(want, idx, 5.0)
+        np.testing.assert_array_equal(buf, want)
+
+
+def test_backward_frees_gradients_during_the_sweep():
+    # without freeing, each of the 400 nodes keeps its own gradient buffer
+    n, depth = 10_000, 400
+    t = Tape()
+    x = t.watch(np.linspace(-1.0, 1.0, n))
+    y = x
+    for _ in range(depth):
+        y = ad.tanh(y)
+    root = ad.reduce_sum(y)
+    tracemalloc.start()
+    try:
+        g = backward(t, root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g[x.node_id].shape == (n,)
+    assert peak < 10 * n * 8
 
 
 def _gather_case(case, rng):
@@ -180,6 +221,9 @@ def _gather_case(case, rng):
 
     if case == "repeated_indices":
         idx = rng.integers(0, v, size=rng.integers(v + 1, 3 * v + 2))  # pigeonhole: some index repeats
+        return (lambda xs: cot(ad.embedding_lookup(xs[0], idx))), [rng.normal(size=(v, d))]
+    if case == "unique_indices":  # every row at most once: the plain indexed add
+        idx = rng.permutation(v)[: rng.integers(1, v + 1)]
         return (lambda xs: cot(ad.embedding_lookup(xs[0], idx))), [rng.normal(size=(v, d))]
     if case == "scalar_index":
         i = int(rng.integers(v))
@@ -205,7 +249,8 @@ def _gather_case(case, rng):
 
 
 @pytest.mark.parametrize("case", [
-    "repeated_indices", "scalar_index", "many_gathers_and_dense_leaf", "many_gathers_and_dense_nonleaf",
+    "repeated_indices", "unique_indices", "scalar_index",
+    "many_gathers_and_dense_leaf", "many_gathers_and_dense_nonleaf",
 ])
 def test_gather_gradients_match_finite_differences(case):
     rng = np.random.default_rng(sum(map(ord, case)))
@@ -305,6 +350,19 @@ def _sampler(kind, rng):
     if kind == "transpose":
         x = rng.normal(size=(rng.integers(1, 5), rng.integers(1, 5)))
         return (lambda xs: _cotangent_sum(ad.transpose(xs[0]), np.random.default_rng(7))), [x]
+    if kind == "slice_last":
+        shape = tuple(rng.integers(1, 6, size=rng.integers(1, 3)))  # 1-D or 2-D
+        width = shape[-1]
+        edge = rng.integers(3)
+        if edge == 0:  # from the first column
+            start, stop = 0, int(rng.integers(1, width + 1))
+        elif edge == 1:  # up to the last column
+            start, stop = int(rng.integers(width)), width
+        else:  # anywhere, interior ranges included
+            start = int(rng.integers(width))
+            stop = int(rng.integers(start + 1, width + 1))
+        x = rng.normal(size=shape)
+        return (lambda xs: _cotangent_sum(ad.slice_last(xs[0], start, stop), np.random.default_rng(7))), [x]
     raise AssertionError(f"no sampler for {kind}")
 
 

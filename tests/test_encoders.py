@@ -233,6 +233,25 @@ def test_batched_tape_grows_by_a_constant_per_sequence():
     assert tape_nodes([longest, 0, 0]) == base
 
 
+def test_fused_lstm_step_records_at_most_17_nodes():
+    # one input gather, two projections and two adds, two gate-block slices
+    # with their sigmoid and tanh, three gate slices, then the cell and state
+    # update: 17 nodes per step after the first (26 with one op chain per gate)
+    rng = np.random.default_rng(18)
+    d = 3
+    raw = init_lstm_params(d, rng)
+    xs = rng.normal(size=(6, d))
+
+    def tape_nodes(length):
+        tape = ad.Tape()
+        params = LstmParams(*[tape.watch(getattr(raw, f)) for f in LstmParams.__dataclass_fields__])
+        encode_sequence(tape.watch(xs[:length]), params)
+        return len(tape.nodes)
+
+    for length in range(1, 6):
+        assert tape_nodes(length + 1) - tape_nodes(length) <= 17
+
+
 def test_pnn_gradients():
     rng = np.random.default_rng(12)
     for _ in range(10):
