@@ -35,6 +35,7 @@ from .metrics import EvalReport, compute_acc, compute_auc, compute_logloss, make
 from .model import (
     CheckpointError,
     ModelParams,
+    NonFiniteScoreError,
     TrainConfig,
     TrainingDiverged,
     UnknownIdError,

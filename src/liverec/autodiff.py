@@ -14,14 +14,20 @@ Row gathers (``embedding_lookup``) are the one op whose gradient is not
 accumulated node by node: the sweep collects each gather's gradient rows
 against its source tensor and scatters them all at once when it reaches
 that source, so gathering rows from a large tensor many times costs no
-full-size buffer per gather.
+full-size buffer per gather.  Repeated rows are summed by a one-hot
+sparse product, in the same order as ``np.add.at``.
+
+``lstm`` is a fused kernel: a whole LSTM loop over a block of sequences
+runs in plain numpy and records one node, whatever the number of steps.
+It saves the gate activations, the cells and their tanh (only when an
+operand is tracked), and its backward rule is a hand-written reverse
+loop through time, so the per-step ops never reach the tape.
 
 Operands may be Tensors, numpy arrays, or Python scalars; non-Tensor
 operands are treated as constants.  Limited broadcasting is supported in
 ``add``/``multiply_elementwise`` (equal shapes, scalar against anything,
 and the (M,1)/(1,N) outer pattern the attention layers use).  ``concat``
-joins along axis 0, ``reduce_sum`` sums all elements or one axis, and
-``slice_last`` takes a column range of the last axis as a view.
+joins along axis 0 and ``reduce_sum`` sums all elements or one axis.
 """
 from __future__ import annotations
 
@@ -29,6 +35,7 @@ from math import prod
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 __all__ = [
@@ -52,7 +59,7 @@ __all__ = [
     "dropout_mask_apply",
     "reshape",
     "transpose",
-    "slice_last",
+    "lstm",
 ]
 
 
@@ -317,13 +324,56 @@ def transpose(x) -> Tensor:
     return _emit(_tape_of((xi, xt)), "transpose", (xi,), (), xd.T)
 
 
-def slice_last(x, start: int, stop: int) -> Tensor:
-    """Columns ``start:stop`` of the last axis, as a view; needs 0 <= start < stop <= width."""
-    xd, xi, xt = _parts(x)
-    if xd.ndim == 0 or not 0 <= start < stop <= xd.shape[-1]:
-        raise ShapeError("slice_last", xd.shape, (start, stop))
-    out = xd[..., start:stop]
-    return _emit(_tape_of((xi, xt)), "slice_last", (xi,), (xd.shape, start, stop), out)
+def lstm(embedded, step_rows, w, u, b) -> Tensor:
+    """A whole LSTM loop over B sequences advancing together, as one op.
+
+    ``embedded`` is an (n, k) block of inputs and ``step_rows`` a (T, B)
+    int array: step t reads rows ``step_rows[t]`` as its (B, k) input.
+    ``w`` (k, 4d) and ``u`` (d, 4d) project the input and the previous
+    state, ``b`` is the (1, 4d) bias; column blocks are the gates
+    ``[i | f | o | c]``.  A step is ``pre = x_t @ w (+ h @ u from step 2
+    on) + b``, a sigmoid over columns [0, 3d) and a tanh over [3d, 4d),
+    then ``c = f*c + i*g`` and ``h = o*tanh(c)``, starting from zero.
+    Returns the T step states stacked into one (T*B, d) tensor: row
+    ``t*B + b`` is sequence b's state after step t.
+
+    When an operand is tracked the gate activations, the cells and their
+    tanh are saved for the backward sweep; otherwise nothing is kept.
+    """
+    xd, xi, xt = _parts(embedded)
+    wd, wi, wt = _parts(w)
+    ud, ui, ut = _parts(u)
+    bd, bi, bt = _parts(b)
+    rows = np.asarray(step_rows, dtype=np.intp)
+    dim = ud.shape[1] // 4 if ud.ndim == 2 else 0
+    if (xd.ndim != 2 or rows.ndim != 2 or ud.shape != (dim, 4 * dim) or not dim
+            or wd.shape != (xd.shape[1], 4 * dim) or bd.shape != (1, 4 * dim)):
+        raise ShapeError("lstm", xd.shape, rows.shape, wd.shape, ud.shape, bd.shape)
+    if rows.size and (rows.min() < 0 or rows.max() >= xd.shape[0]):
+        raise IndexError(f"lstm: step row out of range for input with {xd.shape[0]} rows")
+    tape = _tape_of((xi, xt), (wi, wt), (ui, ut), (bi, bt))
+    steps, width = rows.shape
+    inputs = xd[rows]  # (T, B, k), gathered once
+    out = np.empty((steps * width, dim))
+    if tape is not None:
+        acts = np.empty((steps, width, 4 * dim))
+        cells = np.empty((steps, width, dim))
+        tanh_cells = np.empty((steps, width, dim))
+    h = c = None
+    for t in range(steps):
+        pre = inputs[t] @ wd
+        if h is not None:
+            pre += h @ ud
+        pre += bd
+        gates, g_g = expit(pre[:, : 3 * dim]), np.tanh(pre[:, 3 * dim :])
+        ig = gates[:, :dim] * g_g
+        c = ig if c is None else gates[:, dim : 2 * dim] * c + ig
+        tc = np.tanh(c)
+        h = np.multiply(gates[:, 2 * dim :], tc, out=out[t * width : (t + 1) * width])
+        if tape is not None:
+            acts[t, :, : 3 * dim], acts[t, :, 3 * dim :], cells[t], tanh_cells[t] = gates, g_g, c, tc
+    saved = (xd.shape, rows, inputs, wd, ud, acts, cells, tanh_cells, out) if tape is not None else None
+    return _emit(tape, "lstm", (xi, wi, ui, bi), saved, out)
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +480,44 @@ def _bk_transpose(ids, saved, g, acc):
     acc(ids[0], g.T)
 
 
-def _bk_slice_last(ids, saved, g, acc):
-    xshape, start, stop = saved
-    full = np.zeros(xshape)
-    full[..., start:stop] = g
-    acc(ids[0], full)
+def _bk_lstm(ids, saved, g, acc):
+    """Backpropagation through time: one reverse loop carries the state and
+    cell gradients; each step writes its four gate gradients into a (B, 4d)
+    block, and the weight, bias and input gradients are one product each
+    over all steps afterwards."""
+    xshape, rows, inputs, wd, ud, acts, cells, tanh_cells, out = saved
+    steps, width = rows.shape
+    dim = ud.shape[0]
+    g = g.reshape(steps, width, dim)
+    d_pre = np.empty((steps, width, 4 * dim))
+    dh = dc = None
+    for t in range(steps - 1, -1, -1):
+        a = acts[t]
+        i_g, f_g, o_g, g_g = a[:, :dim], a[:, dim : 2 * dim], a[:, 2 * dim : 3 * dim], a[:, 3 * dim :]
+        tc = tanh_cells[t]
+        dh = g[t] if dh is None else g[t] + dh
+        dc_t = dh * o_g * (1.0 - tc * tc)
+        dc = dc_t if dc is None else dc_t + dc
+        blk = d_pre[t]
+        blk[:, :dim] = dc * g_g * i_g * (1.0 - i_g)
+        blk[:, 2 * dim : 3 * dim] = dh * tc * o_g * (1.0 - o_g)
+        blk[:, 3 * dim :] = dc * i_g * (1.0 - g_g * g_g)
+        if t:
+            blk[:, dim : 2 * dim] = dc * cells[t - 1] * f_g * (1.0 - f_g)
+            dh = blk @ ud.T
+            dc = dc * f_g
+        else:  # the first step has no previous cell or state
+            blk[:, dim : 2 * dim] = 0.0
+    d_pre = d_pre.reshape(steps * width, 4 * dim)
+    x_id, w_id, u_id, b_id = ids
+    if x_id is not None:
+        acc(x_id, _scatter_rows(None, xshape, [(rows, d_pre @ wd.T)]))
+    if w_id is not None:
+        acc(w_id, inputs.reshape(-1, xshape[1]).T @ d_pre)
+    if u_id is not None:
+        acc(u_id, out[:-width].T @ d_pre[width:])
+    if b_id is not None:
+        acc(b_id, d_pre.sum(axis=0, keepdims=True))
 
 
 _BACKWARD = {
@@ -453,28 +536,44 @@ _BACKWARD = {
     "dropout_mask_apply": _bk_dropout,
     "reshape": _bk_reshape,
     "transpose": _bk_transpose,
-    "slice_last": _bk_slice_last,
+    "lstm": _bk_lstm,
 }
 
 
 def _scatter_rows(dense, shape, gathers) -> np.ndarray:
     """Add every gather's gradient rows into a fresh buffer of ``shape``.
 
-    The buffer starts as a copy of the dense gradient (never that array
-    itself, which another node may share) or as zeros.  When no row index
-    repeats, a plain indexed add gives the same sums as ``np.add.at`` at a
-    fraction of its cost.
+    The sums equal ``np.add.at`` on a copy of the dense gradient (never
+    that array itself, which another node may share) or on zeros, bit for
+    bit.  When no row index repeats, a plain indexed add does it; else a
+    one-hot CSR matrix times the stacked rows, with the dense row leading
+    each row's sum as ``np.add.at``'s start value, adds every row in
+    gather order.
     """
-    buf = np.zeros(shape) if dense is None else np.array(dense)
     idx = np.concatenate([np.reshape(i, -1) for i, _ in gathers])
-    rows = np.concatenate([np.reshape(g, (-1,) + shape[1:]) for _, g in gathers])
-    seen = np.zeros(shape[0], dtype=bool)
+    parts = [np.reshape(g, (-1,) + shape[1:]) for _, g in gathers]
+    n = shape[0]
+    seen = np.zeros(n, dtype=bool)
     seen[idx] = True
     if np.count_nonzero(seen) == idx.size:
-        buf[idx] += rows
-    else:
-        np.add.at(buf, idx, rows)
-    return buf
+        buf = np.zeros(shape) if dense is None else np.array(dense)
+        buf[idx] += np.concatenate(parts)
+        return buf
+    counts = np.bincount(idx, minlength=n)
+    cols = np.argsort(idx, kind="stable")
+    if dense is not None:
+        parts.insert(0, np.broadcast_to(dense, shape))
+        counts += 1
+        lead = np.cumsum(counts) - counts  # where each row's dense entry goes
+        rest = np.ones(n + idx.size, dtype=bool)
+        rest[lead] = False
+        merged = np.empty(n + idx.size, dtype=np.intp)
+        merged[lead] = np.arange(n)
+        merged[rest] = cols + n
+        cols = merged
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    onehot = csr_matrix((np.ones(cols.size), cols, indptr), shape=(n, cols.size))
+    return (onehot @ np.concatenate(parts).reshape(cols.size, -1)).reshape(shape)
 
 
 def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:

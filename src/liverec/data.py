@@ -154,23 +154,29 @@ def _features(raw) -> tuple[int, ...]:
     return tuple(raw)
 
 
+# what a malformed line can raise: invalid UTF-8 (a ValueError), bad JSON,
+# missing keys, wrong types, and nesting too deep for the JSON decoder
+_MALFORMED = (ValueError, KeyError, TypeError, RecursionError)
+
+
 def ingest_logs(catalog_file, pairs_file) -> tuple[Catalog, list[LabeledPair]]:
     """Read catalog and pairs JSONL files into a linked Catalog.
 
-    Malformed lines are skipped and logged with their line numbers.
-    Dangling id references (a pair or history entry naming an unknown
-    object) raise IngestError.
+    Malformed lines, invalid UTF-8 and over-deep JSON nesting included,
+    are skipped and logged with their line numbers.  Dangling id
+    references (a pair or history entry naming an unknown object) raise
+    IngestError.
     """
     users: dict[int, User] = {}
     anchors: dict[int, Anchor] = {}
     items: dict[int, Item] = {}
 
-    with open(catalog_file, "r", encoding="utf-8") as fh:
+    with open(catalog_file, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
                 kind = obj["kind"]
                 oid = obj["id"]
                 if not isinstance(oid, int) or isinstance(oid, bool):
@@ -195,24 +201,24 @@ def ingest_logs(catalog_file, pairs_file) -> tuple[Catalog, list[LabeledPair]]:
                     items[oid] = Item(oid, feats)
                 else:
                     raise ValueError(f"unknown kind {kind!r}")
-            except (ValueError, KeyError, TypeError) as exc:
+            except _MALFORMED as exc:
                 log.warning("%s:%d: skipping malformed line (%s)", catalog_file, lineno, exc)
 
     catalog = _link_catalog(users, anchors, items)
 
     pairs: list[LabeledPair] = []
-    with open(pairs_file, "r", encoding="utf-8") as fh:
+    with open(pairs_file, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
                 uid, aid, label = obj["user"], obj["anchor"], obj["label"]
                 if label not in (0, 1):
                     raise ValueError(f"label must be 0 or 1, got {label!r}")
                 if not isinstance(uid, int) or not isinstance(aid, int):
                     raise ValueError("user and anchor must be integer ids")
-            except (ValueError, KeyError, TypeError) as exc:
+            except _MALFORMED as exc:
                 log.warning("%s:%d: skipping malformed line (%s)", pairs_file, lineno, exc)
                 continue
             if uid not in catalog.users:

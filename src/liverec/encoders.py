@@ -11,10 +11,10 @@ Each encoder has one kernel.  ``pnn_encode_batch`` encodes a block of
 objects and ``pnn_encode`` is its one-object form; ``encode_sequence``
 runs the LSTM loop of ``encode_sequences_batched`` on a single history.
 Objects with fewer feature slots than the layout pad with position -1.
-The LSTM step is fused: the per-gate weights are joined once per call
-into (d, 4d) matrices with gate blocks ``[i | f | o | c]``, so each step
-is one projection of the input, one of the state, and one sigmoid and
-one tanh over column ranges of the result.
+The LSTM loop is one fused op: the per-gate weights are joined once per
+call into (d, 4d) matrices with gate blocks ``[i | f | o | c]``, and
+``autodiff.lstm`` runs every step in plain numpy and records a single
+tape node for the whole loop.
 """
 from __future__ import annotations
 
@@ -171,33 +171,17 @@ def _lstm(embedded: Tensor, step_rows: np.ndarray, p: LstmParams) -> Tensor:
     block.  Returns the T step states stacked into one (T*B, d) tensor:
     row ``t*B + b`` is sequence b's state after step t.
 
-    The four gates are fused: each call joins the twelve per-gate arrays
-    into one (d, 4d) input matrix, one (d, 4d) recurrent matrix and one
-    (1, 4d) bias with column blocks in gate order ``[i | f | o | c]``, so
-    a step makes one projection per operand, one sigmoid over the first
-    3d columns and one tanh over the last d.
+    Each call joins the twelve per-gate arrays into one (d, 4d) input
+    matrix, one (d, 4d) recurrent matrix and one (1, 4d) bias with column
+    blocks in gate order ``[i | f | o | c]``, and runs the whole loop as
+    one ``autodiff.lstm`` op: one tape node whatever the length, with a
+    hand-written backward through time.
     """
     dim = embedded.shape[1]
     w = ad.transpose(ad.concat([p.wi, p.wf, p.wo, p.wc]))
     u = ad.transpose(ad.concat([p.ui, p.uf, p.uo, p.uc]))
     b = ad.reshape(ad.concat([p.bi, p.bf, p.bo, p.bc]), (1, 4 * dim))
-    h = c = None
-    per_step: list[Tensor] = []
-    for rows in step_rows:
-        x = ad.embedding_lookup(embedded, rows)  # (B, d)
-        pre = ad.matmul(x, w)
-        if h is not None:
-            pre = ad.add(pre, ad.matmul(h, u))
-        pre = ad.add(pre, b)  # (B, 4d)
-        gates = ad.sigmoid(ad.slice_last(pre, 0, 3 * dim))
-        g_g = ad.tanh(ad.slice_last(pre, 3 * dim, 4 * dim))
-        i_g = ad.slice_last(gates, 0, dim)
-        o_g = ad.slice_last(gates, 2 * dim, 3 * dim)
-        ig = ad.multiply_elementwise(i_g, g_g)
-        c = ig if c is None else ad.add(ad.multiply_elementwise(ad.slice_last(gates, dim, 2 * dim), c), ig)
-        h = ad.multiply_elementwise(o_g, ad.tanh(c))
-        per_step.append(h)
-    return ad.concat(per_step)
+    return ad.lstm(embedded, step_rows, w, u, b)
 
 
 def encode_sequences_batched(position_matrices, kind: str, pnn: PnnEncoderParams,

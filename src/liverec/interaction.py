@@ -8,8 +8,11 @@ A dot-product baseline in the SVD++ style is kept as an alternative
 scoring head.
 
 Attention weights are shared across all pairs (one weight vector and bias
-per aspect).  Empty histories yield zero vectors so the downstream
-concatenation is always well-formed.
+per aspect).  Each logit is linear in a concatenation, so the terms every
+candidate shares (the static embeddings' and the bias) cancel in the
+softmax and are not computed, and the item-aspect softmax over all M*N
+pairs factors into one softmax per side.  Empty histories yield zero
+vectors so the downstream concatenation is always well-formed.
 """
 from __future__ import annotations
 
@@ -127,33 +130,32 @@ def item_aspect_interaction(
     product to the anchor-side square ``h_q'' * h_q''`` variant.  Either
     side empty yields a zero vector.  ``weight_pieces`` optionally carries
     the four (d,) slices of the weight vector, already split on this tape.
+
+    The logit separates as ``lu_q' + la_q'' + const``, so the joint softmax
+    is exactly ``outer(softmax(lu), softmax(la))`` and the output is
+    ``(p^T H_u) * (q^T H_a)`` (``q^T (H_a * H_a)`` for the square), with
+    no (M, N) block.  The shared ``const = w1 . e_u + w3 . e_a + b``
+    cancels in the softmax and is not computed: the output does not depend
+    on ``w1``, ``w3``, the bias or the static embeddings, so they get no
+    gradient from this layer (in exact arithmetic that gradient was
+    already zero; only their L2 term moves them).
     """
-    dim = _dim_of(e_u)
     hu = _state_matrix(user_states)  # (M, d)
     ha = _state_matrix(anchor_states)  # (N, d)
     if hu is None or ha is None:
         if stats is not None:
             stats.pair_budgets.append(0)
-        return Tensor(np.zeros(dim))
+        return Tensor(np.zeros(_dim_of(e_u)))
     t0 = time.perf_counter()
-    m, n = hu.shape[0], ha.shape[0]
-    w1, w2, w3, w4 = weight_pieces if weight_pieces is not None else _split(params.item_w, dim, 4)
-    # the logit is linear in the concatenation, so it splits exactly into
-    # a shared scalar plus per-side contributions
-    const = ad.add(ad.add(ad.dot(w1, e_u), ad.dot(w3, e_a)), params.item_b)
-    lu = ad.matmul(hu, w2)  # (M,)
-    la = ad.matmul(ha, w4)  # (N,)
-    logits = ad.add(ad.add(ad.reshape(lu, (m, 1)), ad.reshape(la, (1, n))), const)
-    alpha = ad.softmax(ad.reshape(logits, (m * n,)))
-    a_mat = ad.reshape(alpha, (m, n))
-    right = ad.multiply_elementwise(ha, ha) if literal_square else ha
-    mixed = ad.matmul(a_mat, right)  # (M, d)
+    _, w2, _, w4 = weight_pieces if weight_pieces is not None else _split(params.item_w, _dim_of(e_u), 4)
+    q = ad.softmax(ad.matmul(ha, w4))  # (N,)
     if literal_square:
-        out = ad.reduce_sum(mixed, axis=0)
+        out = ad.matmul(q, ad.multiply_elementwise(ha, ha))
     else:
-        out = ad.reduce_sum(ad.multiply_elementwise(hu, mixed), axis=0)
+        p = ad.softmax(ad.matmul(hu, w2))  # (M,)
+        out = ad.multiply_elementwise(ad.matmul(p, hu), ad.matmul(q, ha))
     if stats is not None:
-        stats.pair_budgets.append(m * n)
+        stats.pair_budgets.append(hu.shape[0] * ha.shape[0])
         stats.wall_seconds += time.perf_counter() - t0
     return out
 
@@ -164,16 +166,14 @@ def anchor_aspect_interaction(e_u, browsed_anchor_embeddings, e_a_target, params
 
     Logit for history anchor n' is ``w . [e_u, e_n', e_target] + b``; the
     output is the weighted sum of ``e_n' * e_target`` products.  An empty
-    history yields a zero vector.
+    history yields a zero vector.  The shared ``w1 . e_u + w3 . e_target
+    + b`` cancels in the softmax and is not computed, so ``w1``, ``w3``
+    and the bias get no gradient from this layer.
     """
     dim = _dim_of(e_u)
     eh = _state_matrix(browsed_anchor_embeddings)  # (N, d)
     if eh is None:
         return Tensor(np.zeros(dim))
-    n = eh.shape[0]
-    w1, w2, w3 = weight_pieces if weight_pieces is not None else _split(params.anchor_w, dim, 3)
-    const = ad.add(ad.add(ad.dot(w1, e_u), ad.dot(w3, e_a_target)), params.anchor_b)
-    logits = ad.add(ad.matmul(eh, w2), const)
-    alpha = ad.softmax(logits)
-    mixed = ad.reshape(ad.matmul(ad.reshape(alpha, (1, n)), eh), (dim,))
-    return ad.multiply_elementwise(mixed, e_a_target)
+    _, w2, _ = weight_pieces if weight_pieces is not None else _split(params.anchor_w, dim, 3)
+    alpha = ad.softmax(ad.matmul(eh, w2))
+    return ad.multiply_elementwise(ad.matmul(alpha, eh), e_a_target)

@@ -74,6 +74,14 @@ class CheckpointError(ValueError):
     """Checkpoint file is unreadable or from an incompatible version."""
 
 
+class NonFiniteScoreError(ValueError):
+    """A pair scored NaN or infinity; names the first such pair."""
+
+    def __init__(self, user_id: int, anchor_id: int, score: float):
+        self.user_id, self.anchor_id, self.score = user_id, anchor_id, score
+        super().__init__(f"non-finite score {score!r} for pair (user {user_id}, anchor {anchor_id})")
+
+
 @dataclass
 class TrainConfig:
     variant: str = "full"
@@ -540,7 +548,9 @@ def evaluate_pairs(catalog: Catalog, params: ModelParams, config: TrainConfig, p
     """Score pairs in eval mode and compute the offline metrics.
 
     Pass an InteractionStats to capture attention pair budgets and the
-    interaction stage's wall time.
+    interaction stage's wall time.  A non-finite score (from non-finite
+    parameters, say) raises NonFiniteScoreError naming the first such pair
+    instead of entering the metrics.
     """
     if stats is None:
         stats = InteractionStats()
@@ -548,6 +558,10 @@ def evaluate_pairs(catalog: Catalog, params: ModelParams, config: TrainConfig, p
     ctx = _PairContext(catalog, params, config, _item_rows(catalog, params.offsets["item"]))
     ctx.precompute(pairs)
     scores = [float(_forward(ctx, p.user_id, p.anchor_id, None, stats).data) for p in pairs]
+    finite = np.isfinite(scores)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NonFiniteScoreError(pairs[bad].user_id, pairs[bad].anchor_id, scores[bad])
     labels = [p.label for p in pairs]
     return make_report(
         scores, labels,

@@ -14,7 +14,7 @@ FD_TOL = 1e-4
 # every differentiable op kind; gathers take their own route in backward
 FD_KINDS = (
     "add", "multiply_elementwise", "matmul", "concat", "sum", "sigmoid", "tanh", "softmax", "relu",
-    "dot", "log", "clamp", "embedding_lookup", "dropout_mask_apply", "reshape", "transpose", "slice_last",
+    "dot", "log", "clamp", "embedding_lookup", "dropout_mask_apply", "reshape", "transpose", "lstm",
 )
 
 
@@ -94,19 +94,14 @@ def test_shape_errors_name_kind_and_shapes():
         ad.concat([np.ones(3), np.ones((1, 3))])
     with pytest.raises(ShapeError):
         ad.reduce_sum(np.ones((2, 3)), axis=2)
-    for start, stop in ((0, 0), (2, 1), (-1, 2), (0, 4), (3, 4)):
+    x, rows, w, u, b = np.ones((4, 3)), np.zeros((2, 1), dtype=int), np.ones((3, 8)), np.ones((2, 8)), np.ones((1, 8))
+    for bad in ((np.ones(3), rows, w, u, b), (x, np.zeros(2, dtype=int), w, u, b), (x, rows, np.ones((2, 8)), u, b),
+                (x, rows, w, np.ones((2, 6)), b), (x, rows, w, u, np.ones(8)), (x, rows, w, u, np.ones((2, 4)))):
         with pytest.raises(ShapeError) as info:
-            ad.slice_last(np.ones((2, 3)), start, stop)
-        assert info.value.kind == "slice_last" and info.value.shapes == ((2, 3), (start, stop))
-    with pytest.raises(ShapeError):
-        ad.slice_last(np.ones(()), 0, 1)
-
-
-def test_slice_last_is_a_view_of_the_last_axis():
-    x = np.arange(12.0).reshape(3, 4)
-    out = ad.slice_last(x, 1, 3).data
-    np.testing.assert_array_equal(out, x[:, 1:3])
-    assert np.shares_memory(out, x)
+            ad.lstm(*bad)
+        assert info.value.kind == "lstm"
+    with pytest.raises(IndexError, match="out of range"):
+        ad.lstm(x, np.array([[0], [4]]), w, u, b)
 
 
 def test_softmax_normalization_property():
@@ -210,6 +205,24 @@ def test_backward_frees_gradients_during_the_sweep():
         tracemalloc.stop()
     assert g[x.node_id].shape == (n,)
     assert peak < 10 * n * 8
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_scatter_rows_equals_add_at_bit_for_bit(dense):
+    # repeated indices take the one-hot product, unique ones the indexed add
+    rng = np.random.default_rng(21)
+    for n, sizes in ((7, (40, 3)), (500, (300, 1)), (6, (2, 2)), (50, (7,))):
+        start = rng.normal(size=(n, 3)) if dense else None
+        gathers = [(rng.integers(0, n, size=m), rng.normal(size=(m, 3))) for m in sizes]
+        gathers.append((rng.permutation(n)[:3].reshape(3, 1), rng.normal(size=(3, 1, 3))))
+        want = np.zeros((n, 3)) if start is None else start.copy()
+        for idx, rows in gathers:
+            np.add.at(want, idx.reshape(-1), rows.reshape(-1, 3))
+        assert np.array_equal(_scatter_rows(start, (n, 3), gathers), want)
+        unique = [(rng.permutation(n)[:5], rng.normal(size=(5, 3)))]
+        want = np.zeros((n, 3)) if start is None else start.copy()
+        np.add.at(want, unique[0][0], unique[0][1])
+        assert np.array_equal(_scatter_rows(start, (n, 3), unique), want)
 
 
 def _gather_case(case, rng):
@@ -350,20 +363,68 @@ def _sampler(kind, rng):
     if kind == "transpose":
         x = rng.normal(size=(rng.integers(1, 5), rng.integers(1, 5)))
         return (lambda xs: _cotangent_sum(ad.transpose(xs[0]), np.random.default_rng(7))), [x]
-    if kind == "slice_last":
-        shape = tuple(rng.integers(1, 6, size=rng.integers(1, 3)))  # 1-D or 2-D
-        width = shape[-1]
-        edge = rng.integers(3)
-        if edge == 0:  # from the first column
-            start, stop = 0, int(rng.integers(1, width + 1))
-        elif edge == 1:  # up to the last column
-            start, stop = int(rng.integers(width)), width
-        else:  # anywhere, interior ranges included
-            start = int(rng.integers(width))
-            stop = int(rng.integers(start + 1, width + 1))
-        x = rng.normal(size=shape)
-        return (lambda xs: _cotangent_sum(ad.slice_last(xs[0], start, stop), np.random.default_rng(7))), [x]
+    if kind == "lstm":
+        return _lstm_case(rng)
     raise AssertionError(f"no sampler for {kind}")
+
+
+def _lstm_case(rng):
+    """T >= 3 steps over B >= 2 sequences of ragged length: a finished
+    sequence keeps re-reading its last row, as in the batched encoder.
+    One instance in four holds one operand constant."""
+    k, d, steps, width = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(3, 6)), int(rng.integers(2, 4))
+    lengths = rng.integers(1, steps + 1, size=width)
+    lengths[0], lengths[-1] = steps, rng.integers(1, steps)  # the longest, and one that goes stale
+    starts = np.cumsum(lengths) - lengths
+    rows = starts + np.minimum(np.arange(steps)[:, None], lengths - 1)
+    arrays = [rng.normal(size=(int(lengths.sum()), k)), rng.normal(size=(k, 4 * d)),
+              rng.normal(size=(d, 4 * d)), rng.normal(size=(1, 4 * d))]
+    constant = int(rng.integers(4)) if rng.integers(4) == 0 else None
+    fixed = arrays[constant] if constant is not None else None
+
+    def build(xs):
+        ops = list(xs)
+        if constant is not None:
+            ops.insert(constant, fixed)
+        return _cotangent_sum(ad.lstm(ops[0], rows, *ops[1:]), np.random.default_rng(7))
+
+    if constant is not None:
+        del arrays[constant]
+    return build, arrays
+
+
+def test_lstm_matches_a_step_by_step_loop():
+    rng = np.random.default_rng(19)
+    k, d = 3, 2
+    x = rng.normal(size=(5, k))
+    rows = np.array([[0, 3], [1, 4], [2, 4]])  # the second sequence ends after two steps
+    w, u, b = rng.normal(size=(k, 4 * d)), rng.normal(size=(d, 4 * d)), rng.normal(size=(1, 4 * d))
+    h = c = np.zeros((2, d))
+    want = []
+    for t in range(3):
+        pre = x[rows[t]] @ w + h @ u + b
+        i, f, o = (1.0 / (1.0 + np.exp(-pre[:, j * d : (j + 1) * d])) for j in range(3))
+        c = f * c + i * np.tanh(pre[:, 3 * d :])
+        h = o * np.tanh(c)
+        want.append(h)
+    got = ad.lstm(x, rows, w, u, b)
+    assert got.shape == (6, d)
+    np.testing.assert_allclose(got.data, np.concatenate(want), atol=1e-14)
+    assert ad.lstm(x, np.zeros((0, 2), dtype=int), w, u, b).shape == (0, d)
+
+
+def test_lstm_saves_activations_only_when_tracked():
+    rng = np.random.default_rng(20)
+    x, w, u, b = rng.normal(size=(4, 2)), rng.normal(size=(2, 8)), rng.normal(size=(2, 8)), np.zeros((1, 8))
+    rows = np.array([[0, 1], [2, 3]])
+    t = Tape()
+    out = ad.lstm(x, rows, t.watch(w), u, b)
+    kind, _, saved = t.nodes[out.node_id]
+    assert len(t.nodes) == 2 and kind == "lstm"
+    assert (2, 2, 8) in [np.shape(v) for v in saved]  # the (T, B, 4d) gate activations
+    plain = ad.lstm(x, rows, w, u, b)
+    assert plain.tape is None and not plain.tracked
+    np.testing.assert_array_equal(plain.data, out.data)
 
 
 def test_fd_kinds_cover_every_backward_rule():

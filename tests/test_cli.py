@@ -274,3 +274,18 @@ def test_sweep_prints_per_seed_table(tmp_path, capsys):
     assert out[0] == "variant,seed,test_auc,test_acc,test_logloss"
     data_rows = [l for l in out if l.startswith(("full,", "no-item,"))]
     assert len(data_rows) == 4
+
+
+def test_eval_non_finite_checkpoint_exits_2(tmp_path, capsys):
+    cat, prs = _gen(tmp_path)
+    ckpt, _ = _train(tmp_path, cat, prs, "nan")
+    params, config = load_checkpoint(ckpt)
+    params.mlp.w2[0] = np.nan
+    from liverec.model import save_checkpoint
+
+    poisoned = tmp_path / "poisoned.ckpt"
+    save_checkpoint(params, config, poisoned)
+    capsys.readouterr()
+    rc = main(["eval", "--catalog", str(cat), "--pairs", str(prs), "--checkpoint", str(poisoned)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: non-finite score nan for pair (user ")

@@ -90,6 +90,21 @@ def test_ingest_malformed_lines_reported_with_numbers(tmp_path, caplog):
     assert mentioned == bad_lines
 
 
+@pytest.mark.parametrize("which", ["catalog", "pairs"])
+def test_ingest_skips_undecodable_and_over_deep_lines(tmp_path, caplog, which):
+    # invalid UTF-8 and nesting deeper than the JSON decoder's recursion
+    # limit are logged and skipped like any other malformed line
+    cat, prs = _minimal_files(tmp_path)
+    path = cat if which == "catalog" else prs
+    good = path.read_bytes()
+    path.write_bytes(b'{"kind": "\xff\xfe"}\n' + b"[" * 100000 + b"\n" + good)
+    with caplog.at_level(logging.WARNING, logger="liverec.data"):
+        catalog, pairs = ingest_logs(cat, prs)
+    assert (len(catalog.users), len(catalog.anchors), len(catalog.items), len(pairs)) == (1, 1, 1, 1)
+    assert sorted(int(r.args[1]) for r in caplog.records) == [1, 2]
+    assert all(str(r.args[0]) == str(path) for r in caplog.records)
+
+
 def test_histories_capped_at_200(tmp_path):
     cat, prs = _minimal_files(tmp_path)
     items = [json.dumps({"kind": "item", "id": i, "features": [0]}) for i in range(300)]

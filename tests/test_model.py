@@ -11,6 +11,7 @@ from liverec.data import LabeledPair, SyntheticSpec, _link_catalog, generate_syn
 from liverec.metrics import compute_logloss
 from liverec.model import (
     CheckpointError,
+    NonFiniteScoreError,
     TrainConfig,
     TrainingDiverged,
     UnknownIdError,
@@ -523,3 +524,26 @@ def test_evaluate_with_co_retrieval_caps_budget():
     stats = InteractionStats()
     evaluate_pairs(catalog, params, config, pairs, stats=stats)
     assert max(stats.pair_budgets) <= 9
+
+
+def test_evaluate_pairs_raises_on_a_non_finite_score():
+    # a NaN in one MLP output weight: every score is NaN, and the first pair is named
+    catalog, pairs = _tiny(seed=17)
+    config = TrainConfig(**DIMS)
+    params = _params(catalog, config)
+    params.mlp.w2[0] = np.nan
+    with pytest.raises(NonFiniteScoreError) as info:
+        evaluate_pairs(catalog, params, config, pairs)
+    err = info.value
+    assert isinstance(err, ValueError)
+    assert (err.user_id, err.anchor_id) == (pairs[0].user_id, pairs[0].anchor_id)
+    assert f"user {pairs[0].user_id}, anchor {pairs[0].anchor_id}" in str(err)
+    # a later pair: a NaN in the embedding row of a user feature no earlier pair has
+    row_of = {p.user_id: params.offsets["user"][0] + catalog.users[p.user_id].features[0] for p in pairs}
+    k = next(k for k in range(1, len(pairs)) if row_of[pairs[k].user_id] not in
+             {row_of[p.user_id] for p in pairs[:k]})
+    params = _params(catalog, config)
+    params.pnn.user[row_of[pairs[k].user_id]] = np.nan
+    with pytest.raises(NonFiniteScoreError) as info:
+        evaluate_pairs(catalog, params, config, pairs)
+    assert (info.value.user_id, info.value.anchor_id) == (pairs[k].user_id, pairs[k].anchor_id)
