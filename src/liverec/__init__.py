@@ -21,7 +21,7 @@ from .data import (
     write_catalog,
     write_pairs,
 )
-from .encoders import EncodedSequence, LstmParams, PnnEncoderParams, encode_sequence, pnn_encode
+from .encoders import LstmParams, PnnEncoderParams, encode_sequence, pnn_encode
 from .interaction import (
     AttentionParams,
     InteractionStats,

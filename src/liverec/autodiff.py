@@ -19,9 +19,11 @@ sparse product, in the same order as ``np.add.at``.
 
 ``lstm`` is a fused kernel: a whole LSTM loop over a block of sequences
 runs in plain numpy and records one node, whatever the number of steps.
-It saves the gate activations, the cells and their tanh (only when an
-operand is tracked), and its backward rule is a hand-written reverse
-loop through time, so the per-step ops never reach the tape.
+It takes the gate weights as the (4d, k) and (4d, d) row blocks the model
+stores, so no join or transpose of them reaches the tape either.  It saves the gate
+activations, the cells and their tanh (only when an operand is tracked),
+and its backward rule is a hand-written reverse loop through time, so the
+per-step ops never reach the tape.
 
 Operands may be Tensors, numpy arrays, or Python scalars; non-Tensor
 operands are treated as constants.  Limited broadcasting is supported in
@@ -49,7 +51,6 @@ __all__ = [
     "concat",
     "reduce_sum",
     "sigmoid",
-    "tanh",
     "relu",
     "softmax",
     "dot",
@@ -58,7 +59,6 @@ __all__ = [
     "embedding_lookup",
     "dropout_mask_apply",
     "reshape",
-    "transpose",
     "lstm",
 ]
 
@@ -240,12 +240,6 @@ def sigmoid(x) -> Tensor:
     return _emit(_tape_of((xi, xt)), "sigmoid", (xi,), (out,), out)
 
 
-def tanh(x) -> Tensor:
-    xd, xi, xt = _parts(x)
-    out = np.tanh(xd)
-    return _emit(_tape_of((xi, xt)), "tanh", (xi,), (out,), out)
-
-
 def relu(x) -> Tensor:
     xd, xi, xt = _parts(x)
     out = np.maximum(xd, 0.0)
@@ -317,23 +311,17 @@ def reshape(x, shape: tuple[int, ...]) -> Tensor:
     return _emit(_tape_of((xi, xt)), "reshape", (xi,), (xd.shape,), out)
 
 
-def transpose(x) -> Tensor:
-    xd, xi, xt = _parts(x)
-    if xd.ndim != 2:
-        raise ShapeError("transpose", xd.shape)
-    return _emit(_tape_of((xi, xt)), "transpose", (xi,), (), xd.T)
-
-
 def lstm(embedded, step_rows, w, u, b) -> Tensor:
     """A whole LSTM loop over B sequences advancing together, as one op.
 
     ``embedded`` is an (n, k) block of inputs and ``step_rows`` a (T, B)
     int array: step t reads rows ``step_rows[t]`` as its (B, k) input.
-    ``w`` (k, 4d) and ``u`` (d, 4d) project the input and the previous
-    state, ``b`` is the (1, 4d) bias; column blocks are the gates
-    ``[i | f | o | c]``.  A step is ``pre = x_t @ w (+ h @ u from step 2
-    on) + b``, a sigmoid over columns [0, 3d) and a tanh over [3d, 4d),
-    then ``c = f*c + i*g`` and ``h = o*tanh(c)``, starting from zero.
+    ``w`` (4d, k) and ``u`` (4d, d) project the input and the previous
+    state, ``b`` is the (4d,) bias; row blocks are the gates
+    ``[i | f | o | c]``.  A step is ``pre = x_t @ w.T (+ h @ u.T from
+    step 2 on) + b``, a sigmoid over columns [0, 3d) and a tanh over
+    [3d, 4d), then ``c = f*c + i*g`` and ``h = o*tanh(c)``, starting from
+    zero.
     Returns the T step states stacked into one (T*B, d) tensor: row
     ``t*B + b`` is sequence b's state after step t.
 
@@ -345,9 +333,9 @@ def lstm(embedded, step_rows, w, u, b) -> Tensor:
     ud, ui, ut = _parts(u)
     bd, bi, bt = _parts(b)
     rows = np.asarray(step_rows, dtype=np.intp)
-    dim = ud.shape[1] // 4 if ud.ndim == 2 else 0
-    if (xd.ndim != 2 or rows.ndim != 2 or ud.shape != (dim, 4 * dim) or not dim
-            or wd.shape != (xd.shape[1], 4 * dim) or bd.shape != (1, 4 * dim)):
+    dim = ud.shape[1] if ud.ndim == 2 else 0
+    if (xd.ndim != 2 or rows.ndim != 2 or ud.shape != (4 * dim, dim) or not dim
+            or wd.shape != (4 * dim, xd.shape[1]) or bd.shape != (4 * dim,)):
         raise ShapeError("lstm", xd.shape, rows.shape, wd.shape, ud.shape, bd.shape)
     if rows.size and (rows.min() < 0 or rows.max() >= xd.shape[0]):
         raise IndexError(f"lstm: step row out of range for input with {xd.shape[0]} rows")
@@ -359,12 +347,15 @@ def lstm(embedded, step_rows, w, u, b) -> Tensor:
         acts = np.empty((steps, width, 4 * dim))
         cells = np.empty((steps, width, dim))
         tanh_cells = np.empty((steps, width, dim))
+    # made once: at B = 1 a fresh .T view per step, or adding the (4d,)
+    # bias by broadcasting, costs about as much as the step's products
+    w_cols, u_cols, b_row = wd.T, ud.T, bd.reshape(1, -1)
     h = c = None
     for t in range(steps):
-        pre = inputs[t] @ wd
+        pre = inputs[t] @ w_cols
         if h is not None:
-            pre += h @ ud
-        pre += bd
+            pre += h @ u_cols
+        pre += b_row
         gates, g_g = expit(pre[:, : 3 * dim]), np.tanh(pre[:, 3 * dim :])
         ig = gates[:, :dim] * g_g
         c = ig if c is None else gates[:, dim : 2 * dim] * c + ig
@@ -433,11 +424,6 @@ def _bk_sigmoid(ids, saved, g, acc):
     acc(ids[0], g * out * (1.0 - out))
 
 
-def _bk_tanh(ids, saved, g, acc):
-    (out,) = saved
-    acc(ids[0], g * (1.0 - out * out))
-
-
 def _bk_relu(ids, saved, g, acc):
     (xd,) = saved
     acc(ids[0], g * (xd > 0.0))
@@ -476,18 +462,17 @@ def _bk_reshape(ids, saved, g, acc):
     acc(ids[0], g.reshape(xshape))
 
 
-def _bk_transpose(ids, saved, g, acc):
-    acc(ids[0], g.T)
-
-
 def _bk_lstm(ids, saved, g, acc):
     """Backpropagation through time: one reverse loop carries the state and
     cell gradients; each step writes its four gate gradients into a (B, 4d)
     block, and the weight, bias and input gradients are one product each
-    over all steps afterwards."""
+    over all steps afterwards.  The weight gradients are transposed
+    (k, 4d) and (d, 4d) products: they sum in the order training used when
+    the weights were stored per gate, so trained weights are bit-for-bit
+    the same in either layout."""
     xshape, rows, inputs, wd, ud, acts, cells, tanh_cells, out = saved
     steps, width = rows.shape
-    dim = ud.shape[0]
+    dim = ud.shape[1]
     g = g.reshape(steps, width, dim)
     d_pre = np.empty((steps, width, 4 * dim))
     dh = dc = None
@@ -504,20 +489,20 @@ def _bk_lstm(ids, saved, g, acc):
         blk[:, 3 * dim :] = dc * i_g * (1.0 - g_g * g_g)
         if t:
             blk[:, dim : 2 * dim] = dc * cells[t - 1] * f_g * (1.0 - f_g)
-            dh = blk @ ud.T
+            dh = blk @ ud
             dc = dc * f_g
         else:  # the first step has no previous cell or state
             blk[:, dim : 2 * dim] = 0.0
     d_pre = d_pre.reshape(steps * width, 4 * dim)
     x_id, w_id, u_id, b_id = ids
     if x_id is not None:
-        acc(x_id, _scatter_rows(None, xshape, [(rows, d_pre @ wd.T)]))
+        acc(x_id, _scatter_rows(None, xshape, [(rows, d_pre @ wd)]))
     if w_id is not None:
-        acc(w_id, inputs.reshape(-1, xshape[1]).T @ d_pre)
+        acc(w_id, (inputs.reshape(-1, xshape[1]).T @ d_pre).T)
     if u_id is not None:
-        acc(u_id, out[:-width].T @ d_pre[width:])
+        acc(u_id, (out[:-width].T @ d_pre[width:]).T)
     if b_id is not None:
-        acc(b_id, d_pre.sum(axis=0, keepdims=True))
+        acc(b_id, d_pre.sum(axis=0))
 
 
 _BACKWARD = {
@@ -527,7 +512,6 @@ _BACKWARD = {
     "concat": _bk_concat,
     "sum": _bk_sum,
     "sigmoid": _bk_sigmoid,
-    "tanh": _bk_tanh,
     "softmax": _bk_softmax,
     "relu": _bk_relu,
     "dot": _bk_dot,
@@ -535,7 +519,6 @@ _BACKWARD = {
     "clamp": _bk_clamp,
     "dropout_mask_apply": _bk_dropout,
     "reshape": _bk_reshape,
-    "transpose": _bk_transpose,
     "lstm": _bk_lstm,
 }
 

@@ -19,7 +19,6 @@ from dataclasses import asdict
 import numpy as np
 
 from .data import IngestError, SyntheticSpec, generate_synthetic, ingest_logs, split_dataset, write_catalog, write_pairs
-from .interaction import InteractionStats
 from .model import (
     CheckpointError,
     TrainConfig,
@@ -176,8 +175,7 @@ def cmd_eval(args) -> int:
     catalog, pairs = ingest_logs(args.catalog, args.pairs)
     seed = args.split_seed if args.split_seed is not None else config.seed
     _, _, test_split = split_dataset(pairs, seed=seed)
-    stats = InteractionStats()
-    report = evaluate_pairs(catalog, params, config, test_split, stats=stats)
+    report = evaluate_pairs(catalog, params, config, test_split)
     print(report.table())
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -11,10 +11,10 @@ Each encoder has one kernel.  ``pnn_encode_batch`` encodes a block of
 objects and ``pnn_encode`` is its one-object form; ``encode_sequence``
 runs the LSTM loop of ``encode_sequences_batched`` on a single history.
 Objects with fewer feature slots than the layout pad with position -1.
-The LSTM loop is one fused op: the per-gate weights are joined once per
-call into (d, 4d) matrices with gate blocks ``[i | f | o | c]``, and
-``autodiff.lstm`` runs every step in plain numpy and records a single
-tape node for the whole loop.
+The LSTM loop is one fused op: ``autodiff.lstm`` reads the gate weights
+as stored, (4d, d) row blocks in gate order ``[i | f | o | c]``, runs
+every step in plain numpy and records a single tape node for the whole
+loop.
 """
 from __future__ import annotations
 
@@ -47,39 +47,18 @@ class PnnEncoderParams:
 
 @dataclass
 class LstmParams:
-    """Gate weights for a square (d -> d) LSTM cell.
+    """Gate weights for a square (d -> d) LSTM cell, one block per role.
 
-    w_* multiply the input, u_* the previous hidden state; one matrix and
-    bias per gate (input i, forget f, output o, candidate c).  These twelve
-    arrays are what checkpoints store; the LSTM loop fuses them per call.
+    ``w`` (4d, d) multiplies the input and ``u`` (4d, d) the previous
+    hidden state; ``b`` is the (4d,) bias.  Each holds four d-row blocks
+    in gate order ``[i | f | o | c]`` (input, forget, output, candidate),
+    so ``w[:d]`` is the input gate's matrix.  Arrays may be numpy arrays
+    or tracked tensors bound to a tape.
     """
 
-    wi: object
-    wf: object
-    wo: object
-    wc: object
-    ui: object
-    uf: object
-    uo: object
-    uc: object
-    bi: object
-    bf: object
-    bo: object
-    bc: object
-
-
-@dataclass
-class EncodedSequence:
-    """LSTM hidden states for one history.
-
-    ``hidden_states`` is one (L, d) tensor whose row t is the state after
-    item t, or None for an empty history.
-    """
-
-    hidden_states: Tensor | None
-
-    def __len__(self) -> int:
-        return 0 if self.hidden_states is None else self.hidden_states.shape[0]
+    w: object
+    u: object
+    b: object
 
 
 def field_offsets(vocab_sizes: Sequence[int]) -> tuple[int, ...]:
@@ -106,8 +85,7 @@ def init_pnn_params(catalog, dim: int, rng: np.random.Generator) -> PnnEncoderPa
 def init_lstm_params(dim: int, rng: np.random.Generator) -> LstmParams:
     bound = 1.0 / np.sqrt(dim)
     mats = [rng.uniform(-bound, bound, size=(dim, dim)) for _ in range(8)]
-    biases = [np.zeros(dim) for _ in range(4)]
-    return LstmParams(*mats, *biases)
+    return LstmParams(np.concatenate(mats[:4]), np.concatenate(mats[4:]), np.zeros(4 * dim))
 
 
 def pnn_encode(kind: str, positions: Sequence[int], params: PnnEncoderParams) -> Tensor:
@@ -148,44 +126,20 @@ def _pnn(table, positions: np.ndarray) -> Tensor:
     return ad.add(s, second)
 
 
-def encode_sequence(embedded: Tensor, params: LstmParams) -> EncodedSequence:
+def encode_sequence(embedded: Tensor, params: LstmParams) -> Tensor | None:
     """Run the LSTM over one (L, d) block of encoded items, oldest first.
 
-    The state starts at zero; an empty block yields an empty sequence.
+    Returns the (L, d) hidden states, row t being the state after item t;
+    the state starts at zero, and an empty block yields None.
     """
     n = embedded.shape[0]
     if not n:
-        return EncodedSequence(None)
-    return EncodedSequence(_lstm(embedded, np.arange(n)[:, None], params))
-
-
-def stack_states(states) -> Tensor:
-    """Stack a non-empty list of (d,) tensors into an (M, d) tensor."""
-    return ad.reshape(ad.concat(states), (len(states), states[0].shape[0]))
-
-
-def _lstm(embedded: Tensor, step_rows: np.ndarray, p: LstmParams) -> Tensor:
-    """The LSTM loop over B sequences advancing together.
-
-    Step t reads rows ``step_rows[t]`` of ``embedded`` as its (B, d) input
-    block.  Returns the T step states stacked into one (T*B, d) tensor:
-    row ``t*B + b`` is sequence b's state after step t.
-
-    Each call joins the twelve per-gate arrays into one (d, 4d) input
-    matrix, one (d, 4d) recurrent matrix and one (1, 4d) bias with column
-    blocks in gate order ``[i | f | o | c]``, and runs the whole loop as
-    one ``autodiff.lstm`` op: one tape node whatever the length, with a
-    hand-written backward through time.
-    """
-    dim = embedded.shape[1]
-    w = ad.transpose(ad.concat([p.wi, p.wf, p.wo, p.wc]))
-    u = ad.transpose(ad.concat([p.ui, p.uf, p.uo, p.uc]))
-    b = ad.reshape(ad.concat([p.bi, p.bf, p.bo, p.bc]), (1, 4 * dim))
-    return ad.lstm(embedded, step_rows, w, u, b)
+        return None
+    return ad.lstm(embedded, np.arange(n)[:, None], params.w, params.u, params.b)
 
 
 def encode_sequences_batched(position_matrices, kind: str, pnn: PnnEncoderParams,
-                             lstm: LstmParams) -> list[EncodedSequence]:
+                             lstm: LstmParams) -> list[Tensor | None]:
     """Encode many same-kind categorical item sequences through one LSTM.
 
     Equivalent to calling ``pnn_encode_batch`` + ``encode_sequence`` per
@@ -196,22 +150,23 @@ def encode_sequences_batched(position_matrices, kind: str, pnn: PnnEncoderParams
 
     ``position_matrices`` is a list of (L_i, F) one-hot position arrays
     sharing the same field count F, padded with -1 as in
-    ``pnn_encode_batch``.  Returns one EncodedSequence per input,
-    aligned.  The T step states are stacked once into a (T*B, d) tensor
-    and each sequence takes its rows ``t*B + b`` with one gather.
+    ``pnn_encode_batch``.  Returns each input's (L_i, d) hidden states,
+    aligned, with None for an empty sequence.  The fused LSTM returns the
+    T step states stacked into one (T*B, d) tensor and each sequence takes
+    its rows ``t*B + b`` with one gather.
     """
     lengths = np.array([m.shape[0] for m in position_matrices], dtype=np.intp)
     n_seq = len(lengths)
     maxlen = int(lengths.max(initial=0))
     if maxlen == 0:
-        return [EncodedSequence(None) for _ in lengths]
+        return [None] * n_seq
     embedded = pnn_encode_batch(kind, np.concatenate(position_matrices, axis=0), pnn)  # (sum L_i, d)
     offsets = np.cumsum(lengths) - lengths
     # finished rows gather a stale placeholder; their states are never read
     last = np.maximum(lengths - 1, 0)
     step_rows = np.minimum(offsets + np.minimum(np.arange(maxlen)[:, None], last), embedded.shape[0] - 1)
-    stacked = _lstm(embedded, step_rows, lstm)
+    stacked = ad.lstm(embedded, step_rows, lstm.w, lstm.u, lstm.b)
     return [
-        EncodedSequence(ad.embedding_lookup(stacked, np.arange(n) * n_seq + b) if n else None)
+        ad.embedding_lookup(stacked, np.arange(n) * n_seq + b) if n else None
         for b, n in enumerate(lengths.tolist())
     ]

@@ -16,14 +16,12 @@ vectors so the downstream concatenation is always well-formed.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoders import stack_states
 
 
 @dataclass
@@ -50,28 +48,19 @@ class SvdppWeights:
 
 @dataclass
 class InteractionStats:
-    """Instrumentation: attention pair counts and wall time."""
+    """Instrumentation: attention pair counts."""
 
     pair_budgets: list = field(default_factory=list)
-    wall_seconds: float = 0.0
 
     def mean_pair_budget(self) -> float:
         return float(np.mean(self.pair_budgets)) if self.pair_budgets else 0.0
 
 
 def _state_matrix(states):
-    """Normalize state input to an (M, d) tensor; None when empty.
-
-    Accepts an (M, d) tensor or array, None, or a list of (d,) tensors.
-    """
-    if states is None:
+    """An (M, d) state tensor or array as given; None when it has no rows."""
+    if states is None or not states.shape[0]:
         return None
-    if isinstance(states, Tensor) or (isinstance(states, np.ndarray) and states.ndim == 2):
-        return states if states.shape[0] else None
-    states = list(states)
-    if not states:
-        return None
-    return stack_states(states)
+    return states
 
 
 def _dim_of(e_u) -> int:
@@ -146,7 +135,6 @@ def item_aspect_interaction(
         if stats is not None:
             stats.pair_budgets.append(0)
         return Tensor(np.zeros(_dim_of(e_u)))
-    t0 = time.perf_counter()
     _, w2, _, w4 = weight_pieces if weight_pieces is not None else _split(params.item_w, _dim_of(e_u), 4)
     q = ad.softmax(ad.matmul(ha, w4))  # (N,)
     if literal_square:
@@ -156,7 +144,6 @@ def item_aspect_interaction(
         out = ad.multiply_elementwise(ad.matmul(p, hu), ad.matmul(q, ha))
     if stats is not None:
         stats.pair_budgets.append(hu.shape[0] * ha.shape[0])
-        stats.wall_seconds += time.perf_counter() - t0
     return out
 
 

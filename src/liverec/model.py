@@ -25,7 +25,6 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .data import Catalog
 from .encoders import (
-    EncodedSequence,
     LstmParams,
     PnnEncoderParams,
     active_positions,
@@ -52,7 +51,10 @@ from .seeding import stream_rng
 VARIANTS = ("full", "no_item_aspect", "no_anchor_aspect", "with_co_retrieval")
 
 CHECKPOINT_FORMAT = "liverec-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# v1 files store the LSTM as one (d, d) matrix or (d,) bias per gate, named
+# lstm.{w,u,b}{i,f,o,c}; the loader stacks them into v2's blocks in this order
+_V1_GATES = "ifoc"
 
 GRAD_CLIP_NORM = 10.0
 PRED_CLAMP = 1e-7
@@ -136,9 +138,10 @@ class ModelParams:
             ("pnn.anchor", self.pnn.anchor),
             ("pnn.item", self.pnn.item),
         ]
-        for name in ("wi", "wf", "wo", "wc", "ui", "uf", "uo", "uc", "bi", "bf", "bo", "bc"):
-            out.append((f"lstm.{name}", getattr(self.lstm, name)))
         out += [
+            ("lstm.w", self.lstm.w),
+            ("lstm.u", self.lstm.u),
+            ("lstm.b", self.lstm.b),
             ("attn.item_w", self.attn.item_w),
             ("attn.item_b", self.attn.item_b),
             ("attn.anchor_w", self.attn.anchor_w),
@@ -159,12 +162,11 @@ class ModelParams:
 
 
 def _params_from_arrays(dim: int, offsets: dict, arrays: dict) -> ModelParams:
-    lstm = LstmParams(*[arrays[f"lstm.{n}"] for n in ("wi", "wf", "wo", "wc", "ui", "uf", "uo", "uc", "bi", "bf", "bo", "bc")])
     return ModelParams(
         dim=dim,
         offsets=offsets,
         pnn=PnnEncoderParams(arrays["pnn.user"], arrays["pnn.anchor"], arrays["pnn.item"]),
-        lstm=lstm,
+        lstm=LstmParams(arrays["lstm.w"], arrays["lstm.u"], arrays["lstm.b"]),
         attn=AttentionParams(
             arrays["attn.item_w"], arrays["attn.item_b"], arrays["attn.anchor_w"], arrays["attn.anchor_b"]
         ),
@@ -218,7 +220,7 @@ class _PairContext:
             _check_layout(kind, catalog.vocab(kind), params.offsets[kind], params.pnn.table(kind).shape[0])
         self._item_rows = item_rows
         self._static: dict[tuple[str, int], Tensor] = {}
-        self._states: dict[tuple[str, int], EncodedSequence] = {}
+        self._states: dict[tuple[str, int], Tensor | None] = {}
         self._browsed: dict[int, Tensor | None] = {}
         self._item_pieces = None
         self._anchor_pieces = None
@@ -281,12 +283,10 @@ class _PairContext:
     def item_states(self, side: str, owner_id: int) -> Tensor | None:
         """(M, d) matrix of an owner's item states; None for empty history."""
         key = (side, owner_id)
-        got = self._states.get(key)
-        if got is None:
+        if key not in self._states:
             embedded = pnn_encode_batch("item", self._item_positions(side, owner_id), self.params.pnn)
-            got = encode_sequence(embedded, self.params.lstm)
-            self._states[key] = got
-        return got.hidden_states
+            self._states[key] = encode_sequence(embedded, self.params.lstm)
+        return self._states[key]
 
     def _encode_browsed(self, user_ids) -> None:
         """Encode every anchor the users browsed in one PNN pass; each user's
@@ -547,10 +547,10 @@ def evaluate_pairs(catalog: Catalog, params: ModelParams, config: TrainConfig, p
                    stats: InteractionStats | None = None) -> EvalReport:
     """Score pairs in eval mode and compute the offline metrics.
 
-    Pass an InteractionStats to capture attention pair budgets and the
-    interaction stage's wall time.  A non-finite score (from non-finite
-    parameters, say) raises NonFiniteScoreError naming the first such pair
-    instead of entering the metrics.
+    Pass an InteractionStats to capture attention pair budgets.  A
+    non-finite score (from non-finite parameters, say) raises
+    NonFiniteScoreError naming the first such pair instead of entering the
+    metrics.
     """
     if stats is None:
         stats = InteractionStats()
@@ -591,11 +591,15 @@ def save_checkpoint(params: ModelParams, config: TrainConfig, path) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def _array_shapes(dim: int) -> dict[str, tuple]:
-    """The shape each checkpoint array must have; None is a table's free row count."""
+def _array_shapes(dim: int, version: int) -> dict[str, tuple]:
+    """The shape each array of a v1 or v2 checkpoint must have; None is a
+    table's free row count."""
     shapes = {f"pnn.{kind}": (None, dim) for kind in ("user", "anchor", "item")}
-    shapes.update({f"lstm.{n}": (dim, dim) for n in ("wi", "wf", "wo", "wc", "ui", "uf", "uo", "uc")})
-    shapes.update({f"lstm.{n}": (dim,) for n in ("bi", "bf", "bo", "bc")})
+    if version == 1:
+        shapes.update({f"lstm.{m}{g}": (dim, dim) for m in "wu" for g in _V1_GATES})
+        shapes.update({f"lstm.b{g}": (dim,) for g in _V1_GATES})
+    else:
+        shapes.update({"lstm.w": (4 * dim, dim), "lstm.u": (4 * dim, dim), "lstm.b": (4 * dim,)})
     shapes.update({
         "attn.item_w": (4 * dim,), "attn.item_b": (), "attn.anchor_w": (3 * dim,), "attn.anchor_b": (),
         "mlp.w1": (dim, 3 * dim), "mlp.b1": (dim,), "mlp.w2": (dim,), "mlp.b2": (),
@@ -607,16 +611,18 @@ def _is_count(v) -> bool:
     return type(v) is int and v >= 0
 
 
-def _parse_header(header) -> tuple[TrainConfig, int, dict, list]:
-    """Validate a decoded v1 header; returns (config, dim, offsets, array specs)."""
+def _parse_header(header) -> tuple[int, TrainConfig, int, dict, list]:
+    """Validate a decoded v1 or v2 header; returns (version, config, dim,
+    offsets, array specs).  The array names must be those of the header's
+    own version."""
     if not isinstance(header, dict):
         raise CheckpointError("header is not a JSON object")
     if header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"not a {CHECKPOINT_FORMAT} file")
     version = header.get("version")
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(
-            f"checkpoint version {version} does not match supported version {CHECKPOINT_VERSION}"
+            f"checkpoint version {version!r} is not supported (supported versions: 1, {CHECKPOINT_VERSION})"
         )
     for key, kind, json_kind in (("config", dict, "object"), ("dim", int, "integer"),
                                  ("offsets", dict, "object"), ("arrays", list, "array")):
@@ -640,7 +646,7 @@ def _parse_header(header) -> tuple[TrainConfig, int, dict, list]:
         isinstance(v, list) and all(_is_count(x) for x in v) for v in offsets.values()
     ):
         raise CheckpointError("header offsets must list non-negative ints for user, anchor and item")
-    want = _array_shapes(dim)
+    want = _array_shapes(dim, version)
     specs = []
     for spec in header["arrays"]:
         name = spec.get("name") if isinstance(spec, dict) else None
@@ -654,13 +660,15 @@ def _parse_header(header) -> tuple[TrainConfig, int, dict, list]:
         specs.append((name, tuple(shape)))
     if want:
         raise CheckpointError(f"header lists no array {sorted(want)[0]}")
-    return config, dim, {k: tuple(v) for k, v in offsets.items()}, specs
+    return version, config, dim, {k: tuple(v) for k, v in offsets.items()}, specs
 
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     """Read a file written by save_checkpoint.
 
-    A file that is not a well-formed v1 checkpoint raises CheckpointError.
+    Reads v1 or v2; a v1 file's twelve per-gate LSTM arrays are stacked
+    once, here, into the v2 blocks.  A file that is not a well-formed v1
+    or v2 checkpoint raises CheckpointError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -671,7 +679,7 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
         header = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable header: {exc}") from None
-    config, dim, offsets, specs = _parse_header(header)
+    version, config, dim, offsets, specs = _parse_header(header)
     body = blob[nl + 1 :]
     arrays = {}
     off = 0
@@ -683,6 +691,9 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
         off += nbytes
     if off != len(body):
         raise CheckpointError(f"{len(body) - off} trailing bytes after arrays")
+    if version == 1:
+        for m in "wub":
+            arrays[f"lstm.{m}"] = np.concatenate([arrays.pop(f"lstm.{m}{g}") for g in _V1_GATES])
     params = _params_from_arrays(dim, offsets, arrays)
     return params, config
 

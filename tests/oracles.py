@@ -78,17 +78,32 @@ def pnn_reference(active_fields, table):
     return out
 
 
+def lstm_gates(p):
+    """Per-gate arrays of a fused LstmParams, keyed "wi", "uf", "bc", ...
+
+    Row block j of ``w``, ``u`` and ``b`` belongs to gate ``"ifoc"[j]``
+    (input, forget, output, candidate).
+    """
+    d = np.shape(p.u)[1]
+    return {f"{m}{g}": np.asarray(getattr(p, m))[j * d : (j + 1) * d]
+            for m in "wub" for j, g in enumerate("ifoc")}
+
+
 def lstm_reference(xs, p):
-    """Pure scalar-loop LSTM over a list of (d,) inputs; returns all h."""
+    """Pure scalar-loop LSTM over a list of (d,) inputs; returns all h.
+
+    ``p`` maps "wi", "wf", ..., "bc" to one (d, d) matrix or (d,) bias per
+    gate, as ``lstm_gates`` returns them.
+    """
     d = xs[0].shape[0] if xs else 0
     h = [0.0] * d
     c = [0.0] * d
     states = []
     for x in xs:
-        zi = [sum(p.wi[r][k] * x[k] for k in range(d)) + sum(p.ui[r][k] * h[k] for k in range(d)) + p.bi[r] for r in range(d)]
-        zf = [sum(p.wf[r][k] * x[k] for k in range(d)) + sum(p.uf[r][k] * h[k] for k in range(d)) + p.bf[r] for r in range(d)]
-        zo = [sum(p.wo[r][k] * x[k] for k in range(d)) + sum(p.uo[r][k] * h[k] for k in range(d)) + p.bo[r] for r in range(d)]
-        zc = [sum(p.wc[r][k] * x[k] for k in range(d)) + sum(p.uc[r][k] * h[k] for k in range(d)) + p.bc[r] for r in range(d)]
+        zi = [sum(p["wi"][r][k] * x[k] for k in range(d)) + sum(p["ui"][r][k] * h[k] for k in range(d)) + p["bi"][r] for r in range(d)]
+        zf = [sum(p["wf"][r][k] * x[k] for k in range(d)) + sum(p["uf"][r][k] * h[k] for k in range(d)) + p["bf"][r] for r in range(d)]
+        zo = [sum(p["wo"][r][k] * x[k] for k in range(d)) + sum(p["uo"][r][k] * h[k] for k in range(d)) + p["bo"][r] for r in range(d)]
+        zc = [sum(p["wc"][r][k] * x[k] for k in range(d)) + sum(p["uc"][r][k] * h[k] for k in range(d)) + p["bc"][r] for r in range(d)]
         i_g = [sigmoid(v) for v in zi]
         f_g = [sigmoid(v) for v in zf]
         o_g = [sigmoid(v) for v in zo]
@@ -238,7 +253,7 @@ def forward_reference(catalog, params, config, user_id, anchor_id):
 
     def item_states(ids):
         xs = [pnn("item", catalog.items[i].features) for i in ids]
-        return lstm_reference(xs, params.lstm)
+        return lstm_reference(xs, lstm_gates(params.lstm))
 
     d = config.dim
     if config.svdpp_head:

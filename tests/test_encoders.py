@@ -4,7 +4,6 @@ import pytest
 
 from liverec import autodiff as ad
 from liverec.encoders import (
-    EncodedSequence,
     LstmParams,
     PnnEncoderParams,
     encode_sequence,
@@ -12,10 +11,9 @@ from liverec.encoders import (
     init_lstm_params,
     pnn_encode,
     pnn_encode_batch,
-    stack_states,
 )
 
-from oracles import fd_max_rel_error, lstm_reference, pnn_reference
+from oracles import fd_max_rel_error, lstm_gates, lstm_reference, pnn_reference
 
 
 def _params(table):
@@ -111,27 +109,21 @@ def test_field_offsets():
     assert field_offsets([]) == ()
 
 
-def _zero_lstm(d):
-    z = np.zeros((d, d))
-    b = np.zeros(d)
-    return LstmParams(z, z, z, z, z, z, z, z, b, b, b, b)
-
-
 def test_lstm_zero_weights_fixpoint():
     rng = np.random.default_rng(7)
     xs = ad.Tensor(rng.normal(size=(5, 3)))
-    seq = encode_sequence(xs, _zero_lstm(3))
-    np.testing.assert_array_equal(seq.hidden_states.data, np.zeros((5, 3)))
+    z = np.zeros((12, 3))
+    states = encode_sequence(xs, LstmParams(z, z, np.zeros(12)))
+    np.testing.assert_array_equal(states.data, np.zeros((5, 3)))
 
 
 def test_lstm_length_contract():
     rng = np.random.default_rng(8)
     params = init_lstm_params(4, rng)
+    assert (params.w.shape, params.u.shape, params.b.shape) == ((16, 4), (16, 4), (16,))
     xs = ad.Tensor(rng.normal(size=(7, 4)))
-    assert len(encode_sequence(xs, params)) == 7
-    assert encode_sequence(xs, params).hidden_states.shape == (7, 4)
-    empty = encode_sequence(ad.Tensor(np.zeros((0, 4))), params)
-    assert len(empty) == 0 and empty.hidden_states is None
+    assert encode_sequence(xs, params).shape == (7, 4)
+    assert encode_sequence(ad.Tensor(np.zeros((0, 4))), params) is None
 
 
 def test_lstm_matches_scalar_reference():
@@ -139,8 +131,8 @@ def test_lstm_matches_scalar_reference():
     params = init_lstm_params(3, rng)
     xs = rng.normal(size=(3, 3))
     got = encode_sequence(ad.Tensor(xs), params)
-    want = lstm_reference(list(xs), params)
-    np.testing.assert_allclose(got.hidden_states.data, np.array(want), atol=1e-12)
+    want = lstm_reference(list(xs), lstm_gates(params))
+    np.testing.assert_allclose(got.data, np.array(want), atol=1e-12)
 
 
 def test_lstm_prefix_property():
@@ -149,13 +141,8 @@ def test_lstm_prefix_property():
     xs = rng.normal(size=(6, 4))
     full = encode_sequence(ad.Tensor(xs), params)
     prefix = encode_sequence(ad.Tensor(xs[:4]), params)
-    assert prefix.hidden_states.shape == (4, 4)
-    np.testing.assert_array_equal(full.hidden_states.data[:4], prefix.hidden_states.data)
-
-
-def test_stack_states():
-    states = [ad.Tensor(np.array([1.0, 2.0])), ad.Tensor(np.array([3.0, 4.0]))]
-    np.testing.assert_array_equal(stack_states(states).data, [[1.0, 2.0], [3.0, 4.0]])
+    assert prefix.shape == (4, 4)
+    np.testing.assert_array_equal(full.data[:4], prefix.data)
 
 
 def test_batched_sequences_match_sequential_paths():
@@ -173,14 +160,13 @@ def test_batched_sequences_match_sequential_paths():
     assert len(batched) == len(matrices)
     for mat, seq in zip(matrices, batched):
         want = encode_sequence(pnn_encode_batch("item", mat, params), lstm)
-        assert len(seq) == len(want) == len(mat)
         if not len(mat):
-            assert seq.hidden_states is None and want.hidden_states is None
+            assert seq is None and want is None
             continue
-        assert seq.hidden_states.shape == (len(mat), d)
-        np.testing.assert_allclose(seq.hidden_states.data, want.hidden_states.data, atol=1e-12)
-        ref = lstm_reference([pnn_reference(_unit(row), table) for row in mat], lstm)
-        np.testing.assert_allclose(seq.hidden_states.data, np.array(ref), atol=1e-12)
+        assert seq.shape == want.shape == (len(mat), d)
+        np.testing.assert_allclose(seq.data, want.data, atol=1e-12)
+        ref = lstm_reference([pnn_reference(_unit(row), table) for row in mat], lstm_gates(lstm))
+        np.testing.assert_allclose(seq.data, np.array(ref), atol=1e-12)
 
 
 def test_batched_sequences_gradients_match_sequential():
@@ -204,7 +190,7 @@ def test_batched_sequences_gradients_match_sequential():
             seqs = [encode_sequence(pnn_encode_batch("item", m, pnn), params_raw) for m in matrices]
         total = None
         for seq, c in zip(seqs, cot):
-            v = ad.reduce_sum(ad.multiply_elementwise(seq.hidden_states, c))
+            v = ad.reduce_sum(ad.multiply_elementwise(seq, c))
             total = v if total is None else ad.add(total, v)
         return ad.backward(tape, total)[tbl.node_id]
 
@@ -234,20 +220,23 @@ def test_batched_tape_grows_by_a_constant_per_sequence():
 
 
 def test_lstm_tape_nodes_do_not_grow_with_length():
-    # the weight join records a fixed number of nodes and the whole loop
-    # is one lstm node, whatever the number of steps
+    # the stored weight blocks go straight into the kernel: one lstm node
+    # per call, whatever the number of steps
     rng = np.random.default_rng(18)
     d = 3
     raw = init_lstm_params(d, rng)
     xs = rng.normal(size=(6, d))
 
-    def tape_nodes(length):
+    def recorded(length):
         tape = ad.Tape()
-        params = LstmParams(*[tape.watch(getattr(raw, f)) for f in LstmParams.__dataclass_fields__])
-        encode_sequence(tape.watch(xs[:length]), params)
-        return len(tape.nodes)
+        params = LstmParams(tape.watch(raw.w), tape.watch(raw.u), tape.watch(raw.b))
+        inputs = tape.watch(xs[:length])
+        before = len(tape.nodes)
+        encode_sequence(inputs, params)
+        return [kind for kind, _, _ in tape.nodes[before:]]
 
-    assert len({tape_nodes(length) for length in range(1, 7)}) == 1
+    for length in range(1, 7):
+        assert recorded(length) == ["lstm"]
 
 
 def test_pnn_gradients():
@@ -271,17 +260,11 @@ def test_lstm_gradients_through_sequence():
     rng = np.random.default_rng(13)
     d = 3
     params = init_lstm_params(d, rng)
-    arrays = [params.wi, params.ui, params.bi, params.wc, params.uc]
     xs = rng.normal(size=(3, d))
     cot = rng.normal(size=(3, d))
 
     def build(ws):
-        p = LstmParams(
-            ws[0], params.wf, params.wo, ws[3],
-            ws[1], params.uf, params.uo, ws[4],
-            ws[2], params.bf, params.bo, params.bc,
-        )
-        seq = encode_sequence(ad.Tensor(xs), p)
-        return ad.reduce_sum(ad.multiply_elementwise(seq.hidden_states, cot))
+        states = encode_sequence(ad.Tensor(xs), LstmParams(*ws))
+        return ad.reduce_sum(ad.multiply_elementwise(states, cot))
 
-    assert fd_max_rel_error(build, [a.copy() for a in arrays]) <= 1e-4
+    assert fd_max_rel_error(build, [params.w.copy(), params.u.copy(), params.b.copy()]) <= 1e-4

@@ -1,4 +1,5 @@
-"""Every name a liverec module imports is used in that module.
+"""Every name a liverec module imports is used in that module, and every
+autodiff op is called from some other liverec module.
 
 Package ``__init__`` files are exempt: their imports are re-exports.
 """
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import liverec
+from liverec import autodiff
 
 MODULES = sorted(p for p in Path(liverec.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -34,3 +36,44 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# the tape's types and its sweep, which callers use but do not call as ops
+AUTODIFF_NON_OPS = {"Tensor", "Tape", "ShapeError", "backward"}
+
+
+def autodiff_calls(source: str) -> set[str]:
+    """Names of autodiff functions a module calls, as ``alias.op(...)``
+    through the name it binds the module to, or as ``op(...)`` after
+    importing the name from the module."""
+    tree = ast.parse(source)
+    aliases, direct = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name.split(".")[-1] == "autodiff"}
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "autodiff":
+                direct.update({a.asname or a.name: a.name for a in node.names})
+            aliases |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+    called = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name) and fn.value.id in aliases:
+            called.add(fn.attr)
+        elif isinstance(fn, ast.Name) and fn.id in direct:
+            called.add(direct[fn.id])
+    return called
+
+
+def test_call_checker_sees_both_import_forms():
+    source = ("from . import autodiff as ad\nfrom .autodiff import lstm as fused, relu\n"
+              "ad.add(1, 2)\nfused(x)\nrelu\nad.log\n")
+    assert autodiff_calls(source) == {"add", "lstm"}
+
+
+def test_every_autodiff_op_has_a_caller():
+    ops = set(autodiff.__all__) - AUTODIFF_NON_OPS
+    called = set().union(*(autodiff_calls(p.read_text(encoding="utf-8")) for p in MODULES if p.name != "autodiff.py"))
+    assert sorted(ops - called) == []

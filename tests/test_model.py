@@ -1,13 +1,14 @@
 """Whole-model forward, loss, training loop, and checkpoint behavior."""
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from liverec import autodiff as ad
 from liverec.data import LabeledPair, SyntheticSpec, _link_catalog, generate_synthetic
+from liverec.encoders import encode_sequence
 from liverec.metrics import compute_logloss
 from liverec.model import (
     CheckpointError,
@@ -26,7 +27,7 @@ from liverec.model import (
 )
 from liverec.seeding import stream_rng
 
-from oracles import forward_reference
+from oracles import forward_reference, lstm_reference
 
 DIMS = dict(dim=6, dropout=0.0, epochs=2, batch_size=16, l2_weight=1e-4)
 
@@ -293,6 +294,24 @@ def test_catalog_that_outgrows_the_trained_layout_raises():
         forward_pair(bigger, params, config, 1, 2)
 
 
+def test_an_empty_history_is_encoded_once_per_context(monkeypatch):
+    # None is a cached value: an owner without items is not re-encoded on every pair
+    from liverec import model
+
+    catalog, _ = _tiny(seed=12)
+    uid = next(iter(catalog.users))
+    users = {**catalog.users, uid: replace(catalog.users[uid], browsed_items=())}
+    catalog = _link_catalog(users, catalog.anchors, catalog.items)
+    config = TrainConfig(**DIMS)
+    ctx = model._PairContext(catalog, _params(catalog, config), config)
+    calls = []
+    real = model.encode_sequence
+    monkeypatch.setattr(model, "encode_sequence", lambda *args: calls.append(args) or real(*args))
+    assert ctx.item_states("user", uid) is None
+    assert ctx.item_states("user", uid) is None
+    assert len(calls) == 1
+
+
 def test_adam_optimizer_runs_and_is_deterministic():
     catalog, pairs = _tiny(seed=13)
     config = TrainConfig(dim=6, epochs=2, batch_size=25, optimizer="adam", seed=4, dropout=0.0)
@@ -391,10 +410,56 @@ def test_checkpoint_version_mismatch(tmp_path):
     save_checkpoint(params, config, path)
     blob = path.read_bytes()
     head, _, rest = blob.partition(b"\n")
-    head = head.replace(b'"version": 1', b'"version": 99')
+    head = head.replace(b'"version": 2', b'"version": 99')
     path.write_bytes(head + b"\n" + rest)
-    with pytest.raises(CheckpointError, match=r"99.*1"):
+    with pytest.raises(CheckpointError, match=r"version 99 .*supported versions: 1, 2"):
         load_checkpoint(path)
+
+
+def _write_v1(path, params, config, gates):
+    """Write a v1 checkpoint: the LSTM as twelve per-gate arrays named
+    lstm.{w,u,b}{i,f,o,c}, after the PNN tables, as v1 writers laid it out."""
+    named = [(n, a) for n, a in params.named_arrays() if not n.startswith("lstm.")]
+    named[3:3] = [(f"lstm.{m}{g}", gates[m + g]) for m in "wub" for g in "ifoc"]
+    header = {
+        "format": "liverec-checkpoint",
+        "version": 1,
+        "config": asdict(config),
+        "dim": params.dim,
+        "offsets": {k: list(v) for k, v in params.offsets.items()},
+        "arrays": [{"name": n, "shape": list(np.shape(a))} for n, a in named],
+    }
+    body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in named)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+
+
+def _v1_gates(d, rng):
+    return {m + g: rng.normal(scale=0.5, size=(d,) if m == "b" else (d, d)) for m in "wub" for g in "ifoc"}
+
+
+def test_checkpoint_v1_loads_to_the_same_model_as_v2(tmp_path):
+    catalog, pairs = _tiny(seed=15)
+    config = TrainConfig(dim=6, epochs=1, batch_size=25, dropout=0.0)
+    params, _ = train(catalog, pairs, config)
+    rng = np.random.default_rng(4)
+    gates = _v1_gates(config.dim, rng)
+    v1 = tmp_path / "v1.ckpt"
+    _write_v1(v1, params, config, gates)
+    p1, c1 = load_checkpoint(v1)
+    assert c1 == config
+    # the gate order comes from the oracle, which reads the per-gate arrays as written
+    xs = rng.normal(size=(5, config.dim))
+    got = encode_sequence(ad.Tensor(xs), p1.lstm).data
+    np.testing.assert_allclose(got, np.array(lstm_reference(list(xs), gates)), atol=1e-12)
+    v2 = tmp_path / "v2.ckpt"
+    save_checkpoint(p1, c1, v2)
+    assert json.loads(v2.read_bytes().partition(b"\n")[0])["version"] == 2
+    p2, c2 = load_checkpoint(v2)
+    assert c2 == c1
+    for (n1, a1), (n2, a2) in zip(p1.named_arrays(), p2.named_arrays(), strict=True):
+        assert n1 == n2 and np.array_equal(a1, a2)
+    for p in pairs[:20]:
+        assert forward_pair(catalog, p2, c2, p.user_id, p.anchor_id) == forward_pair(catalog, p1, c1, p.user_id, p.anchor_id)
 
 
 def _edit(fn):
@@ -439,7 +504,8 @@ MALFORMED_HEADERS = {
     "array entry without a name": _edit(lambda h: h["arrays"][0].pop("name")),
     "array entry without a shape": _edit(lambda h: h["arrays"][0].pop("shape")),
     "unknown array name": _set(("arrays", 3, "name"), "lstm.zz"),
-    "repeated array name": _set(("arrays", 4, "name"), "lstm.wi"),
+    "repeated array name": _set(("arrays", 4, "name"), "lstm.w"),
+    "v1 array name in a v2 header": _set(("arrays", 3, "name"), "lstm.wi"),
     "missing array name": _edit(lambda h: h["arrays"].pop()),
     "negative array size": _set(("arrays", 0, "shape"), [-2, 6]),
     "float array size": _set(("arrays", 3, "shape"), [6.0, 6.0]),
@@ -462,6 +528,30 @@ def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, case):
     save_checkpoint(_params(catalog, config), config, path)
     head, _, body = path.read_bytes().partition(b"\n")
     header = MALFORMED_HEADERS[case](json.loads(head))
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+V1_MALFORMED = {
+    "v1 names under version 2": lambda h: {**h, "version": 2},
+    "version true, which equals 1": lambda h: {**h, "version": True},
+    "a v2 block in a v1 header": _set(("arrays", 3), {"name": "lstm.w", "shape": [24, 6]}),
+    "a v1 gate of the v2 shape": _set(("arrays", 3, "shape"), [24, 6]),
+    "repeated v1 gate": _set(("arrays", 4, "name"), "lstm.wi"),
+    "missing v1 gate": _edit(lambda h: h["arrays"].pop(14)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(V1_MALFORMED))
+def test_checkpoint_malformed_v1_header_raises_checkpoint_error(tmp_path, case):
+    catalog, _ = _tiny()
+    config = TrainConfig(dim=6)
+    path = tmp_path / "v1.ckpt"
+    _write_v1(path, _params(catalog, config), config, _v1_gates(6, np.random.default_rng(5)))
+    load_checkpoint(path)  # well-formed as written
+    head, _, body = path.read_bytes().partition(b"\n")
+    header = V1_MALFORMED[case](json.loads(head))
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
