@@ -22,17 +22,10 @@ from .data import (
     write_pairs,
 )
 from .encoders import LstmParams, PnnEncoderParams, encode_sequence, pnn_encode
-from .interaction import (
-    AttentionParams,
-    InteractionStats,
-    SvdppWeights,
-    anchor_aspect_interaction,
-    embed_similarity,
-    item_aspect_interaction,
-    svdpp_similarity,
-)
+from .interaction import anchor_aspect_interaction, embed_similarity, item_aspect_interaction, svdpp_similarity
 from .metrics import EvalReport, compute_acc, compute_auc, compute_logloss, make_report
 from .model import (
+    AttentionParams,
     CheckpointError,
     ModelParams,
     NonFiniteScoreError,

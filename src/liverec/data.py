@@ -136,10 +136,15 @@ def _link_catalog(users, anchors, items) -> Catalog:
     )
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: ``true`` and ``false`` decode to bools, which are ints in Python."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _ids(raw, what: str) -> tuple[int, ...]:
     if raw is None:
         return ()
-    if not isinstance(raw, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw):
+    if not isinstance(raw, list) or not all(_is_int(v) for v in raw):
         raise ValueError(f"{what} must be a list of integer ids")
     return tuple(raw[-MAX_HISTORY_LEN:])
 
@@ -148,7 +153,7 @@ def _features(raw) -> tuple[int, ...]:
     if (
         not isinstance(raw, list)
         or not raw
-        or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in raw)
+        or not all(_is_int(v) and v >= 0 for v in raw)
     ):
         raise ValueError("features must be a non-empty list of non-negative integers")
     return tuple(raw)
@@ -179,7 +184,7 @@ def ingest_logs(catalog_file, pairs_file) -> tuple[Catalog, list[LabeledPair]]:
                 obj = json.loads(line.decode("utf-8"))
                 kind = obj["kind"]
                 oid = obj["id"]
-                if not isinstance(oid, int) or isinstance(oid, bool):
+                if not _is_int(oid):
                     raise ValueError("id must be an integer")
                 feats = _features(obj["features"])
                 if kind == "user":
@@ -214,9 +219,9 @@ def ingest_logs(catalog_file, pairs_file) -> tuple[Catalog, list[LabeledPair]]:
             try:
                 obj = json.loads(line.decode("utf-8"))
                 uid, aid, label = obj["user"], obj["anchor"], obj["label"]
-                if label not in (0, 1):
+                if isinstance(label, bool) or label not in (0, 1):
                     raise ValueError(f"label must be 0 or 1, got {label!r}")
-                if not isinstance(uid, int) or not isinstance(aid, int):
+                if not _is_int(uid) or not _is_int(aid):
                     raise ValueError("user and anchor must be integer ids")
             except _MALFORMED as exc:
                 log.warning("%s:%d: skipping malformed line (%s)", pairs_file, lineno, exc)

@@ -37,8 +37,6 @@ from .encoders import (
     pnn_encode_batch,
 )
 from .interaction import (
-    AttentionParams,
-    InteractionStats,
     anchor_aspect_interaction,
     embed_similarity,
     item_aspect_interaction,
@@ -62,6 +60,9 @@ PRED_CLAMP = 1e-7
 
 class UnknownIdError(KeyError):
     """A user or anchor id does not resolve in the catalog."""
+
+    # a KeyError's str() quotes its argument; this one is a message
+    __str__ = Exception.__str__
 
 
 class TrainingDiverged(RuntimeError):
@@ -112,6 +113,21 @@ class TrainConfig:
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.threads != 1:
             raise ValueError(f"threads must be 1 (training runs on one thread), got {self.threads!r}")
+
+
+@dataclass
+class AttentionParams:
+    """Shared attention weights: item aspect (4d,) + bias, anchor aspect (3d,) + bias.
+
+    Each weight vector is the d-blocks of its logit's concatenation in
+    order: ``[e_u, h_user, e_a, h_anchor]`` for the item aspect and
+    ``[e_u, e_browsed, e_target]`` for the anchor aspect.
+    """
+
+    item_w: object
+    item_b: object
+    anchor_w: object
+    anchor_b: object
 
 
 @dataclass
@@ -206,37 +222,29 @@ class _PairContext:
     which is much cheaper on the tape than owner-by-owner encoding; an
     owner missed there is encoded alone on first use through the same
     kernels.  Objects with fewer feature slots than the layout pad their
-    position rows with -1.  ``item_rows`` (from ``_item_rows``) carries
-    every item's position row, built once per train or eval call; without
-    it an owner's rows are derived from its items.  A catalog slot whose
+    position rows with -1.  The attention weight slices the interaction
+    layer reads are cut once here, and ``pair_budgets`` collects each
+    scored pair's item-attention pair count.  A catalog slot whose
     vocabulary outgrew its trained size raises ValueError on construction.
     """
 
-    def __init__(self, catalog: Catalog, params: ModelParams, config: TrainConfig, item_rows=None):
+    def __init__(self, catalog: Catalog, params: ModelParams, config: TrainConfig):
         self.catalog = catalog
         self.params = params
         self.config = config
         for kind in ("user", "anchor", "item"):
             _check_layout(kind, catalog.vocab(kind), params.offsets[kind], params.pnn.table(kind).shape[0])
-        self._item_rows = item_rows
+        d = config.dim
+        item_w = ad.reshape(params.attn.item_w, (4, d))  # [e_u, h_user, e_a, h_anchor]
+        self.w_user_items = ad.embedding_lookup(item_w, 1)
+        self.w_anchor_items = ad.embedding_lookup(item_w, 3)
+        self.w_browsed = ad.embedding_lookup(ad.reshape(params.attn.anchor_w, (3, d)), 1)  # [e_u, e_n, e_a]
+        self.pair_budgets: list[int] = []
         self._static: dict[tuple[str, int], Tensor] = {}
         self._states: dict[tuple[str, int], Tensor | None] = {}
         self._browsed: dict[int, Tensor | None] = {}
-        self._item_pieces = None
-        self._anchor_pieces = None
         if config.variant == "with_co_retrieval":
             self.user_index, self.anchor_index = catalog.kkv_indices()
-
-    def attention_pieces(self, aspect: str):
-        from .interaction import _split
-
-        if aspect == "item":
-            if self._item_pieces is None:
-                self._item_pieces = _split(self.params.attn.item_w, self.config.dim, 4)
-            return self._item_pieces
-        if self._anchor_pieces is None:
-            self._anchor_pieces = _split(self.params.attn.anchor_w, self.config.dim, 3)
-        return self._anchor_pieces
 
     def static(self, kind: str, obj_id: int) -> Tensor:
         key = (kind, obj_id)
@@ -247,16 +255,17 @@ class _PairContext:
             self._static[key] = got
         return got
 
-    def _item_positions(self, side: str, owner_id: int) -> np.ndarray:
-        """(L, F) one-hot positions of an owner's history items, -1 padded."""
-        if side == "user":
-            ids = self.catalog.users[owner_id].browsed_items
-        else:
-            ids = self.catalog.anchors[owner_id].broadcast_items
-        if self._item_rows is None:
-            return _position_rows([self.catalog.items[i] for i in ids], self.params.offsets["item"])
-        index, rows = self._item_rows
-        return rows[[index[i] for i in ids]]
+    def _item_positions(self, owners) -> list[np.ndarray]:
+        """(L, F) one-hot positions of each (side, owner id)'s history items,
+        -1 padded; the distinct items' rows are built once, then gathered."""
+        histories = [
+            (self.catalog.users[oid].browsed_items if side == "user" else self.catalog.anchors[oid].broadcast_items)
+            for side, oid in owners
+        ]
+        items = list(dict.fromkeys(i for hist in histories for i in hist))
+        rows = _position_rows([self.catalog.items[i] for i in items], self.params.offsets["item"])
+        row = {i: k for k, i in enumerate(items)}
+        return [rows[[row[i] for i in hist]] for hist in histories]
 
     def precompute(self, pairs) -> None:
         """Encode what the owners in the pairs share, in batched passes.
@@ -274,7 +283,7 @@ class _PairContext:
                 if (side, oid) not in self._states
             ]
             if pending:
-                matrices = [self._item_positions(side, oid) for side, oid in pending]
+                matrices = self._item_positions(pending)
                 encoded = encode_sequences_batched(matrices, "item", self.params.pnn, self.params.lstm)
                 self._states.update(zip(pending, encoded))
         if config.variant != "no_anchor_aspect" and not config.svdpp_head:
@@ -284,7 +293,7 @@ class _PairContext:
         """(M, d) matrix of an owner's item states; None for empty history."""
         key = (side, owner_id)
         if key not in self._states:
-            embedded = pnn_encode_batch("item", self._item_positions(side, owner_id), self.params.pnn)
+            embedded = pnn_encode_batch("item", self._item_positions([key])[0], self.params.pnn)
             self._states[key] = encode_sequence(embedded, self.params.lstm)
         return self._states[key]
 
@@ -315,11 +324,6 @@ def _position_rows(objects, offsets) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(len(rows), n_fields)
 
 
-def _item_rows(catalog: Catalog, offsets) -> tuple[dict[int, int], np.ndarray]:
-    """Every item's position row: (row index per item id, (n_items, F) rows)."""
-    return {iid: k for k, iid in enumerate(catalog.items)}, _position_rows(catalog.items.values(), offsets)
-
-
 def _check_layout(kind: str, vocab, offsets, rows: int) -> None:
     """Raise ValueError when a catalog feature slot outgrows its trained slot.
 
@@ -346,14 +350,19 @@ def _dropout_mask(config: TrainConfig, rng: np.random.Generator | None):
     return (rng.random(3 * config.dim) < keep) / keep
 
 
-def _forward(ctx: _PairContext, user_id: int, anchor_id: int,
-             dropout_mask: np.ndarray | None, stats: InteractionStats | None) -> Tensor:
+def _n_rows(states: Tensor | None) -> int:
+    return 0 if states is None else states.shape[0]
+
+
+def _forward(ctx: _PairContext, user_id: int, anchor_id: int, dropout_mask: np.ndarray | None) -> Tensor:
+    """One pair's prediction on the context's tape; appends its pair budget
+    to ``ctx.pair_budgets`` (0 under ``no_item_aspect``, none for the
+    SVD++ head)."""
     catalog, config = ctx.catalog, ctx.config
     if user_id not in catalog.users:
         raise UnknownIdError(f"unknown user id {user_id}")
     if anchor_id not in catalog.anchors:
         raise UnknownIdError(f"unknown anchor id {anchor_id}")
-    user = catalog.users[user_id]
     d = config.dim
     e_u = ctx.static("user", user_id)
     e_a = ctx.static("anchor", anchor_id)
@@ -368,8 +377,7 @@ def _forward(ctx: _PairContext, user_id: int, anchor_id: int,
 
     if config.variant == "no_item_aspect":
         y_i = Tensor(np.zeros(d))
-        if stats is not None:
-            stats.pair_budgets.append(0)
+        ctx.pair_budgets.append(0)
     else:
         if config.variant == "with_co_retrieval":
             ret = co_retrieve(ctx.user_index, ctx.anchor_index, user_id, anchor_id, config.co_retrieval_k)
@@ -379,17 +387,15 @@ def _forward(ctx: _PairContext, user_id: int, anchor_id: int,
             ustates = ctx.item_states("user", user_id)
             astates = ctx.item_states("anchor", anchor_id)
         y_i = item_aspect_interaction(
-            e_u, ustates, e_a, astates, ctx.params.attn,
-            literal_square=config.literal_eq4_product, stats=stats,
-            weight_pieces=ctx.attention_pieces("item"),
+            e_u, ustates, e_a, astates, ctx.w_user_items, ctx.w_anchor_items,
+            literal_square=config.literal_eq4_product,
         )
+        ctx.pair_budgets.append(_n_rows(ustates) * _n_rows(astates))
 
     if config.variant == "no_anchor_aspect":
         y_a = Tensor(np.zeros(d))
     else:
-        hist = ctx.browsed_anchor_matrix(user_id)
-        y_a = anchor_aspect_interaction(e_u, hist, e_a, ctx.params.attn,
-                                        weight_pieces=ctx.attention_pieces("anchor"))
+        y_a = anchor_aspect_interaction(e_u, ctx.browsed_anchor_matrix(user_id), e_a, ctx.w_browsed)
 
     z = ad.concat([y_e, y_i, y_a])
     if dropout_mask is not None:
@@ -400,16 +406,19 @@ def _forward(ctx: _PairContext, user_id: int, anchor_id: int,
 
 
 def forward_pair(catalog: Catalog, params: ModelParams, config: TrainConfig,
-                 user_id: int, anchor_id: int, mode: str = "eval",
-                 stats: InteractionStats | None = None) -> float:
+                 user_id: int, anchor_id: int, mode: str = "eval") -> float:
     """Predict the browse probability for one pair.
 
     In train mode dropout is active, drawing its mask from the config
-    seed's dropout stream; eval mode is deterministic.
+    seed's dropout stream; eval mode is deterministic.  A non-finite score
+    raises NonFiniteScoreError, as in ``evaluate_pairs``.
     """
     ctx = _PairContext(catalog, params, config)
     rng = stream_rng(config.seed, "dropout") if mode == "train" else None
-    return float(_forward(ctx, user_id, anchor_id, _dropout_mask(config, rng), stats).data)
+    score = float(_forward(ctx, user_id, anchor_id, _dropout_mask(config, rng)).data)
+    if not np.isfinite(score):
+        raise NonFiniteScoreError(user_id, anchor_id, score)
+    return score
 
 
 def batch_loss(predictions, labels) -> Tensor:
@@ -459,16 +468,13 @@ def _clip_gradients(grads) -> None:
             grads[i] = grads[i] * scale
 
 
-def _batch_gradients(catalog, params, config, chunk, dropout_rng, item_rows=None):
+def _batch_gradients(catalog, params, config, chunk, dropout_rng):
     """Forward+backward over one batch on a shared tape."""
     tape = Tape()
     bound, leaves = params.bind(tape)
-    ctx = _PairContext(catalog, bound, config, item_rows)
+    ctx = _PairContext(catalog, bound, config)
     ctx.precompute(chunk)
-    preds = [
-        _forward(ctx, p.user_id, p.anchor_id, _dropout_mask(config, dropout_rng), None)
-        for p in chunk
-    ]
+    preds = [_forward(ctx, p.user_id, p.anchor_id, _dropout_mask(config, dropout_rng)) for p in chunk]
     data = batch_loss(preds, [p.label for p in chunk])
     loss = data
     if config.l2_weight > 0.0:
@@ -495,7 +501,6 @@ def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
     params = init_model_params(catalog, config, rng_init)
     rng_shuffle = stream_rng(config.seed, "shuffle")
     rng_dropout = stream_rng(config.seed, "dropout")
-    item_rows = _item_rows(catalog, params.offsets["item"])
 
     adam_m = adam_v = None
     adam_t = 0
@@ -513,7 +518,7 @@ def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             chunk = [pairs[int(i)] for i in order[start : start + config.batch_size]]
-            data_value, loss_value, grads = _batch_gradients(catalog, params, config, chunk, rng_dropout, item_rows)
+            data_value, loss_value, grads = _batch_gradients(catalog, params, config, chunk, rng_dropout)
             if grads is None:
                 raise TrainingDiverged(global_batch)
             _clip_gradients(grads)
@@ -543,21 +548,20 @@ def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
     return params, rows
 
 
-def evaluate_pairs(catalog: Catalog, params: ModelParams, config: TrainConfig, pairs,
-                   stats: InteractionStats | None = None) -> EvalReport:
+def evaluate_pairs(catalog: Catalog, params: ModelParams, config: TrainConfig, pairs) -> EvalReport:
     """Score pairs in eval mode and compute the offline metrics.
 
-    Pass an InteractionStats to capture attention pair budgets.  A
-    non-finite score (from non-finite parameters, say) raises
-    NonFiniteScoreError naming the first such pair instead of entering the
-    metrics.
+    The report's ``mean_pair_budget`` is the mean item-attention pair
+    count over the pairs (M*N, or the kept rows' product under
+    co-retrieval; 0 for an empty side, under ``no_item_aspect`` and for
+    the SVD++ head).  A non-finite score (from non-finite parameters, say)
+    raises NonFiniteScoreError naming the first such pair instead of
+    entering the metrics.
     """
-    if stats is None:
-        stats = InteractionStats()
     t0 = time.perf_counter()
-    ctx = _PairContext(catalog, params, config, _item_rows(catalog, params.offsets["item"]))
+    ctx = _PairContext(catalog, params, config)
     ctx.precompute(pairs)
-    scores = [float(_forward(ctx, p.user_id, p.anchor_id, None, stats).data) for p in pairs]
+    scores = [float(_forward(ctx, p.user_id, p.anchor_id, None).data) for p in pairs]
     finite = np.isfinite(scores)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -565,7 +569,7 @@ def evaluate_pairs(catalog: Catalog, params: ModelParams, config: TrainConfig, p
     labels = [p.label for p in pairs]
     return make_report(
         scores, labels,
-        mean_pair_budget=stats.mean_pair_budget(),
+        mean_pair_budget=float(np.mean(ctx.pair_budgets)) if ctx.pair_budgets else 0.0,
         wall_seconds=time.perf_counter() - t0,
     )
 

@@ -185,7 +185,7 @@ def test_score_unknown_id_exits_2(tmp_path, capsys):
     rc = main(["score", "--catalog", str(cat), "--checkpoint", str(ckpt),
                "--user", "999", "--anchor", "2"])
     assert rc == 2
-    assert "999" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown user id 999\n"
 
 
 def test_score_explain_prints_budget_and_categories(tmp_path, capsys):
@@ -289,3 +289,20 @@ def test_eval_non_finite_checkpoint_exits_2(tmp_path, capsys):
     rc = main(["eval", "--catalog", str(cat), "--pairs", str(prs), "--checkpoint", str(poisoned)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: non-finite score nan for pair (user ")
+
+
+def test_score_non_finite_checkpoint_exits_2(tmp_path, capsys):
+    cat, prs = _gen(tmp_path)
+    ckpt, _ = _train(tmp_path, cat, prs, "nan")
+    params, config = load_checkpoint(ckpt)
+    params.mlp.w2[0] = np.nan
+    from liverec.model import save_checkpoint
+
+    poisoned = tmp_path / "poisoned.ckpt"
+    save_checkpoint(params, config, poisoned)
+    capsys.readouterr()
+    rc = main(["score", "--catalog", str(cat), "--checkpoint", str(poisoned), "--user", "3", "--anchor", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: non-finite score nan for pair (user 3, anchor 2)\n"

@@ -90,6 +90,20 @@ def test_ingest_malformed_lines_reported_with_numbers(tmp_path, caplog):
     assert mentioned == bad_lines
 
 
+@pytest.mark.parametrize("field", ["user", "anchor", "label"])
+def test_ingest_skips_pairs_with_boolean_fields(tmp_path, caplog, field):
+    # JSON true decodes to a Python bool, which is an int; a pairs line
+    # with one is malformed, as a catalog line with a boolean id is
+    cat, prs = _minimal_files(tmp_path)
+    good = {"user": 1, "anchor": 9, "label": 1}
+    _write(prs, [json.dumps({**good, field: True}), json.dumps(good)])
+    with caplog.at_level(logging.WARNING, logger="liverec.data"):
+        _, pairs = ingest_logs(cat, prs)
+    assert pairs == [LabeledPair(1, 9, 1)]
+    assert type(pairs[0].user_id) is int and type(pairs[0].label) is int
+    assert [int(r.args[1]) for r in caplog.records] == [1]
+
+
 @pytest.mark.parametrize("which", ["catalog", "pairs"])
 def test_ingest_skips_undecodable_and_over_deep_lines(tmp_path, caplog, which):
     # invalid UTF-8 and nesting deeper than the JSON decoder's recursion

@@ -4,15 +4,8 @@ import pytest
 
 from liverec import autodiff as ad
 from liverec.autodiff import ShapeError, Tensor
-from liverec.interaction import (
-    AttentionParams,
-    InteractionStats,
-    SvdppWeights,
-    anchor_aspect_interaction,
-    embed_similarity,
-    item_aspect_interaction,
-    svdpp_similarity,
-)
+from liverec.interaction import anchor_aspect_interaction, embed_similarity, item_aspect_interaction, svdpp_similarity
+from liverec.model import AttentionParams
 
 from oracles import (
     anchor_attention_reference,
@@ -34,6 +27,22 @@ def _attn(rng, d):
 def _states(rows):
     """Stack (d,) rows into the (M, d) state tensor the model passes."""
     return Tensor(np.array(rows))
+
+
+def _item(e_u, hu, e_a, ha, params, literal_square=False):
+    """Item-aspect attention with the (d,) weight slices the model cuts from ``params``."""
+    w = np.reshape(params.item_w, (4, -1))
+    return item_aspect_interaction(
+        Tensor(e_u), hu if hu is None else _states(hu), Tensor(e_a), ha if ha is None else _states(ha),
+        Tensor(w[1]), Tensor(w[3]), literal_square=literal_square,
+    ).data
+
+
+def _anchor(e_u, hist, e_t, params):
+    """Anchor-aspect attention with the (d,) weight slice the model cuts from ``params``."""
+    w = np.reshape(params.anchor_w, (3, -1))
+    hist = hist if hist is None else _states(hist)
+    return anchor_aspect_interaction(Tensor(e_u), hist, Tensor(e_t), Tensor(w[1])).data
 
 
 # ---------------------------------------------------------------------------
@@ -71,20 +80,6 @@ def test_svdpp_empty_histories_is_plain_dot():
     assert float(got.data) == pytest.approx(float(e_u @ e_a))
 
 
-def test_svdpp_recovers_classical_form_with_zero_anchor_weights():
-    # user weights 1/sqrt(M) and anchor weights 0: the anchor side reduces
-    # to its static embedding alone
-    rng = np.random.default_rng(1)
-    d, m = 3, 4
-    e_u, e_a = rng.normal(size=d), rng.normal(size=d)
-    user_h = [rng.normal(size=d) for _ in range(m)]
-    anchor_h = [rng.normal(size=d) for _ in range(2)]
-    weights = SvdppWeights(anchor=np.zeros(2))
-    got = svdpp_similarity(Tensor(e_u), _states(user_h), Tensor(e_a), _states(anchor_h), weights)
-    classical = float((e_u + sum(user_h) / np.sqrt(m)) @ e_a)
-    assert float(got.data) == pytest.approx(classical, abs=1e-12)
-
-
 def test_svdpp_toy_expansion():
     e_u = np.array([1.0, 2.0])
     e_a = np.array([0.5, -1.0])
@@ -105,8 +100,8 @@ def test_item_attention_singleton_softmax():
     params = _attn(rng, d)
     e_u, e_a = rng.normal(size=d), rng.normal(size=d)
     hu, ha = rng.normal(size=d), rng.normal(size=d)
-    out = item_aspect_interaction(Tensor(e_u), _states([hu]), Tensor(e_a), _states([ha]), params)
-    np.testing.assert_allclose(out.data, hu * ha, atol=1e-12)
+    out = _item(e_u, [hu], e_a, [ha], params)
+    np.testing.assert_allclose(out, hu * ha, atol=1e-12)
 
 
 def test_item_attention_zero_weights_uniform_average():
@@ -116,9 +111,9 @@ def test_item_attention_zero_weights_uniform_average():
     e_u, e_a = rng.normal(size=d), rng.normal(size=d)
     hu = [rng.normal(size=d) for _ in range(m)]
     ha = [rng.normal(size=d) for _ in range(n)]
-    out = item_aspect_interaction(Tensor(e_u), _states(hu), Tensor(e_a), _states(ha), params)
+    out = _item(e_u, hu, e_a, ha, params)
     mean = sum(a * b for a in hu for b in ha) / (m * n)
-    np.testing.assert_allclose(out.data, mean, atol=1e-12)
+    np.testing.assert_allclose(out, mean, atol=1e-12)
 
 
 def test_item_attention_matches_bruteforce():
@@ -131,9 +126,7 @@ def test_item_attention_matches_bruteforce():
         hu = [rng.normal(size=d) for _ in range(m)]
         ha = [rng.normal(size=d) for _ in range(n)]
         for literal in (False, True):
-            got = item_aspect_interaction(
-                Tensor(e_u), _states(hu), Tensor(e_a), _states(ha), params, literal_square=literal
-            ).data
+            got = _item(e_u, hu, e_a, ha, params, literal_square=literal)
             want = item_attention_reference(e_u, hu, e_a, ha, params.item_w, params.item_b, literal)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -142,29 +135,26 @@ def test_item_attention_empty_side_gives_zero():
     rng = np.random.default_rng(5)
     d = 3
     params = _attn(rng, d)
-    stats = InteractionStats()
-    out = item_aspect_interaction(
-        Tensor(rng.normal(size=d)), None, Tensor(rng.normal(size=d)),
-        _states([rng.normal(size=d)]), params, stats=stats,
-    )
-    np.testing.assert_array_equal(out.data, np.zeros(d))
-    assert stats.pair_budgets == [0]
+    e_u, e_a, h = rng.normal(size=d), rng.normal(size=d), [rng.normal(size=d)]
+    np.testing.assert_array_equal(_item(e_u, None, e_a, h, params), np.zeros(d))
+    np.testing.assert_array_equal(_item(e_u, h, e_a, None, params), np.zeros(d))
 
 
 def test_item_attention_weights_sum_to_one():
-    # softmax weights are implicit; verify through a probe: scaling all
-    # products by adding a constant to each state is not linear, so check
-    # via the bias shift invariance instead
+    # softmax weights are implicit; verify through a probe: every pair
+    # shares the bias and the static-embedding blocks w1 and w3 of the
+    # logit, so with weights summing to one the brute-force output with
+    # those shifted is still the output of the two slices alone
     rng = np.random.default_rng(6)
     d, m, n = 3, 4, 2
     e_u, e_a = rng.normal(size=d), rng.normal(size=d)
     hu = [rng.normal(size=d) for _ in range(m)]
     ha = [rng.normal(size=d) for _ in range(n)]
     base = _attn(rng, d)
-    shifted = AttentionParams(base.item_w, np.asarray(base.item_b) + 5.0, base.anchor_w, base.anchor_b)
-    a = item_aspect_interaction(Tensor(e_u), _states(hu), Tensor(e_a), _states(ha), base).data
-    b = item_aspect_interaction(Tensor(e_u), _states(hu), Tensor(e_a), _states(ha), shifted).data
-    np.testing.assert_allclose(a, b, atol=1e-12)
+    shifted_w = np.reshape(base.item_w, (4, d)).copy()
+    shifted_w[[0, 2]] = rng.normal(size=(2, d))
+    want = item_attention_reference(e_u, hu, e_a, ha, shifted_w.ravel(), np.asarray(base.item_b) + 5.0)
+    np.testing.assert_allclose(_item(e_u, hu, e_a, ha, base), want, atol=1e-12)
 
 
 def test_item_attention_permutation_invariance():
@@ -174,27 +164,11 @@ def test_item_attention_permutation_invariance():
     e_u, e_a = rng.normal(size=d), rng.normal(size=d)
     hu = [rng.normal(size=d) for _ in range(m)]
     ha = [rng.normal(size=d) for _ in range(n)]
-    base = item_aspect_interaction(Tensor(e_u), _states(hu), Tensor(e_a), _states(ha), params).data
+    base = _item(e_u, hu, e_a, ha, params)
     perm_u = [2, 0, 3, 1]
     perm_a = [1, 2, 0]
-    out = item_aspect_interaction(
-        Tensor(e_u), _states([hu[i] for i in perm_u]), Tensor(e_a), _states([ha[i] for i in perm_a]), params
-    ).data
+    out = _item(e_u, [hu[i] for i in perm_u], e_a, [ha[i] for i in perm_a], params)
     np.testing.assert_allclose(out, base, atol=1e-12)
-
-
-def test_item_attention_pair_budget_counter():
-    rng = np.random.default_rng(8)
-    d = 2
-    params = _attn(rng, d)
-    stats = InteractionStats()
-    for m, n in ((1, 1), (3, 5), (7, 2)):
-        item_aspect_interaction(
-            Tensor(rng.normal(size=d)), _states([rng.normal(size=d) for _ in range(m)]),
-            Tensor(rng.normal(size=d)), _states([rng.normal(size=d) for _ in range(n)]),
-            params, stats=stats,
-        )
-    assert stats.pair_budgets == [1, 15, 14]
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +181,8 @@ def test_anchor_attention_singleton():
     params = _attn(rng, d)
     e_u, e_t = rng.normal(size=d), rng.normal(size=d)
     eh = rng.normal(size=d)
-    out = anchor_aspect_interaction(Tensor(e_u), _states([eh]), Tensor(e_t), params)
-    np.testing.assert_allclose(out.data, eh * e_t, atol=1e-12)
+    out = _anchor(e_u, [eh], e_t, params)
+    np.testing.assert_allclose(out, eh * e_t, atol=1e-12)
 
 
 def test_anchor_attention_zero_weights_uniform():
@@ -217,8 +191,8 @@ def test_anchor_attention_zero_weights_uniform():
     params = AttentionParams(np.zeros(4 * d), np.zeros(()), np.zeros(3 * d), np.zeros(()))
     e_u, e_t = rng.normal(size=d), rng.normal(size=d)
     hist = [rng.normal(size=d) for _ in range(n)]
-    out = anchor_aspect_interaction(Tensor(e_u), _states(hist), Tensor(e_t), params)
-    np.testing.assert_allclose(out.data, sum(h * e_t for h in hist) / n, atol=1e-12)
+    out = _anchor(e_u, hist, e_t, params)
+    np.testing.assert_allclose(out, sum(h * e_t for h in hist) / n, atol=1e-12)
 
 
 def test_anchor_attention_matches_bruteforce():
@@ -229,7 +203,7 @@ def test_anchor_attention_matches_bruteforce():
         params = _attn(rng, d)
         e_u, e_t = rng.normal(size=d), rng.normal(size=d)
         hist = [rng.normal(size=d) for _ in range(n)]
-        got = anchor_aspect_interaction(Tensor(e_u), _states(hist), Tensor(e_t), params).data
+        got = _anchor(e_u, hist, e_t, params)
         want = anchor_attention_reference(e_u, hist, e_t, params.anchor_w, params.anchor_b)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -237,8 +211,8 @@ def test_anchor_attention_matches_bruteforce():
 def test_anchor_attention_empty_history_gives_zero():
     rng = np.random.default_rng(12)
     d = 3
-    out = anchor_aspect_interaction(Tensor(rng.normal(size=d)), None, Tensor(rng.normal(size=d)), _attn(rng, d))
-    np.testing.assert_array_equal(out.data, np.zeros(d))
+    out = _anchor(rng.normal(size=d), None, rng.normal(size=d), _attn(rng, d))
+    np.testing.assert_array_equal(out, np.zeros(d))
 
 
 # ---------------------------------------------------------------------------
@@ -253,24 +227,24 @@ def test_interaction_gradients():
     hu = rng.normal(size=(m, d))
     ha = rng.normal(size=(n, d))
     w_i = rng.normal(size=4 * d)
-    b_i = rng.normal(size=())
     w_a = rng.normal(size=3 * d)
-    b_a = rng.normal(size=())
     cot = rng.normal(size=d)
 
+    # the weight slices are cut from the whole vector on the tape, as the model does
     def build_item(xs):
-        params = AttentionParams(xs[0], xs[1], w_a, b_a)
-        out = item_aspect_interaction(xs[2], xs[4], xs[3], Tensor(ha), params)
+        w = ad.reshape(xs[0], (4, d))
+        out = item_aspect_interaction(
+            xs[1], xs[3], xs[2], Tensor(ha), ad.embedding_lookup(w, 1), ad.embedding_lookup(w, 3)
+        )
         return ad.reduce_sum(ad.multiply_elementwise(out, cot))
 
-    assert fd_max_rel_error(build_item, [w_i, b_i, e_u, e_a, hu]) <= 1e-4
+    assert fd_max_rel_error(build_item, [w_i, e_u, e_a, hu]) <= 1e-4
 
     def build_anchor(xs):
-        params = AttentionParams(w_i, b_i, xs[0], xs[1])
-        out = anchor_aspect_interaction(xs[2], xs[3], xs[4], params)
+        out = anchor_aspect_interaction(xs[1], xs[2], xs[3], ad.embedding_lookup(ad.reshape(xs[0], (3, d)), 1))
         return ad.reduce_sum(ad.multiply_elementwise(out, cot))
 
-    assert fd_max_rel_error(build_anchor, [w_a, b_a, e_u, hu, e_a]) <= 1e-4
+    assert fd_max_rel_error(build_anchor, [w_a, e_u, hu, e_a]) <= 1e-4
 
     def build_svdpp(xs):
         return svdpp_similarity(xs[0], xs[2], xs[1], xs[3])

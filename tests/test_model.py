@@ -27,7 +27,7 @@ from liverec.model import (
 )
 from liverec.seeding import stream_rng
 
-from oracles import forward_reference, lstm_reference
+from oracles import forward_reference, lstm_reference, naive_co_retrieve
 
 DIMS = dict(dim=6, dropout=0.0, epochs=2, batch_size=16, l2_weight=1e-4)
 
@@ -96,8 +96,21 @@ def test_forward_unknown_ids():
     params = _params(catalog, config)
     with pytest.raises(UnknownIdError):
         forward_pair(catalog, params, config, 999, 0)
-    with pytest.raises(UnknownIdError):
+    with pytest.raises(UnknownIdError) as info:
         forward_pair(catalog, params, config, 0, 999)
+    assert str(info.value) == "unknown anchor id 999"
+
+
+def test_forward_pair_raises_on_a_non_finite_score():
+    catalog, pairs = _tiny(seed=17)
+    config = TrainConfig(**DIMS)
+    params = _params(catalog, config)
+    params.mlp.w2[0] = np.nan
+    pair = pairs[0]
+    with pytest.raises(NonFiniteScoreError) as info:
+        forward_pair(catalog, params, config, pair.user_id, pair.anchor_id)
+    assert (info.value.user_id, info.value.anchor_id) == (pair.user_id, pair.anchor_id)
+    assert np.isnan(info.value.score)
 
 
 def test_dropout_only_in_train_mode():
@@ -606,14 +619,34 @@ def test_evaluate_pairs_reports_budget_and_metrics():
 
 
 def test_evaluate_with_co_retrieval_caps_budget():
+    from liverec import model
+
     catalog, pairs = _tiny(seed=18, history_len_range=(10, 20))
     config = TrainConfig(variant="with_co_retrieval", co_retrieval_k=3, **DIMS)
     params = _params(catalog, config)
-    from liverec.interaction import InteractionStats
+    ctx = model._PairContext(catalog, params, config)
+    for p in pairs:
+        model._forward(ctx, p.user_id, p.anchor_id, None)
+    assert len(ctx.pair_budgets) == len(pairs)
+    assert max(ctx.pair_budgets) <= 9
 
-    stats = InteractionStats()
-    evaluate_pairs(catalog, params, config, pairs, stats=stats)
-    assert max(stats.pair_budgets) <= 9
+
+@pytest.mark.parametrize("variant", ["full", "with_co_retrieval", "no_item_aspect"])
+def test_evaluate_pairs_mean_pair_budget(variant):
+    # M*N over the full histories, the kept rows' product under co-retrieval, 0 without the item aspect
+    catalog, pairs = _tiny(seed=18, history_len_range=(10, 20))
+    config = TrainConfig(variant=variant, co_retrieval_k=3, **DIMS)
+    report = evaluate_pairs(catalog, _params(catalog, config), config, pairs)
+    if variant == "full":
+        budgets = [len(catalog.users[p.user_id].browsed_items) * len(catalog.anchors[p.anchor_id].broadcast_items)
+                   for p in pairs]
+    elif variant == "with_co_retrieval":
+        kept = [naive_co_retrieve(catalog, p.user_id, p.anchor_id, 3) for p in pairs]
+        budgets = [len(k["user_positions"]) * len(k["anchor_positions"]) for k in kept]
+        assert 0 in budgets and max(budgets) == 9  # both an empty intersection and a full cap occur
+    else:
+        budgets = [0]
+    assert report.mean_pair_budget == pytest.approx(np.mean(budgets), abs=1e-12)
 
 
 def test_evaluate_pairs_raises_on_a_non_finite_score():
