@@ -57,7 +57,6 @@ __all__ = [
     "log",
     "clamp",
     "embedding_lookup",
-    "dropout_mask_apply",
     "reshape",
     "lstm",
 ]
@@ -90,15 +89,6 @@ class Tensor:
     @property
     def tracked(self) -> bool:
         return self.node_id is not None
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return multiply_elementwise(self, other)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, tracked={self.tracked})"
@@ -294,15 +284,6 @@ def embedding_lookup(table, indices) -> Tensor:
     return _emit(_tape_of((ti, tt)), "embedding_lookup", (ti,), (idx, td.shape), out)
 
 
-def dropout_mask_apply(x, mask: np.ndarray) -> Tensor:
-    """Multiply by a precomputed dropout mask (0 or 1/keep entries)."""
-    xd, xi, xt = _parts(x)
-    if np.shape(mask) != xd.shape:
-        raise ShapeError("dropout_mask_apply", xd.shape, np.shape(mask))
-    out = xd * mask
-    return _emit(_tape_of((xi, xt)), "dropout_mask_apply", (xi,), (mask,), out)
-
-
 def reshape(x, shape: tuple[int, ...]) -> Tensor:
     xd, xi, xt = _parts(x)
     if prod(shape) != xd.size:
@@ -452,11 +433,6 @@ def _bk_clamp(ids, saved, g, acc):
     acc(ids[0], g * mask)
 
 
-def _bk_dropout(ids, saved, g, acc):
-    (mask,) = saved
-    acc(ids[0], g * mask)
-
-
 def _bk_reshape(ids, saved, g, acc):
     (xshape,) = saved
     acc(ids[0], g.reshape(xshape))
@@ -517,7 +493,6 @@ _BACKWARD = {
     "dot": _bk_dot,
     "log": _bk_log,
     "clamp": _bk_clamp,
-    "dropout_mask_apply": _bk_dropout,
     "reshape": _bk_reshape,
     "lstm": _bk_lstm,
 }

@@ -5,22 +5,23 @@ index file), ``train``, ``eval``, ``score``, and ``sweep`` (ablation runs
 across seeds).  Exit codes: 0 success, 2 usage/input error, 3 numeric
 failure.
 
-All flags of a subcommand can instead be given in a flat ``key=value``
-config file via ``--config``; explicit flags win.  Every command is
-deterministic given its flags and seed.
+Every flag of a subcommand can instead be set in a ``key=value`` config
+file given by ``--config``: a key is a flag name without its dashes, and
+a switch takes true or false.  The file's settings go ahead of the command
+line's flags, so flags win, and a bad setting exits 2 as a bad flag does.
+Every command is deterministic given its flags and seed.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields, replace
 
 import numpy as np
 
-from .data import IngestError, SyntheticSpec, generate_synthetic, ingest_logs, split_dataset, write_catalog, write_pairs
+from .data import SyntheticSpec, generate_synthetic, ingest_logs, split_dataset, write_catalog, write_pairs
 from .model import (
-    CheckpointError,
     TrainConfig,
     TrainingDiverged,
     UnknownIdError,
@@ -39,81 +40,81 @@ _VARIANT_FLAGS = {
     "no-anchor": "no_anchor_aspect",
     "co-retrieval": "with_co_retrieval",
 }
+_SWITCH_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _read_config_file(path) -> dict[str, str]:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
+def _config_parser(prog: str = "liverec") -> argparse.ArgumentParser:
+    """The ``--config`` flag: a parent of every subcommand's parser, and
+    the parser that reads the path before the full parse."""
+    p = argparse.ArgumentParser(prog=prog, add_help=False, allow_abbrev=False)
+    p.add_argument("--config", help="key=value file of flag settings; command-line flags win")
+    return p
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Turn --config file entries into parser defaults; flags override."""
-    if "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        parser.error("--config needs a file path")
-    values = _read_config_file(argv[at + 1])
-    known = {a.dest for a in parser._actions}
-    defaults = {}
-    for key, raw in values.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            parser.error(f"config file sets unknown key {key!r}")
-        action = next(a for a in parser._actions if a.dest == dest)
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            defaults[dest] = raw.lower() in ("1", "true", "yes")
-        elif action.type is not None:
-            defaults[dest] = action.type(raw)
-        else:
-            defaults[dest] = raw
-    parser.set_defaults(**defaults)
-    return [a for i, a in enumerate(argv) if i not in (at, at + 1)]
+def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The flag tokens a config file spells for ``parser``: ``--key=value``,
+    or ``--key`` for a switch set true.  A switch is a flag whose default
+    is a bool."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        parser.error(f"--config: {exc}")
+    tokens = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            parser.error(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key == "config":
+            parser.error(f"{path}:{lineno}: a config file cannot name another config file")
+        if not isinstance(parser.get_default(key.replace("-", "_")), bool):
+            tokens.append(f"--{key}={value}")
+        elif value.lower() not in _SWITCH_VALUES:
+            parser.error(f"{path}:{lineno}: switch {key} takes true or false, got {value!r}")
+        elif _SWITCH_VALUES[value.lower()]:
+            tokens.append(f"--{key}")
+    return tokens
+
+
+def _variant_list(text: str) -> list[str]:
+    flags = [v.strip() for v in text.split(",")]
+    if not set(flags) <= set(_VARIANT_FLAGS):
+        raise argparse.ArgumentTypeError(f"variants must be among {', '.join(sorted(_VARIANT_FLAGS))}, got {text!r}")
+    return flags
+
+
+def _with_variant(config: TrainConfig, flag: str | None) -> TrainConfig:
+    return config if flag is None else replace(config, variant=_VARIANT_FLAGS[flag])
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default="full")
-    p.add_argument("--lr-start", type=float, default=1e-2)
-    p.add_argument("--lr-end", type=float, default=1e-6)
-    p.add_argument("--batch-size", type=int, default=2000)
-    p.add_argument("--l2", type=float, default=4e-4)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--k", type=int, default=10, help="co-retrieval cap per side")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    """One flag per TrainConfig field but ``threads``; each flag's dest is
+    its field's name and its default the field's default."""
+    d = TrainConfig()
+    p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), help="ablation variant (default: the full model)")
+    p.add_argument("--lr-start", type=float, default=d.lr_start)
+    p.add_argument("--lr-end", type=float, default=d.lr_end)
+    p.add_argument("--batch-size", type=int, default=d.batch_size)
+    p.add_argument("--l2", dest="l2_weight", metavar="L2", type=float, default=d.l2_weight)
+    p.add_argument("--dropout", type=float, default=d.dropout)
+    p.add_argument("--dim", type=int, default=d.dim)
+    p.add_argument("--k", dest="co_retrieval_k", metavar="K", type=int, default=d.co_retrieval_k,
+                   help="co-retrieval cap per side")
+    p.add_argument("--epochs", type=int, default=d.epochs)
+    p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--literal-eq4-product", action="store_true",
                    help="use the anchor-side square attention product variant")
-    p.add_argument("--optimizer", choices=("sgd", "adam"), default="sgd")
+    p.add_argument("--optimizer", choices=("sgd", "adam"), default=d.optimizer)
     p.add_argument("--svdpp-head", action="store_true",
                    help="score with the dot-product baseline head instead of the MLP")
 
 
 def _config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        variant=_VARIANT_FLAGS[args.variant],
-        lr_start=args.lr_start,
-        lr_end=args.lr_end,
-        batch_size=args.batch_size,
-        l2_weight=args.l2,
-        dropout=args.dropout,
-        dim=args.dim,
-        co_retrieval_k=args.k,
-        epochs=args.epochs,
-        seed=args.seed,
-        literal_eq4_product=args.literal_eq4_product,
-        optimizer=args.optimizer,
-        svdpp_head=args.svdpp_head,
-    )
+    values = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if f.name not in ("variant", "threads")}
+    return _with_variant(TrainConfig(**values), args.variant)
 
 
 def cmd_generate(args) -> int:
@@ -170,8 +171,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
-    if args.variant is not None:
-        config = TrainConfig(**{**asdict(config), "variant": _VARIANT_FLAGS[args.variant]})
+    config = _with_variant(config, args.variant)
     catalog, pairs = ingest_logs(args.catalog, args.pairs)
     seed = args.split_seed if args.split_seed is not None else config.seed
     _, _, test_split = split_dataset(pairs, seed=seed)
@@ -186,7 +186,7 @@ def cmd_eval(args) -> int:
 def cmd_score(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
     catalog = _ingest_catalog_only(args.catalog)
-    yhat = forward_pair(catalog, params, config, args.user, args.anchor, mode="eval")
+    yhat = forward_pair(catalog, params, config, args.user, args.anchor)
     print(repr(yhat))
     if args.explain:
         user_index, anchor_index = catalog.kkv_indices()
@@ -200,15 +200,13 @@ def cmd_score(args) -> int:
 def cmd_sweep(args) -> int:
     catalog, pairs = ingest_logs(args.catalog, args.pairs)
     train_split, _, test_split = split_dataset(pairs, seed=args.split_seed)
-    variants = [v.strip() for v in args.variants.split(",")]
-    seeds = range(args.seeds)
+    base = _config_from_args(args)
     print("variant,seed,test_auc,test_acc,test_logloss")
     summary = {}
-    for flag in variants:
+    for flag in args.variants:
         aucs = []
-        for seed in seeds:
-            config = _config_from_args(args)
-            config = TrainConfig(**{**asdict(config), "variant": _VARIANT_FLAGS[flag], "seed": seed})
+        for seed in range(args.seeds):
+            config = replace(base, variant=_VARIANT_FLAGS[flag], seed=seed)
             params, _ = train(catalog, train_split, config)
             report = evaluate_pairs(catalog, params, config, test_split)
             auc = float("nan") if report.auc is None else report.auc
@@ -220,13 +218,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(prog="liverec",
                                      description="two-side live-broadcast recommender")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag, on the command line or as a config key, is spelled in full
+    common = {"parents": [_config_parser()], "allow_abbrev": False}
 
-    p = sub.add_parser("generate", help="write synthetic catalog and pairs JSONL files")
-    p.add_argument("--config", help="flat key=value config file; flags override")
+    p = sub.add_parser("generate", help="write synthetic catalog and pairs JSONL files", **common)
     p.add_argument("--out-catalog", required=True)
     p.add_argument("--out-pairs", required=True)
     p.add_argument("--users", type=int, required=True)
@@ -242,15 +242,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("build-index", help="build and serialize a KKV retrieval index")
-    p.add_argument("--config", help="flat key=value config file; flags override")
+    p = sub.add_parser("build-index", help="build and serialize a KKV retrieval index", **common)
     p.add_argument("--catalog", required=True)
     p.add_argument("--side", choices=("user", "anchor"), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_build_index)
 
-    p = sub.add_parser("train", help="train a model and write checkpoint + metrics CSV")
-    p.add_argument("--config", help="flat key=value config file; flags override")
+    p = sub.add_parser("train", help="train a model and write checkpoint + metrics CSV", **common)
     p.add_argument("--catalog", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--out-checkpoint", required=True)
@@ -261,20 +259,17 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    p.add_argument("--config", help="flat key=value config file; flags override")
+    p = sub.add_parser("eval", help="evaluate a checkpoint on the test split", **common)
     p.add_argument("--catalog", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default=None,
-                   help="override the checkpoint's variant")
+    p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), help="override the checkpoint's variant")
     p.add_argument("--split-seed", type=int, default=None,
                    help="split seed (default: the checkpoint's seed)")
     p.add_argument("--json", default=None, help="also write the report as JSON")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("score", help="score a single (user, anchor) pair")
-    p.add_argument("--config", help="flat key=value config file; flags override")
+    p = sub.add_parser("score", help="score a single (user, anchor) pair", **common)
     p.add_argument("--catalog", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--user", type=int, required=True)
@@ -283,37 +278,32 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also print the co-retrieval pair budget and common categories")
     p.set_defaults(fn=cmd_score)
 
-    p = sub.add_parser("sweep", help="train ablation variants across seeds, print AUC table")
-    p.add_argument("--config", help="flat key=value config file; flags override")
+    p = sub.add_parser("sweep", help="train ablation variants across seeds, print AUC table", **common)
     p.add_argument("--catalog", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--variants", default="full,no-item,no-anchor,co-retrieval")
+    p.add_argument("--variants", type=_variant_list, default="full,no-item,no-anchor,co-retrieval")
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--split-seed", type=int, default=0)
     _add_train_flags(p)
     p.set_defaults(fn=cmd_sweep)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    # find the subparser to resolve --config against its flags
+    parser, commands = _build_parser()
     try:
-        if argv and not argv[0].startswith("-"):
-            sub_actions = next(
-                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-            )
-            subparser = sub_actions.choices.get(argv[0])
-            if subparser is not None and "--config" in argv:
-                argv = [argv[0]] + _apply_config_file(subparser, argv[1:])
+        if argv and argv[0] in commands:
+            path = _config_parser(f"liverec {argv[0]}").parse_known_args(argv[1:])[0].config
+            if path is not None:
+                argv = argv[:1] + _config_tokens(commands[argv[0]], path) + argv[1:]
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (IngestError, CheckpointError, UnknownIdError, FileNotFoundError, ValueError) as exc:
+    except (UnknownIdError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingDiverged as exc:

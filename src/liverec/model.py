@@ -344,6 +344,7 @@ def _rows(states: Tensor | None, positions) -> Tensor | None:
 
 
 def _dropout_mask(config: TrainConfig, rng: np.random.Generator | None):
+    """Inverted-dropout mask (0 or 1/keep) for the MLP input; None without an rng or at dropout 0."""
     if rng is None or config.dropout <= 0.0:
         return None
     keep = 1.0 - config.dropout
@@ -399,23 +400,20 @@ def _forward(ctx: _PairContext, user_id: int, anchor_id: int, dropout_mask: np.n
 
     z = ad.concat([y_e, y_i, y_a])
     if dropout_mask is not None:
-        z = ad.dropout_mask_apply(z, dropout_mask)
+        z = ad.multiply_elementwise(z, dropout_mask)
     hidden = ad.relu(ad.add(ad.matmul(ctx.params.mlp.w1, z), ctx.params.mlp.b1))
     score = ad.add(ad.dot(ctx.params.mlp.w2, hidden), ctx.params.mlp.b2)
     return ad.sigmoid(score)
 
 
 def forward_pair(catalog: Catalog, params: ModelParams, config: TrainConfig,
-                 user_id: int, anchor_id: int, mode: str = "eval") -> float:
-    """Predict the browse probability for one pair.
-
-    In train mode dropout is active, drawing its mask from the config
-    seed's dropout stream; eval mode is deterministic.  A non-finite score
-    raises NonFiniteScoreError, as in ``evaluate_pairs``.
+                 user_id: int, anchor_id: int) -> float:
+    """Predict the browse probability for one pair, as ``evaluate_pairs``
+    scores it: deterministic, with no dropout (only ``train`` draws dropout
+    masks).  A non-finite score raises NonFiniteScoreError.
     """
     ctx = _PairContext(catalog, params, config)
-    rng = stream_rng(config.seed, "dropout") if mode == "train" else None
-    score = float(_forward(ctx, user_id, anchor_id, _dropout_mask(config, rng)).data)
+    score = float(_forward(ctx, user_id, anchor_id, None).data)
     if not np.isfinite(score):
         raise NonFiniteScoreError(user_id, anchor_id, score)
     return score

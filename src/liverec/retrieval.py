@@ -35,9 +35,6 @@ class KKVIndex:
     side: str  # "user" or "anchor"
     owners: dict[int, dict[int, list[tuple[int, int]]]]
 
-    def categories(self, owner_id: int) -> set[int]:
-        return set(self.owners.get(owner_id, ()))
-
 
 @dataclass
 class RetrievedHistories:

@@ -14,7 +14,7 @@ FD_TOL = 1e-4
 # every differentiable op kind; gathers take their own route in backward
 FD_KINDS = (
     "add", "multiply_elementwise", "matmul", "concat", "sum", "sigmoid", "softmax", "relu",
-    "dot", "log", "clamp", "embedding_lookup", "dropout_mask_apply", "reshape", "lstm",
+    "dot", "log", "clamp", "embedding_lookup", "reshape", "lstm",
 )
 
 
@@ -120,19 +120,6 @@ def test_outputs_finite_on_finite_inputs():
         x = rng.uniform(-700, 700, size=6)
         for fn in (ad.sigmoid, ad.softmax, ad.relu):
             assert np.all(np.isfinite(fn(x).data))
-
-
-def test_dropout_mask_semantics():
-    rng = np.random.default_rng(2)
-    keep = 0.5
-    x = rng.normal(size=10000)
-    mask = (rng.random(10000) < keep) / keep
-    out = ad.dropout_mask_apply(x, mask).data
-    zeroed = out == 0.0
-    assert 0.45 < zeroed.mean() < 0.55
-    np.testing.assert_allclose(out[~zeroed], x[~zeroed] / keep)
-    # eval mode is the identity: the model simply skips the op
-    np.testing.assert_array_equal(ad.dropout_mask_apply(x, np.ones(10000)).data, x)
 
 
 def test_tape_topological_order_invariant():
@@ -351,12 +338,6 @@ def _sampler(kind, rng):
         idx = rng.integers(0, v, size=rng.integers(1, 6))
         table = rng.normal(size=(v, d))
         return (lambda xs: _cotangent_sum(ad.embedding_lookup(xs[0], idx), np.random.default_rng(7))), [table]
-    if kind == "dropout_mask_apply":
-        n = rng.integers(1, 10)
-        keep = 0.5
-        mask = (rng.random(n) < keep) / keep
-        x = rng.normal(size=n)
-        return (lambda xs: _cotangent_sum(ad.dropout_mask_apply(xs[0], mask), np.random.default_rng(7))), [x]
     if kind == "reshape":
         m, n = rng.integers(1, 5, size=2)
         x = rng.normal(size=m * n)

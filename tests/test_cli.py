@@ -1,10 +1,11 @@
 """CLI commands: exit codes, determinism, config files, wiring."""
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from liverec.cli import main
+from liverec.cli import _build_parser, _config_from_args, main
 from liverec.data import ingest_logs, split_dataset
 from liverec.model import TrainConfig, forward_pair, load_checkpoint
 from liverec.retrieval import build_index, co_retrieve, load_index, pair_budget
@@ -306,3 +307,65 @@ def test_score_non_finite_checkpoint_exits_2(tmp_path, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "error: non-finite score nan for pair (user 3, anchor 2)\n"
+
+
+_REQUIRED_TRAIN_FLAGS = ["--catalog", "c.jsonl", "--pairs", "p.jsonl",
+                         "--out-checkpoint", "x.ckpt", "--metrics-csv", "x.csv"]
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("variant=bogus", "argument --variant: invalid choice: 'bogus'"),
+    ("dim=abc", "argument --dim: invalid int value: 'abc'"),
+    (None, "--config: [Errno 2] No such file or directory"),
+    ("dim", "expected key=value, got 'dim'"),
+    ("svdpp-head=maybe", "switch svdpp-head takes true or false, got 'maybe'"),
+    ("nonsense=1", "unrecognized arguments: --nonsense=1"),
+    ("var=no-item", "unrecognized arguments: --var=no-item"),
+], ids=["bad-choice", "bad-type", "missing-file", "no-equals", "bad-switch", "unknown-key", "abbreviated-key"])
+def test_config_file_bad_setting_is_a_usage_error(tmp_path, capsys, setting, message):
+    cfg = tmp_path / "bad.cfg"
+    if setting is not None:
+        cfg.write_text(setting + "\n", encoding="utf-8")
+    assert main(["train", "--config", str(cfg), *_REQUIRED_TRAIN_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: liverec")
+    assert message in err.splitlines()[-1]
+    assert "Traceback" not in err
+
+
+def test_config_file_supplies_required_flags_in_either_form(tmp_path):
+    cat, prs = _gen(tmp_path)
+    ckpt = tmp_path / "req.ckpt"
+    cfg = tmp_path / "req.cfg"
+    cfg.write_text(
+        f"catalog={cat}\npairs={prs}\nout-checkpoint={ckpt}\nmetrics-csv={tmp_path / 'req.csv'}\n"
+        "variant=no-item\ndim=6\nepochs=2\nbatch-size=32\nsvdpp-head=no\nliteral-eq4-product=yes\n",
+        encoding="utf-8",
+    )
+    for argv, epochs in ((["--config", str(cfg)], 2), ([f"--config={cfg}", "--epochs", "1"], 1)):
+        assert main(["train", *argv]) == 0
+        _, config = load_checkpoint(ckpt)
+        assert (config.variant, config.dim, config.epochs) == ("no_item_aspect", 6, epochs)
+        assert config.literal_eq4_product and not config.svdpp_head
+
+
+def test_train_flag_defaults_are_train_config_defaults():
+    parser, _ = _build_parser()
+    args = parser.parse_args(["train", *_REQUIRED_TRAIN_FLAGS])
+    defaults = TrainConfig()
+    for field in fields(TrainConfig):
+        if field.name not in ("variant", "threads"):
+            assert getattr(args, field.name) == getattr(defaults, field.name), field.name
+    assert _config_from_args(args) == defaults
+
+
+def test_sweep_unknown_variant_exits_2(capsys):
+    assert main(["sweep", "--catalog", "c.jsonl", "--pairs", "p.jsonl", "--variants", "full,bogus"]) == 2
+    assert "argument --variants: variants must be among" in capsys.readouterr().err
+
+
+def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    rc = main(["train", "--catalog", str(tmp_path), "--pairs", str(tmp_path / "nope.jsonl"),
+               "--out-checkpoint", str(tmp_path / "x.ckpt"), "--metrics-csv", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: [Errno 21] Is a directory: '{tmp_path}'")

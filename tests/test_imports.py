@@ -1,9 +1,13 @@
-"""Every name a liverec module imports is used in that module, and every
-autodiff op is called from some other liverec module.
+"""Every name a liverec module imports is used in that module, every
+autodiff op is called from some other liverec module, and ``import
+liverec`` loads no scipy subpackage beyond the two it uses.
 
 Package ``__init__`` files are exempt: their imports are re-exports.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +81,14 @@ def test_every_autodiff_op_has_a_caller():
     ops = set(autodiff.__all__) - AUTODIFF_NON_OPS
     called = set().union(*(autodiff_calls(p.read_text(encoding="utf-8")) for p in MODULES if p.name != "autodiff.py"))
     assert sorted(ops - called) == []
+
+
+def test_import_loads_only_scipy_special_and_sparse():
+    # another scipy subpackage (scipy.stats for rankdata, say) adds tens of MB
+    # of peak RSS and about a second of import time to every run
+    probe = ("import sys, liverec; print(sorted(n for n, m in sys.modules.items() if n.count('.') == 1"
+             " and n.startswith('scipy.') and not n.split('.')[1].startswith('_') and hasattr(m, '__path__')))")
+    src = str(Path(liverec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "['scipy.sparse', 'scipy.special']"
