@@ -25,11 +25,16 @@ activations, the cells and their tanh (only when an operand is tracked),
 and its backward rule is a hand-written reverse loop through time, so the
 per-step ops never reach the tape.
 
+``segment_attention`` is the attention layers' pooling: it pools ragged
+groups of rows, each with its own softmax, in one node whatever the
+number of groups, and its backward rule scatters the row gradients back
+once.
+
 Operands may be Tensors, numpy arrays, or Python scalars; non-Tensor
-operands are treated as constants.  Limited broadcasting is supported in
-``add``/``multiply_elementwise`` (equal shapes, scalar against anything,
-and the (M,1)/(1,N) outer pattern the attention layers use).  ``concat``
-joins along axis 0 and ``reduce_sum`` sums all elements or one axis.
+operands are treated as constants.  ``add``/``multiply_elementwise``
+broadcast as numpy does (a (B, d) block against a (d,) vector, say).
+``concat`` joins along one axis and ``reduce_sum`` sums all elements or
+one axis.
 """
 from __future__ import annotations
 
@@ -58,7 +63,9 @@ __all__ = [
     "clamp",
     "embedding_lookup",
     "reshape",
+    "transpose",
     "lstm",
+    "segment_attention",
 ]
 
 
@@ -195,22 +202,23 @@ def matmul(a, b) -> Tensor:
     return _emit(tape, "matmul", (ai, bi), (ad, bd), out)
 
 
-def concat(tensors: Sequence) -> Tensor:
-    """Join tensors along axis 0: 1-D vectors, or (k_i, d) blocks.
+def concat(tensors: Sequence, axis: int = 0) -> Tensor:
+    """Join tensors along one axis: 1-D vectors, or (k_i, d) blocks along
+    axis 0, or (B, d_i) blocks along axis 1.
 
     Scalars are lifted to length-1 vectors; every part must have the same
-    trailing shape.
+    shape off the joined axis.
     """
     parts = [_parts(t) for t in tensors]
     datas = [d if d.ndim else d.reshape(1) for d, _, _ in parts]
     try:
-        out = np.concatenate(datas) if datas else np.zeros(0)
-    except ValueError:
+        out = np.concatenate(datas, axis=axis) if datas else np.zeros(0)
+    except ValueError:  # numpy's AxisError is one too
         raise ShapeError("concat", *[d.shape for d, _, _ in parts]) from None
     tape = _tape_of(*[(nid, tp) for _, nid, tp in parts])
     ids = tuple(nid for _, nid, tp in parts)
     shapes = tuple(d.shape for d, _, _ in parts)
-    return _emit(tape, "concat", ids, (shapes,), out)
+    return _emit(tape, "concat", ids, (shapes, axis % out.ndim), out)
 
 
 def reduce_sum(x, axis: int | None = None) -> Tensor:
@@ -292,6 +300,14 @@ def reshape(x, shape: tuple[int, ...]) -> Tensor:
     return _emit(_tape_of((xi, xt)), "reshape", (xi,), (xd.shape,), out)
 
 
+def transpose(x) -> Tensor:
+    """Swap the two axes of a matrix."""
+    xd, xi, xt = _parts(x)
+    if xd.ndim != 2:
+        raise ShapeError("transpose", xd.shape)
+    return _emit(_tape_of((xi, xt)), "transpose", (xi,), None, xd.T)
+
+
 def lstm(embedded, step_rows, w, u, b) -> Tensor:
     """A whole LSTM loop over B sequences advancing together, as one op.
 
@@ -348,6 +364,46 @@ def lstm(embedded, step_rows, w, u, b) -> Tensor:
     return _emit(tape, "lstm", (xi, wi, ui, bi), saved, out)
 
 
+def segment_attention(states, w, index, lengths, values=None) -> Tensor:
+    """Attention-pool ragged groups of rows, one softmax per group, as one op.
+
+    ``index`` lists rows of ``states`` (R, k) group after group (None for
+    every row in order) and ``lengths`` (S,) counts each group's rows; a
+    group may be empty.  Group s weighs its rows x by ``softmax(x @ w)``
+    over the group and returns the weighted sum of the same rows of
+    ``values`` (R, d), or of ``states`` when None.  The output is (S, d),
+    with a zero row for an empty group; a zero ``w`` gives each group's
+    mean.  The backward rule sums the row gradients into one buffer of
+    ``states``' shape (and one of ``values``'), repeated rows included.
+    """
+    sd, si, st = _parts(states)
+    wd, wi, wt = _parts(w)
+    vd, vi, vt = (sd, None, None) if values is None else _parts(values)
+    idx = np.arange(sd.shape[0] if sd.ndim else 0) if index is None else np.asarray(index, dtype=np.intp)
+    counts = np.asarray(lengths, dtype=np.intp)
+    if (sd.ndim != 2 or wd.shape != sd.shape[1:] or vd.ndim != 2 or vd.shape[0] != sd.shape[0]
+            or idx.ndim != 1 or counts.ndim != 1 or (counts < 0).any() or counts.sum() != idx.size):
+        raise ShapeError("segment_attention", sd.shape, wd.shape, vd.shape, idx.shape, counts.shape)
+    if idx.size and (idx.min() < 0 or idx.max() >= sd.shape[0]):
+        raise IndexError(f"segment_attention: row out of range for states with {sd.shape[0]} rows")
+    tape = _tape_of((si, st), (wi, wt), (vi, vt))
+    full = counts > 0
+    starts = (np.cumsum(counts) - counts)[full]
+    group = np.repeat(np.arange(starts.size), counts[full])  # each row's non-empty group
+    x = sd[idx]
+    v = x if values is None else vd[idx]
+    out = np.zeros((counts.size, vd.shape[1]))
+    a = pooled = None
+    if idx.size:
+        logits = x @ wd
+        e = np.exp(logits - np.maximum.reduceat(logits, starts)[group])
+        a = e / np.add.reduceat(e, starts)[group]
+        pooled = np.add.reduceat(a[:, None] * v, starts, axis=0)
+        out[full] = pooled
+    saved = (sd.shape, vd.shape, idx, full, group, x, v, wd, a, pooled, values is None) if tape is not None else None
+    return _emit(tape, "segment_attention", (si, wi, vi), saved, out)
+
+
 # ---------------------------------------------------------------------------
 # backward rules, one per kind
 
@@ -386,12 +442,12 @@ def _bk_matmul(ids, saved, g, acc):
 
 
 def _bk_concat(ids, saved, g, acc):
-    (shapes,) = saved
+    shapes, axis = saved
     off = 0
     for nid, shape in zip(ids, shapes):
-        n = shape[0] if shape else 1
+        n = shape[axis] if shape else 1
         if nid is not None:
-            acc(nid, g[off : off + n].reshape(shape))
+            acc(nid, g[(slice(None),) * axis + (slice(off, off + n),)].reshape(shape))
         off += n
 
 
@@ -438,6 +494,10 @@ def _bk_reshape(ids, saved, g, acc):
     acc(ids[0], g.reshape(xshape))
 
 
+def _bk_transpose(ids, saved, g, acc):
+    acc(ids[0], g.T)
+
+
 def _bk_lstm(ids, saved, g, acc):
     """Backpropagation through time: one reverse loop carries the state and
     cell gradients; each step writes its four gate gradients into a (B, 4d)
@@ -481,6 +541,29 @@ def _bk_lstm(ids, saved, g, acc):
         acc(b_id, d_pre.sum(axis=0))
 
 
+def _bk_segment_attention(ids, saved, g, acc):
+    """Each row k of group s gets ``a_k g_s`` through its value and
+    ``dl_k = a_k (g_s . v_k - g_s . out_s)`` through its logit, so
+    ``dl_k w`` as a state row and ``dl_k x_k`` summed into ``w``."""
+    shape, vshape, idx, full, group, x, v, wd, a, pooled, own_values = saved
+    if not idx.size:
+        return
+    s_id, w_id, v_id = ids
+    gs = g[full]
+    gk = gs[group]  # each row's group gradient
+    dv = a[:, None] * gk
+    dl = a * (np.einsum("ij,ij->i", gk, v) - np.einsum("ij,ij->i", gs, pooled)[group])
+    if w_id is not None:
+        acc(w_id, dl @ x)
+    dx = np.outer(dl, wd)
+    if own_values:
+        dx += dv
+    elif v_id is not None:
+        acc(v_id, _scatter_rows(None, vshape, [(idx, dv)]))
+    if s_id is not None:
+        acc(s_id, _scatter_rows(None, shape, [(idx, dx)]))
+
+
 _BACKWARD = {
     "add": _bk_add,
     "multiply_elementwise": _bk_mul,
@@ -494,7 +577,9 @@ _BACKWARD = {
     "log": _bk_log,
     "clamp": _bk_clamp,
     "reshape": _bk_reshape,
+    "transpose": _bk_transpose,
     "lstm": _bk_lstm,
+    "segment_attention": _bk_segment_attention,
 }
 
 

@@ -226,6 +226,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     # a flag, on the command line or as a config key, is spelled in full
     common = {"parents": [_config_parser()], "allow_abbrev": False}
 
+    # generate's defaults are SyntheticSpec's own
+    spec = {f.name: f.default for f in fields(SyntheticSpec)}
     p = sub.add_parser("generate", help="write synthetic catalog and pairs JSONL files", **common)
     p.add_argument("--out-catalog", required=True)
     p.add_argument("--out-pairs", required=True)
@@ -233,13 +235,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--anchors", type=int, required=True)
     p.add_argument("--items", type=int, required=True)
     p.add_argument("--categories", type=int, default=10)
-    p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--hist-min", type=int, default=5)
-    p.add_argument("--hist-max", type=int, default=15)
-    p.add_argument("--signal", type=float, default=0.8)
-    p.add_argument("--base-rate", type=float, default=0.08)
-    p.add_argument("--id-features", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pairs", type=int, default=spec["num_pairs"])
+    p.add_argument("--hist-min", type=int, default=spec["history_len_range"][0])
+    p.add_argument("--hist-max", type=int, default=spec["history_len_range"][1])
+    p.add_argument("--signal", type=float, default=spec["signal_strength"])
+    p.add_argument("--base-rate", type=float, default=spec["base_rate"])
+    p.add_argument("--id-features", action="store_true", default=spec["id_features"])
+    p.add_argument("--seed", type=int, default=spec["seed"])
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("build-index", help="build and serialize a KKV retrieval index", **common)

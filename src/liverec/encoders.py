@@ -5,7 +5,9 @@ elementwise products of every embedding pair (second order), so feature
 conjunctions contribute their own directions.  The sequence encoder is a
 standard LSTM over already-encoded item vectors, returning every
 position's hidden state because downstream attention needs them all:
-one (L, d) matrix per history, row t being the state after item t.
+one (L, d) matrix per history, row t being the state after item t.  The
+batched form keeps every history's states in one stacked block and
+returns each history's row indices into it.
 
 Each encoder has one kernel.  ``pnn_encode_batch`` encodes a block of
 objects and ``pnn_encode`` is its one-object form; ``encode_sequence``
@@ -139,34 +141,32 @@ def encode_sequence(embedded: Tensor, params: LstmParams) -> Tensor | None:
 
 
 def encode_sequences_batched(position_matrices, kind: str, pnn: PnnEncoderParams,
-                             lstm: LstmParams) -> list[Tensor | None]:
+                             lstm: LstmParams) -> tuple[Tensor | None, list[np.ndarray]]:
     """Encode many same-kind categorical item sequences through one LSTM.
 
     Equivalent to calling ``pnn_encode_batch`` + ``encode_sequence`` per
     sequence, but all sequences advance together: each step works on a
-    (B, d) state block, so the tape grows with the longest sequence
-    instead of the summed lengths.  Rows of finished sequences keep
-    computing garbage that is never read.
+    (B, d) state block, and the tape holds one PNN pass and one fused
+    LSTM node whatever the number of sequences.  Rows of finished
+    sequences keep computing garbage that is never read.
 
     ``position_matrices`` is a list of (L_i, F) one-hot position arrays
     sharing the same field count F, padded with -1 as in
-    ``pnn_encode_batch``.  Returns each input's (L_i, d) hidden states,
-    aligned, with None for an empty sequence.  The fused LSTM returns the
-    T step states stacked into one (T*B, d) tensor and each sequence takes
-    its rows ``t*B + b`` with one gather.
+    ``pnn_encode_batch``.  Returns the T step states stacked into one
+    (T*B, d) tensor (None when every sequence is empty) and each input's
+    row indices into it, aligned with the inputs: sequence b's state after
+    its item t is row ``t*B + b``, and an empty sequence has no rows.
+    Readers gather or pool the rows they need from the one tensor.
     """
     lengths = np.array([m.shape[0] for m in position_matrices], dtype=np.intp)
     n_seq = len(lengths)
+    rows = [np.arange(n) * n_seq + b for b, n in enumerate(lengths.tolist())]
     maxlen = int(lengths.max(initial=0))
     if maxlen == 0:
-        return [None] * n_seq
+        return None, rows
     embedded = pnn_encode_batch(kind, np.concatenate(position_matrices, axis=0), pnn)  # (sum L_i, d)
     offsets = np.cumsum(lengths) - lengths
     # finished rows gather a stale placeholder; their states are never read
     last = np.maximum(lengths - 1, 0)
     step_rows = np.minimum(offsets + np.minimum(np.arange(maxlen)[:, None], last), embedded.shape[0] - 1)
-    stacked = ad.lstm(embedded, step_rows, lstm.w, lstm.u, lstm.b)
-    return [
-        ad.embedding_lookup(stacked, np.arange(n) * n_seq + b) if n else None
-        for b, n in enumerate(lengths.tolist())
-    ]
+    return ad.lstm(embedded, step_rows, lstm.w, lstm.u, lstm.b), rows

@@ -7,6 +7,19 @@ Ablation variants replace one signal with a zero vector
 attention over co-retrieved histories only (``with_co_retrieval``, both
 in training and inference).
 
+A batch of pairs is scored as one graph (`_predict`).  Each signal is a
+product of a user-side and an anchor-side vector that depends on one
+owner alone: ``y_e = e_u * e_a``, ``y_i = P_u * Q_a`` and
+``y_a = A_u * e_a``, where ``P_u``, ``Q_a`` and ``A_u`` pool one owner's
+rows with its own softmax.  So every distinct user and anchor is
+PNN-encoded once, every item history goes through one batched LSTM, each
+side's owners are pooled by one segment-attention node, one row per pair
+is gathered, and the MLP runs on one (B, 3d) block.  The tape holds a
+fixed number of nodes whatever the batch size and history lengths.
+Under ``with_co_retrieval`` a pooled group is one pair's kept rows.
+Training, ``evaluate_pairs`` and ``forward_pair`` (a batch of one, which
+encodes its two histories alone) all take this path.
+
 Training is plain mini-batch gradient descent with a geometric per-epoch
 learning-rate decay, dense L2 on every parameter, global-norm gradient
 clipping at 10, and inverted dropout on the MLP input.  Everything is
@@ -22,6 +35,7 @@ from math import prod
 import numpy as np
 
 from . import autodiff as ad
+from . import encoders
 from .autodiff import Tape, Tensor
 from .data import Catalog
 from .encoders import (
@@ -33,10 +47,10 @@ from .encoders import (
     field_offsets,
     init_lstm_params,
     init_pnn_params,
-    pnn_encode,
     pnn_encode_batch,
 )
 from .interaction import (
+    Segments,
     anchor_aspect_interaction,
     embed_similarity,
     item_aspect_interaction,
@@ -45,6 +59,10 @@ from .interaction import (
 from .metrics import EvalReport, make_report
 from .retrieval import co_retrieve
 from .seeding import stream_rng
+
+# not called here: perfbench's tracer finds the encoders.pnn layer by
+# wrapping pnn_encode and pnn_encode_batch on this module by name
+pnn_encode = encoders.pnn_encode
 
 VARIANTS = ("full", "no_item_aspect", "no_anchor_aspect", "with_co_retrieval")
 
@@ -211,108 +229,34 @@ def init_model_params(catalog: Catalog, config: TrainConfig, rng: np.random.Gene
     return ModelParams(dim=d, offsets=offsets, pnn=pnn, lstm=lstm, attn=attn, mlp=mlp)
 
 
-class _PairContext:
-    """Per-batch (or per-eval) memo of encodings shared across pairs.
+def _item_positions(catalog: Catalog, offsets, owners) -> list[np.ndarray]:
+    """(L, F) one-hot positions of each (side, owner id)'s history items,
+    -1 padded; the distinct items' rows are built once, then gathered."""
+    histories = [
+        (catalog.users[oid].browsed_items if side == "user" else catalog.anchors[oid].broadcast_items)
+        for side, oid in owners
+    ]
+    items = list(dict.fromkeys(i for hist in histories for i in hist))
+    rows = _position_rows([catalog.items[i] for i in items], offsets)
+    row = {i: k for k, i in enumerate(items)}
+    return [rows[[row[i] for i in hist]] for hist in histories]
 
-    Static embeddings and full-history item states depend only on the
-    object and the parameters, so within one tape they are computed once
-    and reused by every pair that touches the object.  ``precompute``
-    pushes whole groups of histories through the batched sequence
-    encoder, and the anchors the users browsed through one PNN pass,
-    which is much cheaper on the tape than owner-by-owner encoding; an
-    owner missed there is encoded alone on first use through the same
-    kernels.  Objects with fewer feature slots than the layout pad their
-    position rows with -1.  The attention weight slices the interaction
-    layer reads are cut once here, and ``pair_budgets`` collects each
-    scored pair's item-attention pair count.  A catalog slot whose
-    vocabulary outgrew its trained size raises ValueError on construction.
-    """
 
-    def __init__(self, catalog: Catalog, params: ModelParams, config: TrainConfig):
-        self.catalog = catalog
-        self.params = params
-        self.config = config
-        for kind in ("user", "anchor", "item"):
-            _check_layout(kind, catalog.vocab(kind), params.offsets[kind], params.pnn.table(kind).shape[0])
-        d = config.dim
-        item_w = ad.reshape(params.attn.item_w, (4, d))  # [e_u, h_user, e_a, h_anchor]
-        self.w_user_items = ad.embedding_lookup(item_w, 1)
-        self.w_anchor_items = ad.embedding_lookup(item_w, 3)
-        self.w_browsed = ad.embedding_lookup(ad.reshape(params.attn.anchor_w, (3, d)), 1)  # [e_u, e_n, e_a]
-        self.pair_budgets: list[int] = []
-        self._static: dict[tuple[str, int], Tensor] = {}
-        self._states: dict[tuple[str, int], Tensor | None] = {}
-        self._browsed: dict[int, Tensor | None] = {}
-        if config.variant == "with_co_retrieval":
-            self.user_index, self.anchor_index = catalog.kkv_indices()
-
-    def static(self, kind: str, obj_id: int) -> Tensor:
-        key = (kind, obj_id)
-        got = self._static.get(key)
-        if got is None:
-            obj = (self.catalog.users if kind == "user" else self.catalog.anchors)[obj_id]
-            got = pnn_encode(kind, active_positions(obj.features, self.params.offsets[kind]), self.params.pnn)
-            self._static[key] = got
-        return got
-
-    def _item_positions(self, owners) -> list[np.ndarray]:
-        """(L, F) one-hot positions of each (side, owner id)'s history items,
-        -1 padded; the distinct items' rows are built once, then gathered."""
-        histories = [
-            (self.catalog.users[oid].browsed_items if side == "user" else self.catalog.anchors[oid].broadcast_items)
-            for side, oid in owners
-        ]
-        items = list(dict.fromkeys(i for hist in histories for i in hist))
-        rows = _position_rows([self.catalog.items[i] for i in items], self.params.offsets["item"])
-        row = {i: k for k, i in enumerate(items)}
-        return [rows[[row[i] for i in hist]] for hist in histories]
-
-    def precompute(self, pairs) -> None:
-        """Encode what the owners in the pairs share, in batched passes.
-
-        Item histories go through the batched sequence encoder and the
-        users' browsed anchors through one PNN pass; each is skipped when
-        the variant's head does not read it.
-        """
-        config = self.config
-        if config.variant != "no_item_aspect" or config.svdpp_head:
-            pending = [
-                (side, oid)
-                for side in ("user", "anchor")
-                for oid in dict.fromkeys(getattr(p, f"{side}_id") for p in pairs)
-                if (side, oid) not in self._states
-            ]
-            if pending:
-                matrices = self._item_positions(pending)
-                encoded = encode_sequences_batched(matrices, "item", self.params.pnn, self.params.lstm)
-                self._states.update(zip(pending, encoded))
-        if config.variant != "no_anchor_aspect" and not config.svdpp_head:
-            self._encode_browsed([u for u in dict.fromkeys(p.user_id for p in pairs) if u not in self._browsed])
-
-    def item_states(self, side: str, owner_id: int) -> Tensor | None:
-        """(M, d) matrix of an owner's item states; None for empty history."""
-        key = (side, owner_id)
-        if key not in self._states:
-            embedded = pnn_encode_batch("item", self._item_positions([key])[0], self.params.pnn)
-            self._states[key] = encode_sequence(embedded, self.params.lstm)
-        return self._states[key]
-
-    def _encode_browsed(self, user_ids) -> None:
-        """Encode every anchor the users browsed in one PNN pass; each user's
-        (N, d) matrix is then one gather of its rows (None for no history)."""
-        histories = {u: self.catalog.users[u].browsed_anchors for u in user_ids}
-        anchors = list(dict.fromkeys(a for hist in histories.values() for a in hist))
-        if anchors:
-            positions = _position_rows([self.catalog.anchors[a] for a in anchors], self.params.offsets["anchor"])
-            encoded = pnn_encode_batch("anchor", positions, self.params.pnn)
-            row = {a: k for k, a in enumerate(anchors)}
-        for u, hist in histories.items():
-            self._browsed[u] = ad.embedding_lookup(encoded, [row[a] for a in hist]) if hist else None
-
-    def browsed_anchor_matrix(self, user_id: int) -> Tensor | None:
-        if user_id not in self._browsed:
-            self._encode_browsed([user_id])
-        return self._browsed[user_id]
+def _item_states(catalog: Catalog, params: ModelParams, users, anchors):
+    """Every owner's item states: (user block, user rows, anchor block,
+    anchor rows), where rows[k] indexes owner k's states in its side's
+    block in history order.  All histories go through one batched LSTM
+    and both sides share its block, but one user and one anchor (the
+    single-pair case) are each encoded alone; their rows are None, the
+    whole block."""
+    owners = [("user", u) for u in users] + [("anchor", a) for a in anchors]
+    positions = _item_positions(catalog, params.offsets["item"], owners)
+    pnn, lstm = params.pnn, params.lstm
+    if len(users) == len(anchors) == 1:
+        u_states, a_states = (encode_sequence(pnn_encode_batch("item", m, pnn), lstm) for m in positions)
+        return u_states, None, a_states, None
+    states, rows = encode_sequences_batched(positions, "item", pnn, lstm)
+    return states, rows[: len(users)], states, rows[len(users) :]
 
 
 def _position_rows(objects, offsets) -> np.ndarray:
@@ -338,72 +282,145 @@ def _check_layout(kind: str, vocab, offsets, rows: int) -> None:
             )
 
 
-def _rows(states: Tensor | None, positions) -> Tensor | None:
-    """Gather the given rows of a state matrix in one step; None when there are none."""
-    return ad.embedding_lookup(states, np.asarray(positions, dtype=np.intp)) if len(positions) else None
-
-
-def _dropout_mask(config: TrainConfig, rng: np.random.Generator | None):
-    """Inverted-dropout mask (0 or 1/keep) for the MLP input; None without an rng or at dropout 0."""
+def _dropout_mask(config: TrainConfig, rng: np.random.Generator | None, pairs: int):
+    """Inverted-dropout masks (0 or 1/keep) for the MLP input, one (3d,)
+    row per pair drawn in pair order; None without an rng or at dropout 0."""
     if rng is None or config.dropout <= 0.0:
         return None
     keep = 1.0 - config.dropout
-    return (rng.random(3 * config.dim) < keep) / keep
+    return (rng.random((pairs, 3 * config.dim)) < keep) / keep
+
+
+def _owners(ids):
+    """The distinct ids in first-seen order, and each pair's owner row
+    (None when every pair has its own owner, in pair order)."""
+    owners = list(dict.fromkeys(ids))
+    if len(owners) == len(ids):
+        return owners, None
+    at = {o: k for k, o in enumerate(owners)}
+    return owners, np.array([at[i] for i in ids], dtype=np.intp)
 
 
 def _n_rows(states: Tensor | None) -> int:
     return 0 if states is None else states.shape[0]
 
 
-def _forward(ctx: _PairContext, user_id: int, anchor_id: int, dropout_mask: np.ndarray | None) -> Tensor:
-    """One pair's prediction on the context's tape; appends its pair budget
-    to ``ctx.pair_budgets`` (0 under ``no_item_aspect``, none for the
-    SVD++ head)."""
-    catalog, config = ctx.catalog, ctx.config
-    if user_id not in catalog.users:
-        raise UnknownIdError(f"unknown user id {user_id}")
-    if anchor_id not in catalog.anchors:
-        raise UnknownIdError(f"unknown anchor id {anchor_id}")
-    d = config.dim
-    e_u = ctx.static("user", user_id)
-    e_a = ctx.static("anchor", anchor_id)
+def _take(x: Tensor, rows) -> Tensor:
+    """The given rows of x in one gather; x itself for rows None."""
+    return x if rows is None else ad.embedding_lookup(x, rows)
+
+
+def _segments(states, rows, pair_group=None) -> Segments:
+    """One group per row-index array; rows None is one group of the whole block."""
+    if rows is None:
+        return Segments(None, np.array([_n_rows(states)]), pair_group)
+    return Segments(np.concatenate(rows), np.array([len(r) for r in rows], dtype=np.intp), pair_group)
+
+
+def _predict(catalog: Catalog, params: ModelParams, config: TrainConfig, user_ids, anchor_ids,
+             dropout_mask=None):
+    """Predictions for a batch of pairs, a (B,) tensor (on the tape the
+    parameters are bound to in training), and each pair's item-attention
+    budget (M*N, or the kept rows' product under co-retrieval; 0 under
+    ``no_item_aspect``; an empty array for the SVD++ head).
+
+    Every distinct user and anchor, and every anchor the users browsed, is
+    PNN-encoded once per side, and every owner's item history once, so the
+    tape has a fixed number of nodes whatever the batch size: the
+    interaction layer pools each owner's rows once and gathers one row per
+    pair, and the MLP runs on one (B, 3d) block.  ``dropout_mask`` is the
+    (B, 3d) block `_dropout_mask` draws.  Objects with fewer feature slots
+    than the layout pad their position rows with -1.  A catalog slot whose
+    vocabulary outgrew its trained size raises ValueError, and an unknown
+    id UnknownIdError, before anything is encoded.
+    """
+    for kind in ("user", "anchor", "item"):
+        _check_layout(kind, catalog.vocab(kind), params.offsets[kind], params.pnn.table(kind).shape[0])
+    for u, a in zip(user_ids, anchor_ids):
+        if u not in catalog.users:
+            raise UnknownIdError(f"unknown user id {u}")
+        if a not in catalog.anchors:
+            raise UnknownIdError(f"unknown anchor id {a}")
+    users, pair_user = _owners(user_ids)
+    anchors, pair_anchor = _owners(anchor_ids)
+    browsing = config.variant != "no_anchor_aspect" and not config.svdpp_head
+    browsed = [catalog.users[u].browsed_anchors for u in users] if browsing else []
+    encoded = list(dict.fromkeys(anchors + [a for hist in browsed for a in hist]))  # targets first
+    e_anchor = pnn_encode_batch(
+        "anchor", _position_rows([catalog.anchors[a] for a in encoded], params.offsets["anchor"]), params.pnn
+    )
+    e_user = pnn_encode_batch(
+        "user", _position_rows([catalog.users[u] for u in users], params.offsets["user"]), params.pnn
+    )
 
     if config.svdpp_head:
+        u_states, u_rows, a_states, a_rows = _item_states(catalog, params, users, anchors)
         score = svdpp_similarity(
-            e_u, ctx.item_states("user", user_id), e_a, ctx.item_states("anchor", anchor_id)
+            e_user, u_states, _segments(u_states, u_rows, pair_user),
+            e_anchor, a_states, _segments(a_states, a_rows, pair_anchor),
         )
-        return ad.sigmoid(score)
+        return ad.sigmoid(score), np.zeros(0)
 
-    y_e = embed_similarity(e_u, e_a)
+    row = {a: k for k, a in enumerate(encoded)}
+    # distinct targets and no other anchor encoded: each pair's own target, in order
+    own_targets = pair_anchor is None and len(encoded) == len(anchors)
+    e_target = _take(e_anchor, None if own_targets else [row[a] for a in anchor_ids])
+    y_e = embed_similarity(_take(e_user, pair_user), e_target)
 
+    n_pairs, d = len(user_ids), config.dim
     if config.variant == "no_item_aspect":
-        y_i = Tensor(np.zeros(d))
-        ctx.pair_budgets.append(0)
+        y_i = Tensor(np.zeros((n_pairs, d)))
+        budgets = np.zeros(n_pairs)
     else:
+        u_states, u_rows, a_states, a_rows = _item_states(catalog, params, users, anchors)
         if config.variant == "with_co_retrieval":
-            ret = co_retrieve(ctx.user_index, ctx.anchor_index, user_id, anchor_id, config.co_retrieval_k)
-            ustates = _rows(ctx.item_states("user", user_id), ret.user_positions)
-            astates = _rows(ctx.item_states("anchor", anchor_id), ret.anchor_positions)
+            kept_u, kept_a = _kept_rows(catalog, config, user_ids, anchor_ids,
+                                        _pair_rows(u_states, u_rows, pair_user),
+                                        _pair_rows(a_states, a_rows, pair_anchor))
+            u_groups, a_groups = _segments(u_states, kept_u), _segments(a_states, kept_a)
         else:
-            ustates = ctx.item_states("user", user_id)
-            astates = ctx.item_states("anchor", anchor_id)
+            u_groups = _segments(u_states, u_rows, pair_user)
+            a_groups = _segments(a_states, a_rows, pair_anchor)
+        item_w = ad.reshape(params.attn.item_w, (4, d))  # [e_u, h_user, e_a, h_anchor]
         y_i = item_aspect_interaction(
-            e_u, ustates, e_a, astates, ctx.w_user_items, ctx.w_anchor_items,
+            u_states, u_groups, a_states, a_groups,
+            ad.embedding_lookup(item_w, 1), ad.embedding_lookup(item_w, 3),
             literal_square=config.literal_eq4_product,
         )
-        ctx.pair_budgets.append(_n_rows(ustates) * _n_rows(astates))
+        budgets = u_groups.per_pair(u_groups.lengths) * a_groups.per_pair(a_groups.lengths)
 
-    if config.variant == "no_anchor_aspect":
-        y_a = Tensor(np.zeros(d))
+    if browsing:
+        groups = Segments(np.array([row[a] for hist in browsed for a in hist], dtype=np.intp),
+                          np.array([len(hist) for hist in browsed], dtype=np.intp), pair_user)
+        w_browsed = ad.embedding_lookup(ad.reshape(params.attn.anchor_w, (3, d)), 1)  # [e_u, e_n, e_a]
+        y_a = anchor_aspect_interaction(e_anchor, groups, e_target, w_browsed)
     else:
-        y_a = anchor_aspect_interaction(e_u, ctx.browsed_anchor_matrix(user_id), e_a, ctx.w_browsed)
+        y_a = Tensor(np.zeros((n_pairs, d)))
 
-    z = ad.concat([y_e, y_i, y_a])
+    z = ad.concat([y_e, y_i, y_a], axis=1)
     if dropout_mask is not None:
         z = ad.multiply_elementwise(z, dropout_mask)
-    hidden = ad.relu(ad.add(ad.matmul(ctx.params.mlp.w1, z), ctx.params.mlp.b1))
-    score = ad.add(ad.dot(ctx.params.mlp.w2, hidden), ctx.params.mlp.b2)
-    return ad.sigmoid(score)
+    mlp = params.mlp
+    hidden = ad.relu(ad.add(ad.matmul(z, ad.transpose(mlp.w1)), mlp.b1))
+    return ad.sigmoid(ad.add(ad.matmul(hidden, mlp.w2), mlp.b2)), budgets
+
+
+def _pair_rows(states, rows, pair_owner) -> list[np.ndarray]:
+    """Each pair's owner's row indices, from `_item_states`' per-owner rows."""
+    rows = [np.arange(_n_rows(states))] if rows is None else rows
+    return rows if pair_owner is None else [rows[k] for k in pair_owner]
+
+
+def _kept_rows(catalog: Catalog, config: TrainConfig, user_ids, anchor_ids, user_rows, anchor_rows):
+    """Co-retrieval's per-pair groups: of each pair's owners' rows, those
+    that ``co_retrieve`` keeps for the pair, user side then anchor side."""
+    user_index, anchor_index = catalog.kkv_indices()
+    kept_u, kept_a = [], []
+    for u, a, u_rows, a_rows in zip(user_ids, anchor_ids, user_rows, anchor_rows):
+        ret = co_retrieve(user_index, anchor_index, u, a, config.co_retrieval_k)
+        kept_u.append(u_rows[np.asarray(ret.user_positions, dtype=np.intp)])
+        kept_a.append(a_rows[np.asarray(ret.anchor_positions, dtype=np.intp)])
+    return kept_u, kept_a
 
 
 def forward_pair(catalog: Catalog, params: ModelParams, config: TrainConfig,
@@ -412,18 +429,17 @@ def forward_pair(catalog: Catalog, params: ModelParams, config: TrainConfig,
     scores it: deterministic, with no dropout (only ``train`` draws dropout
     masks).  A non-finite score raises NonFiniteScoreError.
     """
-    ctx = _PairContext(catalog, params, config)
-    score = float(_forward(ctx, user_id, anchor_id, None).data)
+    score = float(_predict(catalog, params, config, [user_id], [anchor_id])[0].data[0])
     if not np.isfinite(score):
         raise NonFiniteScoreError(user_id, anchor_id, score)
     return score
 
 
 def batch_loss(predictions, labels) -> Tensor:
-    """Summed log loss over a batch (the trainer adds the L2 term)."""
-    if len(predictions) != len(labels):
-        raise ValueError(f"batch_loss: {len(predictions)} predictions vs {len(labels)} labels")
-    p = ad.clamp(ad.concat(predictions), PRED_CLAMP, 1.0 - PRED_CLAMP)
+    """Summed log loss of a (B,) prediction tensor (the trainer adds the L2 term)."""
+    if predictions.shape != (len(labels),):
+        raise ValueError(f"batch_loss: predictions of shape {predictions.shape} vs {len(labels)} labels")
+    p = ad.clamp(predictions, PRED_CLAMP, 1.0 - PRED_CLAMP)
     y = np.asarray(labels, dtype=np.float64)
     pos = ad.dot(ad.log(p), y)
     neg = ad.dot(ad.log(ad.add(ad.multiply_elementwise(p, -1.0), 1.0)), 1.0 - y)
@@ -470,9 +486,8 @@ def _batch_gradients(catalog, params, config, chunk, dropout_rng):
     """Forward+backward over one batch on a shared tape."""
     tape = Tape()
     bound, leaves = params.bind(tape)
-    ctx = _PairContext(catalog, bound, config)
-    ctx.precompute(chunk)
-    preds = [_forward(ctx, p.user_id, p.anchor_id, _dropout_mask(config, dropout_rng)) for p in chunk]
+    mask = _dropout_mask(config, dropout_rng, len(chunk))
+    preds, _ = _predict(catalog, bound, config, [p.user_id for p in chunk], [p.anchor_id for p in chunk], mask)
     data = batch_loss(preds, [p.label for p in chunk])
     loss = data
     if config.l2_weight > 0.0:
@@ -557,17 +572,16 @@ def evaluate_pairs(catalog: Catalog, params: ModelParams, config: TrainConfig, p
     entering the metrics.
     """
     t0 = time.perf_counter()
-    ctx = _PairContext(catalog, params, config)
-    ctx.precompute(pairs)
-    scores = [float(_forward(ctx, p.user_id, p.anchor_id, None).data) for p in pairs]
-    finite = np.isfinite(scores)
+    preds, budgets = _predict(catalog, params, config, [p.user_id for p in pairs], [p.anchor_id for p in pairs])
+    scores = preds.data.tolist()
+    finite = np.isfinite(preds.data)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise NonFiniteScoreError(pairs[bad].user_id, pairs[bad].anchor_id, scores[bad])
     labels = [p.label for p in pairs]
     return make_report(
         scores, labels,
-        mean_pair_budget=float(np.mean(ctx.pair_budgets)) if ctx.pair_budgets else 0.0,
+        mean_pair_budget=float(np.mean(budgets)) if budgets.size else 0.0,
         wall_seconds=time.perf_counter() - t0,
     )
 

@@ -14,7 +14,7 @@ FD_TOL = 1e-4
 # every differentiable op kind; gathers take their own route in backward
 FD_KINDS = (
     "add", "multiply_elementwise", "matmul", "concat", "sum", "sigmoid", "softmax", "relu",
-    "dot", "log", "clamp", "embedding_lookup", "reshape", "lstm",
+    "dot", "log", "clamp", "embedding_lookup", "reshape", "transpose", "lstm", "segment_attention",
 )
 
 
@@ -296,10 +296,13 @@ def _sampler(kind, rng):
             arrays = [rng.normal(size=n), rng.normal(size=(n, p))]
         return (lambda xs: _cotangent_sum(ad.matmul(xs[0], xs[1]), np.random.default_rng(7))), arrays
     if kind == "concat":
-        k = rng.integers(1, 4)
-        if rng.integers(2):  # (k_i, d) blocks along axis 0
-            d = rng.integers(1, 4)
+        k, mode = rng.integers(1, 4), rng.integers(3)
+        d = rng.integers(1, 4)
+        if mode == 0:  # (k_i, d) blocks along axis 0
             arrays = [rng.normal(size=(rng.integers(1, 4), d)) for _ in range(k)]
+        elif mode == 1:  # (d, k_i) blocks along axis 1
+            arrays = [rng.normal(size=(d, rng.integers(1, 4))) for _ in range(k)]
+            return (lambda xs: _cotangent_sum(ad.concat(xs, axis=1), np.random.default_rng(7))), arrays
         else:
             arrays = [rng.normal(size=rng.integers(1, 5)) for _ in range(k)]
         return (lambda xs: _cotangent_sum(ad.concat(xs), np.random.default_rng(7))), arrays
@@ -342,9 +345,85 @@ def _sampler(kind, rng):
         m, n = rng.integers(1, 5, size=2)
         x = rng.normal(size=m * n)
         return (lambda xs: _cotangent_sum(ad.reshape(xs[0], (m, n)), np.random.default_rng(7))), [x]
+    if kind == "transpose":
+        x = rng.normal(size=tuple(rng.integers(1, 5, size=2)))
+        return (lambda xs: _cotangent_sum(ad.transpose(xs[0]), np.random.default_rng(7))), [x]
     if kind == "lstm":
         return _lstm_case(rng)
+    if kind == "segment_attention":
+        return _segment_case(rng)
     raise AssertionError(f"no sampler for {kind}")
+
+
+def _segment_case(rng):
+    """Groups of unequal length over shared rows: always an empty group, a
+    one-row group and a longer one, rows repeated across and within groups
+    (as co-retrieved pairs share an owner's rows), in shuffled order.  One
+    instance in three pools separate values, one in four holds w constant."""
+    n, k = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+    lengths = np.concatenate([[0, 1, rng.integers(2, 5)], rng.integers(0, 4, size=rng.integers(0, 3))])
+    rng.shuffle(lengths)
+    index = rng.integers(0, n, size=int(lengths.sum()))
+    arrays = [rng.normal(size=(n, k)), rng.normal(size=k)]
+    if rng.integers(3) == 0:
+        arrays.append(rng.normal(size=(n, int(rng.integers(1, 4)))))
+    fixed = arrays.pop(1) if rng.integers(4) == 0 else None
+
+    def build(xs):
+        ops = list(xs)
+        if fixed is not None:
+            ops.insert(1, fixed)
+        out = ad.segment_attention(ops[0], ops[1], index, lengths, ops[2] if len(ops) > 2 else None)
+        return _cotangent_sum(out, np.random.default_rng(7))
+
+    return build, arrays
+
+
+def test_segment_attention_matches_a_softmax_per_group():
+    rng = np.random.default_rng(22)
+    states, values, w = rng.normal(size=(6, 3)), rng.normal(size=(6, 2)), rng.normal(size=3)
+    index, lengths = np.array([4, 0, 4, 5, 2, 1]), np.array([3, 0, 1, 2])
+    for vals in (None, values):
+        out = ad.segment_attention(states, w, index, lengths, vals).data
+        v = states if vals is None else vals
+        assert out.shape == (4, v.shape[1])
+        start = 0
+        for s, n in enumerate(lengths):
+            rows = index[start : start + n]
+            start += n
+            if not n:
+                np.testing.assert_array_equal(out[s], 0.0)
+                continue
+            p = ad.softmax(states[rows] @ w).data
+            np.testing.assert_allclose(out[s], p @ v[rows], atol=1e-15)
+    # every row in order as one group; a zero weight vector is the mean
+    whole = ad.segment_attention(states, np.zeros(3), None, [6]).data
+    np.testing.assert_allclose(whole, states.mean(axis=0, keepdims=True), atol=1e-15)
+    assert ad.segment_attention(states, w, np.zeros(0, dtype=int), [0, 0]).data.tolist() == [[0.0] * 3] * 2
+    for bad in ((states, np.ones(2), index, lengths), (states, w, index, lengths[:3]),
+                (states, w, index, np.array([3, -1, 2, 2])), (states, w, index, lengths, values[:5]),
+                (states[0], w, index, lengths)):
+        with pytest.raises(ShapeError) as info:
+            ad.segment_attention(*bad)
+        assert info.value.kind == "segment_attention"
+    with pytest.raises(IndexError, match="out of range"):
+        ad.segment_attention(states, w, np.array([6]), [1])
+
+
+def test_concat_along_axis_1_and_transpose():
+    t = Tape()
+    a, b = t.watch(np.ones((2, 1))), t.watch(np.arange(4.0).reshape(2, 2))
+    out = ad.concat([a, b], axis=1)
+    np.testing.assert_array_equal(out.data, [[1.0, 0.0, 1.0], [1.0, 2.0, 3.0]])
+    flipped = ad.transpose(out)
+    assert flipped.shape == (3, 2)
+    g = backward(t, ad.reduce_sum(ad.multiply_elementwise(flipped, np.arange(6.0).reshape(3, 2))))
+    np.testing.assert_array_equal(g[a.node_id], [[0.0], [1.0]])
+    np.testing.assert_array_equal(g[b.node_id], [[2.0, 4.0], [3.0, 5.0]])
+    with pytest.raises(ShapeError):
+        ad.concat([np.ones((2, 1)), np.ones((3, 1))], axis=1)
+    with pytest.raises(ShapeError):
+        ad.transpose(np.ones(3))
 
 
 def _lstm_case(rng):

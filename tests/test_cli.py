@@ -47,6 +47,19 @@ def test_generate_signal_strength_controls_correlation(tmp_path):
         assert check(float(np.corrcoef(jac, labels)[0, 1]))
 
 
+def test_generate_defaults_are_synthetic_spec_defaults(tmp_path, monkeypatch):
+    # a generate run with only the required flags builds the library's default spec
+    from liverec import cli
+    from liverec.data import SyntheticSpec
+
+    specs = []
+    real = cli.generate_synthetic
+    monkeypatch.setattr(cli, "generate_synthetic", lambda spec: specs.append(spec) or real(spec))
+    assert main(["generate", "--out-catalog", str(tmp_path / "c.jsonl"), "--out-pairs", str(tmp_path / "p.jsonl"),
+                 "--users", "6", "--anchors", "3", "--items", "12"]) == 0
+    assert specs == [SyntheticSpec(num_users=6, num_anchors=3, num_items=12, num_categories=10)]
+
+
 def test_build_index_roundtrips(tmp_path):
     cat_path, prs_path = _gen(tmp_path)
     out = tmp_path / "user.kkv"

@@ -156,17 +156,21 @@ def test_batched_sequences_match_sequential_paths():
     matrices = [rng.integers(0, 20, size=(n, 3)) for n in (5, 1, 0, 7, 3)]
     for mat in matrices[3:]:  # ragged items: padded slots
         mat[:, 1:][rng.random((len(mat), 2)) < 0.4] = -1
-    batched = encode_sequences_batched(matrices, "item", params, lstm)
-    assert len(batched) == len(matrices)
-    for mat, seq in zip(matrices, batched):
+    stacked, rows = encode_sequences_batched(matrices, "item", params, lstm)
+    assert stacked.shape == (7 * len(matrices), d) and len(rows) == len(matrices)
+    for b, (mat, seq_rows) in enumerate(zip(matrices, rows)):
+        np.testing.assert_array_equal(seq_rows, np.arange(len(mat)) * len(matrices) + b)
         want = encode_sequence(pnn_encode_batch("item", mat, params), lstm)
         if not len(mat):
-            assert seq is None and want is None
+            assert want is None
             continue
+        seq = stacked.data[seq_rows]
         assert seq.shape == want.shape == (len(mat), d)
-        np.testing.assert_allclose(seq.data, want.data, atol=1e-12)
+        np.testing.assert_allclose(seq, want.data, atol=1e-12)
         ref = lstm_reference([pnn_reference(_unit(row), table) for row in mat], lstm_gates(lstm))
-        np.testing.assert_allclose(seq.data, np.array(ref), atol=1e-12)
+        np.testing.assert_allclose(seq, np.array(ref), atol=1e-12)
+    empty, rows = encode_sequences_batched([np.zeros((0, 3), dtype=int)] * 2, "item", params, lstm)
+    assert empty is None and [len(r) for r in rows] == [0, 0]
 
 
 def test_batched_sequences_gradients_match_sequential():
@@ -185,7 +189,8 @@ def test_batched_sequences_gradients_match_sequential():
         tbl = tape.watch(table)
         pnn = PnnEncoderParams(tbl, tbl, tbl)
         if batched:
-            seqs = encode_sequences_batched(matrices, "item", pnn, params_raw)
+            stacked, rows = encode_sequences_batched(matrices, "item", pnn, params_raw)
+            seqs = [ad.embedding_lookup(stacked, r) for r in rows]
         else:
             seqs = [encode_sequence(pnn_encode_batch("item", m, pnn), params_raw) for m in matrices]
         total = None
@@ -197,9 +202,9 @@ def test_batched_sequences_gradients_match_sequential():
     np.testing.assert_allclose(run(True), run(False), atol=1e-12)
 
 
-def test_batched_tape_grows_by_a_constant_per_sequence():
-    # for a fixed longest length T, one more sequence adds one gather of its
-    # rows from the stacked step states, whatever its length
+def test_batched_tape_does_not_grow_with_the_sequence_count():
+    # one PNN pass and one fused LSTM node, however many sequences of
+    # whatever lengths: readers index the stacked states by the row lists
     from liverec.encoders import encode_sequences_batched
 
     rng = np.random.default_rng(16)
@@ -214,9 +219,8 @@ def test_batched_tape_grows_by_a_constant_per_sequence():
         return len(tape.nodes)
 
     base = tape_nodes([longest])
-    for extra in ([1], [longest], [5, longest, 1, 7]):
-        assert tape_nodes([longest] + extra) - base == len(extra)
-    assert tape_nodes([longest, 0, 0]) == base
+    for extra in ([1], [longest], [5, longest, 1, 7], [0, 0]):
+        assert tape_nodes([longest] + extra) == base
 
 
 def test_lstm_tape_nodes_do_not_grow_with_length():

@@ -4,7 +4,13 @@ import pytest
 
 from liverec import autodiff as ad
 from liverec.autodiff import ShapeError, Tensor
-from liverec.interaction import anchor_aspect_interaction, embed_similarity, item_aspect_interaction, svdpp_similarity
+from liverec.interaction import (
+    Segments,
+    anchor_aspect_interaction,
+    embed_similarity,
+    item_aspect_interaction,
+    svdpp_similarity,
+)
 from liverec.model import AttentionParams
 
 from oracles import (
@@ -29,20 +35,30 @@ def _states(rows):
     return Tensor(np.array(rows))
 
 
+def _whole(rows):
+    """One pair's one group: every row of its state block, in order."""
+    return Segments(None, np.array([0 if rows is None else len(rows)]))
+
+
 def _item(e_u, hu, e_a, ha, params, literal_square=False):
-    """Item-aspect attention with the (d,) weight slices the model cuts from ``params``."""
+    """Item-aspect attention for one pair, with the (d,) weight slices the
+    model cuts from ``params``; the static embeddings cancel and are not passed."""
     w = np.reshape(params.item_w, (4, -1))
-    return item_aspect_interaction(
-        Tensor(e_u), hu if hu is None else _states(hu), Tensor(e_a), ha if ha is None else _states(ha),
+    out = item_aspect_interaction(
+        hu if hu is None else _states(hu), _whole(hu), ha if ha is None else _states(ha), _whole(ha),
         Tensor(w[1]), Tensor(w[3]), literal_square=literal_square,
     ).data
+    assert out.shape == (1, len(e_u))
+    return out[0]
 
 
 def _anchor(e_u, hist, e_t, params):
-    """Anchor-aspect attention with the (d,) weight slice the model cuts from ``params``."""
+    """Anchor-aspect attention for one pair, with the (d,) weight slice the model cuts from ``params``."""
     w = np.reshape(params.anchor_w, (3, -1))
-    hist = hist if hist is None else _states(hist)
-    return anchor_aspect_interaction(Tensor(e_u), hist, Tensor(e_t), Tensor(w[1])).data
+    out = anchor_aspect_interaction(hist if hist is None else _states(hist), _whole(hist),
+                                    Tensor(e_t[None]), Tensor(w[1])).data
+    assert out.shape == (1, len(e_u))
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +91,10 @@ def test_embed_similarity_length_mismatch():
 
 def test_svdpp_empty_histories_is_plain_dot():
     rng = np.random.default_rng(0)
-    e_u, e_a = rng.normal(size=4), rng.normal(size=4)
-    got = svdpp_similarity(Tensor(e_u), None, Tensor(e_a), None)
-    assert float(got.data) == pytest.approx(float(e_u @ e_a))
+    e_u, e_a = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+    got = svdpp_similarity(Tensor(e_u), None, _whole(None), Tensor(e_a), None, _whole(None))
+    assert got.shape == (1,)
+    assert float(got.data[0]) == pytest.approx(float(e_u[0] @ e_a[0]))
 
 
 def test_svdpp_toy_expansion():
@@ -85,9 +102,10 @@ def test_svdpp_toy_expansion():
     e_a = np.array([0.5, -1.0])
     user_h = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     anchor_h = [np.array([2.0, 2.0]), np.array([-1.0, 1.0])]
-    got = svdpp_similarity(Tensor(e_u), _states(user_h), Tensor(e_a), _states(anchor_h))
+    got = svdpp_similarity(Tensor(e_u[None]), _states(user_h), _whole(user_h),
+                           Tensor(e_a[None]), _states(anchor_h), _whole(anchor_h))
     want = svdpp_reference(e_u, user_h, e_a, anchor_h)
-    assert float(got.data) == pytest.approx(want, abs=1e-12)
+    assert float(got.data[0]) == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -222,32 +240,32 @@ def test_anchor_attention_empty_history_gives_zero():
 def test_interaction_gradients():
     rng = np.random.default_rng(13)
     d, m, n = 3, 2, 2
-    e_u = rng.normal(size=d)
-    e_a = rng.normal(size=d)
+    e_u = rng.normal(size=(1, d))
+    e_a = rng.normal(size=(1, d))
     hu = rng.normal(size=(m, d))
     ha = rng.normal(size=(n, d))
     w_i = rng.normal(size=4 * d)
     w_a = rng.normal(size=3 * d)
-    cot = rng.normal(size=d)
+    cot = rng.normal(size=(1, d))
 
     # the weight slices are cut from the whole vector on the tape, as the model does
     def build_item(xs):
         w = ad.reshape(xs[0], (4, d))
         out = item_aspect_interaction(
-            xs[1], xs[3], xs[2], Tensor(ha), ad.embedding_lookup(w, 1), ad.embedding_lookup(w, 3)
+            xs[1], _whole(hu), Tensor(ha), _whole(ha), ad.embedding_lookup(w, 1), ad.embedding_lookup(w, 3)
         )
         return ad.reduce_sum(ad.multiply_elementwise(out, cot))
 
-    assert fd_max_rel_error(build_item, [w_i, e_u, e_a, hu]) <= 1e-4
+    assert fd_max_rel_error(build_item, [w_i, hu]) <= 1e-4
 
     def build_anchor(xs):
-        out = anchor_aspect_interaction(xs[1], xs[2], xs[3], ad.embedding_lookup(ad.reshape(xs[0], (3, d)), 1))
+        out = anchor_aspect_interaction(xs[1], _whole(hu), xs[2], ad.embedding_lookup(ad.reshape(xs[0], (3, d)), 1))
         return ad.reduce_sum(ad.multiply_elementwise(out, cot))
 
-    assert fd_max_rel_error(build_anchor, [w_a, e_u, hu, e_a]) <= 1e-4
+    assert fd_max_rel_error(build_anchor, [w_a, hu, e_a]) <= 1e-4
 
     def build_svdpp(xs):
-        return svdpp_similarity(xs[0], xs[2], xs[1], xs[3])
+        return ad.reduce_sum(svdpp_similarity(xs[0], xs[2], _whole(hu), xs[1], xs[3], _whole(ha[:1])))
 
     assert fd_max_rel_error(build_svdpp, [e_u, e_a, hu, ha[:1]]) <= 1e-4
 
@@ -255,3 +273,63 @@ def test_interaction_gradients():
         return ad.reduce_sum(ad.multiply_elementwise(embed_similarity(xs[0], xs[1]), cot))
 
     assert fd_max_rel_error(build_embed, [e_u, e_a]) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# batches: groups of unequal length, empty groups, pairs sharing an owner
+
+
+def _batch_case(rng, d=3):
+    """Owner histories as rows of one shared state block, some empty, with
+    pairs that share owners; returns the block, per-owner row lists and pairs."""
+    block = rng.normal(size=(12, d))
+    owner_rows = [[3, 0, 7], [], [5], [11, 2, 2, 9], [4, 6]]  # a repeated row, as a user who browsed an anchor twice
+    pairs = [(0, 3), (2, 1), (3, 4), (0, 4), (1, 2), (3, 3), (4, 0)]
+    return block, owner_rows, pairs
+
+
+def _groups(owner_rows, pair_group=None):
+    return Segments(np.array([r for rows in owner_rows for r in rows], dtype=np.intp),
+                    np.array([len(rows) for rows in owner_rows]), pair_group)
+
+
+@pytest.mark.parametrize("literal", [False, True])
+def test_batched_item_attention_matches_per_pair_bruteforce(literal):
+    rng = np.random.default_rng(30)
+    d = 3
+    block, owner_rows, pairs = _batch_case(rng, d)
+    params = _attn(rng, d)
+    users, anchors = np.array([u for u, _ in pairs]), np.array([a for _, a in pairs])
+    w = np.reshape(params.item_w, (4, d))
+    e = rng.normal(size=(len(owner_rows), d))
+    got = item_aspect_interaction(Tensor(block), _groups(owner_rows, users), Tensor(block), _groups(owner_rows, anchors),
+                                  w[1], w[3], literal_square=literal).data
+    # the same pairs with one group per pair (the co-retrieval layout)
+    per_pair = item_aspect_interaction(
+        block, _groups([owner_rows[u] for u in users]), block, _groups([owner_rows[a] for a in anchors]),
+        w[1], w[3], literal_square=literal,
+    ).data
+    for b, (u, a) in enumerate(pairs):
+        want = item_attention_reference(e[u], block[owner_rows[u]], e[a], block[owner_rows[a]],
+                                        params.item_w, params.item_b, literal)
+        np.testing.assert_allclose(got[b], want, atol=1e-12)
+        np.testing.assert_allclose(per_pair[b], want, atol=1e-12)
+
+
+def test_batched_anchor_attention_and_svdpp_match_per_pair_bruteforce():
+    rng = np.random.default_rng(31)
+    d = 3
+    block, owner_rows, pairs = _batch_case(rng, d)
+    params = _attn(rng, d)
+    users, targets = np.array([u for u, _ in pairs]), rng.normal(size=(len(pairs), d))
+    w = np.reshape(params.anchor_w, (3, d))
+    got = anchor_aspect_interaction(block, _groups(owner_rows, users), targets, w[1]).data
+    e = rng.normal(size=(len(owner_rows), d))
+    for b, u in enumerate(users):
+        want = anchor_attention_reference(e[u], block[owner_rows[u]], targets[b], params.anchor_w, params.anchor_b)
+        np.testing.assert_allclose(got[b], want, atol=1e-12)
+    anchors = np.array([a for _, a in pairs])
+    scores = svdpp_similarity(e, block, _groups(owner_rows, users), e, block, _groups(owner_rows, anchors)).data
+    for b, (u, a) in enumerate(pairs):
+        want = svdpp_reference(e[u], block[owner_rows[u]], e[a], block[owner_rows[a]])
+        assert scores[b] == pytest.approx(want, abs=1e-12)

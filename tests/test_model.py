@@ -90,6 +90,122 @@ def test_forward_literal_product_variant_and_svdpp_head():
             assert got == pytest.approx(want, abs=1e-12)
 
 
+def _edge_catalog(seed):
+    """A catalog holding each edge case of the batched forward: an empty
+    item history on each side, an empty browsed-anchor history, a user who
+    browsed the same anchor twice (and one who browsed it three times), and
+    owners whose item history repeats an item.  Returns it with pairs that
+    reach every such owner, most owners in several pairs."""
+    catalog, pairs = _tiny(seed=seed, num_pairs=60)
+    users, anchors = dict(catalog.users), dict(catalog.anchors)
+    u = sorted(users)
+    users[u[0]] = replace(users[u[0]], browsed_items=())
+    users[u[1]] = replace(users[u[1]], browsed_anchors=())
+    users[u[2]] = replace(users[u[2]], browsed_anchors=(1, 1, 3))
+    users[u[3]] = replace(users[u[3]], browsed_anchors=(0, 2, 0, 0))
+    hist = users[u[4]].browsed_items
+    users[u[4]] = replace(users[u[4]], browsed_items=hist[:1] * 2 + hist + hist[:1])
+    anchors[0] = replace(anchors[0], broadcast_items=())
+    hist = anchors[1].broadcast_items
+    anchors[1] = replace(anchors[1], broadcast_items=hist + hist[:2])
+    edge = [LabeledPair(uid, aid, (uid + aid) % 2) for uid in u[:5] for aid in (0, 1, 2)]
+    return _link_catalog(users, anchors, catalog.items), edge + pairs
+
+
+ALL_CONFIGS = {
+    **{variant: dict(variant=variant) for variant in ("full", "no_item_aspect", "no_anchor_aspect", "with_co_retrieval")},
+    "literal_eq4_product": dict(literal_eq4_product=True),
+    "literal_with_co_retrieval": dict(literal_eq4_product=True, variant="with_co_retrieval"),
+    "svdpp_head": dict(svdpp_head=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
+def test_evaluate_pairs_scores_equal_forward_pair_and_the_reference(name, monkeypatch):
+    from liverec import model
+
+    catalog, pairs = _edge_catalog(seed=21)
+    config = TrainConfig(co_retrieval_k=3, **DIMS, **ALL_CONFIGS[name])
+    params = _params(catalog, config, seed=8)
+    prng = np.random.default_rng(5)  # biases away from zero, so every block of the MLP input counts
+    for _, arr in params.named_arrays():
+        arr += prng.uniform(-0.3, 0.3, size=arr.shape)
+    seen = []
+    real = model.make_report
+    monkeypatch.setattr(model, "make_report", lambda scores, *a, **k: seen.append(list(scores)) or real(scores, *a, **k))
+    evaluate_pairs(catalog, params, config, pairs)
+    (batched,) = seen
+    assert len(batched) == len(pairs)
+    for p, got in zip(pairs, batched):
+        single = forward_pair(catalog, params, config, p.user_id, p.anchor_id)
+        want = forward_reference(catalog, params, config, p.user_id, p.anchor_id)
+        assert abs(got - single) <= 1e-12 and abs(got - want) <= 1e-12, p
+
+
+@pytest.mark.parametrize("name", ["full", "no_item_aspect", "literal_eq4_product"])
+def test_a_repeated_target_is_gathered_when_the_browsed_anchors_make_up_the_count(name):
+    # two pairs share target 0 and their users browsed [1] and [0]: two
+    # encoded anchors for two pairs, yet pair 2's target is encoded row 0
+    from liverec import model
+
+    catalog, _ = _tiny(seed=4)
+    users = dict(catalog.users)
+    u1, u2 = sorted(users)[:2]
+    users[u1] = replace(users[u1], browsed_anchors=(1,))
+    users[u2] = replace(users[u2], browsed_anchors=(0,))
+    catalog = _link_catalog(users, catalog.anchors, catalog.items)
+    batch = [LabeledPair(u1, 0, 1), LabeledPair(u2, 0, 0)]
+    config = TrainConfig(**DIMS, **ALL_CONFIGS[name])
+    params = _params(catalog, config, seed=3)
+    prng = np.random.default_rng(6)
+    for _, arr in params.named_arrays():
+        arr += prng.uniform(-0.3, 0.3, size=arr.shape)
+    want = [forward_reference(catalog, params, config, p.user_id, p.anchor_id) for p in batch]
+    got = [forward_pair(catalog, params, config, p.user_id, p.anchor_id) for p in batch]
+    assert got == pytest.approx(want, abs=1e-12)
+    report = evaluate_pairs(catalog, params, config, batch)
+    assert report.logloss == pytest.approx(compute_logloss(want, [1, 0]), abs=1e-12)
+    data_value, _, _ = model._batch_gradients(catalog, params, config, batch, None)
+    assert data_value == pytest.approx(-math.log(want[0]) - math.log(1.0 - want[1]), abs=1e-12)
+
+
+def test_evaluate_pairs_names_an_unknown_id_before_encoding(monkeypatch):
+    from liverec import model
+
+    catalog, pairs = _tiny(seed=2)
+    config = TrainConfig(**DIMS)
+    params = _params(catalog, config)
+    encoded = []
+    for name in ("pnn_encode", "pnn_encode_batch", "encode_sequence", "encode_sequences_batched"):
+        monkeypatch.setattr(model, name, lambda *args, name=name: encoded.append(name))
+    for bad, message in ((LabeledPair(pairs[0].user_id, 999, 1), "unknown anchor id 999"),
+                         (LabeledPair(998, 999, 1), "unknown user id 998")):
+        with pytest.raises(UnknownIdError) as info:
+            evaluate_pairs(catalog, params, config, pairs[:5] + [bad] + pairs[5:])
+        assert str(info.value) == message
+    assert encoded == []
+
+
+@pytest.mark.parametrize("variant", ["full", "with_co_retrieval"])
+def test_training_tape_size_does_not_grow_with_batch_or_history(variant, monkeypatch):
+    # the batched forward records a fixed set of nodes: one more pair, or a
+    # longer history, adds no node to a training step's tape
+    from liverec import model
+
+    sizes = []
+    real = ad.backward
+    monkeypatch.setattr(ad, "backward", lambda tape, root: sizes.append(len(tape.nodes)) or real(tape, root))
+    config = TrainConfig(variant=variant, co_retrieval_k=3, **{**DIMS, "dropout": 0.5})
+    for history in ((5, 15), (150, 200)):
+        catalog, pairs = _tiny(seed=23, history_len_range=history, num_pairs=200)
+        params = _params(catalog, config)
+        for n in (20, 200):
+            model._batch_gradients(catalog, params, config, pairs[:n], stream_rng(0, "dropout"))
+    assert len(sizes) == 4
+    assert len(set(sizes)) == 1, sizes
+    assert sizes[0] < 150
+
+
 def test_forward_unknown_ids():
     catalog, _ = _tiny()
     config = TrainConfig(**DIMS)
@@ -117,13 +233,26 @@ def test_dropout_mask_semantics():
     from liverec.model import _dropout_mask
 
     config = TrainConfig(**{**DIMS, "dim": 2000, "dropout": 0.3})
-    mask = _dropout_mask(config, np.random.default_rng(2))
+    mask = _dropout_mask(config, np.random.default_rng(2), 1)
     keep = 1.0 - config.dropout
-    assert mask.shape == (3 * config.dim,)
+    assert mask.shape == (1, 3 * config.dim)
     assert set(np.unique(mask)) == {0.0, 1.0 / keep}
     assert abs(float(np.mean(mask == 0.0)) - config.dropout) < 0.03
-    assert _dropout_mask(config, None) is None
-    assert _dropout_mask(replace(config, dropout=0.0), np.random.default_rng(2)) is None
+    assert _dropout_mask(config, None, 1) is None
+    assert _dropout_mask(replace(config, dropout=0.0), np.random.default_rng(2), 1) is None
+
+
+def test_one_dropout_block_equals_one_draw_per_pair():
+    # a batch draws its (B, 3d) masks at once; pair by pair, from the same
+    # stream, gives the same masks in the same order
+    from liverec.model import _dropout_mask
+
+    config = TrainConfig(**{**DIMS, "dropout": 0.4})
+    block = _dropout_mask(config, stream_rng(3, "dropout"), 25)
+    rng = stream_rng(3, "dropout")
+    rows = [_dropout_mask(config, rng, 1) for _ in range(25)]
+    assert block.shape == (25, 3 * config.dim)
+    np.testing.assert_array_equal(block, np.concatenate(rows))
 
 
 def test_dropout_applies_in_training_only():
@@ -150,19 +279,19 @@ def test_dropout_applies_in_training_only():
 
 def test_batch_loss_at_half_is_n_ln2():
     n = 9
-    preds = [ad.Tensor(np.array(0.5)) for _ in range(n)]
+    preds = ad.Tensor(np.full(n, 0.5))
     loss = batch_loss(preds, [1, 0, 1, 0, 1, 0, 1, 0, 1])
     assert float(loss.data) == pytest.approx(n * math.log(2), abs=1e-12)
 
 
 def test_batch_loss_perfect_predictions_clamped():
-    preds = [ad.Tensor(np.array(1.0)), ad.Tensor(np.array(0.0))]
+    preds = ad.Tensor(np.array([1.0, 0.0]))
     loss = batch_loss(preds, [1, 0])
     assert float(loss.data) == pytest.approx(2e-7, rel=1e-6)
 
 
 def test_batch_loss_hand_value():
-    preds = [ad.Tensor(np.array(0.9)), ad.Tensor(np.array(0.2))]
+    preds = ad.Tensor(np.array([0.9, 0.2]))
     loss = batch_loss(preds, [1, 0])
     assert float(loss.data) == pytest.approx(-(math.log(0.9) + math.log(0.8)), abs=1e-12)
     assert float(loss.data) == pytest.approx(0.3285, abs=1e-4)
@@ -170,7 +299,7 @@ def test_batch_loss_hand_value():
 
 def test_batch_loss_length_mismatch():
     with pytest.raises(ValueError, match="predictions"):
-        batch_loss([ad.Tensor(np.array(0.5))], [1, 0])
+        batch_loss(ad.Tensor(np.array([0.5])), [1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +458,24 @@ def test_catalog_that_outgrows_the_trained_layout_raises():
 
 
 def test_an_empty_history_is_encoded_once_per_context(monkeypatch):
-    # None is a cached value: an owner without items is not re-encoded on every pair
+    # every owner of a batch, one without items included, is one sequence
+    # of a single batched encoder call, however many pairs it is in
     from liverec import model
 
-    catalog, _ = _tiny(seed=12)
-    uid = next(iter(catalog.users))
+    catalog, pairs = _tiny(seed=12)
+    uid = pairs[0].user_id
     users = {**catalog.users, uid: replace(catalog.users[uid], browsed_items=())}
     catalog = _link_catalog(users, catalog.anchors, catalog.items)
+    batch = [p for p in pairs if p.user_id == uid] * 3 + pairs[:10]
     config = TrainConfig(**DIMS)
-    ctx = model._PairContext(catalog, _params(catalog, config), config)
     calls = []
-    real = model.encode_sequence
-    monkeypatch.setattr(model, "encode_sequence", lambda *args: calls.append(args) or real(*args))
-    assert ctx.item_states("user", uid) is None
-    assert ctx.item_states("user", uid) is None
+    real = model.encode_sequences_batched
+    monkeypatch.setattr(model, "encode_sequences_batched", lambda *args: calls.append(args) or real(*args))
+    evaluate_pairs(catalog, _params(catalog, config), config, batch)
+    owners = {("user", p.user_id) for p in batch} | {("anchor", p.anchor_id) for p in batch}
     assert len(calls) == 1
+    assert len(calls[0][0]) == len(owners)
+    assert sum(len(m) == 0 for m in calls[0][0]) == 1
 
 
 def test_adam_optimizer_runs_and_is_deterministic():
@@ -645,11 +777,9 @@ def test_evaluate_with_co_retrieval_caps_budget():
     catalog, pairs = _tiny(seed=18, history_len_range=(10, 20))
     config = TrainConfig(variant="with_co_retrieval", co_retrieval_k=3, **DIMS)
     params = _params(catalog, config)
-    ctx = model._PairContext(catalog, params, config)
-    for p in pairs:
-        model._forward(ctx, p.user_id, p.anchor_id, None)
-    assert len(ctx.pair_budgets) == len(pairs)
-    assert max(ctx.pair_budgets) <= 9
+    _, budgets = model._predict(catalog, params, config, [p.user_id for p in pairs], [p.anchor_id for p in pairs])
+    assert len(budgets) == len(pairs)
+    assert max(budgets) <= 9
 
 
 @pytest.mark.parametrize("variant", ["full", "with_co_retrieval", "no_item_aspect"])
