@@ -20,10 +20,13 @@ sparse product, in the same order as ``np.add.at``.
 ``lstm`` is a fused kernel: a whole LSTM loop over a block of sequences
 runs in plain numpy and records one node, whatever the number of steps.
 It takes the gate weights as the (4d, k) and (4d, d) row blocks the model
-stores, so no join or transpose of them reaches the tape either.  It saves the gate
-activations, the cells and their tanh (only when an operand is tracked),
-and its backward rule is a hand-written reverse loop through time, so the
-per-step ops never reach the tape.
+stores, so no join or transpose of them reaches the tape either.  Each
+input row is projected into the gates once, however many sequences and
+steps read it, and a step takes one tanh over all four gates (a sigmoid
+is ``0.5*tanh(x/2) + 0.5``).  It saves the gate activations, the cells
+and their tanh (only when an operand is tracked), and its backward rule
+is a hand-written reverse loop through time that sums the step gradients
+per input row, so the per-step ops never reach the tape.
 
 ``segment_attention`` is the attention layers' pooling: it pools ragged
 groups of rows, each with its own softmax, in one node whatever the
@@ -312,18 +315,22 @@ def lstm(embedded, step_rows, w, u, b) -> Tensor:
     """A whole LSTM loop over B sequences advancing together, as one op.
 
     ``embedded`` is an (n, k) block of inputs and ``step_rows`` a (T, B)
-    int array: step t reads rows ``step_rows[t]`` as its (B, k) input.
-    ``w`` (4d, k) and ``u`` (4d, d) project the input and the previous
-    state, ``b`` is the (4d,) bias; row blocks are the gates
-    ``[i | f | o | c]``.  A step is ``pre = x_t @ w.T (+ h @ u.T from
-    step 2 on) + b``, a sigmoid over columns [0, 3d) and a tanh over
-    [3d, 4d), then ``c = f*c + i*g`` and ``h = o*tanh(c)``, starting from
-    zero.
+    int array: step t reads rows ``step_rows[t]`` as its (B, k) input; a
+    row may be read by many sequences and steps.  ``w`` (4d, k) and ``u``
+    (4d, d) project the input and the previous state, ``b`` is the (4d,)
+    bias; row blocks are the gates ``[i | f | o | c]``.  A step is
+    ``pre = (x_t @ w.T + b) (+ h @ u.T from step 2 on)``, a sigmoid over
+    columns [0, 3d) and a tanh over [3d, 4d), then ``c = f*c + i*g`` and
+    ``h = o*tanh(c)``, starting from zero.  Each input row is projected
+    once, and the step rows of the projection are gathered once into a
+    (T, B, 4d) block.  The sigmoid is ``0.5*tanh(x/2) + 0.5``, with the
+    projection's and ``u``'s sigmoid columns halved (exactly), so one tanh
+    per step, in place in the block, covers all four gates.
     Returns the T step states stacked into one (T*B, d) tensor: row
     ``t*B + b`` is sequence b's state after step t.
 
-    When an operand is tracked the gate activations, the cells and their
-    tanh are saved for the backward sweep; otherwise nothing is kept.
+    When an operand is tracked, the block (by then the gate activations),
+    the cells and their tanh are saved for the backward sweep.
     """
     xd, xi, xt = _parts(embedded)
     wd, wi, wt = _parts(w)
@@ -338,29 +345,38 @@ def lstm(embedded, step_rows, w, u, b) -> Tensor:
         raise IndexError(f"lstm: step row out of range for input with {xd.shape[0]} rows")
     tape = _tape_of((xi, xt), (wi, wt), (ui, ut), (bi, bt))
     steps, width = rows.shape
-    inputs = xd[rows]  # (T, B, k), gathered once
+    sig = 3 * dim  # the sigmoid gates' columns
+    proj = xd @ wd.T
+    proj += bd
+    proj[:, :sig] *= 0.5
+    acts = proj[rows]  # (T, B, 4d): each step's pre-activations, then its gates
+    u_cols = ud.T.copy()
+    u_cols[:, :sig] *= 0.5
     out = np.empty((steps * width, dim))
     if tape is not None:
-        acts = np.empty((steps, width, 4 * dim))
         cells = np.empty((steps, width, dim))
         tanh_cells = np.empty((steps, width, dim))
-    # made once: at B = 1 a fresh .T view per step, or adding the (4d,)
-    # bias by broadcasting, costs about as much as the step's products
-    w_cols, u_cols, b_row = wd.T, ud.T, bd.reshape(1, -1)
+    # per-step views made once: at B = 1 slicing a step's block costs
+    # about as much as an elementwise op on it
+    sigmoids, i_g, f_g, o_g, g_g = (acts[:, :, cols] for cols in (
+        slice(sig), slice(dim), slice(dim, 2 * dim), slice(2 * dim, sig), slice(sig, None)))
+    states = out.reshape(steps, width, dim)
     h = c = None
     for t in range(steps):
-        pre = inputs[t] @ w_cols
+        a = acts[t]
         if h is not None:
-            pre += h @ u_cols
-        pre += b_row
-        gates, g_g = expit(pre[:, : 3 * dim]), np.tanh(pre[:, 3 * dim :])
-        ig = gates[:, :dim] * g_g
-        c = ig if c is None else gates[:, dim : 2 * dim] * c + ig
+            a += h @ u_cols
+        np.tanh(a, out=a)
+        s = sigmoids[t]
+        s *= 0.5
+        s += 0.5
+        ig = i_g[t] * g_g[t]
+        c = ig if c is None else f_g[t] * c + ig
         tc = np.tanh(c)
-        h = np.multiply(gates[:, 2 * dim :], tc, out=out[t * width : (t + 1) * width])
+        h = np.multiply(o_g[t], tc, out=states[t])
         if tape is not None:
-            acts[t, :, : 3 * dim], acts[t, :, 3 * dim :], cells[t], tanh_cells[t] = gates, g_g, c, tc
-    saved = (xd.shape, rows, inputs, wd, ud, acts, cells, tanh_cells, out) if tape is not None else None
+            cells[t], tanh_cells[t] = c, tc
+    saved = (xd, rows, wd, ud, acts, cells, tanh_cells, out) if tape is not None else None
     return _emit(tape, "lstm", (xi, wi, ui, bi), saved, out)
 
 
@@ -501,12 +517,14 @@ def _bk_transpose(ids, saved, g, acc):
 def _bk_lstm(ids, saved, g, acc):
     """Backpropagation through time: one reverse loop carries the state and
     cell gradients; each step writes its four gate gradients into a (B, 4d)
-    block, and the weight, bias and input gradients are one product each
-    over all steps afterwards.  The weight gradients are transposed
-    (k, 4d) and (d, 4d) products: they sum in the order training used when
-    the weights were stored per gate, so trained weights are bit-for-bit
-    the same in either layout."""
-    xshape, rows, inputs, wd, ud, acts, cells, tanh_cells, out = saved
+    block.  The step gradients are then summed per input row by
+    `_scatter_rows` (each row's readers in step order, then sequence
+    order, as ``np.add.at`` adds them), so the input and weight gradients
+    are one (n, 4d) product each and the bias gradient one sum over the n
+    rows; the recurrent weights' gradient is one product over all steps.
+    Summing per row first reorders the input-weight and bias sums, so they
+    match one product over every step to rounding, not bit for bit."""
+    xd, rows, wd, ud, acts, cells, tanh_cells, out = saved
     steps, width = rows.shape
     dim = ud.shape[1]
     g = g.reshape(steps, width, dim)
@@ -531,14 +549,16 @@ def _bk_lstm(ids, saved, g, acc):
             blk[:, dim : 2 * dim] = 0.0
     d_pre = d_pre.reshape(steps * width, 4 * dim)
     x_id, w_id, u_id, b_id = ids
-    if x_id is not None:
-        acc(x_id, _scatter_rows(None, xshape, [(rows, d_pre @ wd)]))
-    if w_id is not None:
-        acc(w_id, (inputs.reshape(-1, xshape[1]).T @ d_pre).T)
+    if x_id is not None or w_id is not None or b_id is not None:
+        d_proj = _scatter_rows(None, (xd.shape[0], 4 * dim), [(rows, d_pre)])
+        if x_id is not None:
+            acc(x_id, d_proj @ wd)
+        if w_id is not None:
+            acc(w_id, d_proj.T @ xd)
+        if b_id is not None:
+            acc(b_id, d_proj.sum(axis=0))
     if u_id is not None:
-        acc(u_id, (out[:-width].T @ d_pre[width:]).T)
-    if b_id is not None:
-        acc(b_id, d_pre.sum(axis=0))
+        acc(u_id, d_pre[width:].T @ out[:-width])
 
 
 def _bk_segment_attention(ids, saved, g, acc):
@@ -595,12 +615,16 @@ def _scatter_rows(dense, shape, gathers) -> np.ndarray:
     """
     idx = np.concatenate([np.reshape(i, -1) for i, _ in gathers])
     parts = [np.reshape(g, (-1,) + shape[1:]) for _, g in gathers]
+
+    def stacked():  # one gather's rows as they are, without a copy
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     n = shape[0]
     seen = np.zeros(n, dtype=bool)
     seen[idx] = True
     if np.count_nonzero(seen) == idx.size:
         buf = np.zeros(shape) if dense is None else np.array(dense)
-        buf[idx] += np.concatenate(parts)
+        buf[idx] += stacked()
         return buf
     counts = np.bincount(idx, minlength=n)
     cols = np.argsort(idx, kind="stable")
@@ -616,7 +640,7 @@ def _scatter_rows(dense, shape, gathers) -> np.ndarray:
         cols = merged
     indptr = np.concatenate([[0], np.cumsum(counts)])
     onehot = csr_matrix((np.ones(cols.size), cols, indptr), shape=(n, cols.size))
-    return (onehot @ np.concatenate(parts).reshape(cols.size, -1)).reshape(shape)
+    return (onehot @ stacked().reshape(cols.size, -1)).reshape(shape)
 
 
 def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:

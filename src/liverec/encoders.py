@@ -6,17 +6,18 @@ conjunctions contribute their own directions.  The sequence encoder is a
 standard LSTM over already-encoded item vectors, returning every
 position's hidden state because downstream attention needs them all:
 one (L, d) matrix per history, row t being the state after item t.  The
-batched form keeps every history's states in one stacked block and
-returns each history's row indices into it.
+batched form takes the histories as rows into one block of distinct
+items, encodes each item once, keeps every history's states in one
+stacked block and returns each history's row indices into it.
 
 Each encoder has one kernel.  ``pnn_encode_batch`` encodes a block of
 objects and ``pnn_encode`` is its one-object form; ``encode_sequence``
 runs the LSTM loop of ``encode_sequences_batched`` on a single history.
 Objects with fewer feature slots than the layout pad with position -1.
 The LSTM loop is one fused op: ``autodiff.lstm`` reads the gate weights
-as stored, (4d, d) row blocks in gate order ``[i | f | o | c]``, runs
-every step in plain numpy and records a single tape node for the whole
-loop.
+as stored, (4d, d) row blocks in gate order ``[i | f | o | c]``,
+projects each input row once, runs every step in plain numpy and
+records a single tape node for the whole loop.
 """
 from __future__ import annotations
 
@@ -140,33 +141,38 @@ def encode_sequence(embedded: Tensor, params: LstmParams) -> Tensor | None:
     return ad.lstm(embedded, np.arange(n)[:, None], params.w, params.u, params.b)
 
 
-def encode_sequences_batched(position_matrices, kind: str, pnn: PnnEncoderParams,
+def encode_sequences_batched(histories, item_positions: np.ndarray, pnn: PnnEncoderParams,
                              lstm: LstmParams) -> tuple[Tensor | None, list[np.ndarray]]:
-    """Encode many same-kind categorical item sequences through one LSTM.
+    """Encode many item sequences that draw on one set of items through one LSTM.
 
     Equivalent to calling ``pnn_encode_batch`` + ``encode_sequence`` per
-    sequence, but all sequences advance together: each step works on a
-    (B, d) state block, and the tape holds one PNN pass and one fused
-    LSTM node whatever the number of sequences.  Rows of finished
-    sequences keep computing garbage that is never read.
+    sequence, but each item is encoded once, and projected into the gates
+    once, however many sequences and steps read it, and all sequences
+    advance together: each step works on a (B, d) state block, and the
+    tape holds one PNN pass and one fused LSTM node whatever the number of
+    sequences.  Rows of finished sequences keep computing garbage that is
+    never read.
 
-    ``position_matrices`` is a list of (L_i, F) one-hot position arrays
-    sharing the same field count F, padded with -1 as in
-    ``pnn_encode_batch``.  Returns the T step states stacked into one
-    (T*B, d) tensor (None when every sequence is empty) and each input's
-    row indices into it, aligned with the inputs: sequence b's state after
-    its item t is row ``t*B + b``, and an empty sequence has no rows.
-    Readers gather or pool the rows they need from the one tensor.
+    ``item_positions`` is the (n, F) one-hot position array of the items,
+    padded with -1 as in ``pnn_encode_batch``, and ``histories`` a list of
+    int arrays, one per sequence, of rows into it, oldest first; rows may
+    repeat within and across sequences.  Returns the T step states stacked
+    into one (T*B, d) tensor (None when every sequence is empty) and each
+    sequence's row indices into it, aligned with the inputs: sequence b's
+    state after its item t is row ``t*B + b``, and an empty sequence has
+    no rows.  Readers gather or pool the rows they need from the one
+    tensor.
     """
-    lengths = np.array([m.shape[0] for m in position_matrices], dtype=np.intp)
+    lengths = np.array([len(h) for h in histories], dtype=np.intp)
     n_seq = len(lengths)
     rows = [np.arange(n) * n_seq + b for b, n in enumerate(lengths.tolist())]
     maxlen = int(lengths.max(initial=0))
     if maxlen == 0:
         return None, rows
-    embedded = pnn_encode_batch(kind, np.concatenate(position_matrices, axis=0), pnn)  # (sum L_i, d)
+    items = pnn_encode_batch("item", item_positions, pnn)  # (n, d)
+    flat = np.concatenate(histories).astype(np.intp, copy=False)
     offsets = np.cumsum(lengths) - lengths
-    # finished rows gather a stale placeholder; their states are never read
+    # finished rows re-read a stale item; their states are never read
     last = np.maximum(lengths - 1, 0)
-    step_rows = np.minimum(offsets + np.minimum(np.arange(maxlen)[:, None], last), embedded.shape[0] - 1)
-    return ad.lstm(embedded, step_rows, lstm.w, lstm.u, lstm.b), rows
+    steps = np.minimum(offsets + np.minimum(np.arange(maxlen)[:, None], last), flat.size - 1)
+    return ad.lstm(items, flat[steps], lstm.w, lstm.u, lstm.b), rows

@@ -11,11 +11,12 @@ A batch of pairs is scored as one graph (`_predict`).  Each signal is a
 product of a user-side and an anchor-side vector that depends on one
 owner alone: ``y_e = e_u * e_a``, ``y_i = P_u * Q_a`` and
 ``y_a = A_u * e_a``, where ``P_u``, ``Q_a`` and ``A_u`` pool one owner's
-rows with its own softmax.  So every distinct user and anchor is
-PNN-encoded once, every item history goes through one batched LSTM, each
-side's owners are pooled by one segment-attention node, one row per pair
-is gathered, and the MLP runs on one (B, 3d) block.  The tape holds a
-fixed number of nodes whatever the batch size and history lengths.
+rows with its own softmax.  So every distinct user, anchor and history
+item is PNN-encoded once, every item history goes through one batched
+LSTM, each side's owners are pooled by one segment-attention node, one
+row per pair is gathered, and the MLP runs on one (B, 3d) block.  The
+tape holds a fixed number of nodes whatever the batch size and history
+lengths.
 Under ``with_co_retrieval`` a pooled group is one pair's kept rows.
 Training, ``evaluate_pairs`` and ``forward_pair`` (a batch of one, which
 encodes its two histories alone) all take this path.
@@ -30,6 +31,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
+from itertools import chain
 from math import prod
 
 import numpy as np
@@ -229,43 +231,49 @@ def init_model_params(catalog: Catalog, config: TrainConfig, rng: np.random.Gene
     return ModelParams(dim=d, offsets=offsets, pnn=pnn, lstm=lstm, attn=attn, mlp=mlp)
 
 
-def _item_positions(catalog: Catalog, offsets, owners) -> list[np.ndarray]:
-    """(L, F) one-hot positions of each (side, owner id)'s history items,
-    -1 padded; the distinct items' rows are built once, then gathered."""
+def _item_positions(catalog: Catalog, offsets, owners) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The (n, F) one-hot positions of the distinct items in the (side,
+    owner id)s' histories in id order, -1 padded, and each history as an
+    int array of rows into them, in history order."""
     histories = [
         (catalog.users[oid].browsed_items if side == "user" else catalog.anchors[oid].broadcast_items)
         for side, oid in owners
     ]
-    items = list(dict.fromkeys(i for hist in histories for i in hist))
-    rows = _position_rows([catalog.items[i] for i in items], offsets)
-    row = {i: k for k, i in enumerate(items)}
-    return [rows[[row[i] for i in hist]] for hist in histories]
+    lengths = [len(hist) for hist in histories]
+    flat = np.fromiter(chain.from_iterable(histories), dtype=np.intp, count=sum(lengths))
+    items, rows = np.unique(flat, return_inverse=True)
+    positions = _position_rows([catalog.items[i] for i in items.tolist()], offsets)
+    ends = np.cumsum(lengths).tolist()
+    return positions, [rows[end - n : end] for n, end in zip(lengths, ends)]
 
 
 def _item_states(catalog: Catalog, params: ModelParams, users, anchors):
     """Every owner's item states: (user block, user rows, anchor block,
     anchor rows), where rows[k] indexes owner k's states in its side's
-    block in history order.  All histories go through one batched LSTM
-    and both sides share its block, but one user and one anchor (the
-    single-pair case) are each encoded alone; their rows are None, the
-    whole block."""
+    block in history order.  Each distinct item of the batch is
+    PNN-encoded once.  All histories go through one batched LSTM and both
+    sides share its block, but one user and one anchor (the single-pair
+    case) are each encoded alone from their gathered items; their rows
+    are None, the whole block."""
     owners = [("user", u) for u in users] + [("anchor", a) for a in anchors]
-    positions = _item_positions(catalog, params.offsets["item"], owners)
+    positions, histories = _item_positions(catalog, params.offsets["item"], owners)
     pnn, lstm = params.pnn, params.lstm
     if len(users) == len(anchors) == 1:
-        u_states, a_states = (encode_sequence(pnn_encode_batch("item", m, pnn), lstm) for m in positions)
+        items = pnn_encode_batch("item", positions, pnn)
+        u_states, a_states = (encode_sequence(ad.embedding_lookup(items, h), lstm) for h in histories)
         return u_states, None, a_states, None
-    states, rows = encode_sequences_batched(positions, "item", pnn, lstm)
+    states, rows = encode_sequences_batched(histories, positions, pnn, lstm)
     return states, rows[: len(users)], states, rows[len(users) :]
 
 
 def _position_rows(objects, offsets) -> np.ndarray:
     """(n, F) one-hot positions of the objects' features, rows padded with -1."""
     n_fields = len(offsets)
-    rows = [active_positions(obj.features, offsets) for obj in objects]
-    if any(len(r) != n_fields for r in rows):
-        rows = [r + [-1] * (n_fields - len(r)) for r in rows]
-    return np.array(rows, dtype=np.intp).reshape(len(rows), n_fields)
+    features = [obj.features for obj in objects]
+    if all(len(f) == n_fields for f in features):
+        return np.array(features, dtype=np.intp).reshape(len(features), n_fields) + np.array(offsets, dtype=np.intp)
+    rows = [active_positions(f, offsets) for f in features]
+    return np.array([r + [-1] * (n_fields - len(r)) for r in rows], dtype=np.intp)
 
 
 def _check_layout(kind: str, vocab, offsets, rows: int) -> None:

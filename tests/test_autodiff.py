@@ -429,12 +429,17 @@ def test_concat_along_axis_1_and_transpose():
 def _lstm_case(rng):
     """T >= 3 steps over B >= 2 sequences of ragged length: a finished
     sequence keeps re-reading its last row, as in the batched encoder.
-    One instance in four holds one operand constant."""
+    Sequences share rows as histories share items: the last one reads at
+    its first step the row the first reads at its second, and the first
+    reads its first row again at its last step.  One instance in four
+    holds one operand constant."""
     k, d, steps, width = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(3, 6)), int(rng.integers(2, 4))
     lengths = rng.integers(1, steps + 1, size=width)
     lengths[0], lengths[-1] = steps, rng.integers(1, steps)  # the longest, and one that goes stale
     starts = np.cumsum(lengths) - lengths
     rows = starts + np.minimum(np.arange(steps)[:, None], lengths - 1)
+    rows[0, -1] = rows[1, 0]
+    rows[-1, 0] = rows[0, 0]
     arrays = [rng.normal(size=(int(lengths.sum()), k)), rng.normal(size=(4 * d, k)),
               rng.normal(size=(4 * d, d)), rng.normal(size=4 * d)]
     constant = int(rng.integers(4)) if rng.integers(4) == 0 else None
@@ -455,7 +460,9 @@ def test_lstm_matches_a_step_by_step_loop():
     rng = np.random.default_rng(19)
     k, d = 3, 2
     x = rng.normal(size=(5, k))
-    rows = np.array([[0, 3], [1, 4], [2, 4]])  # the second sequence ends after two steps
+    # the second sequence reads row 0 at its second step, as the first does
+    # at its first, and ends after two steps
+    rows = np.array([[0, 3], [1, 0], [2, 0]])
     w, u, b = rng.normal(size=(4 * d, k)), rng.normal(size=(4 * d, d)), rng.normal(size=4 * d)
     h = c = np.zeros((2, d))
     want = []
@@ -469,6 +476,24 @@ def test_lstm_matches_a_step_by_step_loop():
     assert got.shape == (6, d)
     np.testing.assert_allclose(got.data, np.concatenate(want), atol=1e-14)
     assert ad.lstm(x, np.zeros((0, 2), dtype=int), w, u, b).shape == (0, d)
+
+
+def test_lstm_saturated_gates_stay_finite():
+    # pre-activations near +-1e3: every gate saturates, with no overflow
+    # warning (warnings are errors here) in the forward or backward pass
+    d = 2
+    x = np.array([[1.0], [-1.0]])
+    w = np.array([[1e3], [-1e3], [1e3], [-1e3], [1e3], [1e3], [-1e3], [1e3]])
+    rows = np.array([[0, 1], [1, 0], [0, 0]])
+    t = Tape()
+    out = ad.lstm(t.watch(x), rows, t.watch(w), t.watch(np.full((4 * d, d), 0.5)), t.watch(np.zeros(4 * d)))
+    _, _, saved = t.nodes[out.node_id]
+    gates = saved[4]
+    assert gates.shape == (3, 2, 4 * d) and np.isfinite(out.data).all()
+    assert ((gates[..., : 3 * d] >= 0.0) & (gates[..., : 3 * d] <= 1.0)).all()
+    assert {0.0, 1.0} <= set(gates[..., : 3 * d].ravel().tolist())
+    grads = backward(t, ad.reduce_sum(out))
+    assert all(np.isfinite(g).all() for g in grads.values())
 
 
 def test_lstm_saves_activations_only_when_tracked():

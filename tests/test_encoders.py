@@ -153,23 +153,25 @@ def test_batched_sequences_match_sequential_paths():
     table = rng.normal(size=(20, d))
     params = PnnEncoderParams(user=table, anchor=table, item=table)
     lstm = init_lstm_params(d, rng)
-    matrices = [rng.integers(0, 20, size=(n, 3)) for n in (5, 1, 0, 7, 3)]
-    for mat in matrices[3:]:  # ragged items: padded slots
-        mat[:, 1:][rng.random((len(mat), 2)) < 0.4] = -1
-    stacked, rows = encode_sequences_batched(matrices, "item", params, lstm)
-    assert stacked.shape == (7 * len(matrices), d) and len(rows) == len(matrices)
-    for b, (mat, seq_rows) in enumerate(zip(matrices, rows)):
-        np.testing.assert_array_equal(seq_rows, np.arange(len(mat)) * len(matrices) + b)
+    items = rng.integers(0, 20, size=(9, 3))
+    items[5:, 1:][rng.random((4, 2)) < 0.4] = -1  # ragged items: padded slots
+    # histories share items, one is empty and one repeats a single item
+    histories = [np.array(h, dtype=np.intp) for h in ([0, 1, 2, 3, 4], [5], [], [6, 2, 7, 0, 8, 2, 1], [4, 4, 4])]
+    stacked, rows = encode_sequences_batched(histories, items, params, lstm)
+    assert stacked.shape == (7 * len(histories), d) and len(rows) == len(histories)
+    for b, (hist, seq_rows) in enumerate(zip(histories, rows)):
+        np.testing.assert_array_equal(seq_rows, np.arange(len(hist)) * len(histories) + b)
+        mat = items[hist]
         want = encode_sequence(pnn_encode_batch("item", mat, params), lstm)
-        if not len(mat):
+        if not len(hist):
             assert want is None
             continue
         seq = stacked.data[seq_rows]
-        assert seq.shape == want.shape == (len(mat), d)
+        assert seq.shape == want.shape == (len(hist), d)
         np.testing.assert_allclose(seq, want.data, atol=1e-12)
         ref = lstm_reference([pnn_reference(_unit(row), table) for row in mat], lstm_gates(lstm))
         np.testing.assert_allclose(seq, np.array(ref), atol=1e-12)
-    empty, rows = encode_sequences_batched([np.zeros((0, 3), dtype=int)] * 2, "item", params, lstm)
+    empty, rows = encode_sequences_batched([np.zeros(0, dtype=np.intp)] * 2, items[:0], params, lstm)
     assert empty is None and [len(r) for r in rows] == [0, 0]
 
 
@@ -181,20 +183,24 @@ def test_batched_sequences_gradients_match_sequential():
     d = 3
     table = rng.normal(size=(10, d))
     params_raw = init_lstm_params(d, rng)
-    matrices = [rng.integers(0, 10, size=(n, 2)) for n in (3, 2)]
-    cot = [rng.normal(size=(len(m), d)) for m in matrices]
+    items = rng.integers(0, 10, size=(4, 2))
+    # item 1 is read by both sequences at different steps, item 3 twice by one
+    histories = [np.array([0, 1, 3, 3]), np.array([1, 2]), np.array([], dtype=np.intp)]
+    cot = [rng.normal(size=(len(h), d)) for h in histories]
 
     def run(batched):
         tape = ad.Tape()
         tbl = tape.watch(table)
         pnn = PnnEncoderParams(tbl, tbl, tbl)
         if batched:
-            stacked, rows = encode_sequences_batched(matrices, "item", pnn, params_raw)
+            stacked, rows = encode_sequences_batched(histories, items, pnn, params_raw)
             seqs = [ad.embedding_lookup(stacked, r) for r in rows]
         else:
-            seqs = [encode_sequence(pnn_encode_batch("item", m, pnn), params_raw) for m in matrices]
+            seqs = [encode_sequence(pnn_encode_batch("item", items[h], pnn), params_raw) for h in histories]
         total = None
         for seq, c in zip(seqs, cot):
+            if seq is None:
+                continue
             v = ad.reduce_sum(ad.multiply_elementwise(seq, c))
             total = v if total is None else ad.add(total, v)
         return ad.backward(tape, total)[tbl.node_id]
@@ -210,12 +216,13 @@ def test_batched_tape_does_not_grow_with_the_sequence_count():
     rng = np.random.default_rng(16)
     d, longest = 3, 12
     lstm = init_lstm_params(d, rng)
+    items = rng.integers(0, 10, size=(6, 2))
 
     def tape_nodes(lengths):
         tape = ad.Tape()
         tbl = tape.watch(rng.normal(size=(10, d)))
-        matrices = [rng.integers(0, 10, size=(n, 2)) for n in lengths]
-        encode_sequences_batched(matrices, "item", PnnEncoderParams(tbl, tbl, tbl), lstm)
+        histories = [rng.integers(0, len(items), size=n) for n in lengths]
+        encode_sequences_batched(histories, items, PnnEncoderParams(tbl, tbl, tbl), lstm)
         return len(tape.nodes)
 
     base = tape_nodes([longest])

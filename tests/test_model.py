@@ -442,6 +442,25 @@ def test_ragged_feature_layouts_train_and_score_like_the_reference(variant):
         assert got == pytest.approx(forward_reference(catalog, params, config, p.user_id, p.anchor_id), abs=1e-12)
 
 
+def test_position_rows_match_active_positions_on_both_paths():
+    # full rows take the vectorised path, a catalog with short rows the
+    # per-object one; both give active_positions, padded with -1
+    from liverec.encoders import active_positions, field_offsets
+    from liverec.model import _position_rows
+
+    catalog, _ = _tiny(seed=12, id_features=True)
+    offsets = field_offsets(catalog.item_vocab)
+    full = list(catalog.items.values())
+    for objects in (full, list(_ragged(catalog, seed=12).items.values())):
+        want = [active_positions(o.features, offsets) for o in objects]
+        want = [r + [-1] * (len(offsets) - len(r)) for r in want]
+        got = _position_rows(objects, offsets)
+        assert got.dtype == np.intp and got.tolist() == want
+    assert _position_rows([], offsets).shape == (0, len(offsets))
+    with pytest.raises(ValueError, match="feature slots"):
+        _position_rows(full + [replace(full[0], features=full[0].features + (0,))], offsets)
+
+
 def test_catalog_that_outgrows_the_trained_layout_raises():
     catalog, _ = _tiny(seed=12)
     config = TrainConfig(**DIMS)
@@ -476,6 +495,36 @@ def test_an_empty_history_is_encoded_once_per_context(monkeypatch):
     assert len(calls) == 1
     assert len(calls[0][0]) == len(owners)
     assert sum(len(m) == 0 for m in calls[0][0]) == 1
+
+
+def test_each_distinct_history_item_is_pnn_encoded_once(monkeypatch):
+    # histories share items; the item PNN sees each distinct one once per
+    # batch, not once per history position
+    from liverec import encoders, model
+
+    catalog, pairs = _tiny(seed=21, history_len_range=(5, 15))
+    config = TrainConfig(**DIMS)
+    params = _params(catalog, config)
+    item_rows = []
+    for module in (model, encoders):
+        real = module.pnn_encode_batch
+
+        def spy(kind, positions, pnn, real=real):
+            if kind == "item":
+                item_rows.append(len(positions))
+            return real(kind, positions, pnn)
+
+        monkeypatch.setattr(module, "pnn_encode_batch", spy)
+    batch = pairs[:20]
+    histories = [catalog.users[u].browsed_items for u in {p.user_id for p in batch}]
+    histories += [catalog.anchors[a].broadcast_items for a in {p.anchor_id for p in batch}]
+    distinct = len({i for hist in histories for i in hist})
+    assert sum(map(len, histories)) > distinct
+    evaluate_pairs(catalog, params, config, batch)
+    assert item_rows == [distinct]
+    item_rows.clear()
+    model._batch_gradients(catalog, params, config, batch, None)
+    assert item_rows == [distinct]
 
 
 def test_adam_optimizer_runs_and_is_deterministic():
