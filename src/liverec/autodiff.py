@@ -30,8 +30,9 @@ per input row, so the per-step ops never reach the tape.
 
 ``segment_attention`` is the attention layers' pooling: it pools ragged
 groups of rows, each with its own softmax, in one node whatever the
-number of groups, and its backward rule scatters the row gradients back
-once.
+number of groups.  It scores each source row once and puts the softmax
+weights into one sparse (groups, rows) matrix, so the pooling and its
+backward rule are products with that matrix and no row is gathered.
 
 Operands may be Tensors, numpy arrays, or Python scalars; non-Tensor
 operands are treated as constants.  ``add``/``multiply_elementwise``
@@ -383,14 +384,19 @@ def lstm(embedded, step_rows, w, u, b) -> Tensor:
 def segment_attention(states, w, index, lengths, values=None) -> Tensor:
     """Attention-pool ragged groups of rows, one softmax per group, as one op.
 
-    ``index`` lists rows of ``states`` (R, k) group after group (None for
+    ``index`` lists rows of ``states`` (n, k) group after group (None for
     every row in order) and ``lengths`` (S,) counts each group's rows; a
-    group may be empty.  Group s weighs its rows x by ``softmax(x @ w)``
-    over the group and returns the weighted sum of the same rows of
-    ``values`` (R, d), or of ``states`` when None.  The output is (S, d),
-    with a zero row for an empty group; a zero ``w`` gives each group's
-    mean.  The backward rule sums the row gradients into one buffer of
-    ``states``' shape (and one of ``values``'), repeated rows included.
+    group may be empty, and a row may be read by many groups or many times
+    by one.  Group s weighs its rows x by ``softmax(x @ w)`` over the group
+    and returns the weighted sum of the same rows of ``values`` (n, d), or
+    of ``states`` when None.  The output is (S, d), with a zero row for an
+    empty group; a zero ``w`` gives each group's mean.
+
+    Each source row's logit is taken once, as ``(states @ w)[index]``, and
+    the weights form an (S, n) CSR matrix ``P`` with one entry per index
+    entry (a repeated row keeps its entries), so the pooling is ``P @
+    values`` and no row is gathered.  When an operand is tracked, ``P`` is
+    saved for the backward sweep.
     """
     sd, si, st = _parts(states)
     wd, wi, wt = _parts(w)
@@ -403,20 +409,18 @@ def segment_attention(states, w, index, lengths, values=None) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= sd.shape[0]):
         raise IndexError(f"segment_attention: row out of range for states with {sd.shape[0]} rows")
     tape = _tape_of((si, st), (wi, wt), (vi, vt))
+    if not idx.size:
+        return _emit(tape, "segment_attention", (si, wi, vi), None, np.zeros((counts.size, vd.shape[1])))
+    ends = np.cumsum(counts)
     full = counts > 0
-    starts = (np.cumsum(counts) - counts)[full]
-    group = np.repeat(np.arange(starts.size), counts[full])  # each row's non-empty group
-    x = sd[idx]
-    v = x if values is None else vd[idx]
-    out = np.zeros((counts.size, vd.shape[1]))
-    a = pooled = None
-    if idx.size:
-        logits = x @ wd
-        e = np.exp(logits - np.maximum.reduceat(logits, starts)[group])
-        a = e / np.add.reduceat(e, starts)[group]
-        pooled = np.add.reduceat(a[:, None] * v, starts, axis=0)
-        out[full] = pooled
-    saved = (sd.shape, vd.shape, idx, full, group, x, v, wd, a, pooled, values is None) if tape is not None else None
+    starts = (ends - counts)[full]
+    group = np.repeat(np.arange(starts.size), counts[full])  # each entry's non-empty group
+    logits = (sd @ wd)[idx]
+    e = np.exp(logits - np.maximum.reduceat(logits, starts)[group])
+    a = e / np.add.reduceat(e, starts)[group]
+    weights = csr_matrix((a, idx, np.concatenate([[0], ends])), shape=(counts.size, sd.shape[0]))
+    out = weights @ vd
+    saved = (weights, sd, vd, wd, out, values is None) if tape is not None else None
     return _emit(tape, "segment_attention", (si, wi, vi), saved, out)
 
 
@@ -562,26 +566,31 @@ def _bk_lstm(ids, saved, g, acc):
 
 
 def _bk_segment_attention(ids, saved, g, acc):
-    """Each row k of group s gets ``a_k g_s`` through its value and
-    ``dl_k = a_k (g_s . v_k - g_s . out_s)`` through its logit, so
-    ``dl_k w`` as a state row and ``dl_k x_k`` summed into ``w``."""
-    shape, vshape, idx, full, group, x, v, wd, a, pooled, own_values = saved
-    if not idx.size:
+    """With ``P`` the forward's weight matrix, the values get ``P.T @ g``.
+    Entry k (group s, row r, weight a_k) has the logit gradient ``a_k
+    (g_s . v_r - g_s . out_s)``; summed over the entries that read row r
+    that is ``v_r . (P.T @ g)_r - (P.T @ c)_r`` with ``c_s = g_s . out_s``,
+    so the per-row logit gradients ``dl`` take two products with ``P.T``
+    and nothing per entry.  The states get ``outer(dl, w)`` (plus ``P.T @
+    g`` when they are the values) and ``w`` gets ``dl @ states``."""
+    if saved is None:  # no row read
         return
+    weights, sd, vd, wd, out, own_values = saved
     s_id, w_id, v_id = ids
-    gs = g[full]
-    gk = gs[group]  # each row's group gradient
-    dv = a[:, None] * gk
-    dl = a * (np.einsum("ij,ij->i", gk, v) - np.einsum("ij,ij->i", gs, pooled)[group])
+    back = weights.T
+    dv = back @ g
+    if not own_values:
+        acc(v_id, dv)
+    if s_id is None and w_id is None:
+        return
+    dl = np.einsum("ij,ij->i", vd, dv) - back @ np.einsum("ij,ij->i", g, out)
     if w_id is not None:
-        acc(w_id, dl @ x)
-    dx = np.outer(dl, wd)
-    if own_values:
-        dx += dv
-    elif v_id is not None:
-        acc(v_id, _scatter_rows(None, vshape, [(idx, dv)]))
+        acc(w_id, dl @ sd)
     if s_id is not None:
-        acc(s_id, _scatter_rows(None, shape, [(idx, dx)]))
+        ds = np.outer(dl, wd)
+        if own_values:
+            ds += dv
+        acc(s_id, ds)
 
 
 _BACKWARD = {

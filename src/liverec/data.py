@@ -137,8 +137,10 @@ def _link_catalog(users, anchors, items) -> Catalog:
 
 
 def _is_int(v) -> bool:
-    """A JSON integer: ``true`` and ``false`` decode to bools, which are ints in Python."""
-    return isinstance(v, int) and not isinstance(v, bool)
+    """A JSON integer that fits in 64 bits, as the model's id and feature
+    arrays hold them: ``true`` and ``false`` decode to bools, which are ints
+    in Python."""
+    return isinstance(v, int) and not isinstance(v, bool) and -(2**63) <= v < 2**63
 
 
 def _ids(raw, what: str) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ import pytest
 from liverec import autodiff as ad
 from liverec.autodiff import _BACKWARD, ShapeError, Tape, Tensor, _scatter_rows, backward
 
-from oracles import fd_max_rel_error
+from oracles import fd_max_rel_error, segment_attention_reference
 
 FD_TOL = 1e-4
 
@@ -359,11 +359,14 @@ def _segment_case(rng):
     """Groups of unequal length over shared rows: always an empty group, a
     one-row group and a longer one, rows repeated across and within groups
     (as co-retrieved pairs share an owner's rows), in shuffled order.  One
-    instance in three pools separate values, one in four holds w constant."""
-    n, k = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+    instance in two reads only some rows of a larger source block, as the
+    pooled LSTM block and co-retrieval do.  One instance in three pools
+    separate values, one in four holds w constant."""
+    n, k = int(rng.integers(2, 8)), int(rng.integers(1, 4))
     lengths = np.concatenate([[0, 1, rng.integers(2, 5)], rng.integers(0, 4, size=rng.integers(0, 3))])
     rng.shuffle(lengths)
-    index = rng.integers(0, n, size=int(lengths.sum()))
+    read = np.arange(n) if rng.integers(2) else rng.permutation(n)[: rng.integers(1, n)]
+    index = rng.choice(read, size=int(lengths.sum()))
     arrays = [rng.normal(size=(n, k)), rng.normal(size=k)]
     if rng.integers(3) == 0:
         arrays.append(rng.normal(size=(n, int(rng.integers(1, 4)))))
@@ -377,6 +380,65 @@ def _segment_case(rng):
         return _cotangent_sum(out, np.random.default_rng(7))
 
     return build, arrays
+
+
+def _large_segments(rng, n, groups):
+    """Ragged groups over an (n,)-row source: a fifth of them empty, rows
+    drawn (with repeats, within and across groups) from two thirds of the
+    source, so the other rows are read by no group."""
+    lengths = rng.integers(1, 60, size=groups)
+    lengths[rng.random(groups) < 0.2] = 0
+    read = rng.permutation(n)[: 2 * n // 3]
+    return rng.choice(read, size=int(lengths.sum())), lengths
+
+
+@pytest.mark.parametrize("own_values", [True, False])
+def test_segment_attention_matches_the_gathering_reference(own_values):
+    rng = np.random.default_rng(31 + own_values)
+    for _ in range(3):
+        n, k = int(rng.integers(200, 400)), int(rng.integers(4, 17))
+        index, lengths = _large_segments(rng, n, int(rng.integers(100, 200)))
+        states, w = rng.normal(size=(n, k)), rng.normal(size=k)
+        values = None if own_values else rng.normal(size=(n, int(rng.integers(3, 9))))
+        g = rng.normal(size=(len(lengths), k if own_values else values.shape[1]))
+        want, (want_s, want_w, want_v) = segment_attention_reference(states, w, index, lengths, values, g)
+        t = Tape()
+        ops = [t.watch(states), t.watch(w)] + ([] if own_values else [t.watch(values)])
+        out = ad.segment_attention(ops[0], ops[1], index, lengths, None if own_values else ops[2])
+        grads = backward(t, ad.reduce_sum(ad.multiply_elementwise(out, g)))
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(grads[ops[0].node_id], want_s, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(grads[ops[1].node_id], want_w, rtol=1e-13, atol=1e-13)
+        if not own_values:
+            np.testing.assert_allclose(grads[ops[2].node_id], want_v, rtol=0, atol=1e-13)
+
+
+def test_a_row_read_k_times_pools_like_one_row_with_log_k_added():
+    # the browsed-anchor groups repeat an anchor once per visit: k entries
+    # of a row weigh it as one entry whose logit is larger by log k
+    rng = np.random.default_rng(33)
+    states, values, w = rng.normal(size=(7, 4)), rng.normal(size=(7, 3)), rng.normal(size=4)
+    distinct, times = np.array([5, 1, 3, 6]), np.array([3, 1, 4, 2])
+    index = rng.permutation(np.repeat(distinct, times))
+    out = ad.segment_attention(states, w, index, [index.size], values).data[0]
+    p = ad.softmax(states[distinct] @ w + np.log(times)).data
+    np.testing.assert_allclose(out, p @ values[distinct], rtol=0, atol=1e-14)
+
+
+def test_segment_attention_saves_no_row_per_index_entry():
+    # the pooled rows are never gathered: a tracked node keeps no (R, k)
+    # block, only the weight matrix and the arrays it was given
+    rng = np.random.default_rng(34)
+    n, k = 40, 16
+    index, lengths = _large_segments(rng, n, 30)
+    assert index.size > 2 * n
+    states, values = rng.normal(size=(n, k)), rng.normal(size=(n, 5))
+    for vals in (None, values):
+        t = Tape()
+        out = ad.segment_attention(t.watch(states), t.watch(rng.normal(size=k)), index, lengths, vals)
+        _, _, saved = t.nodes[out.node_id]
+        blocks = [np.shape(v) for v in saved if isinstance(v, np.ndarray) and v.ndim == 2]
+        assert blocks and all(shape[0] in (n, len(lengths)) for shape in blocks), blocks
 
 
 def test_segment_attention_matches_a_softmax_per_group():

@@ -104,6 +104,20 @@ def test_ingest_skips_pairs_with_boolean_fields(tmp_path, caplog, field):
     assert [int(r.args[1]) for r in caplog.records] == [1]
 
 
+def test_ingest_skips_ids_beyond_64_bits(tmp_path, caplog):
+    # the model keeps ids in int64 arrays, so a wider id is malformed
+    cat, prs = _minimal_files(tmp_path)
+    wide = 2**63
+    lines = cat.read_text(encoding="utf-8").splitlines()
+    _write(cat, lines + [json.dumps({"kind": "anchor", "id": wide, "features": [3], "broadcast_items": [5]}),
+                         json.dumps({"kind": "user", "id": 2, "features": [0], "browsed_anchors": [9, wide]})])
+    _write(prs, [json.dumps({"user": 1, "anchor": wide, "label": 1}), json.dumps({"user": 1, "anchor": 9, "label": 1})])
+    with caplog.at_level(logging.WARNING, logger="liverec.data"):
+        catalog, pairs = ingest_logs(cat, prs)
+    assert (sorted(catalog.users), sorted(catalog.anchors), pairs) == ([1], [9], [LabeledPair(1, 9, 1)])
+    assert [int(r.args[1]) for r in caplog.records] == [4, 5, 1]
+
+
 @pytest.mark.parametrize("which", ["catalog", "pairs"])
 def test_ingest_skips_undecodable_and_over_deep_lines(tmp_path, caplog, which):
     # invalid UTF-8 and nesting deeper than the JSON decoder's recursion

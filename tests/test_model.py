@@ -169,6 +169,25 @@ def test_a_repeated_target_is_gathered_when_the_browsed_anchors_make_up_the_coun
     assert data_value == pytest.approx(-math.log(want[0]) - math.log(1.0 - want[1]), abs=1e-12)
 
 
+@pytest.mark.parametrize("relabel", [lambda a: a + 1000, lambda a: 10**12 * a - 5], ids=["shifted", "sparse"])
+def test_anchor_ids_are_labels_only(relabel):
+    # the browsed anchors' rows are found through a table over the ids'
+    # span, or a binary search when the ids are sparse; both give the
+    # scores of the original ids exactly
+    catalog, pairs = _edge_catalog(seed=21)
+    users = {k: replace(u, browsed_anchors=tuple(map(relabel, u.browsed_anchors))) for k, u in catalog.users.items()}
+    anchors = {relabel(k): replace(a, anchor_id=relabel(k)) for k, a in catalog.anchors.items()}
+    moved = _link_catalog(users, anchors, catalog.items)
+    config = TrainConfig(**DIMS)
+    params = _params(catalog, config, seed=8)
+    prng = np.random.default_rng(5)
+    for _, arr in params.named_arrays():
+        arr += prng.uniform(-0.3, 0.3, size=arr.shape)
+    want = evaluate_pairs(catalog, params, config, pairs)
+    got = evaluate_pairs(moved, params, config, [replace(p, anchor_id=relabel(p.anchor_id)) for p in pairs])
+    assert (got.logloss, got.auc) == (want.logloss, want.auc)
+
+
 def test_evaluate_pairs_names_an_unknown_id_before_encoding(monkeypatch):
     from liverec import model
 
