@@ -325,23 +325,6 @@ def _segments(states, rows, pair_group=None) -> Segments:
     return Segments(np.concatenate(rows), np.array([len(r) for r in rows], dtype=np.intp), pair_group)
 
 
-def _row_lookup(ids):
-    """A function mapping an int array of members of ``ids`` (distinct
-    ints) to their positions in ``ids``: a table over the ids' span, or a
-    binary search when that span has over 64 slots per id, so sparse ids
-    cost no large table."""
-    ids = np.asarray(ids, dtype=np.intp)
-    lo = int(ids.min())
-    span = int(ids.max()) - lo + 1
-    if span > 64 * ids.size:
-        order = np.argsort(ids)
-        ordered = ids[order]
-        return lambda keys: order[np.searchsorted(ordered, keys)]
-    table = np.empty(span, dtype=np.intp)
-    table[ids - lo] = np.arange(ids.size)
-    return lambda keys: table[np.asarray(keys, dtype=np.intp) - lo]
-
-
 def _predict(catalog: Catalog, params: ModelParams, config: TrainConfig, user_ids, anchor_ids,
              dropout_mask=None):
     """Predictions for a batch of pairs, a (B,) tensor (on the tape the
@@ -386,10 +369,10 @@ def _predict(catalog: Catalog, params: ModelParams, config: TrainConfig, user_id
         )
         return ad.sigmoid(score), np.zeros(0)
 
-    row_of = _row_lookup(encoded)
+    row = {a: k for k, a in enumerate(encoded)}
     # distinct targets and no other anchor encoded: each pair's own target, in order
     own_targets = pair_anchor is None and len(encoded) == len(anchors)
-    e_target = _take(e_anchor, None if own_targets else row_of(anchor_ids))
+    e_target = _take(e_anchor, None if own_targets else [row[a] for a in anchor_ids])
     y_e = embed_similarity(_take(e_user, pair_user), e_target)
 
     n_pairs, d = len(user_ids), config.dim
@@ -415,9 +398,9 @@ def _predict(catalog: Catalog, params: ModelParams, config: TrainConfig, user_id
         budgets = u_groups.per_pair(u_groups.lengths) * a_groups.per_pair(a_groups.lengths)
 
     if browsing:
-        lengths = np.array([len(hist) for hist in browsed], dtype=np.intp)
-        flat = np.fromiter(chain.from_iterable(browsed), dtype=np.intp, count=int(lengths.sum()))
-        groups = Segments(row_of(flat), lengths, pair_user)
+        lengths = [len(hist) for hist in browsed]
+        flat = np.fromiter(map(row.__getitem__, chain.from_iterable(browsed)), dtype=np.intp, count=sum(lengths))
+        groups = Segments(flat, np.array(lengths, dtype=np.intp), pair_user)
         w_browsed = ad.embedding_lookup(ad.reshape(params.attn.anchor_w, (3, d)), 1)  # [e_u, e_n, e_a]
         y_a = anchor_aspect_interaction(e_anchor, groups, e_target, w_browsed)
     else:

@@ -105,7 +105,8 @@ def test_ingest_skips_pairs_with_boolean_fields(tmp_path, caplog, field):
 
 
 def test_ingest_skips_ids_beyond_64_bits(tmp_path, caplog):
-    # the model keeps ids in int64 arrays, so a wider id is malformed
+    # the model keeps item ids and features in int64 arrays; ids of every
+    # kind are held to the same 64 bits, so a wider id is malformed
     cat, prs = _minimal_files(tmp_path)
     wide = 2**63
     lines = cat.read_text(encoding="utf-8").splitlines()

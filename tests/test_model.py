@@ -171,9 +171,8 @@ def test_a_repeated_target_is_gathered_when_the_browsed_anchors_make_up_the_coun
 
 @pytest.mark.parametrize("relabel", [lambda a: a + 1000, lambda a: 10**12 * a - 5], ids=["shifted", "sparse"])
 def test_anchor_ids_are_labels_only(relabel):
-    # the browsed anchors' rows are found through a table over the ids'
-    # span, or a binary search when the ids are sparse; both give the
-    # scores of the original ids exactly
+    # anchor ids only name rows: shifted or sparse ids give the scores of
+    # the original ids exactly
     catalog, pairs = _edge_catalog(seed=21)
     users = {k: replace(u, browsed_anchors=tuple(map(relabel, u.browsed_anchors))) for k, u in catalog.users.items()}
     anchors = {relabel(k): replace(a, anchor_id=relabel(k)) for k, a in catalog.anchors.items()}
