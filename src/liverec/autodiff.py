@@ -17,16 +17,22 @@ that source, so gathering rows from a large tensor many times costs no
 full-size buffer per gather.  Repeated rows are summed by a one-hot
 sparse product, in the same order as ``np.add.at``.
 
-``lstm`` is a fused kernel: a whole LSTM loop over a block of sequences
-runs in plain numpy and records one node, whatever the number of steps.
-It takes the gate weights as the (4d, k) and (4d, d) row blocks the model
-stores, so no join or transpose of them reaches the tape either.  Each
-input row is projected into the gates once, however many sequences and
-steps read it, and a step takes one tanh over all four gates (a sigmoid
-is ``0.5*tanh(x/2) + 0.5``).  It saves the gate activations, the cells
-and their tanh (only when an operand is tracked), and its backward rule
-is a hand-written reverse loop through time that sums the step gradients
-per input row, so the per-step ops never reach the tape.
+``lstm`` is a fused kernel: a whole LSTM loop over a packed batch of
+sequences runs in plain numpy and records one node, whatever the number
+of steps.  The sequences come sorted longest first, so each step runs on
+only the sequences still going, a prefix of the previous step's, and the
+output holds one state row per step of each sequence and no dead rows.
+It takes the gate weights as the (4d, k) and (4d, d) row blocks the
+model stores, so no join or transpose of them reaches the tape either.
+Each input row is projected into the gates once, however many sequences
+and steps read it, and a step gathers its rows of that projection into
+one contiguous gate-major (4d, width) slab, so each gate is a contiguous
+row block and one tanh covers all four gates (a sigmoid is
+``0.5*tanh(x/2) + 0.5``).  Only when an operand is tracked does it keep
+every step's slab of gate activations, cells and their tanh, packed one
+after another; its backward rule is a hand-written reverse loop through
+time in the same layout that sums the step gradients per input row, so
+the per-step ops never reach the tape.
 
 ``segment_attention`` is the attention layers' pooling: it pools ragged
 groups of rows, each with its own softmax, in one node whatever the
@@ -42,6 +48,7 @@ one axis.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import prod
 from typing import Sequence
 
@@ -312,72 +319,103 @@ def transpose(x) -> Tensor:
     return _emit(_tape_of((xi, xt)), "transpose", (xi,), None, xd.T)
 
 
-def lstm(embedded, step_rows, w, u, b) -> Tensor:
-    """A whole LSTM loop over B sequences advancing together, as one op.
+# a step gathers its input rows of the projection in one call, or, when it
+# reads fewer, those of as many whole steps as fit: at d = 32 a lone
+# sequence of 175 steps ran about 25% slower gathering step by step and
+# still paid below about 128 rows, while gathering further ahead did not
+# help a batch of hundreds of sequences
+_GATHER_ROWS = 512
 
-    ``embedded`` is an (n, k) block of inputs and ``step_rows`` a (T, B)
-    int array: step t reads rows ``step_rows[t]`` as its (B, k) input; a
-    row may be read by many sequences and steps.  ``w`` (4d, k) and ``u``
-    (4d, d) project the input and the previous state, ``b`` is the (4d,)
-    bias; row blocks are the gates ``[i | f | o | c]``.  A step is
-    ``pre = (x_t @ w.T + b) (+ h @ u.T from step 2 on)``, a sigmoid over
-    columns [0, 3d) and a tanh over [3d, 4d), then ``c = f*c + i*g`` and
-    ``h = o*tanh(c)``, starting from zero.  Each input row is projected
-    once, and the step rows of the projection are gathered once into a
-    (T, B, 4d) block.  The sigmoid is ``0.5*tanh(x/2) + 0.5``, with the
-    projection's and ``u``'s sigmoid columns halved (exactly), so one tanh
-    per step, in place in the block, covers all four gates.
-    Returns the T step states stacked into one (T*B, d) tensor: row
-    ``t*B + b`` is sequence b's state after step t.
 
-    When an operand is tracked, the block (by then the gate activations),
-    the cells and their tanh are saved for the backward sweep.
+def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
+    """A whole LSTM loop over a packed batch of sequences, as one op.
+
+    The sequences are packed longest first: ``widths`` (T,) is
+    non-increasing and positive, ``widths[t]`` being the number of
+    sequences still running at step t, so step t's sequences are the first
+    ``widths[t]`` of step t-1's.  ``step_rows`` lists, step after step,
+    the rows of ``embedded`` (n, k) that step's sequences read, in that
+    sequence order; a row may be read by many sequences and steps.  ``w``
+    (4d, k) and ``u`` (4d, d) project the input and the previous state,
+    ``b`` is the (4d,) bias; row blocks are the gates ``[i | f | o | c]``.
+    A step is ``pre = (w @ x + b) (+ u @ h from step 2 on)``, a sigmoid
+    over rows [0, 3d) and a tanh over [3d, 4d), then ``c = f*c + i*g`` and
+    ``h = o*tanh(c)``, starting from zero.  Returns the (sum(widths), d)
+    states, packed like ``step_rows``: row j is the state after the step
+    that read input row ``step_rows[j]``.  No finished sequence is stepped.
+
+    Each input row is projected once, into an (n, 4d) block.  A step
+    gathers its sequences' rows of it and works gate-major, on one
+    contiguous (4d, widths[t]) slab, so each gate is a contiguous row
+    block; no (T, B, 4d) block is built.  The sigmoid is
+    ``0.5*tanh(x/2) + 0.5``, with the projection's and ``u``'s sigmoid
+    rows halved (exactly), so one tanh per step, in place in the slab,
+    covers all four gates.  When an operand is tracked, every step's slab
+    (by then its gate activations), cells and their tanh are kept in
+    packed buffers for the backward sweep; otherwise one slab's buffer is
+    reused and only the last step's cells are held.
     """
     xd, xi, xt = _parts(embedded)
     wd, wi, wt = _parts(w)
     ud, ui, ut = _parts(u)
     bd, bi, bt = _parts(b)
     rows = np.asarray(step_rows, dtype=np.intp)
+    sizes = np.asarray(widths, dtype=np.intp)
     dim = ud.shape[1] if ud.ndim == 2 else 0
-    if (xd.ndim != 2 or rows.ndim != 2 or ud.shape != (4 * dim, dim) or not dim
-            or wd.shape != (4 * dim, xd.shape[1]) or bd.shape != (4 * dim,)):
-        raise ShapeError("lstm", xd.shape, rows.shape, wd.shape, ud.shape, bd.shape)
+    ends = np.cumsum(sizes).tolist() if sizes.ndim == 1 else [-1]
+    if (xd.ndim != 2 or rows.ndim != 1 or ud.shape != (4 * dim, dim) or not dim
+            or wd.shape != (4 * dim, xd.shape[1]) or bd.shape != (4 * dim,)
+            or (ends[-1] if ends else 0) != rows.size
+            or (sizes.size and (sizes[-1] < 1 or (sizes[1:] > sizes[:-1]).any()))):
+        raise ShapeError("lstm", xd.shape, rows.shape, sizes.shape, wd.shape, ud.shape, bd.shape)
     if rows.size and (rows.min() < 0 or rows.max() >= xd.shape[0]):
         raise IndexError(f"lstm: step row out of range for input with {xd.shape[0]} rows")
     tape = _tape_of((xi, xt), (wi, wt), (ui, ut), (bi, bt))
-    steps, width = rows.shape
-    sig = 3 * dim  # the sigmoid gates' columns
+    total, gate_rows, sig = rows.size, 4 * dim, 3 * dim  # sig: the sigmoid gates' rows
     proj = xd @ wd.T
     proj += bd
     proj[:, :sig] *= 0.5
-    acts = proj[rows]  # (T, B, 4d): each step's pre-activations, then its gates
-    u_cols = ud.T.copy()
-    u_cols[:, :sig] *= 0.5
-    out = np.empty((steps * width, dim))
-    if tape is not None:
-        cells = np.empty((steps, width, dim))
-        tanh_cells = np.empty((steps, width, dim))
-    # per-step views made once: at B = 1 slicing a step's block costs
-    # about as much as an elementwise op on it
-    sigmoids, i_g, f_g, o_g, g_g = (acts[:, :, cols] for cols in (
-        slice(sig), slice(dim), slice(dim, 2 * dim), slice(2 * dim, sig), slice(sig, None)))
-    states = out.reshape(steps, width, dim)
-    h = c = None
-    for t in range(steps):
-        a = acts[t]
-        if h is not None:
-            a += h @ u_cols
+    u_half = ud.copy()
+    u_half[:sig] *= 0.5
+    out = np.empty((total, dim))
+    tracked = tape is not None
+    gates = np.empty(gate_rows * (total if tracked else ends[0] if ends else 0))
+    cells = np.empty(dim * total) if tracked else None
+    tanh_cells = np.empty(dim * total) if tracked else None
+    start = width = stop = 0
+    h = c = cs = ts = None
+    for t, end in enumerate(ends):
+        n = end - start
+        if tracked or n != width:
+            a = (gates[gate_rows * start : gate_rows * end] if tracked else gates[: gate_rows * n]).reshape(gate_rows, n)
+            s, i_g, f_g, o_g, g_g = a[:sig], a[:dim], a[dim : 2 * dim], a[2 * dim : sig], a[sig:]
+        if end > stop:  # gather the input rows of the next steps that fit in _GATHER_ROWS
+            first, stop = start, ends[max(bisect_right(ends, start + _GATHER_ROWS) - 1, t)]
+            block = proj[rows[first:stop]]
+        x_t = block[start - first : end - first].T
+        if h is None:
+            a[...] = x_t
+        else:
+            if n != width:  # the sequences past the first n have ended
+                h, c = h[:, :n], c[:, :n]
+            np.dot(u_half, h, out=a)
+            a += x_t
+        width = n
         np.tanh(a, out=a)
-        s = sigmoids[t]
         s *= 0.5
         s += 0.5
-        ig = i_g[t] * g_g[t]
-        c = ig if c is None else f_g[t] * c + ig
-        tc = np.tanh(c)
-        h = np.multiply(o_g[t], tc, out=states[t])
-        if tape is not None:
-            cells[t], tanh_cells[t] = c, tc
-    saved = (xd, rows, wd, ud, acts, cells, tanh_cells, out) if tape is not None else None
+        if tracked:
+            cs = cells[dim * start : dim * end].reshape(dim, n)
+            ts = tanh_cells[dim * start : dim * end].reshape(dim, n)
+        if c is None:
+            c = np.multiply(i_g, g_g, out=cs)
+        else:
+            c = np.multiply(f_g, c, out=cs)
+            c += i_g * g_g
+        h = o_g * np.tanh(c, out=ts)
+        out[start:end] = h.T
+        start = end
+    saved = (xd, rows, sizes, wd, ud, gates, cells, tanh_cells, out) if tracked else None
     return _emit(tape, "lstm", (xi, wi, ui, bi), saved, out)
 
 
@@ -519,42 +557,70 @@ def _bk_transpose(ids, saved, g, acc):
 
 
 def _bk_lstm(ids, saved, g, acc):
-    """Backpropagation through time: one reverse loop carries the state and
-    cell gradients; each step writes its four gate gradients into a (B, 4d)
-    block.  The step gradients are then summed per input row by
-    `_scatter_rows` (each row's readers in step order, then sequence
+    """Backpropagation through time in the forward's packed, gate-major
+    layout: one reverse loop carries the state and cell gradients of step
+    t+1's sequences, the first ``widths[t+1]`` of step t's, and writes
+    each step's four gate gradients into one contiguous (4d, widths[t])
+    slab, from which it takes the state gradient for step t-1 and which
+    it copies into row-major (sum(widths), 4d) gate gradients.  Those are
+    summed per input row by `_scatter_rows` (each row's readers in packed
     order, as ``np.add.at`` adds them), so the input and weight gradients
     are one (n, 4d) product each and the bias gradient one sum over the n
-    rows; the recurrent weights' gradient is one product over all steps.
-    Summing per row first reorders the input-weight and bias sums, so they
-    match one product over every step to rounding, not bit for bit."""
-    xd, rows, wd, ud, acts, cells, tanh_cells, out = saved
-    steps, width = rows.shape
+    rows; the recurrent weights' gradient is one product over every step
+    after the first and the aligned previous states.  Summing per row
+    first reorders the input-weight and bias sums, so they match one
+    product over every step to rounding, not bit for bit."""
+    xd, rows, sizes, wd, ud, gates, cells, tanh_cells, out = saved
+    if not rows.size:  # no step ran
+        return
     dim = ud.shape[1]
-    g = g.reshape(steps, width, dim)
-    d_pre = np.empty((steps, width, 4 * dim))
+    total, gate_rows = rows.size, 4 * dim
+    ends = np.cumsum(sizes).tolist()
+    starts = [0] + ends[:-1]
+    d_pre = np.empty((total, gate_rows))
+    slab = np.empty(gate_rows * ends[0])
+    u_back = ud.T
     dh = dc = None
-    for t in range(steps - 1, -1, -1):
-        a = acts[t]
-        i_g, f_g, o_g, g_g = a[:, :dim], a[:, dim : 2 * dim], a[:, 2 * dim : 3 * dim], a[:, 3 * dim :]
-        tc = tanh_cells[t]
-        dh = g[t] if dh is None else g[t] + dh
-        dc_t = dh * o_g * (1.0 - tc * tc)
-        dc = dc_t if dc is None else dc_t + dc
-        blk = d_pre[t]
-        blk[:, :dim] = dc * g_g * i_g * (1.0 - i_g)
-        blk[:, 2 * dim : 3 * dim] = dh * tc * o_g * (1.0 - o_g)
-        blk[:, 3 * dim :] = dc * i_g * (1.0 - g_g * g_g)
+    for t in range(len(ends) - 1, -1, -1):
+        start, end = starts[t], ends[t]
+        n = end - start
+        a = gates[gate_rows * start : gate_rows * end].reshape(gate_rows, n)
+        i_g, f_g, o_g, g_g = a[:dim], a[dim : 2 * dim], a[2 * dim : 3 * dim], a[3 * dim :]
+        tc = tanh_cells[dim * start : dim * end].reshape(dim, n)
+        if dh is None:
+            dh = g[start:end].T
+        else:  # the carried gradients reach only step t+1's sequences
+            carried = dh
+            dh = g[start:end].T.copy()
+            dh[:, : carried.shape[1]] += carried
+        dc_t = dh * o_g
+        dc_t *= 1.0 - tc * tc
+        if dc is not None:
+            dc_t[:, : dc.shape[1]] += dc
+        dc = dc_t
+        blk = slab[: gate_rows * n].reshape(gate_rows, n)
+        d_i, d_f, d_o, d_g = blk[:dim], blk[dim : 2 * dim], blk[2 * dim : 3 * dim], blk[3 * dim :]
+        np.multiply(dc, g_g, out=d_i)
+        d_i *= i_g
+        d_i *= 1.0 - i_g
+        np.multiply(dh, tc, out=d_o)
+        d_o *= o_g
+        d_o *= 1.0 - o_g
+        np.multiply(dc, i_g, out=d_g)
+        d_g *= 1.0 - g_g * g_g
         if t:
-            blk[:, dim : 2 * dim] = dc * cells[t - 1] * f_g * (1.0 - f_g)
-            dh = blk @ ud
-            dc = dc * f_g
+            before = cells[dim * starts[t - 1] : dim * ends[t - 1]].reshape(dim, -1)[:, :n]
+            np.multiply(dc, before, out=d_f)
+            d_f *= f_g
+            d_f *= 1.0 - f_g
+            dh = u_back @ blk
+            dc *= f_g
         else:  # the first step has no previous cell or state
-            blk[:, dim : 2 * dim] = 0.0
-    d_pre = d_pre.reshape(steps * width, 4 * dim)
+            d_f[...] = 0.0
+        d_pre[start:end] = blk.T
     x_id, w_id, u_id, b_id = ids
     if x_id is not None or w_id is not None or b_id is not None:
-        d_proj = _scatter_rows(None, (xd.shape[0], 4 * dim), [(rows, d_pre)])
+        d_proj = _scatter_rows(None, (xd.shape[0], gate_rows), [(rows, d_pre)])
         if x_id is not None:
             acc(x_id, d_proj @ wd)
         if w_id is not None:
@@ -562,7 +628,10 @@ def _bk_lstm(ids, saved, g, acc):
         if b_id is not None:
             acc(b_id, d_proj.sum(axis=0))
     if u_id is not None:
-        acc(u_id, d_pre[width:].T @ out[:-width])
+        first = ends[0]
+        # the row before each later step's row j: the same sequence's previous state
+        before = np.arange(first, total) - np.repeat(sizes[:-1], sizes[1:])
+        acc(u_id, d_pre[first:].T @ out[before])
 
 
 def _bk_segment_attention(ids, saved, g, acc):

@@ -7,17 +7,19 @@ standard LSTM over already-encoded item vectors, returning every
 position's hidden state because downstream attention needs them all:
 one (L, d) matrix per history, row t being the state after item t.  The
 batched form takes the histories as rows into one block of distinct
-items, encodes each item once, keeps every history's states in one
-stacked block and returns each history's row indices into it.
+items, encodes each item once, runs the histories packed (longest first,
+each step over the histories still running) and returns one block with
+exactly one state row per history item, and each history's row indices
+into it.
 
 Each encoder has one kernel.  ``pnn_encode_batch`` encodes a block of
 objects and ``pnn_encode`` is its one-object form; ``encode_sequence``
-runs the LSTM loop of ``encode_sequences_batched`` on a single history.
+runs the LSTM kernel of ``encode_sequences_batched`` on a single history.
 Objects with fewer feature slots than the layout pad with position -1.
 The LSTM loop is one fused op: ``autodiff.lstm`` reads the gate weights
 as stored, (4d, d) row blocks in gate order ``[i | f | o | c]``,
-projects each input row once, runs every step in plain numpy and
-records a single tape node for the whole loop.
+projects each input row once, runs every step gate-major in plain numpy
+and records a single tape node for the whole loop.
 """
 from __future__ import annotations
 
@@ -138,7 +140,7 @@ def encode_sequence(embedded: Tensor, params: LstmParams) -> Tensor | None:
     n = embedded.shape[0]
     if not n:
         return None
-    return ad.lstm(embedded, np.arange(n)[:, None], params.w, params.u, params.b)
+    return ad.lstm(embedded, np.arange(n), np.ones(n, dtype=np.intp), params.w, params.u, params.b)
 
 
 def encode_sequences_batched(histories, item_positions: np.ndarray, pnn: PnnEncoderParams,
@@ -147,32 +149,35 @@ def encode_sequences_batched(histories, item_positions: np.ndarray, pnn: PnnEnco
 
     Equivalent to calling ``pnn_encode_batch`` + ``encode_sequence`` per
     sequence, but each item is encoded once, and projected into the gates
-    once, however many sequences and steps read it, and all sequences
-    advance together: each step works on a (B, d) state block, and the
-    tape holds one PNN pass and one fused LSTM node whatever the number of
-    sequences.  Rows of finished sequences keep computing garbage that is
-    never read.
+    once, however many sequences and steps read it, and the sequences run
+    packed: sorted longest first (a stable sort), step t works on the
+    states of the sequences still running, a prefix of step t-1's, and
+    the tape holds one PNN pass and one fused LSTM node whatever the
+    number of sequences.
 
     ``item_positions`` is the (n, F) one-hot position array of the items,
     padded with -1 as in ``pnn_encode_batch``, and ``histories`` a list of
     int arrays, one per sequence, of rows into it, oldest first; rows may
-    repeat within and across sequences.  Returns the T step states stacked
-    into one (T*B, d) tensor (None when every sequence is empty) and each
-    sequence's row indices into it, aligned with the inputs: sequence b's
-    state after its item t is row ``t*B + b``, and an empty sequence has
-    no rows.  Readers gather or pool the rows they need from the one
-    tensor.
+    repeat within and across sequences.  Returns the packed states, one
+    (sum of lengths, d) tensor holding exactly one row per history item
+    (None when every sequence is empty), and each sequence's row indices
+    into it, aligned with the inputs and in history order; an empty
+    sequence has no rows.  The rows are step-major: step t's rows follow
+    step t-1's, and within a step the sequences keep their sorted order.
+    Readers gather or pool the rows they need from the one tensor.
     """
     lengths = np.array([len(h) for h in histories], dtype=np.intp)
-    n_seq = len(lengths)
-    rows = [np.arange(n) * n_seq + b for b, n in enumerate(lengths.tolist())]
+    n_seq = lengths.size
     maxlen = int(lengths.max(initial=0))
+    # widths[t]: the sequences longer than t, the first ones in sorted order
+    widths = n_seq - np.cumsum(np.bincount(lengths, minlength=maxlen + 1))[:maxlen]
+    starts = np.cumsum(widths) - widths
+    rank = np.empty(n_seq, dtype=np.intp)
+    rank[np.argsort(-lengths, kind="stable")] = np.arange(n_seq)
+    rows = [starts[:n] + r for n, r in zip(lengths.tolist(), rank.tolist())]
     if maxlen == 0:
         return None, rows
     items = pnn_encode_batch("item", item_positions, pnn)  # (n, d)
-    flat = np.concatenate(histories).astype(np.intp, copy=False)
-    offsets = np.cumsum(lengths) - lengths
-    # finished rows re-read a stale item; their states are never read
-    last = np.maximum(lengths - 1, 0)
-    steps = np.minimum(offsets + np.minimum(np.arange(maxlen)[:, None], last), flat.size - 1)
-    return ad.lstm(items, flat[steps], lstm.w, lstm.u, lstm.b), rows
+    step_rows = np.empty(int(widths.sum()), dtype=np.intp)
+    step_rows[np.concatenate(rows)] = np.concatenate(histories)
+    return ad.lstm(items, step_rows, widths, lstm.w, lstm.u, lstm.b), rows

@@ -28,15 +28,12 @@ def compute_auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs at least one positive and one negative label")
     order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s), dtype=np.float64)
     sorted_scores = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    # tie groups of the sorted scores: sorted positions first..last
+    first = np.flatnonzero(np.concatenate([[True], sorted_scores[1:] != sorted_scores[:-1]]))
+    last = np.append(first[1:], len(s)) - 1
+    ranks = np.empty(len(s), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)  # midrank, 1-based
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

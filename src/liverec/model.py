@@ -251,10 +251,13 @@ def _item_states(catalog: Catalog, params: ModelParams, users, anchors):
     """Every owner's item states: (user block, user rows, anchor block,
     anchor rows), where rows[k] indexes owner k's states in its side's
     block in history order.  Each distinct item of the batch is
-    PNN-encoded once.  All histories go through one batched LSTM and both
-    sides share its block, but one user and one anchor (the single-pair
-    case) are each encoded alone from their gathered items; their rows
-    are None, the whole block."""
+    PNN-encoded once.  All histories go through one packed LSTM and both
+    sides share its block, which holds one row per history item of every
+    owner, step-major (see `encode_sequences_batched`), so rows[k] is not
+    a contiguous range.  One user and one anchor (the single-pair case)
+    are each encoded alone from their gathered items, through
+    `encode_sequence`; their rows are None, the whole block in history
+    order."""
     owners = [("user", u) for u in users] + [("anchor", a) for a in anchors]
     positions, histories = _item_positions(catalog, params.offsets["item"], owners)
     pnn, lstm = params.pnn, params.lstm

@@ -268,6 +268,28 @@ def naive_co_retrieve(catalog, user_id, anchor_id, cap):
 # metric reference
 
 
+def auc_reference(scores, labels):
+    """Rank-sum AUC with midranks found by a loop over the sorted scores:
+    each tie group (sorted positions i..j) ranks ``0.5*(i+j) + 1``, as
+    ``metrics.compute_auc`` ranks them."""
+    y = np.asarray(labels)
+    s = np.asarray(scores, dtype=np.float64)
+    n_pos = int((y == 1).sum())
+    n_neg = int((y == 0).sum())
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(len(s), dtype=np.float64)
+    sorted_scores = s[order]
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
 def auc_pairwise(scores, labels):
     """O(n^2) pairwise counting with half credit for ties."""
     pos = [s for s, y in zip(scores, labels) if y == 1]

@@ -94,15 +94,18 @@ def test_shape_errors_name_kind_and_shapes():
         ad.concat([np.ones(3), np.ones((1, 3))])
     with pytest.raises(ShapeError):
         ad.reduce_sum(np.ones((2, 3)), axis=2)
-    x, rows, w, u, b = np.ones((4, 3)), np.zeros((2, 1), dtype=int), np.ones((8, 3)), np.ones((8, 2)), np.ones(8)
-    for bad in ((np.ones(3), rows, w, u, b), (x, np.zeros(2, dtype=int), w, u, b), (x, rows, np.ones((8, 2)), u, b),
-                (x, rows, np.ones((3, 8)), u, b), (x, rows, w, np.ones((6, 2)), b), (x, rows, w, np.ones((2, 8)), b),
-                (x, rows, w, u, np.ones((1, 8))), (x, rows, w, u, np.ones(4))):
+    x, rows, widths, w, u, b = np.ones((4, 3)), np.zeros(3, dtype=int), np.array([2, 1]), np.ones((8, 3)), np.ones((8, 2)), np.ones(8)
+    for bad in ((np.ones(3), rows, widths, w, u, b), (x, np.zeros((3, 1), dtype=int), widths, w, u, b),
+                (x, rows, widths[:, None], w, u, b), (x, rows, np.array([1, 2]), w, u, b),
+                (x, rows, np.array([3, 0]), w, u, b), (x, rows, np.array([2, 2]), w, u, b),
+                (x, rows, widths, np.ones((8, 2)), u, b), (x, rows, widths, np.ones((3, 8)), u, b),
+                (x, rows, widths, w, np.ones((6, 2)), b), (x, rows, widths, w, np.ones((2, 8)), b),
+                (x, rows, widths, w, u, np.ones((1, 8))), (x, rows, widths, w, u, np.ones(4))):
         with pytest.raises(ShapeError) as info:
             ad.lstm(*bad)
         assert info.value.kind == "lstm"
     with pytest.raises(IndexError, match="out of range"):
-        ad.lstm(x, np.array([[0], [4]]), w, u, b)
+        ad.lstm(x, np.array([0, 4, 1]), widths, w, u, b)
 
 
 def test_softmax_normalization_property():
@@ -488,20 +491,37 @@ def test_concat_along_axis_1_and_transpose():
         ad.transpose(np.ones(3))
 
 
+def _packed(histories):
+    """Pack row histories for ``ad.lstm``, longest first (a stable sort):
+    (step rows, widths, each history's rows in the packed output)."""
+    lengths = np.array([len(h) for h in histories])
+    order = np.argsort(-lengths, kind="stable")
+    widths = np.array([np.count_nonzero(lengths > t) for t in range(lengths.max(initial=0))], dtype=np.intp)
+    starts = np.cumsum(widths) - widths
+    places = [None] * len(histories)
+    for rank, k in enumerate(order):
+        places[k] = starts[: lengths[k]] + rank
+    step_rows = np.empty(int(lengths.sum()), dtype=np.intp)
+    for hist, at in zip(histories, places):
+        step_rows[at] = hist
+    return step_rows, widths, places
+
+
 def _lstm_case(rng):
-    """T >= 3 steps over B >= 2 sequences of ragged length: a finished
-    sequence keeps re-reading its last row, as in the batched encoder.
-    Sequences share rows as histories share items: the last one reads at
-    its first step the row the first reads at its second, and the first
-    reads its first row again at its last step.  One instance in four
-    holds one operand constant."""
+    """B >= 2 sequences of unequal lengths, packed, over T >= 3 steps: the
+    longest runs every step and one stops early, so the carried state and
+    cell gradients widen as the sweep goes back.  Sequences share rows as
+    histories share items: the shortest reads the longest's second row
+    first, and the longest reads its first row again at its last step.
+    One instance in four holds one operand constant."""
     k, d, steps, width = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(3, 6)), int(rng.integers(2, 4))
     lengths = rng.integers(1, steps + 1, size=width)
-    lengths[0], lengths[-1] = steps, rng.integers(1, steps)  # the longest, and one that goes stale
+    lengths[0], lengths[-1] = steps, rng.integers(1, steps)  # the longest, and one that stops early
     starts = np.cumsum(lengths) - lengths
-    rows = starts + np.minimum(np.arange(steps)[:, None], lengths - 1)
-    rows[0, -1] = rows[1, 0]
-    rows[-1, 0] = rows[0, 0]
+    histories = [list(range(s, s + n)) for s, n in zip(starts, lengths)]
+    histories[-1][0] = histories[0][1]
+    histories[0][-1] = histories[0][0]
+    step_rows, widths, _ = _packed(histories)
     arrays = [rng.normal(size=(int(lengths.sum()), k)), rng.normal(size=(4 * d, k)),
               rng.normal(size=(4 * d, d)), rng.normal(size=4 * d)]
     constant = int(rng.integers(4)) if rng.integers(4) == 0 else None
@@ -511,7 +531,7 @@ def _lstm_case(rng):
         ops = list(xs)
         if constant is not None:
             ops.insert(constant, fixed)
-        return _cotangent_sum(ad.lstm(ops[0], rows, *ops[1:]), np.random.default_rng(7))
+        return _cotangent_sum(ad.lstm(ops[0], step_rows, widths, *ops[1:]), np.random.default_rng(7))
 
     if constant is not None:
         del arrays[constant]
@@ -524,20 +544,23 @@ def test_lstm_matches_a_step_by_step_loop():
     x = rng.normal(size=(5, k))
     # the second sequence reads row 0 at its second step, as the first does
     # at its first, and ends after two steps
-    rows = np.array([[0, 3], [1, 0], [2, 0]])
+    histories = [[0, 1, 2], [3, 0]]
     w, u, b = rng.normal(size=(4 * d, k)), rng.normal(size=(4 * d, d)), rng.normal(size=4 * d)
-    h = c = np.zeros((2, d))
-    want = []
-    for t in range(3):
-        pre = x[rows[t]] @ w.T + h @ u.T + b
-        i, f, o = (1.0 / (1.0 + np.exp(-pre[:, j * d : (j + 1) * d])) for j in range(3))
-        c = f * c + i * np.tanh(pre[:, 3 * d :])
-        h = o * np.tanh(c)
-        want.append(h)
-    got = ad.lstm(x, rows, w, u, b)
-    assert got.shape == (6, d)
-    np.testing.assert_allclose(got.data, np.concatenate(want), atol=1e-14)
-    assert ad.lstm(x, np.zeros((0, 2), dtype=int), w, u, b).shape == (0, d)
+    step_rows, widths, places = _packed(histories)
+    got = ad.lstm(x, step_rows, widths, w, u, b)
+    assert got.shape == (5, d)
+    for hist, at in zip(histories, places):
+        h = c = np.zeros(d)
+        for t, row in enumerate(hist):
+            pre = w @ x[row] + u @ h + b
+            i, f, o = (1.0 / (1.0 + np.exp(-pre[j * d : (j + 1) * d])) for j in range(3))
+            c = f * c + i * np.tanh(pre[3 * d :])
+            h = o * np.tanh(c)
+            np.testing.assert_allclose(got.data[at[t]], h, atol=1e-14)
+    assert ad.lstm(x, np.zeros(0, dtype=int), np.zeros(0, dtype=int), w, u, b).shape == (0, d)
+    t = Tape()
+    grads = backward(t, ad.reduce_sum(ad.lstm(t.watch(x), [], [], t.watch(w), u, b)))
+    assert all(not g.any() for g in grads.values())
 
 
 def test_lstm_saturated_gates_stay_finite():
@@ -546,14 +569,16 @@ def test_lstm_saturated_gates_stay_finite():
     d = 2
     x = np.array([[1.0], [-1.0]])
     w = np.array([[1e3], [-1e3], [1e3], [-1e3], [1e3], [1e3], [-1e3], [1e3]])
-    rows = np.array([[0, 1], [1, 0], [0, 0]])
+    step_rows, widths = np.array([0, 1, 1, 0, 0]), np.array([2, 2, 1])
     t = Tape()
-    out = ad.lstm(t.watch(x), rows, t.watch(w), t.watch(np.full((4 * d, d), 0.5)), t.watch(np.zeros(4 * d)))
+    out = ad.lstm(t.watch(x), step_rows, widths, t.watch(w), t.watch(np.full((4 * d, d), 0.5)), t.watch(np.zeros(4 * d)))
     _, _, saved = t.nodes[out.node_id]
-    gates = saved[4]
-    assert gates.shape == (3, 2, 4 * d) and np.isfinite(out.data).all()
-    assert ((gates[..., : 3 * d] >= 0.0) & (gates[..., : 3 * d] <= 1.0)).all()
-    assert {0.0, 1.0} <= set(gates[..., : 3 * d].ravel().tolist())
+    gates = saved[5]  # each step's (4d, width) slab, packed
+    slabs = np.split(gates, 4 * d * np.cumsum(widths)[:-1])
+    sigmoids = np.concatenate([s.reshape(4 * d, -1)[: 3 * d].ravel() for s in slabs])
+    assert gates.size == 4 * d * widths.sum() and np.isfinite(out.data).all()
+    assert ((sigmoids >= 0.0) & (sigmoids <= 1.0)).all()
+    assert {0.0, 1.0} <= set(sigmoids.tolist())
     grads = backward(t, ad.reduce_sum(out))
     assert all(np.isfinite(g).all() for g in grads.values())
 
@@ -561,13 +586,13 @@ def test_lstm_saturated_gates_stay_finite():
 def test_lstm_saves_activations_only_when_tracked():
     rng = np.random.default_rng(20)
     x, w, u, b = rng.normal(size=(4, 2)), rng.normal(size=(8, 2)), rng.normal(size=(8, 2)), np.zeros(8)
-    rows = np.array([[0, 1], [2, 3]])
+    step_rows, widths = np.array([0, 1, 2, 3]), np.array([2, 2])
     t = Tape()
-    out = ad.lstm(x, rows, t.watch(w), u, b)
+    out = ad.lstm(x, step_rows, widths, t.watch(w), u, b)
     kind, _, saved = t.nodes[out.node_id]
     assert len(t.nodes) == 2 and kind == "lstm"
-    assert (2, 2, 8) in [np.shape(v) for v in saved]  # the (T, B, 4d) gate activations
-    plain = ad.lstm(x, rows, w, u, b)
+    assert (8 * 4,) in [np.shape(v) for v in saved]  # the gate activations, a 4d slab per step
+    plain = ad.lstm(x, step_rows, widths, w, u, b)
     assert plain.tape is None and not plain.tracked
     np.testing.assert_array_equal(plain.data, out.data)
 

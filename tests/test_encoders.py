@@ -158,9 +158,11 @@ def test_batched_sequences_match_sequential_paths():
     # histories share items, one is empty and one repeats a single item
     histories = [np.array(h, dtype=np.intp) for h in ([0, 1, 2, 3, 4], [5], [], [6, 2, 7, 0, 8, 2, 1], [4, 4, 4])]
     stacked, rows = encode_sequences_batched(histories, items, params, lstm)
-    assert stacked.shape == (7 * len(histories), d) and len(rows) == len(histories)
-    for b, (hist, seq_rows) in enumerate(zip(histories, rows)):
-        np.testing.assert_array_equal(seq_rows, np.arange(len(hist)) * len(histories) + b)
+    assert stacked.shape == (16, d) and len(rows) == len(histories)
+    # packed step-major, longest first: widths 4, 3, 3, 2, 2, 1, 1 from row 0, 4, 7, 10, 12, 14, 15
+    packed = [[1, 5, 8, 11, 13], [3], [], [0, 4, 7, 10, 12, 14, 15], [2, 6, 9]]
+    for hist, seq_rows, want_rows in zip(histories, rows, packed):
+        np.testing.assert_array_equal(seq_rows, want_rows)
         mat = items[hist]
         want = encode_sequence(pnn_encode_batch("item", mat, params), lstm)
         if not len(hist):
@@ -173,6 +175,55 @@ def test_batched_sequences_match_sequential_paths():
         np.testing.assert_allclose(seq, np.array(ref), atol=1e-12)
     empty, rows = encode_sequences_batched([np.zeros(0, dtype=np.intp)] * 2, items[:0], params, lstm)
     assert empty is None and [len(r) for r in rows] == [0, 0]
+
+
+@pytest.mark.parametrize("lengths", [[0], [1], [6], [4, 4, 4], [3, 0, 7, 1, 7, 2], [0, 1, 0, 5]])
+def test_packed_states_match_the_scalar_loop(lengths):
+    # each history in whatever order, one row per history item and no more,
+    # items repeated within and across histories
+    from liverec.encoders import encode_sequences_batched
+
+    rng = np.random.default_rng(sum(lengths) + len(lengths))
+    d = 3
+    table = rng.normal(size=(12, d))
+    params = PnnEncoderParams(user=table, anchor=table, item=table)
+    lstm = init_lstm_params(d, rng)
+    items = rng.integers(0, 12, size=(4, 2))
+    histories = [rng.integers(0, len(items), size=n) for n in lengths]
+    stacked, rows = encode_sequences_batched(histories, items, params, lstm)
+    if not sum(lengths):
+        assert stacked is None and [len(r) for r in rows] == lengths
+        return
+    assert stacked.shape == (sum(lengths), d)
+    assert sorted(np.concatenate(rows).tolist()) == list(range(sum(lengths)))
+    for hist, seq_rows in zip(histories, rows):
+        ref = lstm_reference([pnn_reference(_unit(items[i]), table) for i in hist], lstm_gates(lstm))
+        np.testing.assert_allclose(stacked.data[seq_rows].reshape(len(hist), d), np.array(ref).reshape(len(hist), d),
+                                   atol=1e-12)
+
+
+def test_untracked_batched_lstm_holds_no_step_by_sequence_gate_block():
+    # T = 200 steps over B = 64 sequences: a (T, B, 4d) block of gate
+    # pre-activations would be 200*64*4*32 floats
+    import tracemalloc
+
+    from liverec.encoders import encode_sequences_batched
+
+    rng = np.random.default_rng(21)
+    d, steps, width = 32, 200, 64
+    table = rng.normal(size=(40, d))
+    params = PnnEncoderParams(user=table, anchor=table, item=table)
+    lstm = init_lstm_params(d, rng)
+    items = rng.integers(0, 40, size=(50, 2))
+    histories = [rng.integers(0, len(items), size=steps) for _ in range(width)]
+    tracemalloc.start()
+    try:
+        stacked, _ = encode_sequences_batched(histories, items, params, lstm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stacked.shape == (steps * width, d)
+    assert peak < steps * width * 4 * d * 8
 
 
 def test_batched_sequences_gradients_match_sequential():

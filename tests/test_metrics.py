@@ -13,7 +13,7 @@ from liverec.metrics import (
     make_report,
 )
 
-from oracles import auc_pairwise
+from oracles import auc_pairwise, auc_reference
 
 
 def test_auc_perfect_ranking():
@@ -36,6 +36,24 @@ def test_auc_matches_pairwise_oracle():
         got = compute_auc(scores, labels)
         want = auc_pairwise(list(scores), list(labels))
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_auc_equals_the_midrank_loop_exactly():
+    # the tie groups come from numpy, the ranks and their sum must not move
+    rng = np.random.default_rng(3)
+    cases = [
+        (np.full(7, 0.25), [1, 0, 0, 1, 0, 1, 1]),  # one group of everything
+        (rng.permutation(50) / 50.0, rng.integers(0, 2, size=50)),  # single-element groups only
+    ]
+    for trial in range(30):
+        n = int(rng.integers(2, 400))
+        # heavy ties: a handful of distinct values, and a run of singletons
+        scores = np.concatenate([rng.integers(0, 1 + trial % 5, size=n) / 7.0, rng.random(trial)])
+        cases.append((rng.permutation(scores), rng.integers(0, 2, size=scores.size)))
+    for scores, labels in cases:
+        labels = np.array(labels)
+        labels[:2] = (0, 1)
+        assert compute_auc(scores, labels) == auc_reference(scores, labels)
 
 
 def test_auc_single_class_is_undefined():
