@@ -609,8 +609,8 @@ def _bk_lstm(ids, saved, g, acc):
         np.multiply(dc, i_g, out=d_g)
         d_g *= 1.0 - g_g * g_g
         if t:
-            before = cells[dim * starts[t - 1] : dim * ends[t - 1]].reshape(dim, -1)[:, :n]
-            np.multiply(dc, before, out=d_f)
+            prev_cells = cells[dim * starts[t - 1] : dim * ends[t - 1]].reshape(dim, -1)[:, :n]
+            np.multiply(dc, prev_cells, out=d_f)
             d_f *= f_g
             d_f *= 1.0 - f_g
             dh = u_back @ blk
@@ -629,9 +629,9 @@ def _bk_lstm(ids, saved, g, acc):
             acc(b_id, d_proj.sum(axis=0))
     if u_id is not None:
         first = ends[0]
-        # the row before each later step's row j: the same sequence's previous state
-        before = np.arange(first, total) - np.repeat(sizes[:-1], sizes[1:])
-        acc(u_id, d_pre[first:].T @ out[before])
+        # each later row's sequence's previous state: row j of step t follows row j of step t-1
+        prev_rows = np.arange(first, total) - np.repeat(sizes[:-1], sizes[1:])
+        acc(u_id, d_pre[first:].T @ out[prev_rows])
 
 
 def _bk_segment_attention(ids, saved, g, acc):
