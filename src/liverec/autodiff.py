@@ -386,8 +386,9 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
     h = c = cs = ts = None
     for t, end in enumerate(ends):
         n = end - start
-        if tracked or n != width:
-            a = (gates[gate_rows * start : gate_rows * end] if tracked else gates[: gate_rows * n]).reshape(gate_rows, n)
+        if tracked or n != width:  # untracked steps reuse one buffer, so its views change with the width only
+            slab = gates[gate_rows * start : gate_rows * end] if tracked else gates[: gate_rows * n]
+            a = slab.reshape(gate_rows, n)
             s, i_g, f_g, o_g, g_g = a[:sig], a[:dim], a[dim : 2 * dim], a[2 * dim : sig], a[sig:]
         if end > stop:  # gather the input rows of the next steps that fit in _GATHER_ROWS
             first, stop = start, ends[max(bisect_right(ends, start + _GATHER_ROWS) - 1, t)]

@@ -94,7 +94,8 @@ def test_shape_errors_name_kind_and_shapes():
         ad.concat([np.ones(3), np.ones((1, 3))])
     with pytest.raises(ShapeError):
         ad.reduce_sum(np.ones((2, 3)), axis=2)
-    x, rows, widths, w, u, b = np.ones((4, 3)), np.zeros(3, dtype=int), np.array([2, 1]), np.ones((8, 3)), np.ones((8, 2)), np.ones(8)
+    x, rows, widths = np.ones((4, 3)), np.zeros(3, dtype=int), np.array([2, 1])
+    w, u, b = np.ones((8, 3)), np.ones((8, 2)), np.ones(8)
     for bad in ((np.ones(3), rows, widths, w, u, b), (x, np.zeros((3, 1), dtype=int), widths, w, u, b),
                 (x, rows, widths[:, None], w, u, b), (x, rows, np.array([1, 2]), w, u, b),
                 (x, rows, np.array([3, 0]), w, u, b), (x, rows, np.array([2, 2]), w, u, b),
@@ -571,7 +572,8 @@ def test_lstm_saturated_gates_stay_finite():
     w = np.array([[1e3], [-1e3], [1e3], [-1e3], [1e3], [1e3], [-1e3], [1e3]])
     step_rows, widths = np.array([0, 1, 1, 0, 0]), np.array([2, 2, 1])
     t = Tape()
-    out = ad.lstm(t.watch(x), step_rows, widths, t.watch(w), t.watch(np.full((4 * d, d), 0.5)), t.watch(np.zeros(4 * d)))
+    out = ad.lstm(t.watch(x), step_rows, widths, t.watch(w), t.watch(np.full((4 * d, d), 0.5)),
+                  t.watch(np.zeros(4 * d)))
     _, _, saved = t.nodes[out.node_id]
     gates = saved[5]  # each step's (4d, width) slab, packed
     slabs = np.split(gates, 4 * d * np.cumsum(widths)[:-1])
