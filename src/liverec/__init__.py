@@ -40,6 +40,6 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .retrieval import KKVIndex, RetrievedHistories, build_index, co_retrieve, load_index, pair_budget, save_index
+from .retrieval import KKVIndex, RetrievedHistories, build_index, co_retrieve, pair_budget
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: ``generate`` (synthetic logs), ``build-index`` (offline KKV
-index file), ``train``, ``eval``, ``score``, and ``sweep`` (ablation runs
-across seeds).  Exit codes: 0 success, 2 usage/input error, 3 numeric
-failure.
+Subcommands: ``generate`` (synthetic logs), ``train``, ``eval``,
+``score``, and ``sweep`` (ablation runs across seeds).
+
+Exit codes: 0 success, 2 usage/input error, 3 numeric failure.
 
 Every flag of a subcommand can instead be set in a ``key=value`` config
 file given by ``--config``: a key is a flag name without its dashes, and
@@ -32,7 +32,7 @@ from .model import (
     train,
     write_metrics_csv,
 )
-from .retrieval import build_index, co_retrieve, pair_budget, save_index
+from .retrieval import co_retrieve, pair_budget
 
 _VARIANT_FLAGS = {
     "full": "full",
@@ -139,20 +139,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _ingest_catalog_only(path):
-    catalog, _ = ingest_logs(path, os.devnull)
-    return catalog
-
-
-def cmd_build_index(args) -> int:
-    catalog = _ingest_catalog_only(args.catalog)
-    index = build_index(catalog, args.side)
-    save_index(index, args.out)
-    n_items = sum(len(v) for per in index.owners.values() for v in per.values())
-    print(f"wrote {args.side} index: {len(index.owners)} owners, {n_items} entries -> {args.out}")
-    return 0
-
-
 def cmd_train(args) -> int:
     config = _config_from_args(args)
     catalog, pairs = ingest_logs(args.catalog, args.pairs)
@@ -185,7 +171,7 @@ def cmd_eval(args) -> int:
 
 def cmd_score(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
-    catalog = _ingest_catalog_only(args.catalog)
+    catalog, _ = ingest_logs(args.catalog, os.devnull)
     yhat = forward_pair(catalog, params, config, args.user, args.anchor)
     print(repr(yhat))
     if args.explain:
@@ -243,12 +229,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--id-features", action="store_true", default=spec["id_features"])
     p.add_argument("--seed", type=int, default=spec["seed"])
     p.set_defaults(fn=cmd_generate)
-
-    p = sub.add_parser("build-index", help="build and serialize a KKV retrieval index", **common)
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--side", choices=("user", "anchor"), required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_build_index)
 
     p = sub.add_parser("train", help="train a model and write checkpoint + metrics CSV", **common)
     p.add_argument("--catalog", required=True)

@@ -18,10 +18,10 @@ pairs lines::
 
     {"user": 7, "anchor": 2, "label": 1}
 
-Object ids must be integers (the retrieval index serializes them as
-64-bit values).  Malformed lines are skipped and reported through the
-`logging` module with their line numbers; dangling id references are hard
-errors.
+Object ids must be integers that fit in 64 bits, since the model maps
+them through ``np.intp`` arrays (`liverec.model._predict`).  Malformed
+lines are skipped and reported through the `logging` module with their
+line numbers; dangling id references are hard errors.
 """
 from __future__ import annotations
 

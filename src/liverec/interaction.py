@@ -8,13 +8,15 @@ A dot-product baseline in the SVD++ style is kept as an alternative
 scoring head.  Each function scores a whole batch of B pairs: its output
 is one (B, d) block, or (B,) scores for the SVD++ head.
 
-Attention weights are shared across all pairs (one weight vector and bias
-per aspect).  Each logit is linear in a concatenation, so the terms every
-candidate shares (the static embeddings' and the bias) cancel in the
-softmax and are not computed.  What is left is a pooling of one owner's
-rows: the item-aspect softmax over all M*N pairs factors into one softmax
-per side, and the anchor-aspect softmax never sees the target.  So each
-function pools every group of rows once, with one
+Attention weights are shared across all pairs.  The paper's logit for
+each aspect is a weight vector times a concatenation plus a bias, so the
+terms every candidate shares (the static embeddings' and the bias) cancel
+in the softmax: they are neither computed nor stored, and the model keeps
+only the (d,) blocks that score pooled rows (`model.AttentionParams`).
+What is left is a pooling of one owner's rows: the item-aspect softmax
+over all M*N pairs factors into one softmax per side, and the
+anchor-aspect softmax never sees the target.  So each function pools
+every group of rows once, with one
 `autodiff.segment_attention` node per side (a plain softmax when the side
 has one group), then gathers one pooled row per pair.  That node scores
 each row of the side's block once and pools through a sparse matrix of
@@ -22,9 +24,9 @@ the softmax weights, so a row read by many groups, or many times by one
 (an anchor a user browsed again), is never copied.  A group is the rows
 of one owner's history, or under co-retrieval one pair's kept rows;
 `Segments` says which rows form each group and which group each pair
-reads.  Each function takes only the (d,) slice of the weight vector that
-scores the rows it pools; the caller cuts them.  An empty group pools to
-a zero row, so a pair with an empty side gets a zero signal.
+reads.  Each function takes the (d,) weight vector that scores the rows
+it pools.  An empty group pools to a zero row, so a pair with an empty
+side gets a zero signal.
 """
 from __future__ import annotations
 
@@ -123,17 +125,15 @@ def item_aspect_interaction(user_states, user_groups: Segments, anchor_states, a
     sum of ``h_q' * h_q''`` products.  ``literal_square`` switches the
     product to the anchor-side square ``h_q'' * h_q''`` variant.  Either
     side empty yields a zero vector.  ``w_user`` and ``w_anchor`` are the
-    (d,) slices of ``w`` that score ``h_q'`` and ``h_q''``.
+    (d,) blocks of ``w`` that score ``h_q'`` and ``h_q''``.
 
     The logit separates as ``lu_q' + la_q'' + const``, so the joint softmax
     is exactly ``outer(softmax(lu), softmax(la))`` and the output is
     ``(p^T H_u) * (q^T H_a)`` (``q^T (H_a * H_a)`` for the square), with
     no (M, N) block: each side's group is pooled once and every pair reads
     its two pooled rows.  The shared ``const = w1 . e_u + w3 . e_a + b``
-    cancels in the softmax and is not taken: the output does not depend on
-    ``w1``, ``w3``, the bias or the static embeddings, so they get no
-    gradient from this layer (in exact arithmetic that gradient was
-    already zero; only their L2 term moves them).
+    cancels in the softmax: the output does not depend on ``w1``, ``w3``,
+    the bias or the static embeddings, so none of them is taken.
     """
     zero = Tensor(np.zeros((user_groups.pairs, w_user.shape[0])))
     if literal_square:
@@ -158,11 +158,10 @@ def anchor_aspect_interaction(browsed_embeddings, browsed_groups: Segments, e_ta
     ``browsed_embeddings``, and ``e_target`` holds each pair's target
     embedding.  Logit for history anchor n' is ``w . [e_u, e_n', e_target]
     + b``; the output is the weighted sum of ``e_n' * e_target`` products.
-    An empty history yields a zero vector.  ``w_history`` is the (d,) slice
+    An empty history yields a zero vector.  ``w_history`` is the (d,) block
     of ``w`` that scores ``e_n'``.  The shared ``w1 . e_u + w3 . e_target +
-    b`` cancels in the softmax and is not taken, so ``w1``, ``w3`` and the
-    bias get no gradient from this layer, and the softmax never sees the
-    target: each user's browsed anchors are pooled once.
+    b`` cancels in the softmax and is not taken, so the softmax never sees
+    the target: each user's browsed anchors are pooled once.
     """
     pooled = _pool(browsed_embeddings, browsed_groups, w_history)
     if pooled is None:

@@ -21,6 +21,11 @@ Under ``with_co_retrieval`` a pooled group is one pair's kept rows.
 Training, ``evaluate_pairs`` and ``forward_pair`` (a batch of one, which
 encodes its two histories alone) all take this path.
 
+The attention weights are the three (d,) blocks of the paper's logit
+vectors that score pooled rows (`AttentionParams`); the blocks and biases
+every candidate of a softmax shares would cancel in it, so they are not
+parameters.
+
 Training is plain mini-batch gradient descent with a geometric per-epoch
 learning-rate decay, dense L2 on every parameter, global-norm gradient
 clipping at 10, and inverted dropout on the MLP input.  Everything is
@@ -69,7 +74,7 @@ pnn_encode = encoders.pnn_encode
 VARIANTS = ("full", "no_item_aspect", "no_anchor_aspect", "with_co_retrieval")
 
 CHECKPOINT_FORMAT = "liverec-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # v1 files store the LSTM as one (d, d) matrix or (d,) bias per gate, named
 # lstm.{w,u,b}{i,f,o,c}; the loader stacks them into v2's blocks in this order
 _V1_GATES = "ifoc"
@@ -137,17 +142,20 @@ class TrainConfig:
 
 @dataclass
 class AttentionParams:
-    """Shared attention weights: item aspect (4d,) + bias, anchor aspect (3d,) + bias.
+    """Shared attention weights, one (d,) vector per pooled side.
 
-    Each weight vector is the d-blocks of its logit's concatenation in
-    order: ``[e_u, h_user, e_a, h_anchor]`` for the item aspect and
-    ``[e_u, e_browsed, e_target]`` for the anchor aspect.
+    The paper's item-aspect logit is ``w . [e_u, h_user, e_a, h_anchor] +
+    b`` and its anchor-aspect logit ``w . [e_u, e_browsed, e_target] + b``.
+    The static-embedding blocks and the bias are the same for every
+    candidate of a softmax and cancel in it, so only the blocks that score
+    pooled rows are stored: ``item_user`` scores ``h_user``,
+    ``item_anchor`` scores ``h_anchor`` and ``browsed`` scores
+    ``e_browsed``.
     """
 
-    item_w: object
-    item_b: object
-    anchor_w: object
-    anchor_b: object
+    item_user: object
+    item_anchor: object
+    browsed: object
 
 
 @dataclass
@@ -178,10 +186,9 @@ class ModelParams:
             ("lstm.w", self.lstm.w),
             ("lstm.u", self.lstm.u),
             ("lstm.b", self.lstm.b),
-            ("attn.item_w", self.attn.item_w),
-            ("attn.item_b", self.attn.item_b),
-            ("attn.anchor_w", self.attn.anchor_w),
-            ("attn.anchor_b", self.attn.anchor_b),
+            ("attn.item_user", self.attn.item_user),
+            ("attn.item_anchor", self.attn.item_anchor),
+            ("attn.browsed", self.attn.browsed),
             ("mlp.w1", self.mlp.w1),
             ("mlp.b1", self.mlp.b1),
             ("mlp.w2", self.mlp.w2),
@@ -203,9 +210,7 @@ def _params_from_arrays(dim: int, offsets: dict, arrays: dict) -> ModelParams:
         offsets=offsets,
         pnn=PnnEncoderParams(arrays["pnn.user"], arrays["pnn.anchor"], arrays["pnn.item"]),
         lstm=LstmParams(arrays["lstm.w"], arrays["lstm.u"], arrays["lstm.b"]),
-        attn=AttentionParams(
-            arrays["attn.item_w"], arrays["attn.item_b"], arrays["attn.anchor_w"], arrays["attn.anchor_b"]
-        ),
+        attn=AttentionParams(arrays["attn.item_user"], arrays["attn.item_anchor"], arrays["attn.browsed"]),
         mlp=MlpParams(arrays["mlp.w1"], arrays["mlp.b1"], arrays["mlp.w2"], arrays["mlp.b2"]),
     )
 
@@ -215,12 +220,11 @@ def init_model_params(catalog: Catalog, config: TrainConfig, rng: np.random.Gene
     bound = 1.0 / np.sqrt(d)
     pnn = init_pnn_params(catalog, d, rng)
     lstm = init_lstm_params(d, rng)
-    attn = AttentionParams(
-        item_w=rng.uniform(-bound, bound, size=4 * d),
-        item_b=np.zeros(()),
-        anchor_w=rng.uniform(-bound, bound, size=3 * d),
-        anchor_b=np.zeros(()),
-    )
+    # the paper's whole logit vectors are drawn so that every other array
+    # keeps its initial value; only the blocks that score pooled rows are kept
+    item_w = rng.uniform(-bound, bound, size=(4, d))
+    anchor_w = rng.uniform(-bound, bound, size=(3, d))
+    attn = AttentionParams(item_user=item_w[1], item_anchor=item_w[3], browsed=anchor_w[1])
     mlp = MlpParams(
         w1=rng.uniform(-bound, bound, size=(d, 3 * d)),
         b1=np.zeros(d),
@@ -392,10 +396,8 @@ def _predict(catalog: Catalog, params: ModelParams, config: TrainConfig, user_id
         else:
             u_groups = _segments(u_states, u_rows, pair_user)
             a_groups = _segments(a_states, a_rows, pair_anchor)
-        item_w = ad.reshape(params.attn.item_w, (4, d))  # [e_u, h_user, e_a, h_anchor]
         y_i = item_aspect_interaction(
-            u_states, u_groups, a_states, a_groups,
-            ad.embedding_lookup(item_w, 1), ad.embedding_lookup(item_w, 3),
+            u_states, u_groups, a_states, a_groups, params.attn.item_user, params.attn.item_anchor,
             literal_square=config.literal_eq4_product,
         )
         budgets = u_groups.per_pair(u_groups.lengths) * a_groups.per_pair(a_groups.lengths)
@@ -404,8 +406,7 @@ def _predict(catalog: Catalog, params: ModelParams, config: TrainConfig, user_id
         lengths = [len(hist) for hist in browsed]
         flat = np.fromiter(map(row.__getitem__, chain.from_iterable(browsed)), dtype=np.intp, count=sum(lengths))
         groups = Segments(flat, np.array(lengths, dtype=np.intp), pair_user)
-        w_browsed = ad.embedding_lookup(ad.reshape(params.attn.anchor_w, (3, d)), 1)  # [e_u, e_n, e_a]
-        y_a = anchor_aspect_interaction(e_anchor, groups, e_target, w_browsed)
+        y_a = anchor_aspect_interaction(e_anchor, groups, e_target, params.attn.browsed)
     else:
         y_a = Tensor(np.zeros((n_pairs, d)))
 
@@ -518,8 +519,12 @@ def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
 
     Batches are sampled without replacement, reshuffled each epoch from
     the seed's shuffle stream.  Two runs with the same inputs and config
-    produce identical parameters and metrics.
+    produce identical parameters and metrics.  A ``dim``, ``batch_size``
+    or ``epochs`` below 1 raises ValueError before any work.
     """
+    for name in ("dim", "batch_size", "epochs"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"train: {name} must be at least 1, got {getattr(config, name)}")
     if not pairs:
         raise ValueError("train: empty training split")
     rng_init = stream_rng(config.seed, "init")
@@ -620,18 +625,19 @@ def save_checkpoint(params: ModelParams, config: TrainConfig, path) -> None:
 
 
 def _array_shapes(dim: int, version: int) -> dict[str, tuple]:
-    """The shape each array of a v1 or v2 checkpoint must have; None is a
-    table's free row count."""
+    """The shape each array of a v1, v2 or v3 checkpoint must have; None
+    is a table's free row count."""
     shapes = {f"pnn.{kind}": (None, dim) for kind in ("user", "anchor", "item")}
     if version == 1:
         shapes.update({f"lstm.{m}{g}": (dim, dim) for m in "wu" for g in _V1_GATES})
         shapes.update({f"lstm.b{g}": (dim,) for g in _V1_GATES})
     else:
         shapes.update({"lstm.w": (4 * dim, dim), "lstm.u": (4 * dim, dim), "lstm.b": (4 * dim,)})
-    shapes.update({
-        "attn.item_w": (4 * dim,), "attn.item_b": (), "attn.anchor_w": (3 * dim,), "attn.anchor_b": (),
-        "mlp.w1": (dim, 3 * dim), "mlp.b1": (dim,), "mlp.w2": (dim,), "mlp.b2": (),
-    })
+    if version < 3:
+        shapes.update({"attn.item_w": (4 * dim,), "attn.item_b": (), "attn.anchor_w": (3 * dim,), "attn.anchor_b": ()})
+    else:
+        shapes.update({"attn.item_user": (dim,), "attn.item_anchor": (dim,), "attn.browsed": (dim,)})
+    shapes.update({"mlp.w1": (dim, 3 * dim), "mlp.b1": (dim,), "mlp.w2": (dim,), "mlp.b2": ()})
     return shapes
 
 
@@ -640,18 +646,16 @@ def _is_count(v) -> bool:
 
 
 def _parse_header(header) -> tuple[int, TrainConfig, int, dict, list]:
-    """Validate a decoded v1 or v2 header; returns (version, config, dim,
-    offsets, array specs).  The array names must be those of the header's
-    own version."""
+    """Validate a decoded v1, v2 or v3 header; returns (version, config,
+    dim, offsets, array specs).  The array names must be those of the
+    header's own version."""
     if not isinstance(header, dict):
         raise CheckpointError("header is not a JSON object")
     if header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"not a {CHECKPOINT_FORMAT} file")
     version = header.get("version")
-    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
-        raise CheckpointError(
-            f"checkpoint version {version!r} is not supported (supported versions: 1, {CHECKPOINT_VERSION})"
-        )
+    if type(version) is not int or not 1 <= version <= CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint version {version!r} is not supported (supported versions: 1, 2, 3)")
     for key, kind, json_kind in (("config", dict, "object"), ("dim", int, "integer"),
                                  ("offsets", dict, "object"), ("arrays", list, "array")):
         if type(header.get(key)) is not kind:
@@ -694,9 +698,12 @@ def _parse_header(header) -> tuple[int, TrainConfig, int, dict, list]:
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     """Read a file written by save_checkpoint.
 
-    Reads v1 or v2; a v1 file's twelve per-gate LSTM arrays are stacked
-    once, here, into the v2 blocks.  A file that is not a well-formed v1
-    or v2 checkpoint raises CheckpointError.
+    Reads v1, v2 or v3, and upgrades an old file here, once: a v1 file's
+    twelve per-gate LSTM arrays are stacked into the v2 blocks, and a v1 or
+    v2 file's whole attention vectors are cut to the three (d,) blocks of
+    `AttentionParams`; their other blocks and the biases are dropped.  A
+    file that is not a well-formed checkpoint of its version raises
+    CheckpointError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -722,6 +729,9 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     if version == 1:
         for m in "wub":
             arrays[f"lstm.{m}"] = np.concatenate([arrays.pop(f"lstm.{m}{g}") for g in _V1_GATES])
+    if version < 3:
+        item_w, anchor_w = arrays["attn.item_w"].reshape(4, dim), arrays["attn.anchor_w"].reshape(3, dim)
+        arrays.update({"attn.item_user": item_w[1], "attn.item_anchor": item_w[3], "attn.browsed": anchor_w[1]})
     params = _params_from_arrays(dim, offsets, arrays)
     return params, config
 

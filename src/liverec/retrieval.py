@@ -2,30 +2,18 @@
 
 The index maps owner id -> category id -> item occurrences, most recent
 first. One index covers user browsing histories, another anchor broadcast
-histories; both are built offline and are immutable afterwards, so
-concurrent lookups are safe.
+histories; both are built in memory from the catalog and are immutable
+afterwards, so concurrent lookups are safe.
 
 Retrieval for a (user, anchor) pair keeps only items whose category lies
 in the intersection of the two sides' category sets, then truncates each
 side to the cap K by round-robin over the common categories (most recent
 first within a category, categories cycled in ascending id order).  The
 surviving items are returned in their original chronological order.
-
-Index files: magic ``KKV1`` then, per owner (ascending id): owner id,
-category count, and per category (ascending id) the category id, item
-count, and item ids most recent first.  All ids are little-endian signed
-64-bit; counts are little-endian unsigned 64-bit.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-
-_MAGIC = b"KKV1"
-
-
-class IndexFormatError(ValueError):
-    """The index file is not a valid KKV1 file."""
 
 
 @dataclass
@@ -116,64 +104,3 @@ def _select(per_cat, common: set[int], cap: int):
 def pair_budget(retrieved: RetrievedHistories) -> int:
     """Number of attention pair computations this retrieval implies."""
     return len(retrieved.user_items) * len(retrieved.anchor_items)
-
-
-def save_index(index: KKVIndex, path) -> None:
-    """Write the documented KKV1 binary format (ids only, no positions)."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(index.owners)))
-        for oid in sorted(index.owners):
-            per_cat = index.owners[oid]
-            fh.write(struct.pack("<qQ", oid, len(per_cat)))
-            for cat in sorted(per_cat):
-                entries = per_cat[cat]
-                fh.write(struct.pack("<qQ", cat, len(entries)))
-                fh.write(struct.pack(f"<{len(entries)}q", *[iid for _, iid in entries]))
-
-
-def load_index(path, catalog, side: str) -> KKVIndex:
-    """Read a KKV1 file back; positions are relinked from the catalog.
-
-    The file stores per-category item ids most recent first, which pins
-    each entry to one occurrence of that category in the owner's history,
-    so positions are recovered exactly even with repeated items.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise IndexFormatError(f"bad magic {blob[:4]!r}, expected {_MAGIC!r}")
-    off = 4
-
-    def take(fmt: str):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(blob):
-            raise IndexFormatError(f"truncated index file at byte {off}")
-        vals = struct.unpack_from(fmt, blob, off)
-        off += size
-        return vals
-
-    owners: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    (n_owners,) = take("<Q")
-    for _ in range(n_owners):
-        oid, n_cats = take("<qQ")
-        history = _history(catalog, side, oid)
-        positions_by_cat: dict[int, list[int]] = {}
-        for pos in range(len(history) - 1, -1, -1):
-            cat = catalog.items[history[pos]].category
-            positions_by_cat.setdefault(cat, []).append(pos)
-        per_cat: dict[int, list[tuple[int, int]]] = {}
-        for _ in range(n_cats):
-            cat, n_items = take("<qQ")
-            ids = take(f"<{n_items}q")
-            pos_list = positions_by_cat.get(cat, [])
-            if len(pos_list) != n_items:
-                raise IndexFormatError(
-                    f"owner {oid} category {cat}: file lists {n_items} items, catalog has {len(pos_list)}"
-                )
-            per_cat[cat] = list(zip(pos_list, ids))
-        owners[oid] = per_cat
-    if off != len(blob):
-        raise IndexFormatError(f"{len(blob) - off} trailing bytes after index data")
-    return KKVIndex(side, owners)

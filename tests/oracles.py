@@ -185,6 +185,23 @@ def item_attention_reference(e_u, user_h, e_a, anchor_h, w, b, literal_square=Fa
     return out
 
 
+def paper_attention_weights(attn, seed=0):
+    """The paper's whole attention logit weights around the model's stored
+    blocks: (item ``w`` over ``[e_u, h_user, e_a, h_anchor]``, its bias,
+    anchor ``w`` over ``[e_u, e_browsed, e_target]``, its bias).
+
+    The model stores only the blocks that score pooled rows, because the
+    others and the biases are shared by every candidate of a softmax.
+    Here they are seeded random values, so a reference that takes these
+    logits and agrees with the model re-checks that they cancel.
+    """
+    rng = np.random.default_rng(seed)
+    shared = rng.normal(size=(4, len(attn.item_user)))
+    item_w = np.concatenate([shared[0], attn.item_user, shared[1], attn.item_anchor])
+    anchor_w = np.concatenate([shared[2], attn.browsed, shared[3]])
+    return item_w, rng.normal(), anchor_w, rng.normal()
+
+
 def anchor_attention_reference(e_u, history, e_target, w, b):
     if not len(history):
         return np.zeros(len(e_u))
@@ -327,6 +344,7 @@ def forward_reference(catalog, params, config, user_id, anchor_id):
         return lstm_reference(xs, lstm_gates(params.lstm))
 
     d = config.dim
+    item_w, item_b, anchor_w, anchor_b = paper_attention_weights(params.attn)
     if config.svdpp_head:
         score = svdpp_reference(
             e_u, item_states(user.browsed_items), e_a, item_states(anchor.broadcast_items)
@@ -345,18 +363,14 @@ def forward_reference(catalog, params, config, user_id, anchor_id):
             u_states = [u_states[p] for p in sel["user_positions"]]
             a_states = [a_states[p] for p in sel["anchor_positions"]]
         y_i = item_attention_reference(
-            e_u, u_states, e_a, a_states,
-            np.asarray(params.attn.item_w), np.asarray(params.attn.item_b),
-            literal_square=config.literal_eq4_product,
+            e_u, u_states, e_a, a_states, item_w, item_b, literal_square=config.literal_eq4_product
         )
 
     if config.variant == "no_anchor_aspect" or not user.browsed_anchors:
         y_a = np.zeros(d)
     else:
         hist = [pnn("anchor", catalog.anchors[h].features) for h in user.browsed_anchors]
-        y_a = anchor_attention_reference(
-            e_u, hist, e_a, np.asarray(params.attn.anchor_w), np.asarray(params.attn.anchor_b)
-        )
+        y_a = anchor_attention_reference(e_u, hist, e_a, anchor_w, anchor_b)
 
     z = np.concatenate([y_e, y_i, y_a])
     hidden = np.maximum(np.asarray(params.mlp.w1) @ z + np.asarray(params.mlp.b1), 0.0)

@@ -1,14 +1,16 @@
 """CLI commands: exit codes, determinism, config files, wiring."""
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from liverec import cli
 from liverec.cli import _build_parser, _config_from_args, main
 from liverec.data import ingest_logs, split_dataset
 from liverec.model import TrainConfig, forward_pair, load_checkpoint
-from liverec.retrieval import build_index, co_retrieve, load_index, pair_budget
+from liverec.retrieval import co_retrieve, pair_budget
 
 
 def _gen(tmp_path, seed=7, signal=0.8, n_pairs=120, extra=()):
@@ -60,13 +62,10 @@ def test_generate_defaults_are_synthetic_spec_defaults(tmp_path, monkeypatch):
     assert specs == [SyntheticSpec(num_users=6, num_anchors=3, num_items=12, num_categories=10)]
 
 
-def test_build_index_roundtrips(tmp_path):
-    cat_path, prs_path = _gen(tmp_path)
-    out = tmp_path / "user.kkv"
-    assert main(["build-index", "--catalog", str(cat_path), "--side", "user", "--out", str(out)]) == 0
-    catalog, _ = ingest_logs(cat_path, prs_path)
-    loaded = load_index(out, catalog, "user")
-    assert loaded.owners == build_index(catalog, "user").owners
+def test_module_docstring_names_every_subcommand_and_no_other():
+    listed = re.findall(r"``([a-z-]+)``", cli.__doc__.split("Subcommands:")[1].split("\n\n")[0])
+    _, commands = _build_parser()
+    assert sorted(listed) == sorted(commands)
 
 
 def _train(tmp_path, cat, prs, name, extra=()):
@@ -90,12 +89,18 @@ def test_train_variant_recorded_in_checkpoint(tmp_path):
     assert config.variant == "no_item_aspect"
 
 
-def test_train_zero_epochs_writes_initial_checkpoint_and_empty_csv(tmp_path):
+@pytest.mark.parametrize("flag, value", [("dim", "0"), ("dim", "-2"), ("batch-size", "0"),
+                                         ("epochs", "0"), ("epochs", "-1")])
+def test_train_rejects_a_size_below_one(tmp_path, capsys, flag, value):
     cat, prs = _gen(tmp_path)
-    ckpt, csv = _train(tmp_path, cat, prs, "z", extra=("--epochs", "0"))
-    assert ckpt.exists()
-    lines = csv.read_text().strip().splitlines()
-    assert lines == ["epoch,lr,train_loss,val_auc,val_acc,val_logloss,wall_seconds"]
+    ckpt, csv = tmp_path / "x.ckpt", tmp_path / "x.csv"
+    capsys.readouterr()
+    rc = main(["train", "--catalog", str(cat), "--pairs", str(prs), "--out-checkpoint", str(ckpt),
+               "--metrics-csv", str(csv), f"--{flag}", value])
+    assert rc == 2
+    field = flag.replace("-", "_")
+    assert capsys.readouterr().err == f"error: train: {field} must be at least 1, got {value}\n"
+    assert not ckpt.exists() and not csv.exists()
 
 
 def test_train_identical_invocations_identical_csv(tmp_path):

@@ -17,17 +17,19 @@ from oracles import (
     anchor_attention_reference,
     fd_max_rel_error,
     item_attention_reference,
+    paper_attention_weights,
     svdpp_reference,
 )
 
 
 def _attn(rng, d):
-    return AttentionParams(
-        item_w=rng.normal(size=4 * d),
-        item_b=rng.normal(size=()),
-        anchor_w=rng.normal(size=3 * d),
-        anchor_b=rng.normal(size=()),
-    )
+    return AttentionParams(item_user=rng.normal(size=d), item_anchor=rng.normal(size=d), browsed=rng.normal(size=d))
+
+
+def _paper(params, rng):
+    """The paper's full logit weights around ``params``: (item w, item b,
+    anchor w, anchor b), the shared blocks and biases seeded from ``rng``."""
+    return paper_attention_weights(params, seed=int(rng.integers(2**32)))
 
 
 def _states(rows):
@@ -41,22 +43,20 @@ def _whole(rows):
 
 
 def _item(e_u, hu, e_a, ha, params, literal_square=False):
-    """Item-aspect attention for one pair, with the (d,) weight slices the
-    model cuts from ``params``; the static embeddings cancel and are not passed."""
-    w = np.reshape(params.item_w, (4, -1))
+    """Item-aspect attention for one pair, with the model's two item
+    weight vectors; the static embeddings cancel and are not passed."""
     out = item_aspect_interaction(
         hu if hu is None else _states(hu), _whole(hu), ha if ha is None else _states(ha), _whole(ha),
-        Tensor(w[1]), Tensor(w[3]), literal_square=literal_square,
+        Tensor(params.item_user), Tensor(params.item_anchor), literal_square=literal_square,
     ).data
     assert out.shape == (1, len(e_u))
     return out[0]
 
 
 def _anchor(e_u, hist, e_t, params):
-    """Anchor-aspect attention for one pair, with the (d,) weight slice the model cuts from ``params``."""
-    w = np.reshape(params.anchor_w, (3, -1))
+    """Anchor-aspect attention for one pair, with the model's browsed-anchor weight vector."""
     out = anchor_aspect_interaction(hist if hist is None else _states(hist), _whole(hist),
-                                    Tensor(e_t[None]), Tensor(w[1])).data
+                                    Tensor(e_t[None]), Tensor(params.browsed)).data
     assert out.shape == (1, len(e_u))
     return out[0]
 
@@ -125,7 +125,7 @@ def test_item_attention_singleton_softmax():
 def test_item_attention_zero_weights_uniform_average():
     rng = np.random.default_rng(3)
     d, m, n = 2, 3, 4
-    params = AttentionParams(np.zeros(4 * d), np.zeros(()), np.zeros(3 * d), np.zeros(()))
+    params = AttentionParams(np.zeros(d), np.zeros(d), np.zeros(d))
     e_u, e_a = rng.normal(size=d), rng.normal(size=d)
     hu = [rng.normal(size=d) for _ in range(m)]
     ha = [rng.normal(size=d) for _ in range(n)]
@@ -143,9 +143,10 @@ def test_item_attention_matches_bruteforce():
         e_u, e_a = rng.normal(size=d), rng.normal(size=d)
         hu = [rng.normal(size=d) for _ in range(m)]
         ha = [rng.normal(size=d) for _ in range(n)]
+        item_w, item_b, _, _ = _paper(params, rng)
         for literal in (False, True):
             got = _item(e_u, hu, e_a, ha, params, literal_square=literal)
-            want = item_attention_reference(e_u, hu, e_a, ha, params.item_w, params.item_b, literal)
+            want = item_attention_reference(e_u, hu, e_a, ha, item_w, item_b, literal)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -161,18 +162,18 @@ def test_item_attention_empty_side_gives_zero():
 def test_item_attention_weights_sum_to_one():
     # softmax weights are implicit; verify through a probe: every pair
     # shares the bias and the static-embedding blocks w1 and w3 of the
-    # logit, so with weights summing to one the brute-force output with
-    # those shifted is still the output of the two slices alone
+    # logit, so with weights summing to one the brute-force output under
+    # any of those is the output of the two stored vectors alone
     rng = np.random.default_rng(6)
     d, m, n = 3, 4, 2
     e_u, e_a = rng.normal(size=d), rng.normal(size=d)
     hu = [rng.normal(size=d) for _ in range(m)]
     ha = [rng.normal(size=d) for _ in range(n)]
     base = _attn(rng, d)
-    shifted_w = np.reshape(base.item_w, (4, d)).copy()
-    shifted_w[[0, 2]] = rng.normal(size=(2, d))
-    want = item_attention_reference(e_u, hu, e_a, ha, shifted_w.ravel(), np.asarray(base.item_b) + 5.0)
-    np.testing.assert_allclose(_item(e_u, hu, e_a, ha, base), want, atol=1e-12)
+    for _ in range(2):
+        item_w, item_b, _, _ = _paper(base, rng)
+        want = item_attention_reference(e_u, hu, e_a, ha, item_w, item_b + 5.0)
+        np.testing.assert_allclose(_item(e_u, hu, e_a, ha, base), want, atol=1e-12)
 
 
 def test_item_attention_permutation_invariance():
@@ -206,7 +207,7 @@ def test_anchor_attention_singleton():
 def test_anchor_attention_zero_weights_uniform():
     rng = np.random.default_rng(10)
     d, n = 3, 4
-    params = AttentionParams(np.zeros(4 * d), np.zeros(()), np.zeros(3 * d), np.zeros(()))
+    params = AttentionParams(np.zeros(d), np.zeros(d), np.zeros(d))
     e_u, e_t = rng.normal(size=d), rng.normal(size=d)
     hist = [rng.normal(size=d) for _ in range(n)]
     out = _anchor(e_u, hist, e_t, params)
@@ -222,7 +223,8 @@ def test_anchor_attention_matches_bruteforce():
         e_u, e_t = rng.normal(size=d), rng.normal(size=d)
         hist = [rng.normal(size=d) for _ in range(n)]
         got = _anchor(e_u, hist, e_t, params)
-        want = anchor_attention_reference(e_u, hist, e_t, params.anchor_w, params.anchor_b)
+        _, _, anchor_w, anchor_b = _paper(params, rng)
+        want = anchor_attention_reference(e_u, hist, e_t, anchor_w, anchor_b)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -244,25 +246,20 @@ def test_interaction_gradients():
     e_a = rng.normal(size=(1, d))
     hu = rng.normal(size=(m, d))
     ha = rng.normal(size=(n, d))
-    w_i = rng.normal(size=4 * d)
-    w_a = rng.normal(size=3 * d)
+    w = rng.normal(size=(3, d))
     cot = rng.normal(size=(1, d))
 
-    # the weight slices are cut from the whole vector on the tape, as the model does
     def build_item(xs):
-        w = ad.reshape(xs[0], (4, d))
-        out = item_aspect_interaction(
-            xs[1], _whole(hu), Tensor(ha), _whole(ha), ad.embedding_lookup(w, 1), ad.embedding_lookup(w, 3)
-        )
+        out = item_aspect_interaction(xs[2], _whole(hu), Tensor(ha), _whole(ha), xs[0], xs[1])
         return ad.reduce_sum(ad.multiply_elementwise(out, cot))
 
-    assert fd_max_rel_error(build_item, [w_i, hu]) <= 1e-4
+    assert fd_max_rel_error(build_item, [w[0], w[1], hu]) <= 1e-4
 
     def build_anchor(xs):
-        out = anchor_aspect_interaction(xs[1], _whole(hu), xs[2], ad.embedding_lookup(ad.reshape(xs[0], (3, d)), 1))
+        out = anchor_aspect_interaction(xs[1], _whole(hu), xs[2], xs[0])
         return ad.reduce_sum(ad.multiply_elementwise(out, cot))
 
-    assert fd_max_rel_error(build_anchor, [w_a, hu, e_a]) <= 1e-4
+    assert fd_max_rel_error(build_anchor, [w[2], hu, e_a]) <= 1e-4
 
     def build_svdpp(xs):
         return ad.reduce_sum(svdpp_similarity(xs[0], xs[2], _whole(hu), xs[1], xs[3], _whole(ha[:1])))
@@ -300,18 +297,17 @@ def test_batched_item_attention_matches_per_pair_bruteforce(literal):
     block, owner_rows, pairs = _batch_case(rng, d)
     params = _attn(rng, d)
     users, anchors = np.array([u for u, _ in pairs]), np.array([a for _, a in pairs])
-    w = np.reshape(params.item_w, (4, d))
     e = rng.normal(size=(len(owner_rows), d))
     got = item_aspect_interaction(Tensor(block), _groups(owner_rows, users), Tensor(block), _groups(owner_rows, anchors),
-                                  w[1], w[3], literal_square=literal).data
+                                  params.item_user, params.item_anchor, literal_square=literal).data
     # the same pairs with one group per pair (the co-retrieval layout)
     per_pair = item_aspect_interaction(
         block, _groups([owner_rows[u] for u in users]), block, _groups([owner_rows[a] for a in anchors]),
-        w[1], w[3], literal_square=literal,
+        params.item_user, params.item_anchor, literal_square=literal,
     ).data
+    item_w, item_b, _, _ = _paper(params, rng)
     for b, (u, a) in enumerate(pairs):
-        want = item_attention_reference(e[u], block[owner_rows[u]], e[a], block[owner_rows[a]],
-                                        params.item_w, params.item_b, literal)
+        want = item_attention_reference(e[u], block[owner_rows[u]], e[a], block[owner_rows[a]], item_w, item_b, literal)
         np.testing.assert_allclose(got[b], want, atol=1e-12)
         np.testing.assert_allclose(per_pair[b], want, atol=1e-12)
 
@@ -322,11 +318,11 @@ def test_batched_anchor_attention_and_svdpp_match_per_pair_bruteforce():
     block, owner_rows, pairs = _batch_case(rng, d)
     params = _attn(rng, d)
     users, targets = np.array([u for u, _ in pairs]), rng.normal(size=(len(pairs), d))
-    w = np.reshape(params.anchor_w, (3, d))
-    got = anchor_aspect_interaction(block, _groups(owner_rows, users), targets, w[1]).data
+    got = anchor_aspect_interaction(block, _groups(owner_rows, users), targets, params.browsed).data
     e = rng.normal(size=(len(owner_rows), d))
+    _, _, anchor_w, anchor_b = _paper(params, rng)
     for b, u in enumerate(users):
-        want = anchor_attention_reference(e[u], block[owner_rows[u]], targets[b], params.anchor_w, params.anchor_b)
+        want = anchor_attention_reference(e[u], block[owner_rows[u]], targets[b], anchor_w, anchor_b)
         np.testing.assert_allclose(got[b], want, atol=1e-12)
     anchors = np.array([a for _, a in pairs])
     scores = svdpp_similarity(e, block, _groups(owner_rows, users), e, block, _groups(owner_rows, anchors)).data

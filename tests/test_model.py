@@ -1,13 +1,15 @@
 """Whole-model forward, loss, training loop, and checkpoint behavior."""
 import json
 import math
+import os
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from liverec import autodiff as ad
-from liverec.data import LabeledPair, SyntheticSpec, _link_catalog, generate_synthetic
+from liverec.data import LabeledPair, SyntheticSpec, _link_catalog, generate_synthetic, ingest_logs
 from liverec.encoders import encode_sequence
 from liverec.metrics import compute_logloss
 from liverec.model import (
@@ -355,14 +357,14 @@ def test_train_deterministic():
     assert all(abs(x.train_loss - y.train_loss) <= 1e-12 for x, y in zip(ra, rb))
 
 
-def test_train_zero_epochs_returns_initial_params():
+@pytest.mark.parametrize("field, value", [("dim", 0), ("dim", -2), ("batch_size", 0), ("epochs", 0), ("epochs", -1)])
+def test_train_rejects_a_size_below_one_before_any_work(monkeypatch, field, value):
+    from liverec import model
+
     catalog, pairs = _tiny()
-    config = TrainConfig(dim=6, epochs=0)
-    params, rows = train(catalog, pairs, config)
-    assert rows == []
-    fresh = init_model_params(catalog, config, stream_rng(config.seed, "init"))
-    for (_, a), (_, b) in zip(params.named_arrays(), fresh.named_arrays()):
-        np.testing.assert_array_equal(a, b)
+    monkeypatch.setattr(model, "init_model_params", lambda *a: pytest.fail("parameters were drawn"))
+    with pytest.raises(ValueError, match=rf"train: {field} must be at least 1, got {value}$"):
+        train(catalog, pairs, replace(TrainConfig(dim=6), **{field: value}))
 
 
 def test_train_empty_split_rejected():
@@ -413,15 +415,27 @@ def test_l2_shrinks_parameters_without_data_signal():
 
 def test_variant_ignores_unused_attention_params():
     catalog, pairs = _tiny(seed=9)
-    for variant, group in (("no_item_aspect", "item"), ("no_anchor_aspect", "anchor")):
+    for variant, unused in (("no_item_aspect", ("item_user", "item_anchor")), ("no_anchor_aspect", ("browsed",))):
         config = TrainConfig(variant=variant, **DIMS)
         params = _params(catalog, config, seed=2)
         base = [forward_pair(catalog, params, config, p.user_id, p.anchor_id) for p in pairs[:10]]
         rng = np.random.default_rng(123)
-        getattr(params.attn, f"{group}_w")[:] = rng.normal(size=getattr(params.attn, f"{group}_w").shape)
-        np.asarray(getattr(params.attn, f"{group}_b"))[()] = 3.7
+        for name in unused:
+            getattr(params.attn, name)[:] = rng.normal(size=config.dim)
         changed = [forward_pair(catalog, params, config, p.user_id, p.anchor_id) for p in pairs[:10]]
         assert base == changed
+
+
+def test_every_stored_parameter_gets_a_data_gradient():
+    # a stored array the forward never reads would only be moved by L2
+    from liverec.model import _batch_gradients
+
+    catalog, pairs = _tiny(seed=9)
+    config = TrainConfig(dim=6, dropout=0.0, l2_weight=0.0)
+    params = _params(catalog, config, seed=2)
+    _, _, grads = _batch_gradients(catalog, params, config, pairs, None)
+    for (name, _), g in zip(params.named_arrays(), grads, strict=True):
+        assert np.any(g != 0.0), name
 
 
 def test_with_co_retrieval_equals_full_when_everything_shared():
@@ -643,22 +657,31 @@ def test_checkpoint_version_mismatch(tmp_path):
     save_checkpoint(params, config, path)
     blob = path.read_bytes()
     head, _, rest = blob.partition(b"\n")
-    head = head.replace(b'"version": 2', b'"version": 99')
+    head = head.replace(b'"version": 3', b'"version": 99')
     path.write_bytes(head + b"\n" + rest)
-    with pytest.raises(CheckpointError, match=r"version 99 .*supported versions: 1, 2"):
+    with pytest.raises(CheckpointError, match=r"version 99 .*supported versions: 1, 2, 3\)"):
         load_checkpoint(path)
 
 
-def _write_v1(path, params, config, gates):
-    """Write a v1 checkpoint: the LSTM as twelve per-gate arrays named
-    lstm.{w,u,b}{i,f,o,c}, after the PNN tables, as v1 writers laid it out."""
-    named = [(n, a) for n, a in params.named_arrays() if not n.startswith("lstm.")]
-    named[3:3] = [(f"lstm.{m}{g}", gates[m + g]) for m in "wub" for g in "ifoc"]
+def _write_old(path, params, config, version, gates=None):
+    """Write a v1 or v2 checkpoint as their writers laid it out: the PNN
+    tables, the LSTM (v1: twelve per-gate arrays named lstm.{w,u,b}{i,f,o,c},
+    from ``gates``), the whole attention vectors and biases, then the MLP.
+    The blocks and biases the model does not store are non-zero."""
+    rng = np.random.default_rng(8)
+    d = params.dim
+    item_w = np.concatenate([rng.normal(size=d), params.attn.item_user, rng.normal(size=d), params.attn.item_anchor])
+    anchor_w = np.concatenate([rng.normal(size=d), params.attn.browsed, rng.normal(size=d)])
+    attn = [("attn.item_w", item_w), ("attn.item_b", rng.normal(size=())),
+            ("attn.anchor_w", anchor_w), ("attn.anchor_b", rng.normal(size=()))]
+    named = params.named_arrays()
+    lstm = named[3:6] if version == 2 else [(f"lstm.{m}{g}", gates[m + g]) for m in "wub" for g in "ifoc"]
+    named = named[:3] + lstm + attn + named[9:]
     header = {
         "format": "liverec-checkpoint",
-        "version": 1,
+        "version": version,
         "config": asdict(config),
-        "dim": params.dim,
+        "dim": d,
         "offsets": {k: list(v) for k, v in params.offsets.items()},
         "arrays": [{"name": n, "shape": list(np.shape(a))} for n, a in named],
     }
@@ -677,7 +700,7 @@ def test_checkpoint_v1_loads_to_the_same_model_as_v2(tmp_path):
     rng = np.random.default_rng(4)
     gates = _v1_gates(config.dim, rng)
     v1 = tmp_path / "v1.ckpt"
-    _write_v1(v1, params, config, gates)
+    _write_old(v1, params, config, 1, gates)
     p1, c1 = load_checkpoint(v1)
     assert c1 == config
     # the gate order comes from the oracle, which reads the per-gate arrays as written
@@ -685,14 +708,64 @@ def test_checkpoint_v1_loads_to_the_same_model_as_v2(tmp_path):
     got = encode_sequence(ad.Tensor(xs), p1.lstm).data
     np.testing.assert_allclose(got, np.array(lstm_reference(list(xs), gates)), atol=1e-12)
     v2 = tmp_path / "v2.ckpt"
-    save_checkpoint(p1, c1, v2)
-    assert json.loads(v2.read_bytes().partition(b"\n")[0])["version"] == 2
-    p2, c2 = load_checkpoint(v2)
-    assert c2 == c1
-    for (n1, a1), (n2, a2) in zip(p1.named_arrays(), p2.named_arrays(), strict=True):
+    _write_old(v2, p1, c1, 2)
+    v3 = tmp_path / "v3.ckpt"
+    save_checkpoint(p1, c1, v3)
+    assert json.loads(v3.read_bytes().partition(b"\n")[0])["version"] == 3
+    for path in (v2, v3):
+        loaded, loaded_cfg = load_checkpoint(path)
+        assert loaded_cfg == c1
+        for (n1, a1), (n2, a2) in zip(p1.named_arrays(), loaded.named_arrays(), strict=True):
+            assert n1 == n2 and np.array_equal(a1, a2)
+        for p in pairs[:20]:
+            assert forward_pair(catalog, loaded, loaded_cfg, p.user_id, p.anchor_id) == forward_pair(
+                catalog, p1, c1, p.user_id, p.anchor_id)
+
+
+# a v2 checkpoint of a `full` dim-6 model, written by commit ac260c9 (the
+# last v2 writer) with its biases set non-zero, its catalog, and the scores
+# that commit's forward_pair gave 20 of the catalog's pairs; data/README.md
+# tells how they were made
+V2_DATA = Path(__file__).parent / "data"
+
+
+def _read_raw(path):
+    """A checkpoint's header and its arrays by name, as stored."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    arrays, off = {}, 0
+    for spec in header["arrays"]:
+        size = math.prod(spec["shape"])
+        arrays[spec["name"]] = np.frombuffer(body, "<f8", size, off).reshape(spec["shape"])
+        off += size * 8
+    return header, arrays
+
+
+def test_a_checked_in_v2_checkpoint_scores_as_it_did_and_resaves_as_v3(tmp_path):
+    header, raw = _read_raw(V2_DATA / "v2_model.ckpt")
+    assert header["version"] == 2
+    item_w, anchor_w = raw["attn.item_w"].reshape(4, 6), raw["attn.anchor_w"].reshape(3, 6)
+    # the dropped blocks and biases are not zero, so a loader that read them would show
+    assert np.all(item_w[[0, 2]] != 0) and np.all(anchor_w[[0, 2]] != 0)
+    assert raw["attn.item_b"] != 0 and raw["attn.anchor_b"] != 0
+    catalog, _ = ingest_logs(V2_DATA / "v2_catalog.jsonl", os.devnull)
+    scored = json.loads((V2_DATA / "v2_scores.json").read_text())
+    params, config = load_checkpoint(V2_DATA / "v2_model.ckpt")
+    np.testing.assert_array_equal(params.attn.item_user, item_w[1])
+    np.testing.assert_array_equal(params.attn.item_anchor, item_w[3])
+    np.testing.assert_array_equal(params.attn.browsed, anchor_w[1])
+    assert [forward_pair(catalog, params, config, u, a) for u, a, _ in scored] == [s for _, _, s in scored]
+
+    v3 = tmp_path / "v3.ckpt"
+    save_checkpoint(params, config, v3)
+    header, raw = _read_raw(v3)
+    assert header["version"] == 3
+    assert [n for n in raw if n.startswith("attn.")] == ["attn.item_user", "attn.item_anchor", "attn.browsed"]
+    loaded, loaded_cfg = load_checkpoint(v3)
+    assert loaded_cfg == config
+    for (n1, a1), (n2, a2) in zip(params.named_arrays(), loaded.named_arrays(), strict=True):
         assert n1 == n2 and np.array_equal(a1, a2)
-    for p in pairs[:20]:
-        assert forward_pair(catalog, p2, c2, p.user_id, p.anchor_id) == forward_pair(catalog, p1, c1, p.user_id, p.anchor_id)
+    assert [forward_pair(catalog, loaded, config, u, a) for u, a, _ in scored] == [s for _, _, s in scored]
 
 
 def _edit(fn):
@@ -716,7 +789,8 @@ def _set(path, value):
     return _edit(edit)
 
 
-# each edit returns the new header and leaves the array bytes as saved
+# each edit returns the new header and leaves the array bytes as saved; each
+# is made to a v3 header and to the checked-in v2 one
 MALFORMED_HEADERS = {
     "unknown config key": _set(("config", "bogus"), 1),
     "unknown config key set to null": _set(("config", "bogus"), None),
@@ -745,6 +819,7 @@ MALFORMED_HEADERS = {
     "string array size": _set(("arrays", 0, "shape"), ["a", 6]),
     "array of the wrong rank": _set(("arrays", 3, "shape"), [36]),
     "array disagrees with dim": _set(("arrays", 3, "shape"), [6, 5]),
+    "attention vector of the wrong size": _set(("arrays", 6, "shape"), [5]),
     "header is a list": lambda h: [h],
     "header is a string": lambda h: "liverec-checkpoint",
     "header is null": lambda h: None,
@@ -753,21 +828,50 @@ MALFORMED_HEADERS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
-def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, case):
-    catalog, _ = _tiny()
-    config = TrainConfig(dim=6)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(_params(catalog, config), config, path)
+def _assert_malformed(path, edit):
+    """``path`` loads as written, and raises CheckpointError once ``edit`` rewrites its header."""
+    load_checkpoint(path)
     head, _, body = path.read_bytes().partition(b"\n")
-    header = MALFORMED_HEADERS[case](json.loads(head))
-    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    path.write_bytes(json.dumps(edit(json.loads(head))).encode("utf-8") + b"\n" + body)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, case):
+    catalog, _ = _tiny()
+    config = TrainConfig(dim=6)
+    v3, v2 = tmp_path / "v3.ckpt", tmp_path / "v2.ckpt"
+    save_checkpoint(_params(catalog, config), config, v3)
+    v2.write_bytes((V2_DATA / "v2_model.ckpt").read_bytes())
+    for path in (v3, v2):
+        _assert_malformed(path, MALFORMED_HEADERS[case])
+
+
+V3_MALFORMED = {
+    "v2 attention names in a v3 header": _set(("arrays", slice(6, 9)), [
+        {"name": "attn.item_w", "shape": [24]}, {"name": "attn.item_b", "shape": []},
+        {"name": "attn.anchor_w", "shape": [18]}, {"name": "attn.anchor_b", "shape": []},
+    ]),
+    "a v2 bias added to a v3 header": _edit(lambda h: h["arrays"].append({"name": "attn.item_b", "shape": []})),
+    "an attention vector of the v2 size": _set(("arrays", 6, "shape"), [24]),
+    "v3 names under version 2": lambda h: {**h, "version": 2},
+    "v3 names under version 1": lambda h: {**h, "version": 1},
+}
+
+
+@pytest.mark.parametrize("case", sorted(V3_MALFORMED))
+def test_checkpoint_malformed_v3_header_raises_checkpoint_error(tmp_path, case):
+    catalog, _ = _tiny()
+    config = TrainConfig(dim=6)
+    path = tmp_path / "v3.ckpt"
+    save_checkpoint(_params(catalog, config), config, path)
+    _assert_malformed(path, V3_MALFORMED[case])
+
+
 V1_MALFORMED = {
     "v1 names under version 2": lambda h: {**h, "version": 2},
+    "v1 names under version 3": lambda h: {**h, "version": 3},
     "version true, which equals 1": lambda h: {**h, "version": True},
     "a v2 block in a v1 header": _set(("arrays", 3), {"name": "lstm.w", "shape": [24, 6]}),
     "a v1 gate of the v2 shape": _set(("arrays", 3, "shape"), [24, 6]),
@@ -781,13 +885,8 @@ def test_checkpoint_malformed_v1_header_raises_checkpoint_error(tmp_path, case):
     catalog, _ = _tiny()
     config = TrainConfig(dim=6)
     path = tmp_path / "v1.ckpt"
-    _write_v1(path, _params(catalog, config), config, _v1_gates(6, np.random.default_rng(5)))
-    load_checkpoint(path)  # well-formed as written
-    head, _, body = path.read_bytes().partition(b"\n")
-    header = V1_MALFORMED[case](json.loads(head))
-    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    _write_old(path, _params(catalog, config), config, 1, _v1_gates(6, np.random.default_rng(5)))
+    _assert_malformed(path, V1_MALFORMED[case])
 
 
 def test_checkpoint_any_integer_thread_count_loads_as_one(tmp_path):
@@ -817,7 +916,8 @@ def test_checkpoint_variant_honored(tmp_path):
     loaded, loaded_cfg = load_checkpoint(path)
     assert loaded_cfg.variant == "no_item_aspect"
     # behaves as the ablated model: item attention params are irrelevant
-    loaded.attn.item_w[:] = 123.0
+    loaded.attn.item_user[:] = 123.0
+    loaded.attn.item_anchor[:] = -123.0
     for p in pairs[:5]:
         a = forward_pair(catalog, params, config, p.user_id, p.anchor_id)
         b = forward_pair(catalog, loaded, loaded_cfg, p.user_id, p.anchor_id)

@@ -1,18 +1,11 @@
-"""KKV index build, co-retrieval against the naive scan oracle, serialization."""
+"""KKV index build and co-retrieval against the naive scan oracle."""
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from liverec.data import Anchor, Catalog, Item, SyntheticSpec, User, generate_synthetic
-from liverec.retrieval import (
-    IndexFormatError,
-    build_index,
-    co_retrieve,
-    load_index,
-    pair_budget,
-    save_index,
-)
+from liverec.retrieval import build_index, co_retrieve, pair_budget
 
 from oracles import naive_co_retrieve
 
@@ -133,38 +126,6 @@ def test_monotonicity_in_anchor_categories():
     got_large = co_retrieve(build_index(large, "user"), build_index(large, "anchor"), 0, 0, big_cap)
     assert set(got_small.user_items) <= set(got_large.user_items)
     assert len(got_small.user_items) <= len(got_large.user_items)
-
-
-def test_index_roundtrip(tmp_path):
-    catalog, _ = generate_synthetic(SyntheticSpec(25, 8, 60, 6, (0, 20), 0.5, seed=10))
-    for side in ("user", "anchor"):
-        idx = build_index(catalog, side)
-        path = tmp_path / f"{side}.kkv"
-        save_index(idx, path)
-        loaded = load_index(path, catalog, side)
-        assert loaded.owners == idx.owners
-        # deterministic bytes
-        path2 = tmp_path / f"{side}2.kkv"
-        save_index(build_index(catalog, side), path2)
-        assert path.read_bytes() == path2.read_bytes()
-
-
-def test_index_bad_magic(tmp_path):
-    p = tmp_path / "bad.kkv"
-    p.write_bytes(b"NOPE" + b"\x00" * 16)
-    catalog, _ = generate_synthetic(SyntheticSpec(2, 2, 4, 2, (0, 2), 0.5, seed=1))
-    with pytest.raises(IndexFormatError, match="magic"):
-        load_index(p, catalog, "user")
-
-
-def test_index_truncated_file(tmp_path):
-    catalog, _ = generate_synthetic(SyntheticSpec(5, 3, 10, 3, (1, 5), 0.5, seed=2))
-    p = tmp_path / "u.kkv"
-    save_index(build_index(catalog, "user"), p)
-    blob = p.read_bytes()
-    p.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(IndexFormatError, match="truncated"):
-        load_index(p, catalog, "user")
 
 
 def test_bad_side_and_cap():
