@@ -171,6 +171,9 @@ def cmd_eval(args) -> int:
 
 def cmd_score(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
+    if args.explain and config.co_retrieval_k < 1:
+        raise ValueError(f"score --explain: the checkpoint's co_retrieval_k must be at least 1, "
+                         f"got {config.co_retrieval_k}")
     catalog, _ = ingest_logs(args.catalog, os.devnull)
     yhat = forward_pair(catalog, params, config, args.user, args.anchor)
     print(repr(yhat))

@@ -139,24 +139,25 @@ def _link_catalog(users, anchors, items) -> Catalog:
 def _is_int(v) -> bool:
     """A JSON integer that fits in 64 bits, as the model's id and feature
     arrays hold them: ``true`` and ``false`` decode to bools, which are ints
-    in Python."""
-    return isinstance(v, int) and not isinstance(v, bool) and -(2**63) <= v < 2**63
+    in Python but not of type int."""
+    return type(v) is int and -(2**63) <= v < 2**63
+
+
+def _all_int(values: list) -> bool:
+    """`_is_int` for every value of a list, with one range check per list."""
+    return all(type(v) is int for v in values) and (not values or (-(2**63) <= min(values) and max(values) < 2**63))
 
 
 def _ids(raw, what: str) -> tuple[int, ...]:
     if raw is None:
         return ()
-    if not isinstance(raw, list) or not all(_is_int(v) for v in raw):
+    if not isinstance(raw, list) or not _all_int(raw):
         raise ValueError(f"{what} must be a list of integer ids")
     return tuple(raw[-MAX_HISTORY_LEN:])
 
 
 def _features(raw) -> tuple[int, ...]:
-    if (
-        not isinstance(raw, list)
-        or not raw
-        or not all(_is_int(v) and v >= 0 for v in raw)
-    ):
+    if not isinstance(raw, list) or not raw or not _all_int(raw) or min(raw) < 0:
         raise ValueError("features must be a non-empty list of non-negative integers")
     return tuple(raw)
 
@@ -280,6 +281,8 @@ def split_dataset(pairs, ratios=(0.6, 0.2, 0.2), seed: int = 0):
     earlier split.  The partition is exhaustive, disjoint, and
     reproducible from the seed.
     """
+    if any(not r >= 0 for r in ratios):
+        raise ValueError(f"ratios must be non-negative, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {ratios}")
     n = len(pairs)
@@ -335,8 +338,11 @@ class SyntheticSpec:
         for name in ("num_users", "num_anchors", "num_items", "num_categories"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not np.isfinite(self.signal_strength):
-            raise ValueError("signal_strength must be finite")
+        for name in ("signal_strength", "base_rate"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.num_pairs is not None and self.num_pairs < 0:
+            raise ValueError(f"num_pairs must be >= 0, got {self.num_pairs}")
         lo, hi = self.history_len_range
         if lo < 0 or hi < lo:
             raise ValueError(f"bad history_len_range {self.history_len_range}")
@@ -351,42 +357,59 @@ def _interests(rng, num_categories: int) -> np.ndarray:
     return p / p.sum()
 
 
-def category_jaccard(catalog: Catalog, user_id: int, anchor_id: int) -> float:
-    """Jaccard overlap of history category sets for one pair."""
-    u = catalog.users[user_id]
-    a = catalog.anchors[anchor_id]
-    cu = {catalog.items[i].category for i in u.browsed_items}
-    ca = {catalog.items[i].category for i in a.broadcast_items}
+def _jaccard(cu: set[int], ca: set[int]) -> float:
     union = cu | ca
     return len(cu & ca) / len(union) if union else 0.0
+
+
+def category_jaccard(catalog: Catalog, user_id: int, anchor_id: int) -> float:
+    """Jaccard overlap of history category sets for one pair."""
+    items = catalog.items
+    cu = {items[i].category for i in catalog.users[user_id].browsed_items}
+    ca = {items[i].category for i in catalog.anchors[anchor_id].broadcast_items}
+    return _jaccard(cu, ca)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Catalog, list[LabeledPair]]:
     """Generate a catalog plus labeled pairs with a planted cross-side signal.
 
     Deterministic: the same spec (including seed) reproduces the output
-    exactly.
+    exactly.  Every value comes from the spec's one "data" stream, drawn in
+    this order: per item its category and extra slots; per anchor its
+    interests, features, history length and history; per user its
+    interests, features, history length, history, browsed-anchor count and
+    browsed anchors; per pair its user, anchor and label.  A history draws
+    its categories in one ``rng.choice`` call and then, in one
+    ``rng.integers`` call, a position within each category's items, which
+    draws what one scalar call per position would.  The written bytes of
+    five specs are pinned by sha256 in ``tests/test_data.py``
+    (``test_generator_output_is_pinned``), so a change to this order or
+    to any draw fails there.
     """
     rng = stream_rng(spec.seed, "data")
     C = spec.num_categories
 
     items: dict[int, Item] = {}
-    by_cat: dict[int, list[int]] = {}
+    item_cat: list[int] = []
     for iid in range(spec.num_items):
         cat = int(rng.integers(C))
         feats = [cat] + [int(rng.integers(v)) for v in _ITEM_EXTRA_SLOTS]
         if spec.id_features:
             feats.append(iid)
         items[iid] = Item(iid, tuple(feats))
-        by_cat.setdefault(cat, []).append(iid)
-    nonempty_cats = sorted(by_cat)
+        item_cat.append(cat)
+    # category c's items, in id order, are by_cat[starts[c] : starts[c] + sizes[c]]
+    sizes = np.bincount(item_cat, minlength=C)
+    starts = np.cumsum(sizes) - sizes
+    by_cat = np.argsort(item_cat, kind="stable")
+    usable = np.flatnonzero(sizes)
 
     def sample_history(prefs: np.ndarray, length: int) -> tuple[int, ...]:
-        usable = np.array(nonempty_cats)
         p = prefs[usable]
         p = p / p.sum()
         cats = rng.choice(usable, size=length, p=p)
-        return tuple(int(by_cat[c][rng.integers(len(by_cat[c]))]) for c in cats)
+        picks = rng.integers(sizes[cats])
+        return tuple(by_cat[starts[cats] + picks].tolist())
 
     lo, hi = spec.history_len_range
     anchor_prefs = []
@@ -413,17 +436,19 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Catalog, list[LabeledPair]]
         w = 0.2 + anchor_prefs @ prefs
         w = w / w.sum()
         n_anchors = int(rng.integers(lo, hi + 1))
-        browsed_anchors = tuple(int(x) for x in rng.choice(spec.num_anchors, size=n_anchors, p=w))
+        browsed_anchors = tuple(rng.choice(spec.num_anchors, size=n_anchors, p=w).tolist())
         users[uid] = User(uid, tuple(feats), browsed, browsed_anchors)
 
     catalog = _link_catalog(users, anchors, items)
+    user_cats = [{item_cat[i] for i in users[uid].browsed_items} for uid in range(spec.num_users)]
+    anchor_cats = [{item_cat[i] for i in anchors[aid].broadcast_items} for aid in range(spec.num_anchors)]
 
     num_pairs = spec.num_pairs if spec.num_pairs is not None else 5 * spec.num_users
     pairs: list[LabeledPair] = []
     for _ in range(num_pairs):
         uid = int(rng.integers(spec.num_users))
         aid = int(rng.integers(spec.num_anchors))
-        jac = category_jaccard(catalog, uid, aid)
-        p = float(np.clip(spec.base_rate + spec.signal_strength * jac, 0.02, 0.98))
+        jac = _jaccard(user_cats[uid], anchor_cats[aid])
+        p = min(max(spec.base_rate + spec.signal_strength * jac, 0.02), 0.98)
         pairs.append(LabeledPair(uid, aid, int(rng.random() < p)))
     return catalog, pairs

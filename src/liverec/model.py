@@ -519,10 +519,11 @@ def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
 
     Batches are sampled without replacement, reshuffled each epoch from
     the seed's shuffle stream.  Two runs with the same inputs and config
-    produce identical parameters and metrics.  A ``dim``, ``batch_size``
-    or ``epochs`` below 1 raises ValueError before any work.
+    produce identical parameters and metrics.  A ``dim``, ``batch_size``,
+    ``epochs`` or ``co_retrieval_k`` below 1 raises ValueError before any
+    work.
     """
-    for name in ("dim", "batch_size", "epochs"):
+    for name in ("dim", "batch_size", "epochs", "co_retrieval_k"):
         if getattr(config, name) < 1:
             raise ValueError(f"train: {name} must be at least 1, got {getattr(config, name)}")
     if not pairs:

@@ -51,13 +51,13 @@ def build_index(catalog, side: str) -> KKVIndex:
         raise ValueError(f"side must be 'user' or 'anchor', got {side!r}")
     owners: dict[int, dict[int, list[tuple[int, int]]]] = {}
     ids = catalog.users if side == "user" else catalog.anchors
+    category = {iid: item.category for iid, item in catalog.items.items()}
     for oid in ids:
         per_cat: dict[int, list[tuple[int, int]]] = {}
         history = _history(catalog, side, oid)
         for pos in range(len(history) - 1, -1, -1):
             iid = history[pos]
-            cat = catalog.items[iid].category
-            per_cat.setdefault(cat, []).append((pos, iid))
+            per_cat.setdefault(category[iid], []).append((pos, iid))
         owners[oid] = per_cat
     return KKVIndex(side, owners)
 

@@ -38,6 +38,17 @@ def test_generate_missing_flag_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, value, field", [("--base-rate", "nan", "base_rate"), ("--base-rate", "inf", "base_rate"),
+                                                ("--signal", "nan", "signal_strength"), ("--pairs", "-3", "num_pairs")])
+def test_generate_bad_spec_value_exits_2(tmp_path, capsys, flag, value, field):
+    cat, prs = tmp_path / "c.jsonl", tmp_path / "p.jsonl"
+    rc = main(["generate", "--out-catalog", str(cat), "--out-pairs", str(prs),
+               "--users", "6", "--anchors", "3", "--items", "12", flag, value])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    assert not cat.exists() and not prs.exists()
+
+
 def test_generate_signal_strength_controls_correlation(tmp_path):
     from liverec.data import category_jaccard
 
@@ -90,7 +101,7 @@ def test_train_variant_recorded_in_checkpoint(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [("dim", "0"), ("dim", "-2"), ("batch-size", "0"),
-                                         ("epochs", "0"), ("epochs", "-1")])
+                                         ("epochs", "0"), ("epochs", "-1"), ("k", "0"), ("k", "-1")])
 def test_train_rejects_a_size_below_one(tmp_path, capsys, flag, value):
     cat, prs = _gen(tmp_path)
     ckpt, csv = tmp_path / "x.ckpt", tmp_path / "x.csv"
@@ -98,7 +109,7 @@ def test_train_rejects_a_size_below_one(tmp_path, capsys, flag, value):
     rc = main(["train", "--catalog", str(cat), "--pairs", str(prs), "--out-checkpoint", str(ckpt),
                "--metrics-csv", str(csv), f"--{flag}", value])
     assert rc == 2
-    field = flag.replace("-", "_")
+    field = "co_retrieval_k" if flag == "k" else flag.replace("-", "_")
     assert capsys.readouterr().err == f"error: train: {field} must be at least 1, got {value}\n"
     assert not ckpt.exists() and not csv.exists()
 
@@ -220,6 +231,29 @@ def test_score_explain_prints_budget_and_categories(tmp_path, capsys):
     retrieved = co_retrieve(*catalog.kkv_indices(), 3, 2, config.co_retrieval_k)
     assert out[1] == f"pair_budget={pair_budget(retrieved)}"
     assert out[2] == "common_categories=" + ",".join(str(c) for c in sorted(retrieved.common_categories))
+
+
+def test_score_explain_with_a_k_below_one_exits_2_before_scoring(tmp_path, capsys):
+    # a checkpoint recorded with k < 1 (train no longer writes one) still
+    # loads and scores; only --explain, which co-retrieves with k, refuses it
+    from dataclasses import replace
+
+    from liverec.model import save_checkpoint
+
+    cat, prs = _gen(tmp_path)
+    ckpt, _ = _train(tmp_path, cat, prs, "k")
+    params, config = load_checkpoint(ckpt)
+    k0 = tmp_path / "k0.ckpt"
+    save_checkpoint(params, replace(config, co_retrieval_k=0), k0)
+    capsys.readouterr()
+    score = ["score", "--catalog", str(cat), "--checkpoint", str(k0), "--user", "3", "--anchor", "2"]
+    assert main(score) == 0
+    catalog, _ = ingest_logs(cat, prs)
+    assert float(capsys.readouterr().out) == forward_pair(catalog, params, config, 3, 2)
+    assert main(score + ["--explain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: score --explain: the checkpoint's co_retrieval_k must be at least 1, got 0\n"
 
 
 def test_config_file_supplies_flags_and_flags_override(tmp_path):

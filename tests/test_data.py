@@ -1,4 +1,5 @@
 """Ingestion, splitting, synthetic generation, serialization round-trips."""
+import hashlib
 import json
 import logging
 
@@ -119,6 +120,52 @@ def test_ingest_skips_ids_beyond_64_bits(tmp_path, caplog):
     assert [int(r.args[1]) for r in caplog.records] == [4, 5, 1]
 
 
+_NOT_INT64 = [True, 1.0, 2**63, -(2**63) - 1]
+
+
+@pytest.mark.parametrize("bad", _NOT_INT64, ids=["true", "float", "2**63", "-2**63-1"])
+@pytest.mark.parametrize("where", ["id", "features", "browsed_items", "browsed_anchors", "broadcast_items",
+                                   "user", "anchor"])
+def test_ingest_skips_each_non_int64_value(tmp_path, caplog, where, bad):
+    # a bool, a float or an integer outside 64 bits is malformed in every
+    # id and feature position, with the same message as before
+    cat, prs = _minimal_files(tmp_path)
+    lines = cat.read_text(encoding="utf-8").splitlines()
+    if where in ("user", "anchor"):
+        _write(prs, [json.dumps({"user": 1, "anchor": 9, "label": 1, where: bad})])
+        message = "user and anchor must be integer ids"
+    else:
+        obj = {"kind": "anchor" if where == "broadcast_items" else "user", "id": 2, "features": [0]}
+        obj[where] = bad if where == "id" else [0, bad] if where == "features" else [bad]
+        _write(cat, lines + [json.dumps(obj)])
+        message = {"id": "id must be an integer",
+                   "features": "features must be a non-empty list of non-negative integers"}.get(
+            where, f"{where} must be a list of integer ids")
+    with caplog.at_level(logging.WARNING, logger="liverec.data"):
+        catalog, pairs = ingest_logs(cat, prs)
+    assert (sorted(catalog.users), sorted(catalog.anchors)) == ([1], [9])
+    assert pairs == ([] if where in ("user", "anchor") else [LabeledPair(1, 9, 1)])
+    assert [str(r.args[2]) for r in caplog.records] == [message]
+
+
+def test_ingest_accepts_the_int64_bounds(tmp_path, caplog):
+    # -(2**63) is a valid id in every id position, and 2**63 - 1 a valid feature
+    low = -(2**63)
+    cat, prs = tmp_path / "catalog.jsonl", tmp_path / "pairs.jsonl"
+    _write(cat, [
+        json.dumps({"kind": "item", "id": low, "features": [2**63 - 1]}),
+        json.dumps({"kind": "anchor", "id": low, "features": [0], "broadcast_items": [low]}),
+        json.dumps({"kind": "user", "id": low, "features": [0], "browsed_items": [low], "browsed_anchors": [low]}),
+    ])
+    _write(prs, [json.dumps({"user": low, "anchor": low, "label": 1})])
+    with caplog.at_level(logging.WARNING, logger="liverec.data"):
+        catalog, pairs = ingest_logs(cat, prs)
+    assert caplog.records == []
+    assert catalog.users[low].browsed_anchors == (low,) and catalog.anchors[low].broadcast_items == (low,)
+    assert catalog.item_vocab == (2**63,)
+    assert pairs == [LabeledPair(low, low, 1)]
+
+
 @pytest.mark.parametrize("which", ["catalog", "pairs"])
 def test_ingest_skips_undecodable_and_over_deep_lines(tmp_path, caplog, which):
     # invalid UTF-8 and nesting deeper than the JSON decoder's recursion
@@ -209,8 +256,53 @@ def test_split_bad_ratios():
         split_dataset(_pairs(10), ratios=(0.5, 0.2, 0.2), seed=0)
 
 
+@pytest.mark.parametrize("ratios", [(1.5, -0.5, 0.0), (0.5, 0.6, -0.1), (0.5, float("nan"), 0.5)])
+def test_split_rejects_a_negative_ratio(ratios):
+    # (1.5, -0.5, 0.0) sums to 1 but is no partition of the pairs
+    with pytest.raises(ValueError, match="non-negative"):
+        split_dataset(_pairs(10), ratios=ratios, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
+
+
+# sha256 of write_catalog's bytes followed by write_pairs' bytes, recorded
+# before the generator drew each history's item picks in one call: any change
+# to the draw order, to a draw, or to numpy's streams shows here
+_PINNED_SPECS = {
+    "empty-histories": (SyntheticSpec(30, 8, 40, 5, (0, 2), 0.8, seed=3, num_pairs=120),
+                        "9521542b368a9d07a6d890605e1419f0eefe693f4b63ebe95ec0df96709b9d20"),
+    "empty-categories": (SyntheticSpec(30, 8, 6, 20, (3, 8), 0.8, seed=5, num_pairs=120),
+                         "796b8df60d2111431c6c07cabc7ba5b01aa9aa7e1089ebe5db0908ede165b5ba"),
+    "id-features": (SyntheticSpec(25, 6, 40, 5, (2, 6), 0.9, seed=13, num_pairs=80, id_features=True),
+                    "056ad9ea8b1ed7567150377496cfddb3c69a53485d9c77eac71429ea63ed2522"),
+    "single-category": (SyntheticSpec(20, 5, 30, 1, (1, 5), 0.5, seed=7),
+                        "971a38807920da65fa111b7a956ef7766dba0ea3b923c680325d7cce25b6557a"),
+    "long-hist": (SyntheticSpec(400, 60, 500, 10, (150, 200), 0.8, seed=1, num_pairs=1800, base_rate=0.08),
+                  "7381470f4e6a4da37077bdc52868b636dc0f9ad2746f416dd19599505e72d014"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SPECS))
+def test_generator_output_is_pinned(tmp_path, name):
+    spec, digest = _PINNED_SPECS[name]
+    catalog, pairs = generate_synthetic(spec)
+    write_catalog(catalog, tmp_path / "catalog.jsonl")
+    write_pairs(pairs, tmp_path / "pairs.jsonl")
+    written = (tmp_path / "catalog.jsonl").read_bytes() + (tmp_path / "pairs.jsonl").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == digest
+
+
+def test_pinned_specs_reach_their_edges():
+    # each edge spec really has what its name says
+    catalog, _ = generate_synthetic(_PINNED_SPECS["empty-histories"][0])
+    assert any(not u.browsed_items for u in catalog.users.values())
+    assert any(not a.broadcast_items for a in catalog.anchors.values())
+    catalog, _ = generate_synthetic(_PINNED_SPECS["empty-categories"][0])
+    assert len({i.category for i in catalog.items.values()}) < 20
+    catalog, _ = generate_synthetic(_PINNED_SPECS["single-category"][0])
+    assert {i.category for i in catalog.items.values()} == {0}
 
 
 def test_generator_deterministic(tmp_path):
@@ -243,7 +335,7 @@ def test_generator_positive_signal_correlates():
 
 def test_generator_clamps_label_probability():
     # identical histories give jaccard 1: clamp(0.08 + 0.9) = 0.98
-    assert float(np.clip(0.08 + 0.9 * 1.0, 0.02, 0.98)) == 0.98
+    assert min(max(0.08 + 0.9 * 1.0, 0.02), 0.98) == 0.98
     spec = SyntheticSpec(40, 10, 60, 2, (4, 8), 0.9, seed=2, num_pairs=4000)
     catalog, pairs = generate_synthetic(spec)
     # with 2 categories full-overlap pairs are common; their positive rate
@@ -258,6 +350,18 @@ def test_generator_rejects_bad_spec():
         SyntheticSpec(0, 1, 1, 1)
     with pytest.raises(ValueError, match="finite"):
         SyntheticSpec(1, 1, 1, 1, signal_strength=float("nan"))
+
+
+@pytest.mark.parametrize("field, value", [("base_rate", float("nan")), ("base_rate", float("inf")),
+                                          ("base_rate", -float("inf")), ("num_pairs", -1)])
+def test_generator_spec_names_a_bad_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SyntheticSpec(3, 2, 4, 2, **{field: value})
+
+
+def test_generator_spec_accepts_zero_pairs():
+    _, pairs = generate_synthetic(SyntheticSpec(3, 2, 4, 2, num_pairs=0))
+    assert pairs == []
 
 
 def test_id_features_extend_vocab():

@@ -357,7 +357,8 @@ def test_train_deterministic():
     assert all(abs(x.train_loss - y.train_loss) <= 1e-12 for x, y in zip(ra, rb))
 
 
-@pytest.mark.parametrize("field, value", [("dim", 0), ("dim", -2), ("batch_size", 0), ("epochs", 0), ("epochs", -1)])
+@pytest.mark.parametrize("field, value", [("dim", 0), ("dim", -2), ("batch_size", 0), ("epochs", 0), ("epochs", -1),
+                                          ("co_retrieval_k", 0), ("co_retrieval_k", -1)])
 def test_train_rejects_a_size_below_one_before_any_work(monkeypatch, field, value):
     from liverec import model
 
