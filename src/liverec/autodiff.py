@@ -29,10 +29,12 @@ and steps read it, and a step gathers its rows of that projection into
 one contiguous gate-major (4d, width) slab, so each gate is a contiguous
 row block and one tanh covers all four gates (a sigmoid is
 ``0.5*tanh(x/2) + 0.5``).  Only when an operand is tracked does it keep
-every step's slab of gate activations, cells and their tanh, packed one
-after another; its backward rule is a hand-written reverse loop through
-time in the same layout that sums the step gradients per input row, so
-the per-step ops never reach the tape.
+every step's slab of gate activations and its cells, packed one after
+another, 5d floats per state row.  Its backward rule is a hand-written
+reverse loop through time in the same layout: it takes the cells' tanh
+again, sums the step gradients per input row a block of steps at a time,
+so it holds no gradient row per state row, and the per-step ops never
+reach the tape.
 
 ``segment_attention`` is the attention layers' pooling: it pools ragged
 groups of rows, each with its own softmax, in one node whatever the
@@ -326,6 +328,14 @@ def transpose(x) -> Tensor:
 # help a batch of hundreds of sequences
 _GATHER_ROWS = 512
 
+# the most packed gradient rows the LSTM backward sweep holds before it sums
+# them per input row, and the rows per slice of the pooling backward's dense
+# update.  At d = 32, on 215 sequences of 150-200 steps over 500 input rows,
+# the LSTM backward took 82, 72, 69 and 70 ms with blocks of 1,024, 2,048,
+# 4,096 and 8,192 rows (78 ms holding every row); a `long-hist` train's
+# tracemalloc peak was 89 MB up to 8,192 rows and 107 MB at 16,384
+_BLOCK_ROWS = 4096
+
 
 def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
     """A whole LSTM loop over a packed batch of sequences, as one op.
@@ -351,9 +361,9 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
     ``0.5*tanh(x/2) + 0.5``, with the projection's and ``u``'s sigmoid
     rows halved (exactly), so one tanh per step, in place in the slab,
     covers all four gates.  When an operand is tracked, every step's slab
-    (by then its gate activations), cells and their tanh are kept in
-    packed buffers for the backward sweep; otherwise one slab's buffer is
-    reused and only the last step's cells are held.
+    (by then its gate activations) and cells are kept in packed buffers for
+    the backward sweep, which recomputes the cells' tanh; otherwise one
+    slab's buffer is reused and only the last step's cells are held.
     """
     xd, xi, xt = _parts(embedded)
     wd, wi, wt = _parts(w)
@@ -381,9 +391,8 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
     tracked = tape is not None
     gates = np.empty(gate_rows * (total if tracked else ends[0] if ends else 0))
     cells = np.empty(dim * total) if tracked else None
-    tanh_cells = np.empty(dim * total) if tracked else None
     start = width = stop = 0
-    h = c = cs = ts = None
+    h = c = cs = None
     for t, end in enumerate(ends):
         n = end - start
         if tracked or n != width:  # untracked steps reuse one buffer, so its views change with the width only
@@ -407,16 +416,15 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
         s += 0.5
         if tracked:
             cs = cells[dim * start : dim * end].reshape(dim, n)
-            ts = tanh_cells[dim * start : dim * end].reshape(dim, n)
         if c is None:
             c = np.multiply(i_g, g_g, out=cs)
         else:
             c = np.multiply(f_g, c, out=cs)
             c += i_g * g_g
-        h = o_g * np.tanh(c, out=ts)
+        h = o_g * np.tanh(c)
         out[start:end] = h.T
         start = end
-    saved = (xd, rows, sizes, wd, ud, gates, cells, tanh_cells, out) if tracked else None
+    saved = (xd, rows, sizes, wd, ud, gates, cells, out) if tracked else None
     return _emit(tape, "lstm", (xi, wi, ui, bi), saved, out)
 
 
@@ -559,26 +567,46 @@ def _bk_transpose(ids, saved, g, acc):
 
 def _bk_lstm(ids, saved, g, acc):
     """Backpropagation through time in the forward's packed, gate-major
-    layout: one reverse loop carries the state and cell gradients of step
-    t+1's sequences, the first ``widths[t+1]`` of step t's, and writes
-    each step's four gate gradients into one contiguous (4d, widths[t])
-    slab, from which it takes the state gradient for step t-1 and which
-    it copies into row-major (sum(widths), 4d) gate gradients.  Those are
-    summed per input row by `_scatter_rows` (each row's readers in packed
-    order, as ``np.add.at`` adds them), so the input and weight gradients
-    are one (n, 4d) product each and the bias gradient one sum over the n
-    rows; the recurrent weights' gradient is one product over every step
-    after the first and the aligned previous states.  Summing per row
-    first reorders the input-weight and bias sums, so they match one
-    product over every step to rounding, not bit for bit."""
-    xd, rows, sizes, wd, ud, gates, cells, tanh_cells, out = saved
+    layout.  One reverse loop carries the state and cell gradients of step
+    t+1's sequences, the first ``widths[t+1]`` of step t's.  It takes each
+    step's cell tanh again from the saved cells (the forward's own call on
+    the same values, so the same bits) and writes the step's four gate
+    gradients into one contiguous (4d, widths[t]) slab.  From the slab come
+    the state gradient for step t-1 and the step's term of the recurrent
+    weights' gradient: a product with the previous states, which for step
+    t's sequences are the first ``widths[t]`` rows of step t-1's.
+
+    The slab's transposed rows go into a block of `_BLOCK_ROWS` packed rows
+    (every row, when there are fewer, so a short batch allocates no row it
+    never writes; the first step's width, when that is more).  When the next
+    step would not fit, `_scatter_rows` adds the block's rows per input row
+    into the (n, 4d) projection gradient, each row's readers in packed
+    order within the block, so no (sum(widths), 4d) gradient is ever held.
+    The input and weight gradients are then one (n, 4d) product each and
+    the bias gradient one sum over the n rows.  Summing per block and per
+    row reorders the input-weight and bias sums, and summing per step the
+    recurrent ones, so they match one product over every step to rounding,
+    not bit for bit."""
+    xd, rows, sizes, wd, ud, gates, cells, out = saved
     if not rows.size:  # no step ran
         return
+    x_id, w_id, u_id, b_id = ids
     dim = ud.shape[1]
-    total, gate_rows = rows.size, 4 * dim
+    gate_rows = 4 * dim
     ends = np.cumsum(sizes).tolist()
     starts = [0] + ends[:-1]
-    d_pre = np.empty((total, gate_rows))
+    summed = x_id is not None or w_id is not None or b_id is not None
+    if summed:
+        d_proj = np.zeros((xd.shape[0], gate_rows))
+        cap = max(min(_BLOCK_ROWS, ends[-1]), ends[0])
+        block = np.empty((cap, gate_rows))  # its last rows hold packed rows [start, hi)
+        hi = ends[-1]
+
+        def flush(first, stop):  # sum the block's packed rows [first, stop) into their input rows
+            read, at = np.unique(rows[first:stop], return_inverse=True)
+            d_proj[read] += _scatter_rows(None, (read.size, gate_rows), [(at, block[cap - (stop - first) :])])
+
+    d_u = np.zeros((gate_rows, dim)) if u_id is not None else None
     slab = np.empty(gate_rows * ends[0])
     u_back = ud.T
     dh = dc = None
@@ -587,7 +615,7 @@ def _bk_lstm(ids, saved, g, acc):
         n = end - start
         a = gates[gate_rows * start : gate_rows * end].reshape(gate_rows, n)
         i_g, f_g, o_g, g_g = a[:dim], a[dim : 2 * dim], a[2 * dim : 3 * dim], a[3 * dim :]
-        tc = tanh_cells[dim * start : dim * end].reshape(dim, n)
+        tc = np.tanh(cells[dim * start : dim * end].reshape(dim, n))
         if dh is None:
             dh = g[start:end].T
         else:  # the carried gradients reach only step t+1's sequences
@@ -610,29 +638,32 @@ def _bk_lstm(ids, saved, g, acc):
         np.multiply(dc, i_g, out=d_g)
         d_g *= 1.0 - g_g * g_g
         if t:
-            prev_cells = cells[dim * starts[t - 1] : dim * ends[t - 1]].reshape(dim, -1)[:, :n]
+            prev = starts[t - 1]
+            prev_cells = cells[dim * prev : dim * ends[t - 1]].reshape(dim, -1)[:, :n]
             np.multiply(dc, prev_cells, out=d_f)
             d_f *= f_g
             d_f *= 1.0 - f_g
+            if d_u is not None:
+                d_u += blk @ out[prev : prev + n]
             dh = u_back @ blk
             dc *= f_g
         else:  # the first step has no previous cell or state
             d_f[...] = 0.0
-        d_pre[start:end] = blk.T
-    x_id, w_id, u_id, b_id = ids
-    if x_id is not None or w_id is not None or b_id is not None:
-        d_proj = _scatter_rows(None, (xd.shape[0], gate_rows), [(rows, d_pre)])
+        if summed:
+            if hi - start > cap:
+                flush(end, hi)
+                hi = end
+            block[cap - (hi - start) : cap - (hi - end)] = blk.T
+    if summed:
+        flush(0, hi)
         if x_id is not None:
             acc(x_id, d_proj @ wd)
         if w_id is not None:
             acc(w_id, d_proj.T @ xd)
         if b_id is not None:
             acc(b_id, d_proj.sum(axis=0))
-    if u_id is not None:
-        first = ends[0]
-        # each later row's sequence's previous state: row j of step t follows row j of step t-1
-        prev_rows = np.arange(first, total) - np.repeat(sizes[:-1], sizes[1:])
-        acc(u_id, d_pre[first:].T @ out[prev_rows])
+    if d_u is not None:
+        acc(u_id, d_u)
 
 
 def _bk_segment_attention(ids, saved, g, acc):
@@ -641,8 +672,10 @@ def _bk_segment_attention(ids, saved, g, acc):
     (g_s . v_r - g_s . out_s)``; summed over the entries that read row r
     that is ``v_r . (P.T @ g)_r - (P.T @ c)_r`` with ``c_s = g_s . out_s``,
     so the per-row logit gradients ``dl`` take two products with ``P.T``
-    and nothing per entry.  The states get ``outer(dl, w)`` (plus ``P.T @
-    g`` when they are the values) and ``w`` gets ``dl @ states``."""
+    and nothing per entry.  The states get ``outer(dl, w)`` and ``w`` gets
+    ``dl @ states``.  When the states are the values, their two gradients
+    are one: the outer product is added into ``P.T @ g`` `_BLOCK_ROWS` rows
+    at a time, so no second (n, k) block is built."""
     if saved is None:  # no row read
         return
     weights, sd, vd, wd, out, own_values = saved
@@ -656,11 +689,14 @@ def _bk_segment_attention(ids, saved, g, acc):
     dl = np.einsum("ij,ij->i", vd, dv) - back @ np.einsum("ij,ij->i", g, out)
     if w_id is not None:
         acc(w_id, dl @ sd)
-    if s_id is not None:
-        ds = np.outer(dl, wd)
-        if own_values:
-            ds += dv
-        acc(s_id, ds)
+    if s_id is None:
+        return
+    if own_values:
+        for lo in range(0, dv.shape[0], _BLOCK_ROWS):
+            dv[lo : lo + _BLOCK_ROWS] += np.outer(dl[lo : lo + _BLOCK_ROWS], wd)
+        acc(s_id, dv)
+    else:
+        acc(s_id, np.outer(dl, wd))
 
 
 _BACKWARD = {

@@ -81,6 +81,10 @@ _V1_GATES = "ifoc"
 
 GRAD_CLIP_NORM = 10.0
 PRED_CLAMP = 1e-7
+# the most rows `train` gives one embedding table: a feature value indexes a
+# row, so one value of 2**40 would ask for a 32 TiB table at dim 4; at dim 32
+# this bound is already 4 GiB of float64 per table
+MAX_TABLE_ROWS = 2**24
 
 
 class UnknownIdError(KeyError):
@@ -520,12 +524,18 @@ def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
     Batches are sampled without replacement, reshuffled each epoch from
     the seed's shuffle stream.  Two runs with the same inputs and config
     produce identical parameters and metrics.  A ``dim``, ``batch_size``,
-    ``epochs`` or ``co_retrieval_k`` below 1 raises ValueError before any
-    work.
+    ``epochs`` or ``co_retrieval_k`` below 1, or an embedding table of more
+    than `MAX_TABLE_ROWS` rows (the sum of a kind's slot vocabularies),
+    raises ValueError before any work.
     """
     for name in ("dim", "batch_size", "epochs", "co_retrieval_k"):
         if getattr(config, name) < 1:
             raise ValueError(f"train: {name} must be at least 1, got {getattr(config, name)}")
+    for kind in ("user", "anchor", "item"):
+        rows = sum(catalog.vocab(kind))
+        if rows > MAX_TABLE_ROWS:
+            raise ValueError(f"train: the {kind} embedding table would have {rows} rows, "
+                             f"more than {MAX_TABLE_ROWS}; a feature value indexes a table row")
     if not pairs:
         raise ValueError("train: empty training split")
     rng_init = stream_rng(config.seed, "init")
@@ -587,8 +597,10 @@ def evaluate_pairs(catalog: Catalog, params: ModelParams, config: TrainConfig, p
     co-retrieval; 0 for an empty side, under ``no_item_aspect`` and for
     the SVD++ head).  A non-finite score (from non-finite parameters, say)
     raises NonFiniteScoreError naming the first such pair instead of
-    entering the metrics.
+    entering the metrics.  No pairs raises ValueError.
     """
+    if not pairs:
+        raise ValueError("evaluate_pairs: no pairs to score")
     t0 = time.perf_counter()
     preds, budgets = _predict(catalog, params, config, [p.user_id for p in pairs], [p.anchor_id for p in pairs])
     scores = preds.data.tolist()

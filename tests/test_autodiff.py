@@ -593,7 +593,9 @@ def test_lstm_saves_activations_only_when_tracked():
     out = ad.lstm(x, step_rows, widths, t.watch(w), u, b)
     kind, _, saved = t.nodes[out.node_id]
     assert len(t.nodes) == 2 and kind == "lstm"
-    assert (8 * 4,) in [np.shape(v) for v in saved]  # the gate activations, a 4d slab per step
+    shapes = [np.shape(v) for v in saved]
+    assert (8 * 4,) in shapes  # the gate activations, a 4d slab per step
+    assert shapes.count((2 * 4,)) == 1  # the cells, and not their tanh: the backward takes it again
     plain = ad.lstm(x, step_rows, widths, w, u, b)
     assert plain.tape is None and not plain.tracked
     np.testing.assert_array_equal(plain.data, out.data)
@@ -609,3 +611,81 @@ def test_gradients_match_finite_differences(kind):
     for _ in range(100):
         build, arrays = _sampler(kind, rng)
         assert fd_max_rel_error(build, arrays) <= FD_TOL
+
+
+# Three-row blocks make the LSTM backward flush between steps and, in
+# `_lstm_case` and the packed cases below, sum an input row read at an early
+# and a late step from two blocks; they also split the pooling backward's
+# dense update of up to 7 source rows into slices.
+SMALL_BLOCK = 3
+
+
+@pytest.mark.parametrize("kind", ["lstm", "segment_attention"])
+def test_gradients_match_finite_differences_in_small_blocks(kind, monkeypatch):
+    monkeypatch.setattr(ad, "_BLOCK_ROWS", SMALL_BLOCK)
+    test_gradients_match_finite_differences(kind)
+
+
+def test_lstm_matches_a_step_by_step_loop_in_small_blocks(monkeypatch):
+    monkeypatch.setattr(ad, "_BLOCK_ROWS", SMALL_BLOCK)
+    test_lstm_matches_a_step_by_step_loop()
+
+
+def test_lstm_backward_sums_a_row_across_blocks_like_one_block(monkeypatch):
+    # packed as [0, 3 | 1, 0 | 2]: row 0 is read at packed rows 0 and 3, so
+    # three-row blocks hold rows [2, 5) and then [0, 2), and row 0 is summed
+    # from both
+    rng = np.random.default_rng(23)
+    k, d = 3, 2
+    arrays = [rng.normal(size=(4, k)), rng.normal(size=(4 * d, k)), rng.normal(size=(4 * d, d)),
+              rng.normal(size=4 * d)]
+    step_rows, widths, _ = _packed([[0, 1, 2], [3, 0]])
+    cot = rng.normal(size=(5, d))
+    flushed = []
+    real = ad._scatter_rows
+
+    def spy(dense, shape, gathers):
+        flushed.append(shape[0])
+        return real(dense, shape, gathers)
+
+    def grads():
+        t = Tape()
+        ops = [t.watch(a) for a in arrays]
+        out = ad.lstm(ops[0], step_rows, widths, *ops[1:])
+        got = backward(t, ad.reduce_sum(ad.multiply_elementwise(out, cot)))
+        return [got[op.node_id] for op in ops]
+
+    monkeypatch.setattr(ad, "_scatter_rows", spy)
+    whole = grads()
+    assert flushed == [4]
+    flushed.clear()
+    monkeypatch.setattr(ad, "_BLOCK_ROWS", SMALL_BLOCK)
+    blocked = grads()
+    assert flushed == [3, 2]  # rows {0, 1, 2}, then {0, 3}
+    for got, want in zip(blocked, whole):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+def test_tracked_lstm_holds_no_gradient_row_per_state_beyond_a_block():
+    # T = 200 steps over B = 200 sequences, d = 32: the tracked forward keeps
+    # the gate activations (4d floats per state row), the cells (d) and the
+    # states (d).  The sweep may add its block of packed gradient rows and one
+    # block's row sums on top, but no (sum(widths), 4d) gradient block and no
+    # second (sum(widths), d) buffer such as the cells' tanh.
+    rng = np.random.default_rng(22)
+    d, steps, width, items = 32, 200, 200, 100
+    arrays = [rng.normal(size=(items, d)), rng.normal(size=(4 * d, d)) * 0.2,
+              rng.normal(size=(4 * d, d)) * 0.2, np.zeros(4 * d)]
+    step_rows, widths = rng.integers(0, items, size=steps * width), np.full(steps, width)
+    saved = (4 * d + d + d) * steps * width * 8
+    slack = 2 * ad._BLOCK_ROWS * 4 * d * 8
+    tracemalloc.start()
+    try:
+        t = Tape()
+        ops = [t.watch(a) for a in arrays]
+        grads = backward(t, ad.reduce_sum(ad.lstm(ops[0], step_rows, widths, *ops[1:])))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(np.isfinite(g).all() for g in grads.values())
+    assert peak < saved + slack, (peak, saved, slack)

@@ -114,6 +114,49 @@ def test_train_rejects_a_size_below_one(tmp_path, capsys, flag, value):
     assert not ckpt.exists() and not csv.exists()
 
 
+def _huge_feature_catalog(tmp_path):
+    """A catalog whose one item has a feature of 2**40, and ten pairs."""
+    cat, prs = tmp_path / "huge.jsonl", tmp_path / "huge-pairs.jsonl"
+    cat.write_text(
+        '{"kind": "user", "id": 0, "features": [1], "browsed_items": [0], "browsed_anchors": [0]}\n'
+        '{"kind": "anchor", "id": 0, "features": [2], "broadcast_items": [0]}\n'
+        f'{{"kind": "item", "id": 0, "features": [{2**40}]}}\n'
+    )
+    prs.write_text("".join(f'{{"user": 0, "anchor": 0, "label": {i % 2}}}\n' for i in range(10)))
+    return cat, prs
+
+
+def test_train_and_sweep_reject_an_oversized_embedding_table(tmp_path, capsys):
+    # the table would be 2**40 + 1 rows; nothing that large is allocated,
+    # so the test needs no memory limit
+    cat, prs = _huge_feature_catalog(tmp_path)
+    ckpt, csv = tmp_path / "x.ckpt", tmp_path / "x.csv"
+    want = (f"error: train: the item embedding table would have {2**40 + 1} rows, "
+            f"more than {2**24}; a feature value indexes a table row\n")
+    capsys.readouterr()
+    rc = main(["train", "--catalog", str(cat), "--pairs", str(prs), "--out-checkpoint", str(ckpt),
+               "--metrics-csv", str(csv), "--dim", "4"])
+    assert rc == 2 and capsys.readouterr().err == want
+    assert not ckpt.exists() and not csv.exists()
+    rc = main(["sweep", "--catalog", str(cat), "--pairs", str(prs), "--variants", "full", "--seeds", "1",
+               "--dim", "4"])
+    assert rc == 2 and capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("n_pairs", [pytest.param(0, marks=pytest.mark.filterwarnings("ignore:only 0 pairs")), 3])
+def test_eval_with_no_test_pairs_exits_2(tmp_path, capsys, n_pairs):
+    # the 0.6/0.2/0.2 split leaves no test pair out of 3, and split_dataset
+    # puts all of fewer than 3 pairs in the training split
+    cat, prs = _gen(tmp_path)
+    ckpt, _ = _train(tmp_path, cat, prs, "e")
+    few = tmp_path / "few.jsonl"
+    few.write_text("".join(prs.read_text().splitlines(keepends=True)[:n_pairs]))
+    capsys.readouterr()
+    rc = main(["eval", "--catalog", str(cat), "--pairs", str(few), "--checkpoint", str(ckpt)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: evaluate_pairs: no pairs to score\n"
+
+
 def test_train_identical_invocations_identical_csv(tmp_path):
     cat, prs = _gen(tmp_path)
     _, csv1 = _train(tmp_path / "r1", cat, prs, "a")

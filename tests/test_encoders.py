@@ -259,6 +259,13 @@ def test_batched_sequences_gradients_match_sequential():
     np.testing.assert_allclose(run(True), run(False), atol=1e-12)
 
 
+def test_batched_sequences_gradients_match_sequential_in_small_blocks(monkeypatch):
+    # three-row blocks take the packed items [0, 1 | 1, 2 | 3 | 3] as
+    # [3, 3], then [1, 2], then [0, 1], so item 1 is summed from two blocks
+    monkeypatch.setattr(ad, "_BLOCK_ROWS", 3)
+    test_batched_sequences_gradients_match_sequential()
+
+
 def test_batched_tape_does_not_grow_with_the_sequence_count():
     # one PNN pass and one fused LSTM node, however many sequences of
     # whatever lengths: readers index the stacked states by the row lists

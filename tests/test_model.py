@@ -13,6 +13,7 @@ from liverec.data import LabeledPair, SyntheticSpec, _link_catalog, generate_syn
 from liverec.encoders import encode_sequence
 from liverec.metrics import compute_logloss
 from liverec.model import (
+    MAX_TABLE_ROWS,
     CheckpointError,
     NonFiniteScoreError,
     TrainConfig,
@@ -368,6 +369,46 @@ def test_train_rejects_a_size_below_one_before_any_work(monkeypatch, field, valu
         train(catalog, pairs, replace(TrainConfig(dim=6), **{field: value}))
 
 
+@pytest.mark.parametrize("kind", ["user", "anchor", "item"])
+def test_train_rejects_an_embedding_table_past_the_row_bound_before_any_work(monkeypatch, kind):
+    # a slot's vocabulary is its largest feature value + 1, so one feature of
+    # 2**40 asks for a table of 2**40 + 1 rows, besides the other slots' rows
+    from liverec import model
+
+    catalog, pairs = _tiny()
+    vocab = catalog.vocab(kind)
+    huge = replace(catalog, **{f"{kind}_vocab": vocab[:-1] + (2**40 + 1,)})
+    rows = sum(vocab[:-1]) + 2**40 + 1
+    monkeypatch.setattr(model, "init_model_params", lambda *a: pytest.fail("parameters were drawn"))
+    with pytest.raises(ValueError, match=rf"train: the {kind} embedding table would have {rows} rows, "
+                                         rf"more than {MAX_TABLE_ROWS};"):
+        train(huge, pairs, TrainConfig(dim=6))
+
+
+def test_train_accepts_an_embedding_table_at_the_row_bound(monkeypatch):
+    from liverec import model
+
+    catalog, pairs = _tiny()
+    at_bound = replace(catalog, item_vocab=catalog.item_vocab[:-1] + (MAX_TABLE_ROWS - sum(catalog.item_vocab[:-1]),))
+
+    class Drawn(Exception):
+        pass
+
+    def draw(*args):
+        raise Drawn
+
+    monkeypatch.setattr(model, "init_model_params", draw)
+    with pytest.raises(Drawn):  # past the check, and stopped before a 2**24-row table is drawn
+        train(at_bound, pairs, TrainConfig(dim=6))
+
+
+def test_evaluate_pairs_rejects_no_pairs():
+    catalog, _ = _tiny()
+    config = TrainConfig(dim=6)
+    with pytest.raises(ValueError, match="^evaluate_pairs: no pairs to score$"):
+        evaluate_pairs(catalog, _params(catalog, config), config, [])
+
+
 def test_train_empty_split_rejected():
     catalog, _ = _tiny()
     with pytest.raises(ValueError, match="empty"):
@@ -615,6 +656,13 @@ def test_full_model_gradients_match_finite_differences():
             an = g.ravel()[i]
             worst = max(worst, abs(an - num) / max(abs(an), abs(num), 1e-8))
     assert worst <= 1e-3
+
+
+def test_full_model_gradients_match_finite_differences_in_small_blocks(monkeypatch):
+    # three-row blocks: the LSTM backward sums its gradient rows a step or
+    # two at a time, and the pooling backward updates its source in slices
+    monkeypatch.setattr(ad, "_BLOCK_ROWS", 3)
+    test_full_model_gradients_match_finite_differences()
 
 
 # ---------------------------------------------------------------------------
