@@ -25,9 +25,10 @@ output holds one state row per step of each sequence and no dead rows.
 It takes the gate weights as the (4d, k) and (4d, d) row blocks the
 model stores, so no join or transpose of them reaches the tape either.
 Each input row is projected into the gates once, however many sequences
-and steps read it, and a step gathers its rows of that projection into
-one contiguous gate-major (4d, width) slab, so each gate is a contiguous
-row block and one tanh covers all four gates (a sigmoid is
+and steps read it, and a step adds its rows of that projection into one
+contiguous (4, width, d) slab: four gate blocks, one row per sequence, so
+gates, states and cells are all (width, d) row blocks, no step copies a
+transpose, and one tanh covers all four gates (a sigmoid is
 ``0.5*tanh(x/2) + 0.5``).  Only when an operand is tracked does it keep
 every step's slab of gate activations and its cells, packed one after
 another, 5d floats per state row.  Its backward rule is a hand-written
@@ -322,10 +323,10 @@ def transpose(x) -> Tensor:
 
 
 # a step gathers its input rows of the projection in one call, or, when it
-# reads fewer, those of as many whole steps as fit: at d = 32 a lone
-# sequence of 175 steps ran about 25% slower gathering step by step and
-# still paid below about 128 rows, while gathering further ahead did not
-# help a batch of hundreds of sequences
+# reads fewer, those of as many whole steps as fit.  At d = 32 a lone
+# sequence of 186 steps ran 41% slower gathering step by step and 4% slower
+# gathering 128 rows at a time; a batch of 454 sequences ran 9% slower step
+# by step and 7% slower gathering 4,096 rows ahead
 _GATHER_ROWS = 512
 
 # the most packed gradient rows the LSTM backward sweep holds before it sums
@@ -354,16 +355,21 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
     states, packed like ``step_rows``: row j is the state after the step
     that read input row ``step_rows[j]``.  No finished sequence is stepped.
 
-    Each input row is projected once, into an (n, 4d) block.  A step
-    gathers its sequences' rows of it and works gate-major, on one
-    contiguous (4d, widths[t]) slab, so each gate is a contiguous row
-    block; no (T, B, 4d) block is built.  The sigmoid is
+    Each input row is projected once, into an (n, 4d) block.  A step works
+    on one contiguous (4, widths[t], d) slab: four gate blocks, each one
+    row per sequence, so a gate, a state and a cell are all (widths[t], d)
+    row blocks and the step's states are written straight into their
+    output rows.  The projection rows join the slab through a (width, 4,
+    d) view, whose inner runs are d contiguous floats, and the recurrent
+    product is one ``np.matmul`` of the states with the four transposed
+    (d, d) gate blocks of ``u``; at width 1 the slab is the flat (4d,)
+    gate vector, and one ``np.dot`` with ``u`` is cheaper.  The sigmoid is
     ``0.5*tanh(x/2) + 0.5``, with the projection's and ``u``'s sigmoid
     rows halved (exactly), so one tanh per step, in place in the slab,
     covers all four gates.  When an operand is tracked, every step's slab
-    (by then its gate activations) and cells are kept in packed buffers for
-    the backward sweep, which recomputes the cells' tanh; otherwise one
-    slab's buffer is reused and only the last step's cells are held.
+    (by then its gate activations) and cells are kept in packed buffers
+    for the backward sweep, which recomputes the cells' tanh; otherwise
+    one slab and one block of cells are reused from step to step.
     """
     xd, xi, xt = _parts(embedded)
     wd, wi, wt = _parts(w)
@@ -387,42 +393,53 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
     proj[:, :sig] *= 0.5
     u_half = ud.copy()
     u_half[:sig] *= 0.5
+    u_gates = np.ascontiguousarray(u_half.reshape(4, dim, dim).transpose(0, 2, 1))  # h @ u_gates[j] is gate j's
     out = np.empty((total, dim))
     tracked = tape is not None
-    gates = np.empty(gate_rows * (total if tracked else ends[0] if ends else 0))
-    cells = np.empty(dim * total) if tracked else None
+    held = total if tracked else ends[0] if ends else 0  # the state rows whose gates and cells are kept
+    gates = np.empty(gate_rows * held)
+    cells = np.empty(dim * held)
     start = width = stop = 0
-    h = c = cs = None
+    h = c = None
     for t, end in enumerate(ends):
         n = end - start
-        if tracked or n != width:  # untracked steps reuse one buffer, so its views change with the width only
-            slab = gates[gate_rows * start : gate_rows * end] if tracked else gates[: gate_rows * n]
-            a = slab.reshape(gate_rows, n)
-            s, i_g, f_g, o_g, g_g = a[:sig], a[:dim], a[dim : 2 * dim], a[2 * dim : sig], a[sig:]
+        if tracked or n != width:  # untracked steps reuse one slab and cell block: new views only on a new width
+            at = start if tracked else 0
+            slab = gates[gate_rows * at : gate_rows * (at + n)]
+            a = slab.reshape(4, n, dim)
+            s, i_g, f_g, o_g, g_g = a[:3], a[0], a[1], a[2], a[3]
+            cs = cells[dim * at : dim * (at + n)].reshape(n, dim)
         if end > stop:  # gather the input rows of the next steps that fit in _GATHER_ROWS
             first, stop = start, ends[max(bisect_right(ends, start + _GATHER_ROWS) - 1, t)]
             block = proj[rows[first:stop]]
-        x_t = block[start - first : end - first].T
-        if h is None:
-            a[...] = x_t
+        if h is not None and n != width:  # the sequences past the first n have ended
+            h, c = h[:n], c[:n]
+        if n == 1:  # the slab is the flat gate vector
+            x_t = block[start - first]
+            if h is None:
+                slab[:] = x_t
+            else:
+                np.dot(u_half, h[0], out=slab)
+                slab += x_t
         else:
-            if n != width:  # the sequences past the first n have ended
-                h, c = h[:, :n], c[:, :n]
-            np.dot(u_half, h, out=a)
-            a += x_t
+            x_t = block[start - first : end - first].reshape(n, 4, dim).transpose(1, 0, 2)
+            if h is None:
+                a[...] = x_t
+            else:
+                np.matmul(h, u_gates, out=a)
+                a += x_t
         width = n
         np.tanh(a, out=a)
         s *= 0.5
         s += 0.5
-        if tracked:
-            cs = cells[dim * start : dim * end].reshape(dim, n)
         if c is None:
             c = np.multiply(i_g, g_g, out=cs)
         else:
             c = np.multiply(f_g, c, out=cs)
             c += i_g * g_g
-        h = o_g * np.tanh(c)
-        out[start:end] = h.T
+        h = out[start:end]
+        np.tanh(c, out=h)
+        h *= o_g
         start = end
     saved = (xd, rows, sizes, wd, ud, gates, cells, out) if tracked else None
     return _emit(tape, "lstm", (xi, wi, ui, bi), saved, out)
@@ -566,25 +583,28 @@ def _bk_transpose(ids, saved, g, acc):
 
 
 def _bk_lstm(ids, saved, g, acc):
-    """Backpropagation through time in the forward's packed, gate-major
-    layout.  One reverse loop carries the state and cell gradients of step
-    t+1's sequences, the first ``widths[t+1]`` of step t's.  It takes each
-    step's cell tanh again from the saved cells (the forward's own call on
-    the same values, so the same bits) and writes the step's four gate
-    gradients into one contiguous (4d, widths[t]) slab.  From the slab come
-    the state gradient for step t-1 and the step's term of the recurrent
-    weights' gradient: a product with the previous states, which for step
-    t's sequences are the first ``widths[t]`` rows of step t-1's.
+    """Backpropagation through time in the forward's packed layout.  One
+    reverse loop carries the state and cell gradients of step t+1's
+    sequences, the first ``widths[t+1]`` of step t's, as prefix rows.  It
+    takes each step's cell tanh again from the saved cells (the forward's
+    own call on the same values, so the same bits) and writes the step's
+    four gate gradients into one contiguous (4, widths[t], d) slab, the
+    forward's layout, so every operand is a (widths[t], d) row block.
 
-    The slab's transposed rows go into a block of `_BLOCK_ROWS` packed rows
+    The slab is copied into a block of `_BLOCK_ROWS` packed rows as
+    (widths[t], 4, d) rows, that is one (widths[t], 4d) row per sequence
     (every row, when there are fewer, so a short batch allocates no row it
-    never writes; the first step's width, when that is more).  When the next
-    step would not fit, `_scatter_rows` adds the block's rows per input row
-    into the (n, 4d) projection gradient, each row's readers in packed
-    order within the block, so no (sum(widths), 4d) gradient is ever held.
-    The input and weight gradients are then one (n, 4d) product each and
-    the bias gradient one sum over the n rows.  Summing per block and per
-    row reorders the input-weight and bias sums, and summing per step the
+    never writes; the first step's width, when that is more).  From those
+    rows come the state gradient for step t-1, one product with ``u``, and
+    the step's term of the recurrent weights' gradient, one product with
+    the previous states, which for step t's sequences are the first
+    ``widths[t]`` rows of step t-1's.  When the next step would not fit,
+    `_scatter_rows` adds the block's rows per input row into the (n, 4d)
+    projection gradient, each row's readers in packed order within the
+    block, so no (sum(widths), 4d) gradient is ever held.  The input and
+    weight gradients are then one (n, 4d) product each and the bias
+    gradient one sum over the n rows.  Summing per block and per row
+    reorders the input-weight and bias sums, and summing per step the
     recurrent ones, so they match one product over every step to rounding,
     not bit for bit."""
     xd, rows, sizes, wd, ud, gates, cells, out = saved
@@ -596,11 +616,12 @@ def _bk_lstm(ids, saved, g, acc):
     ends = np.cumsum(sizes).tolist()
     starts = [0] + ends[:-1]
     summed = x_id is not None or w_id is not None or b_id is not None
+    # with no sum to take, the block only holds the step being swept
+    cap = max(min(_BLOCK_ROWS, ends[-1]), ends[0]) if summed else ends[0]
+    block = np.empty((cap, gate_rows))  # its last rows hold packed rows [start, hi)
+    hi = ends[-1]
     if summed:
         d_proj = np.zeros((xd.shape[0], gate_rows))
-        cap = max(min(_BLOCK_ROWS, ends[-1]), ends[0])
-        block = np.empty((cap, gate_rows))  # its last rows hold packed rows [start, hi)
-        hi = ends[-1]
 
         def flush(first, stop):  # sum the block's packed rows [first, stop) into their input rows
             read, at = np.unique(rows[first:stop], return_inverse=True)
@@ -608,52 +629,55 @@ def _bk_lstm(ids, saved, g, acc):
 
     d_u = np.zeros((gate_rows, dim)) if u_id is not None else None
     slab = np.empty(gate_rows * ends[0])
-    u_back = ud.T
     dh = dc = None
     for t in range(len(ends) - 1, -1, -1):
         start, end = starts[t], ends[t]
         n = end - start
-        a = gates[gate_rows * start : gate_rows * end].reshape(gate_rows, n)
-        i_g, f_g, o_g, g_g = a[:dim], a[dim : 2 * dim], a[2 * dim : 3 * dim], a[3 * dim :]
-        tc = np.tanh(cells[dim * start : dim * end].reshape(dim, n))
+        i_g, f_g, o_g, g_g = gates[gate_rows * start : gate_rows * end].reshape(4, n, dim)
+        tc = np.tanh(cells[dim * start : dim * end].reshape(n, dim))
         if dh is None:
-            dh = g[start:end].T
+            dh = g[start:end]
+        elif dh.shape[0] == n:  # the carried rows are a fresh product's
+            dh += g[start:end]
         else:  # the carried gradients reach only step t+1's sequences
             carried = dh
-            dh = g[start:end].T.copy()
-            dh[:, : carried.shape[1]] += carried
-        dc_t = dh * o_g
-        dc_t *= 1.0 - tc * tc
-        if dc is not None:
-            dc_t[:, : dc.shape[1]] += dc
-        dc = dc_t
-        blk = slab[: gate_rows * n].reshape(gate_rows, n)
-        d_i, d_f, d_o, d_g = blk[:dim], blk[dim : 2 * dim], blk[2 * dim : 3 * dim], blk[3 * dim :]
-        np.multiply(dc, g_g, out=d_i)
-        d_i *= i_g
-        d_i *= 1.0 - i_g
+            dh = g[start:end].copy()
+            dh[: carried.shape[0]] += carried
+        blk = slab[: gate_rows * n].reshape(4, n, dim)
+        d_i, d_f, d_o, d_g = blk
         np.multiply(dh, tc, out=d_o)
         d_o *= o_g
         d_o *= 1.0 - o_g
+        tc *= tc
+        np.subtract(1.0, tc, out=tc)
+        dc_t = dh * o_g
+        dc_t *= tc
+        if dc is not None:
+            dc_t[: dc.shape[0]] += dc
+        dc = dc_t
+        np.multiply(dc, g_g, out=d_i)
+        d_i *= i_g
+        d_i *= 1.0 - i_g
         np.multiply(dc, i_g, out=d_g)
         d_g *= 1.0 - g_g * g_g
         if t:
             prev = starts[t - 1]
-            prev_cells = cells[dim * prev : dim * ends[t - 1]].reshape(dim, -1)[:, :n]
-            np.multiply(dc, prev_cells, out=d_f)
+            np.multiply(dc, cells[dim * prev : dim * (prev + n)].reshape(n, dim), out=d_f)
             d_f *= f_g
             d_f *= 1.0 - f_g
-            if d_u is not None:
-                d_u += blk @ out[prev : prev + n]
-            dh = u_back @ blk
-            dc *= f_g
         else:  # the first step has no previous cell or state
             d_f[...] = 0.0
-        if summed:
-            if hi - start > cap:
-                flush(end, hi)
-                hi = end
-            block[cap - (hi - start) : cap - (hi - end)] = blk.T
+        if summed and hi - start > cap:
+            flush(end, hi)
+            hi = end
+        at = cap - (hi - start) if summed else 0
+        step_rows = block[at : at + n]  # one (4d,) gradient row per sequence
+        step_rows.reshape(n, 4, dim)[...] = blk.transpose(1, 0, 2)
+        if t:
+            if d_u is not None:
+                d_u += step_rows.T @ out[prev : prev + n]
+            dh = step_rows @ ud
+            dc *= f_g
     if summed:
         flush(0, hi)
         if x_id is not None:
@@ -681,22 +705,17 @@ def _bk_segment_attention(ids, saved, g, acc):
     weights, sd, vd, wd, out, own_values = saved
     s_id, w_id, v_id = ids
     back = weights.T
-    dv = back @ g
-    if not own_values:
-        acc(v_id, dv)
-    if s_id is None and w_id is None:
-        return
-    dl = np.einsum("ij,ij->i", vd, dv) - back @ np.einsum("ij,ij->i", g, out)
-    if w_id is not None:
-        acc(w_id, dl @ sd)
-    if s_id is None:
-        return
-    if own_values:
-        for lo in range(0, dv.shape[0], _BLOCK_ROWS):
-            dv[lo : lo + _BLOCK_ROWS] += np.outer(dl[lo : lo + _BLOCK_ROWS], wd)
-        acc(s_id, dv)
-    else:
-        acc(s_id, np.outer(dl, wd))
+    dv = back @ g  # the values' gradient, and the states' too when they are the values
+    if s_id is not None or w_id is not None:
+        dl = np.einsum("ij,ij->i", vd, dv) - back @ np.einsum("ij,ij->i", g, out)
+        if w_id is not None:
+            acc(w_id, dl @ sd, True)
+        if s_id is not None and own_values:
+            for lo in range(0, dv.shape[0], _BLOCK_ROWS):
+                dv[lo : lo + _BLOCK_ROWS] += np.outer(dl[lo : lo + _BLOCK_ROWS], wd)
+        elif s_id is not None:
+            acc(s_id, np.outer(dl, wd), True)
+    acc(s_id if own_values else v_id, dv, True)
 
 
 _BACKWARD = {
@@ -776,11 +795,25 @@ def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
     grads: list = [None] * len(nodes)
     grads[root.node_id] = np.ones(())
 
-    def acc(nid, g):
+    owned = set()  # nodes whose gradient buffer no other array shares, so a sum may go into it
+
+    def acc(nid, g, fresh=False):
+        # ``fresh``: the rule allocated g itself and reads it no more.  Any
+        # other g may be shared (`_bk_add` gives one array to both inputs,
+        # `_bk_reshape` a view), so it is never written.
         if nid is None:
             return
         cur = grads[nid]
-        grads[nid] = g if cur is None else cur + g
+        if cur is None:
+            grads[nid] = g
+            if fresh:
+                owned.add(nid)
+        elif nid in owned:
+            cur += g
+        else:
+            grads[nid] = cur = cur + g
+            if cur.ndim:  # a 0-d sum is a numpy scalar, which += rebinds instead of writing
+                owned.add(nid)
 
     pending: dict[int, tuple] = {}  # source id -> (shape, [(indices, gradient rows)])
     rules = _BACKWARD

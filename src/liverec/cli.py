@@ -148,10 +148,9 @@ def cmd_train(args) -> int:
     write_metrics_csv(rows, args.metrics_csv, include_timing=args.timing_in_csv)
     print(f"checkpoint -> {args.out_checkpoint}")
     print(f"metrics    -> {args.metrics_csv}")
-    if val_split:
-        report = evaluate_pairs(catalog, params, config, val_split)
+    if val_split:  # train() scored it after the last epoch, with these parameters
         print("validation split:")
-        print(report.table())
+        print(rows[-1].val.table())
     return 0
 
 

@@ -473,12 +473,13 @@ def lr_schedule(config: TrainConfig, epoch: int) -> float:
 
 @dataclass
 class EpochMetrics:
+    """One epoch's row; ``val`` is the validation split's report after the
+    epoch, None when training has no validation split."""
+
     epoch: int
     lr: float
     train_loss: float
-    val_auc: float | None
-    val_acc: float | None
-    val_logloss: float | None
+    val: EvalReport | None
     wall_seconds: float
 
 
@@ -579,13 +580,8 @@ def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
             loss_sum += data_value
             global_batch += 1
         train_loss = loss_sum / n
-        val_auc = val_acc = val_ll = None
-        if val_pairs:
-            report = evaluate_pairs(catalog, params, config, val_pairs)
-            val_auc, val_acc, val_ll = report.auc, report.acc, report.logloss
-        rows.append(
-            EpochMetrics(epoch, lr, train_loss, val_auc, val_acc, val_ll, time.perf_counter() - t0)
-        )
+        val = evaluate_pairs(catalog, params, config, val_pairs) if val_pairs else None
+        rows.append(EpochMetrics(epoch, lr, train_loss, val, time.perf_counter() - t0))
     return params, rows
 
 
@@ -763,7 +759,5 @@ def write_metrics_csv(rows, path, include_timing: bool = False) -> None:
         fh.write("epoch,lr,train_loss,val_auc,val_acc,val_logloss,wall_seconds\n")
         for r in rows:
             wall = f"{r.wall_seconds:.3f}" if include_timing else "0.000"
-            fh.write(
-                f"{r.epoch},{fmt(r.lr)},{fmt(r.train_loss)},{fmt(r.val_auc)},"
-                f"{fmt(r.val_acc)},{fmt(r.val_logloss)},{wall}\n"
-            )
+            val = (r.val.auc, r.val.acc, r.val.logloss) if r.val else (None, None, None)
+            fh.write(f"{r.epoch},{fmt(r.lr)},{fmt(r.train_loss)},{','.join(map(fmt, val))},{wall}\n")

@@ -1,5 +1,6 @@
 """Tape engine: op semantics, shape errors, gradient checks per kind."""
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from liverec import autodiff as ad
 from liverec.autodiff import _BACKWARD, ShapeError, Tape, Tensor, _scatter_rows, backward
 
-from oracles import fd_max_rel_error, segment_attention_reference
+from oracles import fd_max_rel_error, lstm_gates, lstm_reference, segment_attention_reference
 
 FD_TOL = 1e-4
 
@@ -54,6 +55,19 @@ def test_fanout_accumulates_both_paths():
     x = t.watch(np.array(3.0))
     g = backward(t, ad.multiply_elementwise(x, x))
     assert g[x.node_id] == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("shape", [(), (2,)])
+def test_fanout_accumulates_every_path(shape):
+    # three readers of one node: the second and third gradients are summed
+    # into the sum of the first two, a 0-d sum included
+    t = Tape()
+    x = t.watch(np.ones(shape))
+    s = ad.multiply_elementwise(x, 1.0)
+    root = ad.add(ad.add(ad.multiply_elementwise(s, 2.0), ad.multiply_elementwise(s, 3.0)),
+                  ad.multiply_elementwise(s, 5.0))
+    g = backward(t, ad.reduce_sum(root))
+    np.testing.assert_array_equal(g[x.node_id], np.full(shape, 10.0))
 
 
 def test_untouched_leaf_gets_zero():
@@ -445,6 +459,36 @@ def test_segment_attention_saves_no_row_per_index_entry():
         assert blocks and all(shape[0] in (n, len(lengths)) for shape in blocks), blocks
 
 
+def test_two_poolings_of_one_block_hold_two_gradient_blocks():
+    # The item aspect pools one LSTM block twice, once per side.  Each rule
+    # returns a fresh (n, d) gradient for the block and the sweep adds the
+    # second into the first in place, so two blocks are live at once and no
+    # third is allocated for their sum.  The slack covers one slice of the
+    # rule's outer product (`_BLOCK_ROWS` rows) and eight per-row vectors
+    # (logits, softmax weights, row logit gradients); it is under half a
+    # block, so a third block fails the bound.
+    rng = np.random.default_rng(35)
+    n, d, groups = 20_000, 32, 400
+    states = rng.normal(size=(n, d))
+    sides = [(rng.integers(0, n, size=n), np.full(groups, n // groups)) for _ in range(2)]
+    ws = [rng.normal(size=d) for _ in range(2)]
+    block = states.nbytes
+    slack = ad._BLOCK_ROWS * d * 8 + 8 * n * 8
+    assert slack < block / 2
+    tracemalloc.start()
+    try:
+        t = Tape()
+        x = t.watch(states)
+        pooled = [ad.segment_attention(x, w, index, lengths) for w, (index, lengths) in zip(ws, sides)]
+        saved = tracemalloc.get_traced_memory()[0]  # the weight matrices, the outputs and the tape
+        grads = backward(t, ad.reduce_sum(ad.add(*pooled)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(grads[x.node_id]).all()
+    assert peak < saved + 2 * block + slack, (peak, saved, block, slack)
+
+
 def test_segment_attention_matches_a_softmax_per_group():
     rng = np.random.default_rng(22)
     states, values, w = rng.normal(size=(6, 3)), rng.normal(size=(6, 2)), rng.normal(size=3)
@@ -575,7 +619,7 @@ def test_lstm_saturated_gates_stay_finite():
     out = ad.lstm(t.watch(x), step_rows, widths, t.watch(w), t.watch(np.full((4 * d, d), 0.5)),
                   t.watch(np.zeros(4 * d)))
     _, _, saved = t.nodes[out.node_id]
-    gates = saved[5]  # each step's (4d, width) slab, packed
+    gates = saved[5]  # each step's (4, width, d) slab, packed; its first 3*d*width floats are the sigmoid gates
     slabs = np.split(gates, 4 * d * np.cumsum(widths)[:-1])
     sigmoids = np.concatenate([s.reshape(4 * d, -1)[: 3 * d].ravel() for s in slabs])
     assert gates.size == 4 * d * widths.sum() and np.isfinite(out.data).all()
@@ -664,6 +708,52 @@ def test_lstm_backward_sums_a_row_across_blocks_like_one_block(monkeypatch):
     assert flushed == [3, 2]  # rows {0, 1, 2}, then {0, 3}
     for got, want in zip(blocked, whole):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+# Square (k = d) cases for the scalar-loop oracle.  In the first the widths
+# fall to 1 partway through the batch, [3, 3, 2, 2, 1, 1, 1, 1, 1], so the
+# last steps take the width-1 product; in the second they never reach 1.
+# Histories share rows, and the first reads one row at two steps.
+LSTM_WIDTH_CASES = {
+    "falls_to_one": [[0, 1, 2, 3, 4, 5, 6, 0, 7], [8, 9, 1, 10], [11, 3]],
+    "stays_wide": [[0, 1, 2, 3, 4, 0], [5, 6, 1, 7, 8, 9], [10, 11, 3, 2, 4]],
+}
+
+
+def _square_lstm(rng, d=5, rows=12):
+    x = rng.normal(size=(rows, d))
+    w, u, b = rng.normal(size=(4 * d, d)), rng.normal(size=(4 * d, d)) * 0.5, rng.normal(size=4 * d)
+    return x, w, u, b
+
+
+@pytest.mark.parametrize("case", sorted(LSTM_WIDTH_CASES))
+def test_lstm_histories_alone_equal_their_packed_rows_and_the_oracle(case):
+    # a history run alone steps at width 1 throughout, on the flat gate
+    # vector; packed with the others it runs on (width, d) row blocks
+    rng = np.random.default_rng(41)
+    histories = LSTM_WIDTH_CASES[case]
+    x, w, u, b = _square_lstm(rng)
+    step_rows, widths, places = _packed(histories)
+    assert (widths.min() == 1) == (case == "falls_to_one")
+    packed = ad.lstm(x, step_rows, widths, w, u, b).data
+    p = lstm_gates(SimpleNamespace(w=w, u=u, b=b))
+    for hist, at in zip(histories, places):
+        alone = ad.lstm(x, hist, np.ones(len(hist), dtype=np.intp), w, u, b).data
+        np.testing.assert_allclose(alone, packed[at], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(packed[at], np.array(lstm_reference([x[r] for r in hist], p)), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("case", sorted(LSTM_WIDTH_CASES))
+def test_lstm_width_cases_match_finite_differences_in_small_blocks(case, monkeypatch):
+    monkeypatch.setattr(ad, "_BLOCK_ROWS", SMALL_BLOCK)
+    rng = np.random.default_rng(42)
+    step_rows, widths, _ = _packed(LSTM_WIDTH_CASES[case])
+    arrays = list(_square_lstm(rng))
+
+    def build(ops):
+        return _cotangent_sum(ad.lstm(ops[0], step_rows, widths, *ops[1:]), np.random.default_rng(7))
+
+    assert fd_max_rel_error(build, arrays) <= FD_TOL
 
 
 def test_tracked_lstm_holds_no_gradient_row_per_state_beyond_a_block():

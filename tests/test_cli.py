@@ -164,6 +164,31 @@ def test_train_identical_invocations_identical_csv(tmp_path):
     assert csv1.read_bytes() == csv2.read_bytes()
 
 
+def test_train_scores_the_validation_split_once_per_epoch(tmp_path, capsys, monkeypatch):
+    # train() scores the validation split after every epoch, and the table
+    # printed is the last of those reports, not one more evaluation
+    from liverec import model
+
+    cat, prs = _gen(tmp_path)
+    calls = []
+    real = model.evaluate_pairs
+
+    def spy(catalog, params, config, pairs):
+        calls.append(len(pairs))
+        return real(catalog, params, config, pairs)
+
+    monkeypatch.setattr(model, "evaluate_pairs", spy)
+    monkeypatch.setattr(cli, "evaluate_pairs", spy)
+    capsys.readouterr()
+    ckpt, _ = _train(tmp_path, cat, prs, "v")
+    printed = capsys.readouterr().out.split("validation split:\n")[1].splitlines()
+    _, val_split, _ = split_dataset(ingest_logs(cat, prs)[1], seed=0)
+    assert calls == [len(val_split)] * 2  # --epochs 2
+    params, config = load_checkpoint(ckpt)
+    fresh = real(ingest_logs(cat, prs)[0], params, config, val_split).table().splitlines()
+    assert printed[:-1] == fresh[:-1] and printed[-1].startswith("wall_seconds")
+
+
 def test_eval_is_deterministic_and_prints_table(tmp_path, capsys):
     cat, prs = _gen(tmp_path)
     ckpt, _ = _train(tmp_path, cat, prs, "e")

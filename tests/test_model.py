@@ -9,9 +9,17 @@ import numpy as np
 import pytest
 
 from liverec import autodiff as ad
-from liverec.data import LabeledPair, SyntheticSpec, _link_catalog, generate_synthetic, ingest_logs
+from liverec.data import (
+    LabeledPair,
+    SyntheticSpec,
+    _link_catalog,
+    category_jaccard,
+    generate_synthetic,
+    ingest_logs,
+    split_dataset,
+)
 from liverec.encoders import encode_sequence
-from liverec.metrics import compute_logloss
+from liverec.metrics import compute_auc, compute_logloss
 from liverec.model import (
     MAX_TABLE_ROWS,
     CheckpointError,
@@ -619,6 +627,33 @@ def test_config_validation():
         TrainConfig(dropout=1.0)
     with pytest.raises(ValueError, match="threads"):
         TrainConfig(threads=2)
+
+
+def test_the_model_learns_the_planted_signal_and_the_item_aspect_helps():
+    # Setting A: 400 users, 60 anchors, 500 items, histories of 5-15, signal
+    # 1.5, 6,000 pairs split 0.8/0/0.2; dim 32, batch 200, Adam at a constant
+    # 3e-3, no L2, no dropout, 8 epochs; one fixed seed.  Measured test AUCs:
+    # the planted category Jaccard, read as a score, 0.821; `full` 0.650;
+    # `no_item_aspect` 0.551.  The thresholds sit at about half of each
+    # measured margin, so a trainer or kernel change that keeps the model
+    # learning passes, and one that loses the learning fails:
+    # - `full` beats `no_item_aspect` by at least 0.05 (measured 0.099), the
+    #   paper's item-aspect ablation;
+    # - `full` lifts AUC over 0.5 by at least a third of the oracle's lift
+    #   (measured 0.150 against 0.321, about half of it).
+    spec = SyntheticSpec(400, 60, 500, 10, history_len_range=(5, 15), signal_strength=1.5, num_pairs=6000, seed=1)
+    catalog, pairs = generate_synthetic(spec)
+    train_split, _, test_split = split_dataset(pairs, ratios=(0.8, 0.0, 0.2), seed=1)
+    labels = np.array([p.label for p in test_split])
+    oracle = compute_auc(np.array([category_jaccard(catalog, p.user_id, p.anchor_id) for p in test_split]), labels)
+    auc = {}
+    for variant in ("full", "no_item_aspect"):
+        config = TrainConfig(variant=variant, dim=32, batch_size=200, optimizer="adam", lr_start=3e-3, lr_end=3e-3,
+                             l2_weight=0.0, dropout=0.0, epochs=8, seed=1)
+        params, _ = train(catalog, train_split, config)
+        auc[variant] = evaluate_pairs(catalog, params, config, test_split).auc
+    assert auc["full"] - auc["no_item_aspect"] >= 0.05, auc
+    assert auc["full"] - 0.5 >= (oracle - 0.5) / 3, (auc, oracle)
 
 
 # ---------------------------------------------------------------------------
