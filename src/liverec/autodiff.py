@@ -29,7 +29,9 @@ and steps read it, and a step adds its rows of that projection into one
 contiguous (4, width, d) slab: four gate blocks, one row per sequence, so
 gates, states and cells are all (width, d) row blocks, no step copies a
 transpose, and one tanh covers all four gates (a sigmoid is
-``0.5*tanh(x/2) + 0.5``).  Only when an operand is tracked does it keep
+``0.5*tanh(x/2) + 0.5``).  Once one sequence is left, its steps run on
+one flat ``[i | f | o | g | c]`` vector instead, with no view made and
+nothing allocated per step.  Only when an operand is tracked does it keep
 every step's slab of gate activations and its cells, packed one after
 another, 5d floats per state row.  Its backward rule is a hand-written
 reverse loop through time in the same layout: it takes the cells' tanh
@@ -323,10 +325,11 @@ def transpose(x) -> Tensor:
 
 
 # a step gathers its input rows of the projection in one call, or, when it
-# reads fewer, those of as many whole steps as fit.  At d = 32 a lone
-# sequence of 186 steps ran 41% slower gathering step by step and 4% slower
-# gathering 128 rows at a time; a batch of 454 sequences ran 9% slower step
-# by step and 7% slower gathering 4,096 rows ahead
+# reads fewer, those of as many whole steps as fit; the width-1 steps, one
+# row each, gather this many at a time.  At d = 32 a lone sequence of 186
+# steps ran 41% slower gathering step by step and 4% slower gathering 128
+# rows at a time; a batch of 454 sequences ran 9% slower step by step and 7%
+# slower gathering 4,096 rows ahead
 _GATHER_ROWS = 512
 
 # the most packed gradient rows the LSTM backward sweep holds before it sums
@@ -355,21 +358,29 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
     states, packed like ``step_rows``: row j is the state after the step
     that read input row ``step_rows[j]``.  No finished sequence is stepped.
 
-    Each input row is projected once, into an (n, 4d) block.  A step works
-    on one contiguous (4, widths[t], d) slab: four gate blocks, each one
-    row per sequence, so a gate, a state and a cell are all (widths[t], d)
-    row blocks and the step's states are written straight into their
-    output rows.  The projection rows join the slab through a (width, 4,
-    d) view, whose inner runs are d contiguous floats, and the recurrent
-    product is one ``np.matmul`` of the states with the four transposed
-    (d, d) gate blocks of ``u``; at width 1 the slab is the flat (4d,)
-    gate vector, and one ``np.dot`` with ``u`` is cheaper.  The sigmoid is
-    ``0.5*tanh(x/2) + 0.5``, with the projection's and ``u``'s sigmoid
-    rows halved (exactly), so one tanh per step, in place in the slab,
-    covers all four gates.  When an operand is tracked, every step's slab
-    (by then its gate activations) and cells are kept in packed buffers
-    for the backward sweep, which recomputes the cells' tanh; otherwise
-    one slab and one block of cells are reused from step to step.
+    Each input row is projected once, into an (n, 4d) block.  The widths
+    never increase, so the width-1 steps are a suffix, run by a loop of
+    their own.  The first loop runs the steps of width 2 or more (or a lone
+    sequence's first step, which reads no state), each on one contiguous
+    (4, widths[t], d) slab: four gate blocks, one row per sequence, so a
+    gate, a state and a cell are (widths[t], d) row blocks and the states
+    are written straight into their output rows.  The projection rows join
+    the slab through a (width, 4, d) view, whose inner runs are d
+    contiguous floats, and the recurrent product is one ``np.matmul`` of
+    the states with the four transposed (d, d) gate blocks of ``u``.  The
+    second loop runs on one flat (5d,) vector ``z = [i | f | o | g | c]``,
+    made once: nine numpy calls a step, each into a positional ``out``,
+    allocating nothing.  ``np.dot`` with ``u`` and the projection row fill
+    ``z[:4d]``; after the activations, one product ``z[:2d] * z[3d:]``
+    gives ``[i*g | f*c]``, and the sum of its halves into ``z[4d:]`` is the
+    new cell (IEEE addition commutes, so it has the bits of ``f*c + i*g``).
+    The sigmoid is ``0.5*tanh(x/2) + 0.5``, with the projection's and
+    ``u``'s sigmoid rows halved (exactly), so one tanh per step, in place,
+    covers all four gates.  When an operand is tracked, every step's gate
+    activations and cells are kept in packed buffers for the backward
+    sweep, which recomputes the cells' tanh; a width-1 step's slab is the
+    flat ``z[:4d]``, copied there.  Otherwise one slab and one block of
+    cells are reused from step to step.
     """
     xd, xi, xt = _parts(embedded)
     wd, wi, wt = _parts(w)
@@ -393,7 +404,9 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
     proj[:, :sig] *= 0.5
     u_half = ud.copy()
     u_half[:sig] *= 0.5
-    u_gates = np.ascontiguousarray(u_half.reshape(4, dim, dim).transpose(0, 2, 1))  # h @ u_gates[j] is gate j's
+    wide = int(np.count_nonzero(sizes > 1))  # the steps of width 2 or more; the width-1 steps follow them
+    if wide:
+        u_gates = np.ascontiguousarray(u_half.reshape(4, dim, dim).transpose(0, 2, 1))  # h @ u_gates[j] is gate j's
     out = np.empty((total, dim))
     tracked = tape is not None
     held = total if tracked else ends[0] if ends else 0  # the state rows whose gates and cells are kept
@@ -401,33 +414,25 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
     cells = np.empty(dim * held)
     start = width = stop = 0
     h = c = None
-    for t, end in enumerate(ends):
+    lead = ends[: max(wide, 1)]  # the wide steps, or a lone sequence's first step, which reads no state
+    for t, end in enumerate(lead):
         n = end - start
         if tracked or n != width:  # untracked steps reuse one slab and cell block: new views only on a new width
             at = start if tracked else 0
-            slab = gates[gate_rows * at : gate_rows * (at + n)]
-            a = slab.reshape(4, n, dim)
+            a = gates[gate_rows * at : gate_rows * (at + n)].reshape(4, n, dim)
             s, i_g, f_g, o_g, g_g = a[:3], a[0], a[1], a[2], a[3]
             cs = cells[dim * at : dim * (at + n)].reshape(n, dim)
         if end > stop:  # gather the input rows of the next steps that fit in _GATHER_ROWS
-            first, stop = start, ends[max(bisect_right(ends, start + _GATHER_ROWS) - 1, t)]
+            first, stop = start, lead[max(bisect_right(lead, start + _GATHER_ROWS) - 1, t)]
             block = proj[rows[first:stop]]
         if h is not None and n != width:  # the sequences past the first n have ended
             h, c = h[:n], c[:n]
-        if n == 1:  # the slab is the flat gate vector
-            x_t = block[start - first]
-            if h is None:
-                slab[:] = x_t
-            else:
-                np.dot(u_half, h[0], out=slab)
-                slab += x_t
+        x_t = block[start - first : end - first].reshape(n, 4, dim).transpose(1, 0, 2)
+        if h is None:
+            a[...] = x_t
         else:
-            x_t = block[start - first : end - first].reshape(n, 4, dim).transpose(1, 0, 2)
-            if h is None:
-                a[...] = x_t
-            else:
-                np.matmul(h, u_gates, out=a)
-                a += x_t
+            np.matmul(h, u_gates, out=a)
+            a += x_t
         width = n
         np.tanh(a, out=a)
         s *= 0.5
@@ -441,6 +446,31 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
         np.tanh(c, out=h)
         h *= o_g
         start = end
+    if start < total:  # the width-1 steps, all of the first sequence: one flat z = [i | f | o | g | c]
+        dot, add, multiply, tanh = np.dot, np.add, np.multiply, np.tanh  # no module lookup in the nine calls a step
+        half = np.array(0.5)  # a 0-d operand: a ufunc converts a Python float on every call
+        z = np.empty(gate_rows + dim)
+        z_gates, z_sig, z_if, z_gc, z_c = z[:gate_rows], z[:sig], z[: 2 * dim], z[sig:], z[gate_rows:]
+        z_i, z_f, z_o = z[:dim], z[dim : 2 * dim], z[2 * dim : sig]
+        kept_gates, kept_cells = gates.reshape(held, gate_rows), cells.reshape(held, dim)
+        h = h[0]
+        z_c[:] = c[0]
+        for first in range(start, total, _GATHER_ROWS):
+            for j, x_t in enumerate(proj[rows[first : first + _GATHER_ROWS]], first):
+                dot(u_half, h, z_gates)
+                add(z_gates, x_t, z_gates)
+                tanh(z_gates, z_gates)
+                multiply(z_sig, half, z_sig)
+                add(z_sig, half, z_sig)
+                if tracked:
+                    kept_gates[j] = z_gates
+                multiply(z_if, z_gc, z_if)  # [i*g | f*c]
+                add(z_i, z_f, z_c)  # c = i*g + f*c, the bits of f*c + i*g
+                h = out[j]
+                tanh(z_c, h)
+                multiply(h, z_o, h)
+                if tracked:
+                    kept_cells[j] = z_c
     saved = (xd, rows, sizes, wd, ud, gates, cells, out) if tracked else None
     return _emit(tape, "lstm", (xi, wi, ui, bi), saved, out)
 

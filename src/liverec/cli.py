@@ -83,7 +83,19 @@ def _variant_list(text: str) -> list[str]:
     flags = [v.strip() for v in text.split(",")]
     if not set(flags) <= set(_VARIANT_FLAGS):
         raise argparse.ArgumentTypeError(f"variants must be among {', '.join(sorted(_VARIANT_FLAGS))}, got {text!r}")
+    if len(set(flags)) < len(flags):
+        raise argparse.ArgumentTypeError(f"each variant may be named once, got {text!r}")
     return flags
+
+
+def _seed_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
 
 
 def _with_variant(config: TrainConfig, flag: str | None) -> TrainConfig:
@@ -266,7 +278,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--catalog", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--variants", type=_variant_list, default="full,no-item,no-anchor,co-retrieval")
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--seeds", type=_seed_count, default=3, help="train seeds 0 .. SEEDS-1 of each variant")
     p.add_argument("--split-seed", type=int, default=0)
     _add_train_flags(p)
     p.set_defaults(fn=cmd_sweep)

@@ -18,9 +18,11 @@ runs the LSTM kernel of ``encode_sequences_batched`` on a single history.
 Objects with fewer feature slots than the layout pad with position -1.
 The LSTM loop is one fused op: ``autodiff.lstm`` reads the gate weights
 as stored, (4d, d) row blocks in gate order ``[i | f | o | c]``,
-projects each input row once, runs every step on one (4, width, d) slab
-of four gate blocks in plain numpy and records a single tape node for the
-whole loop.
+projects each input row once, runs every step of width 2 or more on one
+(4, width, d) slab of four gate blocks, and the width-1 steps (the last
+steps of a batch, every step but the first of a lone history) on one flat
+``[i | f | o | g | c]`` vector, in plain numpy, and records a single tape
+node for the whole loop.
 """
 from __future__ import annotations
 

@@ -756,6 +756,76 @@ def test_lstm_width_cases_match_finite_differences_in_small_blocks(case, monkeyp
     assert fd_max_rel_error(build, arrays) <= FD_TOL
 
 
+# the width cases and a history run alone, which steps at width 1 from its
+# second step on
+LSTM_TAIL_CASES = {"lone": LSTM_WIDTH_CASES["falls_to_one"][:1], **LSTM_WIDTH_CASES}
+
+
+def _step_loop_gates_and_cells(x, w, u, b, histories):
+    """The gate activations and cells of a plain step loop over each history,
+    laid out as ``ad.lstm`` saves them: step t's (4, widths[t], d) slab of
+    ``[i | f | o | g]`` blocks and its (widths[t], d) cells, step after step."""
+    d = u.shape[1]
+    step_rows, widths, places = _packed(histories)
+    starts = np.cumsum(widths) - widths
+    gates, cells = np.empty(4 * d * widths.sum()), np.empty((widths.sum(), d))
+    for hist, at in zip(histories, places):
+        h = c = np.zeros(d)
+        for t, (row, j) in enumerate(zip(hist, at)):
+            pre = w @ x[row] + u @ h + b
+            act = np.concatenate([1.0 / (1.0 + np.exp(-pre[: 3 * d])), np.tanh(pre[3 * d :])]).reshape(4, d)
+            c = act[1] * c + act[0] * act[3]
+            h = act[2] * np.tanh(c)
+            gates[4 * d * starts[t] : 4 * d * (starts[t] + widths[t])].reshape(4, widths[t], d)[:, j - starts[t]] = act
+            cells[j] = c
+    return step_rows, widths, gates, cells.ravel()
+
+
+@pytest.mark.parametrize("case", sorted(LSTM_TAIL_CASES))
+def test_tracked_lstm_equals_untracked_and_saves_a_step_loops_gates_and_cells(case):
+    rng = np.random.default_rng(43)
+    x, w, u, b = _square_lstm(rng)
+    step_rows, widths, want_gates, want_cells = _step_loop_gates_and_cells(x, w, u, b, LSTM_TAIL_CASES[case])
+    plain = ad.lstm(x, step_rows, widths, w, u, b)
+    t = Tape()
+    out = ad.lstm(x, step_rows, widths, t.watch(w), u, b)
+    _, _, saved = t.nodes[out.node_id]
+    np.testing.assert_array_equal(plain.data, out.data)
+    np.testing.assert_allclose(saved[5], want_gates, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(saved[6], want_cells, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("case", sorted(LSTM_TAIL_CASES))
+def test_lstm_gathers_in_small_chunks_like_one_chunk(case, monkeypatch):
+    # three-row gathers split the width-1 steps of "lone" (rows 1-8) and of
+    # "falls_to_one" (rows 10-14), and the wide steps, across chunks
+    rng = np.random.default_rng(44)
+    histories = LSTM_TAIL_CASES[case]
+    x, w, u, b = _square_lstm(rng)
+    step_rows, widths, places = _packed(histories)
+
+    def run():
+        t = Tape()
+        out = ad.lstm(x, step_rows, widths, t.watch(w), u, b)
+        _, _, saved = t.nodes[out.node_id]
+        return ad.lstm(x, step_rows, widths, w, u, b).data, out.data, saved[5], saved[6]
+
+    whole = run()
+    monkeypatch.setattr(ad, "_GATHER_ROWS", SMALL_BLOCK)
+    chunked = run()
+    for got, want in zip(chunked, whole):
+        np.testing.assert_array_equal(got, want)
+    p = lstm_gates(SimpleNamespace(w=w, u=u, b=b))
+    for hist, at in zip(histories, places):
+        np.testing.assert_allclose(chunked[0][at], np.array(lstm_reference([x[r] for r in hist], p)), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("case", sorted(LSTM_WIDTH_CASES))
+def test_lstm_width_cases_match_finite_differences_in_small_gathers(case, monkeypatch):
+    monkeypatch.setattr(ad, "_GATHER_ROWS", SMALL_BLOCK)
+    test_lstm_width_cases_match_finite_differences_in_small_blocks(case, monkeypatch)
+
+
 def test_tracked_lstm_holds_no_gradient_row_per_state_beyond_a_block():
     # T = 200 steps over B = 200 sequences, d = 32: the tracked forward keeps
     # the gate activations (4d floats per state row), the cells (d) and the

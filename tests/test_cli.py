@@ -484,6 +484,24 @@ def test_sweep_unknown_variant_exits_2(capsys):
     assert "argument --variants: variants must be among" in capsys.readouterr().err
 
 
+def test_sweep_repeated_variant_exits_2(capsys):
+    assert main(["sweep", "--catalog", "c.jsonl", "--pairs", "p.jsonl", "--variants", "full,no-item,full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        "error: argument --variants: each variant may be named once, got 'full,no-item,full'")
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2", "two"])
+def test_sweep_without_a_seed_exits_2(capsys, seeds):
+    # nothing is trained: no table, no mean of an empty list
+    assert main(["sweep", "--catalog", "c.jsonl", "--pairs", "p.jsonl", "--seeds", seeds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --seeds: " in captured.err.splitlines()[-1]
+    assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+
+
 def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys):
     rc = main(["train", "--catalog", str(tmp_path), "--pairs", str(tmp_path / "nope.jsonl"),
                "--out-checkpoint", str(tmp_path / "x.ckpt"), "--metrics-csv", str(tmp_path / "x.csv")])
