@@ -43,7 +43,14 @@ reach the tape.
 groups of rows, each with its own softmax, in one node whatever the
 number of groups.  It scores each source row once and puts the softmax
 weights into one sparse (groups, rows) matrix, so the pooling and its
-backward rule are products with that matrix and no row is gathered.
+backward rule are products with that matrix and no row is gathered.  The
+rule walks the source a block of rows at a time and adds each block's
+gradient rows straight into the source's gradient buffer, which the
+sweep hands it (`_Gradients.buffer`), so any number of poolings of one
+block, the item aspect's two among them, share one gradient block.
+
+``sigmoid`` takes libm's ``exp`` element by element, so its values have
+the bits of ``scipy.special.expit`` without importing ``scipy.special``.
 
 Operands may be Tensors, numpy arrays, or Python scalars; non-Tensor
 operands are treated as constants.  ``add``/``multiply_elementwise``
@@ -54,12 +61,11 @@ one axis.
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import prod
+from math import exp, inf, prod
 from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.special import expit
 
 __all__ = [
     "ShapeError",
@@ -248,9 +254,26 @@ def reduce_sum(x, axis: int | None = None) -> Tensor:
     return _emit(_tape_of((xi, xt)), "sum", (xi,), (xd.shape, axis), out)
 
 
+def _exp_or_inf(x: float) -> float:
+    try:
+        return exp(x)
+    except OverflowError:
+        return inf
+
+
 def sigmoid(x) -> Tensor:
+    """``1 / (1 + exp(-x))`` with libm's ``exp`` (``math.exp``) taken
+    element by element, so it has the bits of ``scipy.special.expit``
+    (numpy's SIMD ``exp`` rounds some values differently); where ``exp(-x)``
+    overflows it reads infinity and the sigmoid 0.0, with no warning."""
     xd, xi, xt = _parts(x)
-    out = expit(xd)
+    neg = (-xd).ravel().tolist()
+    try:
+        e = np.fromiter(map(exp, neg), np.float64, xd.size)
+    except OverflowError:
+        e = np.fromiter(map(_exp_or_inf, neg), np.float64, xd.size)
+    e += 1.0
+    out = np.divide(1.0, e, out=e).reshape(xd.shape)
     return _emit(_tape_of((xi, xt)), "sigmoid", (xi,), (out,), out)
 
 
@@ -333,11 +356,12 @@ def transpose(x) -> Tensor:
 _GATHER_ROWS = 512
 
 # the most packed gradient rows the LSTM backward sweep holds before it sums
-# them per input row, and the rows per slice of the pooling backward's dense
-# update.  At d = 32, on 215 sequences of 150-200 steps over 500 input rows,
-# the LSTM backward took 82, 72, 69 and 70 ms with blocks of 1,024, 2,048,
-# 4,096 and 8,192 rows (78 ms holding every row); a `long-hist` train's
-# tracemalloc peak was 89 MB up to 8,192 rows and 107 MB at 16,384
+# them per input row, and the source rows per block of the pooling backward,
+# which holds that block's gradient rows and their outer product with w.  At
+# d = 32, on 215 sequences of 150-200 steps over 500 input rows, the LSTM
+# backward took 82, 72, 69 and 70 ms with blocks of 1,024, 2,048, 4,096 and
+# 8,192 rows (78 ms holding every row); a `long-hist` train's tracemalloc
+# peak was 89 MB up to 8,192 rows and 107 MB at 16,384
 _BLOCK_ROWS = 4096
 
 
@@ -727,25 +751,47 @@ def _bk_segment_attention(ids, saved, g, acc):
     that is ``v_r . (P.T @ g)_r - (P.T @ c)_r`` with ``c_s = g_s . out_s``,
     so the per-row logit gradients ``dl`` take two products with ``P.T``
     and nothing per entry.  The states get ``outer(dl, w)`` and ``w`` gets
-    ``dl @ states``.  When the states are the values, their two gradients
-    are one: the outer product is added into ``P.T @ g`` `_BLOCK_ROWS` rows
-    at a time, so no second (n, k) block is built."""
+    ``dl @ states``.
+
+    The rule walks the source `_BLOCK_ROWS` rows at a time, with ``P.T``
+    as one CSR matrix sliced by rows (as it is, a CSC view, when the
+    source fits in one block).  A block's rows of ``P.T @ g``, plus their
+    outer product when the states are the values, are added straight into
+    the gradient buffer the sweep owns for the source (`_Gradients.buffer`),
+    so every pooling of one block, the item aspect's two among them, adds
+    into one (n, d) gradient and holds no (n, d) array of its own;
+    ``w``'s gradient is summed block by block.  A CSR row of ``P.T`` lists
+    its entries in the CSC's order, so each row's sums, and so the values'
+    and states' gradients, have the bits of one product over all rows;
+    only ``w``'s block sums are rounded differently."""
     if saved is None:  # no row read
         return
     weights, sd, vd, wd, out, own_values = saved
     s_id, w_id, v_id = ids
-    back = weights.T
-    dv = back @ g  # the values' gradient, and the states' too when they are the values
-    if s_id is not None or w_id is not None:
-        dl = np.einsum("ij,ij->i", vd, dv) - back @ np.einsum("ij,ij->i", g, out)
-        if w_id is not None:
-            acc(w_id, dl @ sd, True)
-        if s_id is not None and own_values:
-            for lo in range(0, dv.shape[0], _BLOCK_ROWS):
-                dv[lo : lo + _BLOCK_ROWS] += np.outer(dl[lo : lo + _BLOCK_ROWS], wd)
-        elif s_id is not None:
-            acc(s_id, np.outer(dl, wd), True)
-    acc(s_id if own_values else v_id, dv, True)
+    if own_values:
+        v_id = s_id
+    logits = s_id is not None or w_id is not None  # whether the logit gradients are needed
+    whole = sd.shape[0] <= _BLOCK_ROWS
+    back = weights.T if whole else weights.T.tocsr()
+    c = np.einsum("ij,ij->i", g, out) if logits else None
+    dv_all = None if v_id is None else acc.buffer(v_id, vd.shape)
+    ds_all = None if s_id is None or own_values else acc.buffer(s_id, sd.shape)
+    dw = None if w_id is None else np.zeros(wd.shape)
+    for lo in range(0, sd.shape[0], _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        part = back if whole else back[rows]
+        dv = part @ g  # the values' gradient rows
+        if logits:
+            dl = np.einsum("ij,ij->i", vd[rows], dv) - part @ c
+            if dw is not None:
+                dw += dl @ sd[rows]
+            if s_id is not None:  # into dv first when the states are the values, so each row adds one sum
+                ds = dv if own_values else ds_all[rows]
+                ds += np.outer(dl, wd)
+        if dv_all is not None:
+            dv_all[rows] += dv
+    if dw is not None:
+        acc(w_id, dw, True)
 
 
 _BACKWARD = {
@@ -807,6 +853,50 @@ def _scatter_rows(dense, shape, gathers) -> np.ndarray:
     return (onehot @ stacked().reshape(cols.size, -1)).reshape(shape)
 
 
+class _Gradients:
+    """The reverse sweep's gradient per node: ``slots[nid]``, None until a
+    rule adds one.  Calling it adds a gradient (the rules' ``acc``), and
+    `buffer` hands a rule the node's gradient as an array the sweep owns,
+    for the rule to add into in place."""
+
+    __slots__ = ("slots", "owned")
+
+    def __init__(self, n: int):
+        self.slots: list = [None] * n
+        self.owned = set()  # nodes whose gradient buffer no other array shares, so a sum may go into it
+
+    def __call__(self, nid, g, fresh=False):
+        # ``fresh``: the rule allocated g itself and reads it no more.  Any
+        # other g may be shared (`_bk_add` gives one array to both inputs,
+        # `_bk_reshape` a view), so it is never written.
+        if nid is None:
+            return
+        slots = self.slots
+        cur = slots[nid]
+        if cur is None:
+            slots[nid] = g
+            if fresh:
+                self.owned.add(nid)
+        elif nid in self.owned:
+            cur += g
+        else:
+            slots[nid] = cur = cur + g
+            if cur.ndim:  # a 0-d sum is a numpy scalar, which += rebinds instead of writing
+                self.owned.add(nid)
+
+    def buffer(self, nid: int, shape: tuple[int, ...]) -> np.ndarray:
+        """Node nid's gradient, of ``shape``, as an array only the sweep
+        holds: zeros when it has none yet, a copy when the gradient it has
+        may be shared."""
+        cur = self.slots[nid]
+        if cur is not None and nid in self.owned:
+            return cur
+        cur = np.zeros(shape) if cur is None else np.array(cur, dtype=np.float64)
+        self.slots[nid] = cur
+        self.owned.add(nid)
+        return cur
+
+
 def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
     """Reverse sweep from a scalar root; returns gradients per leaf node id.
 
@@ -822,28 +912,9 @@ def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
     if root.data.shape != ():
         raise ValueError(f"backward: root must be a scalar, got shape {root.data.shape}")
     nodes = tape.nodes
-    grads: list = [None] * len(nodes)
+    acc = _Gradients(len(nodes))
+    grads = acc.slots
     grads[root.node_id] = np.ones(())
-
-    owned = set()  # nodes whose gradient buffer no other array shares, so a sum may go into it
-
-    def acc(nid, g, fresh=False):
-        # ``fresh``: the rule allocated g itself and reads it no more.  Any
-        # other g may be shared (`_bk_add` gives one array to both inputs,
-        # `_bk_reshape` a view), so it is never written.
-        if nid is None:
-            return
-        cur = grads[nid]
-        if cur is None:
-            grads[nid] = g
-            if fresh:
-                owned.add(nid)
-        elif nid in owned:
-            cur += g
-        else:
-            grads[nid] = cur = cur + g
-            if cur.ndim:  # a 0-d sum is a numpy scalar, which += rebinds instead of writing
-                owned.add(nid)
 
     pending: dict[int, tuple] = {}  # source id -> (shape, [(indices, gradient rows)])
     rules = _BACKWARD

@@ -37,7 +37,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from itertools import chain
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -525,13 +525,19 @@ def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
     Batches are sampled without replacement, reshuffled each epoch from
     the seed's shuffle stream.  Two runs with the same inputs and config
     produce identical parameters and metrics.  A ``dim``, ``batch_size``,
-    ``epochs`` or ``co_retrieval_k`` below 1, or an embedding table of more
-    than `MAX_TABLE_ROWS` rows (the sum of a kind's slot vocabularies),
-    raises ValueError before any work.
+    ``epochs`` or ``co_retrieval_k`` below 1, an ``lr_start``, ``lr_end``
+    or ``l2_weight`` that is negative or not finite (NaN would turn L2 off
+    or the parameters NaN, a negative rate ascend the loss), or an
+    embedding table of more than `MAX_TABLE_ROWS` rows (the sum of a
+    kind's slot vocabularies), raises ValueError before any work.
     """
     for name in ("dim", "batch_size", "epochs", "co_retrieval_k"):
         if getattr(config, name) < 1:
             raise ValueError(f"train: {name} must be at least 1, got {getattr(config, name)}")
+    for name in ("lr_start", "lr_end", "l2_weight"):
+        value = getattr(config, name)
+        if not (isfinite(value) and value >= 0.0):
+            raise ValueError(f"train: {name} must be finite and at least 0, got {value}")
     for kind in ("user", "anchor", "item"):
         rows = sum(catalog.vocab(kind))
         if rows > MAX_TABLE_ROWS:

@@ -1,7 +1,9 @@
 """CLI commands: exit codes, determinism, config files, wiring."""
+import importlib
 import json
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +75,17 @@ def test_generate_defaults_are_synthetic_spec_defaults(tmp_path, monkeypatch):
     assert specs == [SyntheticSpec(num_users=6, num_anchors=3, num_items=12, num_categories=10)]
 
 
+def test_the_liverec_script_entry_point_is_cli_main():
+    # the tests run the CLI through `main` on PYTHONPATH=src, so nothing else
+    # checks that an installed `liverec` command would reach it
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"liverec": "liverec.cli:main"}
+    module, _, name = scripts["liverec"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+
+
 def test_module_docstring_names_every_subcommand_and_no_other():
     listed = re.findall(r"``([a-z-]+)``", cli.__doc__.split("Subcommands:")[1].split("\n\n")[0])
     _, commands = _build_parser()
@@ -112,6 +125,27 @@ def test_train_rejects_a_size_below_one(tmp_path, capsys, flag, value):
     field = "co_retrieval_k" if flag == "k" else flag.replace("-", "_")
     assert capsys.readouterr().err == f"error: train: {field} must be at least 1, got {value}\n"
     assert not ckpt.exists() and not csv.exists()
+
+
+@pytest.mark.parametrize("flags, field, value", [
+    (("--l2", "nan"), "l2_weight", "nan"), (("--l2", "-1"), "l2_weight", "-1.0"),
+    (("--lr-start", "inf"), "lr_start", "inf"), (("--lr-start", "-0.5", "--lr-end", "-1"), "lr_start", "-0.5"),
+])
+def test_train_and_sweep_reject_a_bad_rate_or_l2_weight(tmp_path, capsys, flags, field, value):
+    cat, prs = _gen(tmp_path)
+    ckpt, csv = tmp_path / "x.ckpt", tmp_path / "x.csv"
+    want = f"error: train: {field} must be finite and at least 0, got {value}\n"
+    capsys.readouterr()
+    rc = main(["train", "--catalog", str(cat), "--pairs", str(prs), "--out-checkpoint", str(ckpt),
+               "--metrics-csv", str(csv), "--dim", "4", *flags])
+    assert rc == 2 and capsys.readouterr().err == want
+    assert not ckpt.exists() and not csv.exists()
+    rc = main(["sweep", "--catalog", str(cat), "--pairs", str(prs), "--variants", "full", "--seeds", "1",
+               "--dim", "4", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err == want
+    assert not any(line.startswith("full,") for line in captured.out.splitlines())  # no seed was scored
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([cat.name, prs.name])
 
 
 def _huge_feature_catalog(tmp_path):

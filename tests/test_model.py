@@ -377,6 +377,29 @@ def test_train_rejects_a_size_below_one_before_any_work(monkeypatch, field, valu
         train(catalog, pairs, replace(TrainConfig(dim=6), **{field: value}))
 
 
+@pytest.mark.parametrize("field, settings", [
+    ("lr_start", {"lr_start": float("nan")}), ("lr_start", {"lr_start": float("inf")}),
+    ("lr_start", {"lr_start": -0.5, "lr_end": -1.0}), ("lr_end", {"lr_end": float("nan")}),
+    ("lr_end", {"lr_end": -1e-6}), ("l2_weight", {"l2_weight": float("nan")}),
+    ("l2_weight", {"l2_weight": -1.0}), ("l2_weight", {"l2_weight": float("inf")}),
+])
+def test_train_rejects_a_bad_rate_or_l2_weight_before_any_work(monkeypatch, field, settings):
+    # NaN or a negative L2 weight trained with L2 silently off, a NaN or
+    # infinite rate returned NaN parameters, a negative one ascended the loss
+    from liverec import model
+
+    catalog, pairs = _tiny()
+    monkeypatch.setattr(model, "init_model_params", lambda *a: pytest.fail("parameters were drawn"))
+    with pytest.raises(ValueError, match=rf"^train: {field} must be finite and at least 0, got {settings[field]}$"):
+        train(catalog, pairs, replace(TrainConfig(dim=6), **settings))
+
+
+def test_train_accepts_zero_rates_and_l2_weight():
+    catalog, pairs = _tiny()
+    params, rows = train(catalog, pairs, TrainConfig(dim=6, epochs=2, lr_start=0.0, lr_end=0.0, l2_weight=0.0))
+    assert [r.lr for r in rows] == [0.0, 0.0] and all(np.isfinite(r.train_loss) for r in rows)
+
+
 @pytest.mark.parametrize("kind", ["user", "anchor", "item"])
 def test_train_rejects_an_embedding_table_past_the_row_bound_before_any_work(monkeypatch, kind):
     # a slot's vocabulary is its largest feature value + 1, so one feature of
