@@ -40,10 +40,11 @@ so it holds no gradient row per state row, and the per-step ops never
 reach the tape.
 
 ``segment_attention`` is the attention layers' pooling: it pools ragged
-groups of rows, each with its own softmax, in one node whatever the
-number of groups.  It scores each source row once and puts the softmax
-weights into one sparse (groups, rows) matrix, so the pooling and its
-backward rule are products with that matrix and no row is gathered.  The
+groups of rows, each into a softmax-weighted sum of the rows it scores,
+in one node whatever the number of groups.  It scores each source row
+once and puts the softmax weights into one sparse (groups, rows) matrix,
+so the pooling and its backward rule are products with that matrix and
+no row is gathered.  The
 rule walks the source a block of rows at a time and adds each block's
 gradient rows straight into the source's gradient buffer, which the
 sweep hands it (`_Gradients.buffer`), so any number of poolings of one
@@ -499,36 +500,34 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
     return _emit(tape, "lstm", (xi, wi, ui, bi), saved, out)
 
 
-def segment_attention(states, w, index, lengths, values=None) -> Tensor:
+def segment_attention(states, w, index, lengths) -> Tensor:
     """Attention-pool ragged groups of rows, one softmax per group, as one op.
 
-    ``index`` lists rows of ``states`` (n, k) group after group (None for
-    every row in order) and ``lengths`` (S,) counts each group's rows; a
-    group may be empty, and a row may be read by many groups or many times
-    by one.  Group s weighs its rows x by ``softmax(x @ w)`` over the group
-    and returns the weighted sum of the same rows of ``values`` (n, d), or
-    of ``states`` when None.  The output is (S, d), with a zero row for an
-    empty group; a zero ``w`` gives each group's mean.
+    ``index`` lists rows of ``states`` (n, d) group after group and
+    ``lengths`` (S,) counts each group's rows; a group may be empty, and a
+    row may be read by many groups or many times by one.  Group s weighs
+    its rows x by ``softmax(x @ w)`` over the group and returns their
+    weighted sum.  The output is (S, d), with a zero row for an empty
+    group; a zero ``w`` gives each group's mean.
 
     Each source row's logit is taken once, as ``(states @ w)[index]``, and
     the weights form an (S, n) CSR matrix ``P`` with one entry per index
     entry (a repeated row keeps its entries), so the pooling is ``P @
-    values`` and no row is gathered.  When an operand is tracked, ``P`` is
+    states`` and no row is gathered.  When an operand is tracked, ``P`` is
     saved for the backward sweep.
     """
     sd, si, st = _parts(states)
     wd, wi, wt = _parts(w)
-    vd, vi, vt = (sd, None, None) if values is None else _parts(values)
-    idx = np.arange(sd.shape[0] if sd.ndim else 0) if index is None else np.asarray(index, dtype=np.intp)
+    idx = np.asarray(index, dtype=np.intp)
     counts = np.asarray(lengths, dtype=np.intp)
-    if (sd.ndim != 2 or wd.shape != sd.shape[1:] or vd.ndim != 2 or vd.shape[0] != sd.shape[0]
-            or idx.ndim != 1 or counts.ndim != 1 or (counts < 0).any() or counts.sum() != idx.size):
-        raise ShapeError("segment_attention", sd.shape, wd.shape, vd.shape, idx.shape, counts.shape)
+    if (sd.ndim != 2 or wd.shape != sd.shape[1:] or idx.ndim != 1 or counts.ndim != 1
+            or (counts < 0).any() or counts.sum() != idx.size):
+        raise ShapeError("segment_attention", sd.shape, wd.shape, idx.shape, counts.shape)
     if idx.size and (idx.min() < 0 or idx.max() >= sd.shape[0]):
         raise IndexError(f"segment_attention: row out of range for states with {sd.shape[0]} rows")
-    tape = _tape_of((si, st), (wi, wt), (vi, vt))
+    tape = _tape_of((si, st), (wi, wt))
     if not idx.size:
-        return _emit(tape, "segment_attention", (si, wi, vi), None, np.zeros((counts.size, vd.shape[1])))
+        return _emit(tape, "segment_attention", (si, wi), None, np.zeros((counts.size, sd.shape[1])))
     ends = np.cumsum(counts)
     full = counts > 0
     starts = (ends - counts)[full]
@@ -537,9 +536,9 @@ def segment_attention(states, w, index, lengths, values=None) -> Tensor:
     e = np.exp(logits - np.maximum.reduceat(logits, starts)[group])
     a = e / np.add.reduceat(e, starts)[group]
     weights = csr_matrix((a, idx, np.concatenate([[0], ends])), shape=(counts.size, sd.shape[0]))
-    out = weights @ vd
-    saved = (weights, sd, vd, wd, out, values is None) if tape is not None else None
-    return _emit(tape, "segment_attention", (si, wi, vi), saved, out)
+    out = weights @ sd
+    saved = (weights, sd, wd, out) if tape is not None else None
+    return _emit(tape, "segment_attention", (si, wi), saved, out)
 
 
 # ---------------------------------------------------------------------------
@@ -745,51 +744,44 @@ def _bk_lstm(ids, saved, g, acc):
 
 
 def _bk_segment_attention(ids, saved, g, acc):
-    """With ``P`` the forward's weight matrix, the values get ``P.T @ g``.
-    Entry k (group s, row r, weight a_k) has the logit gradient ``a_k
-    (g_s . v_r - g_s . out_s)``; summed over the entries that read row r
-    that is ``v_r . (P.T @ g)_r - (P.T @ c)_r`` with ``c_s = g_s . out_s``,
-    so the per-row logit gradients ``dl`` take two products with ``P.T``
-    and nothing per entry.  The states get ``outer(dl, w)`` and ``w`` gets
-    ``dl @ states``.
+    """With ``P`` the forward's weight matrix, each source row r gets ``(P.T
+    @ g)_r`` as a pooled row.  Entry k (group s, row r, weight a_k) has the
+    logit gradient ``a_k (g_s . x_r - g_s . out_s)``; summed over the
+    entries that read row r that is ``x_r . (P.T @ g)_r - (P.T @ c)_r``
+    with ``c_s = g_s . out_s``, so the per-row logit gradients ``dl`` take
+    two products with ``P.T`` and nothing per entry.  Row r also gets
+    ``dl_r * w`` as a scored row, and ``w`` gets ``dl @ states``.
 
     The rule walks the source `_BLOCK_ROWS` rows at a time, with ``P.T``
     as one CSR matrix sliced by rows (as it is, a CSC view, when the
-    source fits in one block).  A block's rows of ``P.T @ g``, plus their
-    outer product when the states are the values, are added straight into
-    the gradient buffer the sweep owns for the source (`_Gradients.buffer`),
-    so every pooling of one block, the item aspect's two among them, adds
-    into one (n, d) gradient and holds no (n, d) array of its own;
-    ``w``'s gradient is summed block by block.  A CSR row of ``P.T`` lists
-    its entries in the CSC's order, so each row's sums, and so the values'
-    and states' gradients, have the bits of one product over all rows;
-    only ``w``'s block sums are rounded differently."""
+    source fits in one block).  A block's rows of ``P.T @ g`` plus their
+    outer product are added straight into the gradient buffer the sweep
+    owns for the source (`_Gradients.buffer`), so every pooling of one
+    block, the item aspect's two among them, adds into one (n, d) gradient
+    and holds no (n, d) array of its own; ``w``'s gradient is summed block
+    by block.  A CSR row of ``P.T`` lists its entries in the CSC's order,
+    so each row's sums, and so the states' gradient, have the bits of one
+    product over all rows; only ``w``'s block sums are rounded
+    differently."""
     if saved is None:  # no row read
         return
-    weights, sd, vd, wd, out, own_values = saved
-    s_id, w_id, v_id = ids
-    if own_values:
-        v_id = s_id
-    logits = s_id is not None or w_id is not None  # whether the logit gradients are needed
+    weights, sd, wd, out = saved
+    s_id, w_id = ids
     whole = sd.shape[0] <= _BLOCK_ROWS
     back = weights.T if whole else weights.T.tocsr()
-    c = np.einsum("ij,ij->i", g, out) if logits else None
-    dv_all = None if v_id is None else acc.buffer(v_id, vd.shape)
-    ds_all = None if s_id is None or own_values else acc.buffer(s_id, sd.shape)
+    c = np.einsum("ij,ij->i", g, out)
+    ds_all = None if s_id is None else acc.buffer(s_id, sd.shape)
     dw = None if w_id is None else np.zeros(wd.shape)
     for lo in range(0, sd.shape[0], _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
         part = back if whole else back[rows]
-        dv = part @ g  # the values' gradient rows
-        if logits:
-            dl = np.einsum("ij,ij->i", vd[rows], dv) - part @ c
-            if dw is not None:
-                dw += dl @ sd[rows]
-            if s_id is not None:  # into dv first when the states are the values, so each row adds one sum
-                ds = dv if own_values else ds_all[rows]
-                ds += np.outer(dl, wd)
-        if dv_all is not None:
-            dv_all[rows] += dv
+        ds = part @ g  # the pooled rows' gradient
+        dl = np.einsum("ij,ij->i", sd[rows], ds) - part @ c
+        if dw is not None:
+            dw += dl @ sd[rows]
+        if ds_all is not None:  # the scored rows' term joins ds first, so each row adds one sum
+            ds += np.outer(dl, wd)
+            ds_all[rows] += ds
     if dw is not None:
         acc(w_id, dw, True)
 

@@ -25,6 +25,7 @@ from .model import (
     TrainConfig,
     TrainingDiverged,
     UnknownIdError,
+    check_training,
     evaluate_pairs,
     forward_pair,
     load_checkpoint,
@@ -103,8 +104,9 @@ def _with_variant(config: TrainConfig, flag: str | None) -> TrainConfig:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per TrainConfig field but ``threads``; each flag's dest is
-    its field's name and its default the field's default."""
+    """One flag per TrainConfig field but ``threads`` and
+    ``literal_eq4_product``, which take only their defaults; each flag's
+    dest is its field's name and its default the field's default."""
     d = TrainConfig()
     p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), help="ablation variant (default: the full model)")
     p.add_argument("--lr-start", type=float, default=d.lr_start)
@@ -117,15 +119,14 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="co-retrieval cap per side")
     p.add_argument("--epochs", type=int, default=d.epochs)
     p.add_argument("--seed", type=int, default=d.seed)
-    p.add_argument("--literal-eq4-product", action="store_true",
-                   help="use the anchor-side square attention product variant")
     p.add_argument("--optimizer", choices=("sgd", "adam"), default=d.optimizer)
     p.add_argument("--svdpp-head", action="store_true",
                    help="score with the dot-product baseline head instead of the MLP")
 
 
 def _config_from_args(args) -> TrainConfig:
-    values = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if f.name not in ("variant", "threads")}
+    unflagged = ("variant", "threads", "literal_eq4_product")  # the variant's flag takes its own spelling
+    values = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if f.name not in unflagged}
     return _with_variant(TrainConfig(**values), args.variant)
 
 
@@ -201,6 +202,7 @@ def cmd_sweep(args) -> int:
     catalog, pairs = ingest_logs(args.catalog, args.pairs)
     train_split, _, test_split = split_dataset(pairs, seed=args.split_seed)
     base = _config_from_args(args)
+    check_training(catalog, train_split, base)  # the runs differ from base only in variant and seed
     print("variant,seed,test_auc,test_acc,test_logloss")
     summary = {}
     for flag in args.variants:

@@ -16,11 +16,11 @@ only the (d,) blocks that score pooled rows (`model.AttentionParams`).
 What is left is a pooling of one owner's rows: the item-aspect softmax
 over all M*N pairs factors into one softmax per side, and the
 anchor-aspect softmax never sees the target.  So each function pools
-every group of rows once, with one
-`autodiff.segment_attention` node per side (a plain softmax when the side
-has one group), then gathers one pooled row per pair.  That node scores
-each row of the side's block once and pools through a sparse matrix of
-the softmax weights, so a row read by many groups, or many times by one
+every group of rows once, with one `autodiff.segment_attention` node per
+side (a gather and a plain softmax when the side has one group), then
+gathers one pooled row per pair.  That node scores each row of the
+side's block once and pools through a sparse matrix of the softmax
+weights, so a row read by many groups, or many times by one
 (an anchor a user browsed again), is never copied.  A group is the rows
 of one owner's history, or under co-retrieval one pair's kept rows;
 `Segments` says which rows form each group and which group each pair
@@ -43,13 +43,12 @@ class Segments:
     """Ragged groups of a state block's rows, and the group each pair reads.
 
     ``index`` lists the block's rows group after group and ``lengths``
-    counts each group's rows (0 for an empty group); ``index`` None is the
-    whole block, in order, as the one group.  ``pair_group`` maps each
-    pair to its group, or is None when pair b reads group b.  ``len()`` is
-    the number of groups.
+    counts each group's rows (0 for an empty group).  ``pair_group`` maps
+    each pair to its group, or is None when pair b reads group b.
+    ``len()`` is the number of groups.
     """
 
-    index: np.ndarray | None
+    index: np.ndarray
     lengths: np.ndarray
     pair_group: np.ndarray | None = None
 
@@ -59,7 +58,7 @@ class Segments:
     @property
     def rows(self) -> int:
         """Rows over all groups."""
-        return int(self.lengths[0]) if self.index is None else len(self.index)
+        return len(self.index)
 
     @property
     def pairs(self) -> int:
@@ -72,20 +71,19 @@ class Segments:
         return ad.embedding_lookup(x, self.pair_group) if isinstance(x, Tensor) else x[self.pair_group]
 
 
-def _pool(states, groups: Segments, w, values=None) -> Tensor | None:
+def _pool(states, groups: Segments, w) -> Tensor | None:
     """(S, d) attention-pooled rows of each group; None when no group has a row."""
     if not groups.rows:
         return None
     if len(groups) > 1:
-        return ad.segment_attention(states, w, groups.index, groups.lengths, values)
-    # one group (forward_pair's case): a plain softmax.  The segment op's
-    # sparse weight matrix costs about 105 us a call whatever the rows,
-    # this softmax about 20 us over 10 or 200 rows (forward, untracked)
-    if groups.index is not None:
-        states = ad.embedding_lookup(states, groups.index)
-        values = None if values is None else ad.embedding_lookup(values, groups.index)
-    p = ad.softmax(ad.matmul(states, w))
-    return ad.matmul(ad.reshape(p, (1, p.shape[0])), states if values is None else values)
+        return ad.segment_attention(states, w, groups.index, groups.lengths)
+    # one group (forward_pair's case): a gather and a plain softmax.  At
+    # d = 32, forward and untracked on a 2-core Xeon host, this took about
+    # 16 us a call over 5-15 rows and 22 us over 200; the segment op, which
+    # builds a sparse weight matrix, 51 and 57 us
+    rows = ad.embedding_lookup(states, groups.index)
+    p = ad.softmax(ad.matmul(rows, w))
+    return ad.matmul(ad.reshape(p, (1, p.shape[0])), rows)
 
 
 def embed_similarity(e_u, e_a) -> Tensor:
@@ -117,37 +115,27 @@ def svdpp_similarity(e_u, user_states, user_groups: Segments, e_a, anchor_states
 
 
 def item_aspect_interaction(user_states, user_groups: Segments, anchor_states, anchor_groups: Segments,
-                            w_user, w_anchor, literal_square: bool = False) -> Tensor:
+                            w_user, w_anchor) -> Tensor:
     """Bi-attention over all (user item, anchor item) state pairs, (B, d).
 
     Logit for pair (q', q'') is ``w . [e_u, h_q', e_a, h_q''] + b`` with a
     single softmax over all M*N pairs; the output is the attention-weighted
-    sum of ``h_q' * h_q''`` products.  ``literal_square`` switches the
-    product to the anchor-side square ``h_q'' * h_q''`` variant.  Either
-    side empty yields a zero vector.  ``w_user`` and ``w_anchor`` are the
-    (d,) blocks of ``w`` that score ``h_q'`` and ``h_q''``.
+    sum of ``h_q' * h_q''`` products.  Either side empty yields a zero
+    vector.  ``w_user`` and ``w_anchor`` are the (d,) blocks of ``w`` that
+    score ``h_q'`` and ``h_q''``.
 
     The logit separates as ``lu_q' + la_q'' + const``, so the joint softmax
     is exactly ``outer(softmax(lu), softmax(la))`` and the output is
-    ``(p^T H_u) * (q^T H_a)`` (``q^T (H_a * H_a)`` for the square), with
-    no (M, N) block: each side's group is pooled once and every pair reads
-    its two pooled rows.  The shared ``const = w1 . e_u + w3 . e_a + b``
-    cancels in the softmax: the output does not depend on ``w1``, ``w3``,
-    the bias or the static embeddings, so none of them is taken.
+    ``(p^T H_u) * (q^T H_a)``, with no (M, N) block: each side's group is
+    pooled once and every pair reads its two pooled rows.  The shared
+    ``const = w1 . e_u + w3 . e_a + b`` cancels in the softmax: the output
+    does not depend on ``w1``, ``w3``, the bias or the static embeddings,
+    so none of them is taken.
     """
-    zero = Tensor(np.zeros((user_groups.pairs, w_user.shape[0])))
-    if literal_square:
-        has_user = user_groups.per_pair(user_groups.lengths > 0)
-        squares = None if anchor_states is None else ad.multiply_elementwise(anchor_states, anchor_states)
-        pooled = _pool(anchor_states, anchor_groups, w_anchor, squares)
-        if pooled is None or not has_user.any():
-            return zero
-        out = anchor_groups.per_pair(pooled)
-        return out if has_user.all() else ad.multiply_elementwise(out, has_user[:, None])
     p = _pool(user_states, user_groups, w_user)
     q = _pool(anchor_states, anchor_groups, w_anchor)
     if p is None or q is None:
-        return zero
+        return Tensor(np.zeros((user_groups.pairs, w_user.shape[0])))
     return ad.multiply_elementwise(user_groups.per_pair(p), anchor_groups.per_pair(q))
 
 

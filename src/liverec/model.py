@@ -126,7 +126,7 @@ class TrainConfig:
     co_retrieval_k: int = 10
     epochs: int = 10
     seed: int = 0
-    literal_eq4_product: bool = False
+    literal_eq4_product: bool = False  # only False is legal; kept so existing configs still construct
     optimizer: str = "sgd"
     svdpp_head: bool = False
     threads: int = 1  # the only legal value; kept so existing configs still construct
@@ -142,6 +142,9 @@ class TrainConfig:
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.threads != 1:
             raise ValueError(f"threads must be 1 (training runs on one thread), got {self.threads!r}")
+        if self.literal_eq4_product:
+            raise ValueError("literal_eq4_product must be False (the anchor-side square product was removed), "
+                             f"got {self.literal_eq4_product!r}")
 
 
 @dataclass
@@ -264,15 +267,16 @@ def _item_states(catalog: Catalog, params: ModelParams, users, anchors):
     owner, step-major (see `encode_sequences_batched`), so rows[k] is not
     a contiguous range.  One user and one anchor (the single-pair case)
     are each encoded alone from their gathered items, through
-    `encode_sequence`; their rows are None, the whole block in history
-    order."""
+    `encode_sequence`, so each side's one rows array is every row of its
+    own block, in order."""
     owners = [("user", u) for u in users] + [("anchor", a) for a in anchors]
     positions, histories = _item_positions(catalog, params.offsets["item"], owners)
     pnn, lstm = params.pnn, params.lstm
     if len(users) == len(anchors) == 1:
         items = pnn_encode_batch("item", positions, pnn)
         u_states, a_states = (encode_sequence(ad.embedding_lookup(items, h), lstm) for h in histories)
-        return u_states, None, a_states, None
+        u_rows, a_rows = ([np.arange(len(h))] for h in histories)
+        return u_states, u_rows, a_states, a_rows
     states, rows = encode_sequences_batched(histories, positions, pnn, lstm)
     return states, rows[: len(users)], states, rows[len(users) :]
 
@@ -320,19 +324,14 @@ def _owners(ids):
     return owners, np.array([at[i] for i in ids], dtype=np.intp)
 
 
-def _n_rows(states: Tensor | None) -> int:
-    return 0 if states is None else states.shape[0]
+def _per_pair(x: Tensor, pair_owner) -> Tensor:
+    """Each pair's owner's row of x in one gather; x itself for pair_owner
+    None, when pair b owns row b."""
+    return x if pair_owner is None else ad.embedding_lookup(x, pair_owner)
 
 
-def _take(x: Tensor, rows) -> Tensor:
-    """The given rows of x in one gather; x itself for rows None."""
-    return x if rows is None else ad.embedding_lookup(x, rows)
-
-
-def _segments(states, rows, pair_group=None) -> Segments:
-    """One group per row-index array; rows None is one group of the whole block."""
-    if rows is None:
-        return Segments(None, np.array([_n_rows(states)]), pair_group)
+def _segments(rows, pair_group=None) -> Segments:
+    """One group per row-index array."""
     return Segments(np.concatenate(rows), np.array([len(r) for r in rows], dtype=np.intp), pair_group)
 
 
@@ -375,16 +374,16 @@ def _predict(catalog: Catalog, params: ModelParams, config: TrainConfig, user_id
     if config.svdpp_head:
         u_states, u_rows, a_states, a_rows = _item_states(catalog, params, users, anchors)
         score = svdpp_similarity(
-            e_user, u_states, _segments(u_states, u_rows, pair_user),
-            e_anchor, a_states, _segments(a_states, a_rows, pair_anchor),
+            e_user, u_states, _segments(u_rows, pair_user),
+            e_anchor, a_states, _segments(a_rows, pair_anchor),
         )
         return ad.sigmoid(score), np.zeros(0)
 
     row = {a: k for k, a in enumerate(encoded)}
     # distinct targets and no other anchor encoded: each pair's own target, in order
     own_targets = pair_anchor is None and len(encoded) == len(anchors)
-    e_target = _take(e_anchor, None if own_targets else [row[a] for a in anchor_ids])
-    y_e = embed_similarity(_take(e_user, pair_user), e_target)
+    e_target = _per_pair(e_anchor, None if own_targets else [row[a] for a in anchor_ids])
+    y_e = embed_similarity(_per_pair(e_user, pair_user), e_target)
 
     n_pairs, d = len(user_ids), config.dim
     if config.variant == "no_item_aspect":
@@ -394,15 +393,12 @@ def _predict(catalog: Catalog, params: ModelParams, config: TrainConfig, user_id
         u_states, u_rows, a_states, a_rows = _item_states(catalog, params, users, anchors)
         if config.variant == "with_co_retrieval":
             kept_u, kept_a = _kept_rows(catalog, config, user_ids, anchor_ids,
-                                        _pair_rows(u_states, u_rows, pair_user),
-                                        _pair_rows(a_states, a_rows, pair_anchor))
-            u_groups, a_groups = _segments(u_states, kept_u), _segments(a_states, kept_a)
+                                        _pair_rows(u_rows, pair_user), _pair_rows(a_rows, pair_anchor))
+            u_groups, a_groups = _segments(kept_u), _segments(kept_a)
         else:
-            u_groups = _segments(u_states, u_rows, pair_user)
-            a_groups = _segments(a_states, a_rows, pair_anchor)
+            u_groups, a_groups = _segments(u_rows, pair_user), _segments(a_rows, pair_anchor)
         y_i = item_aspect_interaction(
-            u_states, u_groups, a_states, a_groups, params.attn.item_user, params.attn.item_anchor,
-            literal_square=config.literal_eq4_product,
+            u_states, u_groups, a_states, a_groups, params.attn.item_user, params.attn.item_anchor
         )
         budgets = u_groups.per_pair(u_groups.lengths) * a_groups.per_pair(a_groups.lengths)
 
@@ -422,9 +418,8 @@ def _predict(catalog: Catalog, params: ModelParams, config: TrainConfig, user_id
     return ad.sigmoid(ad.add(ad.matmul(hidden, mlp.w2), mlp.b2)), budgets
 
 
-def _pair_rows(states, rows, pair_owner) -> list[np.ndarray]:
+def _pair_rows(rows, pair_owner) -> list[np.ndarray]:
     """Each pair's owner's row indices, from `_item_states`' per-owner rows."""
-    rows = [np.arange(_n_rows(states))] if rows is None else rows
     return rows if pair_owner is None else [rows[k] for k in pair_owner]
 
 
@@ -519,18 +514,13 @@ def _batch_gradients(catalog, params, config, chunk, dropout_rng):
     return data_value, loss_value, grads
 
 
-def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
-    """Run the training loop; returns (params, per-epoch metrics rows).
-
-    Batches are sampled without replacement, reshuffled each epoch from
-    the seed's shuffle stream.  Two runs with the same inputs and config
-    produce identical parameters and metrics.  A ``dim``, ``batch_size``,
-    ``epochs`` or ``co_retrieval_k`` below 1, an ``lr_start``, ``lr_end``
-    or ``l2_weight`` that is negative or not finite (NaN would turn L2 off
-    or the parameters NaN, a negative rate ascend the loss), or an
-    embedding table of more than `MAX_TABLE_ROWS` rows (the sum of a
-    kind's slot vocabularies), raises ValueError before any work.
-    """
+def check_training(catalog: Catalog, pairs, config: TrainConfig) -> None:
+    """Raise ValueError when `train` would refuse these inputs: a ``dim``,
+    ``batch_size``, ``epochs`` or ``co_retrieval_k`` below 1, an
+    ``lr_start``, ``lr_end`` or ``l2_weight`` that is negative or not
+    finite (NaN would turn L2 off or the parameters NaN, a negative rate
+    ascend the loss), an embedding table of more than `MAX_TABLE_ROWS` rows
+    (the sum of a kind's slot vocabularies), or no training pairs."""
     for name in ("dim", "batch_size", "epochs", "co_retrieval_k"):
         if getattr(config, name) < 1:
             raise ValueError(f"train: {name} must be at least 1, got {getattr(config, name)}")
@@ -545,6 +535,17 @@ def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
                              f"more than {MAX_TABLE_ROWS}; a feature value indexes a table row")
     if not pairs:
         raise ValueError("train: empty training split")
+
+
+def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
+    """Run the training loop; returns (params, per-epoch metrics rows).
+
+    Batches are sampled without replacement, reshuffled each epoch from
+    the seed's shuffle stream.  Two runs with the same inputs and config
+    produce identical parameters and metrics.  Inputs that
+    `check_training` refuses raise ValueError before any work.
+    """
+    check_training(catalog, pairs, config)
     rng_init = stream_rng(config.seed, "init")
     params = init_model_params(catalog, config, rng_init)
     rng_shuffle = stream_rng(config.seed, "shuffle")

@@ -118,56 +118,47 @@ def lstm_reference(xs, p):
 # op references
 
 
-def segment_attention_reference(states, w, index, lengths, values=None, cotangent=None):
+def segment_attention_reference(states, w, index, lengths, cotangent=None):
     """``autodiff.segment_attention`` by gathering each entry's rows.
 
-    Every entry of ``index`` gathers its state row and value row, the
-    softmax runs per group with ``np.maximum.reduceat`` and
-    ``np.add.reduceat``, and the weighted value rows are summed per group
-    with ``np.add.reduceat``.  Returns the (S, d) output; given a (S, d)
-    ``cotangent`` g, also the gradients of ``sum(g * out)`` as (states, w,
-    values), values' None when ``values`` is None (it is folded into the
-    states').  The gathered gradient rows go back with ``np.add.at``.
+    Every entry of ``index`` gathers its state row, the softmax runs per
+    group with ``np.maximum.reduceat`` and ``np.add.reduceat``, and the
+    weighted rows are summed per group with ``np.add.reduceat``.  Returns
+    the (S, d) output; given a (S, d) ``cotangent`` g, also the gradients
+    of ``sum(g * out)`` as (states, w).  The gathered gradient rows go back
+    with ``np.add.at``.
     """
     states, w = np.asarray(states, dtype=float), np.asarray(w, dtype=float)
-    idx = np.arange(len(states)) if index is None else np.asarray(index, dtype=np.intp)
+    idx = np.asarray(index, dtype=np.intp)
     counts = np.asarray(lengths, dtype=np.intp)
     full = counts > 0
     starts = (np.cumsum(counts) - counts)[full]
     group = np.repeat(np.arange(starts.size), counts[full])  # each entry's non-empty group
     x = states[idx]
-    v = x if values is None else np.asarray(values, dtype=float)[idx]
-    out = np.zeros((counts.size, v.shape[1]))
+    out = np.zeros((counts.size, states.shape[1]))
     d_states, d_w = np.zeros_like(states), np.zeros_like(w)
-    d_values = None if values is None else np.zeros(np.shape(values))
     if idx.size:
         logits = x @ w
         e = np.exp(logits - np.maximum.reduceat(logits, starts)[group])
         a = e / np.add.reduceat(e, starts)[group]
-        pooled = np.add.reduceat(a[:, None] * v, starts, axis=0)
+        pooled = np.add.reduceat(a[:, None] * x, starts, axis=0)
         out[full] = pooled
     if cotangent is None:
         return out
     if idx.size:
         gs = np.asarray(cotangent, dtype=float)[full]
         gk = gs[group]  # each entry's group gradient
-        dv = a[:, None] * gk
-        dl = a * (np.einsum("ij,ij->i", gk, v) - np.einsum("ij,ij->i", gs, pooled)[group])
+        dl = a * (np.einsum("ij,ij->i", gk, x) - np.einsum("ij,ij->i", gs, pooled)[group])
         d_w = dl @ x
-        dx = np.outer(dl, w)
-        if values is None:
-            dx += dv
-        else:
-            np.add.at(d_values, idx, dv)
-        np.add.at(d_states, idx, dx)
-    return out, (d_states, d_w, d_values)
+        np.add.at(d_states, idx, a[:, None] * gk + np.outer(dl, w))
+    return out, (d_states, d_w)
 
 
 # ---------------------------------------------------------------------------
 # interaction references
 
 
-def item_attention_reference(e_u, user_h, e_a, anchor_h, w, b, literal_square=False):
+def item_attention_reference(e_u, user_h, e_a, anchor_h, w, b):
     """Brute-force double loop over all state pairs."""
     if not len(user_h) or not len(anchor_h):
         return np.zeros(len(e_u))
@@ -177,7 +168,7 @@ def item_attention_reference(e_u, user_h, e_a, anchor_h, w, b, literal_square=Fa
         for ha in anchor_h:
             feats = np.concatenate([e_u, hu, e_a, ha])
             logits.append(float(np.dot(w, feats)) + float(b))
-            prods.append(ha * ha if literal_square else hu * ha)
+            prods.append(hu * ha)
     alphas = softmax_list(logits)
     out = np.zeros(len(e_u))
     for alpha, prod in zip(alphas, prods):
@@ -362,9 +353,7 @@ def forward_reference(catalog, params, config, user_id, anchor_id):
             sel = naive_co_retrieve(catalog, user_id, anchor_id, config.co_retrieval_k)
             u_states = [u_states[p] for p in sel["user_positions"]]
             a_states = [a_states[p] for p in sel["anchor_positions"]]
-        y_i = item_attention_reference(
-            e_u, u_states, e_a, a_states, item_w, item_b, literal_square=config.literal_eq4_product
-        )
+        y_i = item_attention_reference(e_u, u_states, e_a, a_states, item_w, item_b)
 
     if config.variant == "no_anchor_aspect" or not user.browsed_anchors:
         y_a = np.zeros(d)

@@ -409,23 +409,21 @@ def _segment_case(rng):
     one-row group and a longer one, rows repeated across and within groups
     (as co-retrieved pairs share an owner's rows), in shuffled order.  One
     instance in two reads only some rows of a larger source block, as the
-    pooled LSTM block and co-retrieval do.  One instance in three pools
-    separate values, one in four holds w constant."""
+    pooled LSTM block and co-retrieval do.  One instance in four holds w
+    constant."""
     n, k = int(rng.integers(2, 8)), int(rng.integers(1, 4))
     lengths = np.concatenate([[0, 1, rng.integers(2, 5)], rng.integers(0, 4, size=rng.integers(0, 3))])
     rng.shuffle(lengths)
     read = np.arange(n) if rng.integers(2) else rng.permutation(n)[: rng.integers(1, n)]
     index = rng.choice(read, size=int(lengths.sum()))
     arrays = [rng.normal(size=(n, k)), rng.normal(size=k)]
-    if rng.integers(3) == 0:
-        arrays.append(rng.normal(size=(n, int(rng.integers(1, 4)))))
     fixed = arrays.pop(1) if rng.integers(4) == 0 else None
 
     def build(xs):
         ops = list(xs)
         if fixed is not None:
             ops.insert(1, fixed)
-        out = ad.segment_attention(ops[0], ops[1], index, lengths, ops[2] if len(ops) > 2 else None)
+        out = ad.segment_attention(ops[0], ops[1], index, lengths)
         return _cotangent_sum(out, np.random.default_rng(7))
 
     return build, arrays
@@ -441,37 +439,33 @@ def _large_segments(rng, n, groups):
     return rng.choice(read, size=int(lengths.sum())), lengths
 
 
-@pytest.mark.parametrize("own_values", [True, False])
-def test_segment_attention_matches_the_gathering_reference(own_values):
-    rng = np.random.default_rng(31 + own_values)
+def test_segment_attention_matches_the_gathering_reference():
+    rng = np.random.default_rng(32)
     for _ in range(3):
         n, k = int(rng.integers(200, 400)), int(rng.integers(4, 17))
         index, lengths = _large_segments(rng, n, int(rng.integers(100, 200)))
         states, w = rng.normal(size=(n, k)), rng.normal(size=k)
-        values = None if own_values else rng.normal(size=(n, int(rng.integers(3, 9))))
-        g = rng.normal(size=(len(lengths), k if own_values else values.shape[1]))
-        want, (want_s, want_w, want_v) = segment_attention_reference(states, w, index, lengths, values, g)
+        g = rng.normal(size=(len(lengths), k))
+        want, (want_s, want_w) = segment_attention_reference(states, w, index, lengths, g)
         t = Tape()
-        ops = [t.watch(states), t.watch(w)] + ([] if own_values else [t.watch(values)])
-        out = ad.segment_attention(ops[0], ops[1], index, lengths, None if own_values else ops[2])
+        ops = [t.watch(states), t.watch(w)]
+        out = ad.segment_attention(ops[0], ops[1], index, lengths)
         grads = backward(t, ad.reduce_sum(ad.multiply_elementwise(out, g)))
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-13)
         np.testing.assert_allclose(grads[ops[0].node_id], want_s, rtol=0, atol=1e-13)
         np.testing.assert_allclose(grads[ops[1].node_id], want_w, rtol=1e-13, atol=1e-13)
-        if not own_values:
-            np.testing.assert_allclose(grads[ops[2].node_id], want_v, rtol=0, atol=1e-13)
 
 
 def test_a_row_read_k_times_pools_like_one_row_with_log_k_added():
     # the browsed-anchor groups repeat an anchor once per visit: k entries
     # of a row weigh it as one entry whose logit is larger by log k
     rng = np.random.default_rng(33)
-    states, values, w = rng.normal(size=(7, 4)), rng.normal(size=(7, 3)), rng.normal(size=4)
+    states, w = rng.normal(size=(7, 4)), rng.normal(size=4)
     distinct, times = np.array([5, 1, 3, 6]), np.array([3, 1, 4, 2])
     index = rng.permutation(np.repeat(distinct, times))
-    out = ad.segment_attention(states, w, index, [index.size], values).data[0]
+    out = ad.segment_attention(states, w, index, [index.size]).data[0]
     p = ad.softmax(states[distinct] @ w + np.log(times)).data
-    np.testing.assert_allclose(out, p @ values[distinct], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out, p @ states[distinct], rtol=0, atol=1e-14)
 
 
 def test_segment_attention_saves_no_row_per_index_entry():
@@ -481,13 +475,11 @@ def test_segment_attention_saves_no_row_per_index_entry():
     n, k = 40, 16
     index, lengths = _large_segments(rng, n, 30)
     assert index.size > 2 * n
-    states, values = rng.normal(size=(n, k)), rng.normal(size=(n, 5))
-    for vals in (None, values):
-        t = Tape()
-        out = ad.segment_attention(t.watch(states), t.watch(rng.normal(size=k)), index, lengths, vals)
-        _, _, saved = t.nodes[out.node_id]
-        blocks = [np.shape(v) for v in saved if isinstance(v, np.ndarray) and v.ndim == 2]
-        assert blocks and all(shape[0] in (n, len(lengths)) for shape in blocks), blocks
+    t = Tape()
+    out = ad.segment_attention(t.watch(rng.normal(size=(n, k))), t.watch(rng.normal(size=k)), index, lengths)
+    _, _, saved = t.nodes[out.node_id]
+    blocks = [np.shape(v) for v in saved if isinstance(v, np.ndarray) and v.ndim == 2]
+    assert blocks and all(shape[0] in (n, len(lengths)) for shape in blocks), blocks
 
 
 def test_two_poolings_of_one_block_hold_one_gradient_block():
@@ -521,11 +513,10 @@ def test_two_poolings_of_one_block_hold_one_gradient_block():
     assert peak < saved + block + slack, (peak, saved, block, slack)
 
 
-def _two_poolings_case(rng, n, block, separate):
+def _two_poolings_case(rng, n, block):
     """Two `segment_attention` nodes over one tracked (n, k) block, as the
     item aspect's two sides pool the one LSTM block, with their own w and
-    groups; the second pools separate tracked values when ``separate``.
-    No group reads rows [block, 2 * block), a whole block when the rule
+    groups.  No group reads rows [block, 2 * block), a whole block when the rule
     walks ``block`` rows at a time.  A sum of the block, taken after both
     poolings, gives it a gradient the sweep shares (a broadcast view)
     before either rule runs.  Returns (build, arrays, cotangents, groups)."""
@@ -537,41 +528,36 @@ def _two_poolings_case(rng, n, block, separate):
         rng.shuffle(lengths)
         sides.append((rng.choice(read, size=int(lengths.sum())), lengths))
     arrays = [rng.normal(size=(n, k)), rng.normal(size=k), rng.normal(size=k)]
-    if separate:
-        arrays.append(rng.normal(size=(n, int(rng.integers(1, 4)))))
-    widths = (k, arrays[3].shape[1] if separate else k)
-    cotangents = [rng.normal(size=(len(lengths), m)) for (_, lengths), m in zip(sides, widths)]
+    cotangents = [rng.normal(size=(len(lengths), k)) for _, lengths in sides]
 
     def build(xs):
-        states, w1, w2 = xs[:3]
+        states, w1, w2 = xs
         first = ad.segment_attention(states, w1, *sides[0])
-        second = ad.segment_attention(states, w2, *sides[1], xs[3] if separate else None)
+        second = ad.segment_attention(states, w2, *sides[1])
         pooled = [ad.reduce_sum(ad.multiply_elementwise(p, g)) for p, g in zip((first, second), cotangents)]
         return ad.add(ad.add(*pooled), ad.reduce_sum(states))
 
     return build, arrays, cotangents, sides
 
 
-@pytest.mark.parametrize("separate", [False, True], ids=["own_values", "separate_values"])
-def test_two_poolings_of_one_block_match_finite_differences_in_small_blocks(separate, monkeypatch):
+def test_two_poolings_of_one_block_match_finite_differences_in_small_blocks(monkeypatch):
     monkeypatch.setattr(ad, "_BLOCK_ROWS", SMALL_BLOCK)
-    rng = np.random.default_rng(37 + separate)
+    rng = np.random.default_rng(37)
     for _ in range(20):
         n = int(rng.integers(2 * SMALL_BLOCK + 1, 4 * SMALL_BLOCK))
-        build, arrays, _, _ = _two_poolings_case(rng, n, SMALL_BLOCK, separate)
+        build, arrays, _, _ = _two_poolings_case(rng, n, SMALL_BLOCK)
         assert fd_max_rel_error(build, arrays) <= FD_TOL
 
 
-@pytest.mark.parametrize("separate", [False, True], ids=["own_values", "separate_values"])
-def test_two_poolings_of_one_block_match_the_reference_in_small_blocks(separate, monkeypatch):
+def test_two_poolings_of_one_block_match_the_reference_in_small_blocks(monkeypatch):
     # 64-row blocks over 300-500 rows, one of them read by no group.  The
-    # states' and values' gradients sum each row's entries in one order
-    # whatever the blocks, so they keep the bits of a one-block run; only
-    # w's gradient, summed block by block, may round differently.
-    rng = np.random.default_rng(39 + separate)
+    # states' gradient sums each row's entries in one order whatever the
+    # blocks, so it keeps the bits of a one-block run; only w's gradient,
+    # summed block by block, may round differently.
+    rng = np.random.default_rng(39)
     for _ in range(3):
         n = int(rng.integers(300, 500))
-        build, arrays, cotangents, sides = _two_poolings_case(rng, n, 64, separate)
+        build, arrays, cotangents, sides = _two_poolings_case(rng, n, 64)
         runs = []
         for rows in (ad._BLOCK_ROWS, 64):
             monkeypatch.setattr(ad, "_BLOCK_ROWS", rows)
@@ -579,43 +565,37 @@ def test_two_poolings_of_one_block_match_the_reference_in_small_blocks(separate,
             ops = [t.watch(a) for a in arrays]
             grads = backward(t, build(ops))
             runs.append([grads[op.node_id] for op in ops])
-        states, w1, w2 = arrays[:3]
-        values = arrays[3] if separate else None
-        _, (s1, dw1, _) = segment_attention_reference(states, w1, *sides[0], None, cotangents[0])
-        _, (s2, dw2, dv) = segment_attention_reference(states, w2, *sides[1], values, cotangents[1])
-        want = [s1 + s2 + 1.0, dw1, dw2] + ([dv] if separate else [])
+        states, w1, w2 = arrays
+        _, (s1, dw1) = segment_attention_reference(states, w1, *sides[0], cotangents[0])
+        _, (s2, dw2) = segment_attention_reference(states, w2, *sides[1], cotangents[1])
         whole, blocked = runs
-        for k, (got, one, ref) in enumerate(zip(blocked, whole, want)):
+        for got, ref in zip(blocked, [s1 + s2 + 1.0, dw1, dw2]):
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
-            if k not in (1, 2):  # the states and the values
-                np.testing.assert_array_equal(got, one)
+        np.testing.assert_array_equal(blocked[0], whole[0])  # the states
         np.testing.assert_array_equal(blocked[0][64:128], 1.0)  # the unread block gets only the sum's gradient
 
 
 def test_segment_attention_matches_a_softmax_per_group():
     rng = np.random.default_rng(22)
-    states, values, w = rng.normal(size=(6, 3)), rng.normal(size=(6, 2)), rng.normal(size=3)
+    states, w = rng.normal(size=(6, 3)), rng.normal(size=3)
     index, lengths = np.array([4, 0, 4, 5, 2, 1]), np.array([3, 0, 1, 2])
-    for vals in (None, values):
-        out = ad.segment_attention(states, w, index, lengths, vals).data
-        v = states if vals is None else vals
-        assert out.shape == (4, v.shape[1])
-        start = 0
-        for s, n in enumerate(lengths):
-            rows = index[start : start + n]
-            start += n
-            if not n:
-                np.testing.assert_array_equal(out[s], 0.0)
-                continue
-            p = ad.softmax(states[rows] @ w).data
-            np.testing.assert_allclose(out[s], p @ v[rows], atol=1e-15)
+    out = ad.segment_attention(states, w, index, lengths).data
+    assert out.shape == (4, 3)
+    start = 0
+    for s, n in enumerate(lengths):
+        rows = index[start : start + n]
+        start += n
+        if not n:
+            np.testing.assert_array_equal(out[s], 0.0)
+            continue
+        p = ad.softmax(states[rows] @ w).data
+        np.testing.assert_allclose(out[s], p @ states[rows], atol=1e-15)
     # every row in order as one group; a zero weight vector is the mean
-    whole = ad.segment_attention(states, np.zeros(3), None, [6]).data
+    whole = ad.segment_attention(states, np.zeros(3), np.arange(6), [6]).data
     np.testing.assert_allclose(whole, states.mean(axis=0, keepdims=True), atol=1e-15)
     assert ad.segment_attention(states, w, np.zeros(0, dtype=int), [0, 0]).data.tolist() == [[0.0] * 3] * 2
     for bad in ((states, np.ones(2), index, lengths), (states, w, index, lengths[:3]),
-                (states, w, index, np.array([3, -1, 2, 2])), (states, w, index, lengths, values[:5]),
-                (states[0], w, index, lengths)):
+                (states, w, index, np.array([3, -1, 2, 2])), (states[0], w, index, lengths)):
         with pytest.raises(ShapeError) as info:
             ad.segment_attention(*bad)
         assert info.value.kind == "segment_attention"

@@ -142,9 +142,7 @@ def test_train_and_sweep_reject_a_bad_rate_or_l2_weight(tmp_path, capsys, flags,
     assert not ckpt.exists() and not csv.exists()
     rc = main(["sweep", "--catalog", str(cat), "--pairs", str(prs), "--variants", "full", "--seeds", "1",
                "--dim", "4", *flags])
-    captured = capsys.readouterr()
-    assert rc == 2 and captured.err == want
-    assert not any(line.startswith("full,") for line in captured.out.splitlines())  # no seed was scored
+    assert capsys.readouterr() == ("", want) and rc == 2  # refused before the table's header
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([cat.name, prs.name])
 
 
@@ -174,7 +172,7 @@ def test_train_and_sweep_reject_an_oversized_embedding_table(tmp_path, capsys):
     assert not ckpt.exists() and not csv.exists()
     rc = main(["sweep", "--catalog", str(cat), "--pairs", str(prs), "--variants", "full", "--seeds", "1",
                "--dim", "4"])
-    assert rc == 2 and capsys.readouterr().err == want
+    assert capsys.readouterr() == ("", want) and rc == 2
 
 
 @pytest.mark.parametrize("n_pairs", [pytest.param(0, marks=pytest.mark.filterwarnings("ignore:only 0 pairs")), 3])
@@ -378,7 +376,7 @@ def test_config_file_supplies_flags_and_flags_override(tmp_path):
     roundtrip = tmp_path / "all.cfg"
     roundtrip.write_text(
         "variant=full\nlr-start=0.01\nlr-end=0.001\nbatch-size=16\nl2=0.0004\n"
-        "dropout=0.1\ndim=6\nk=4\nepochs=1\nseed=3\nliteral-eq4-product=false\n"
+        "dropout=0.1\ndim=6\nk=4\nepochs=1\nseed=3\n"
         "optimizer=sgd\nsvdpp-head=false\nsplit-seed=0\ntiming-in-csv=false\n",
         encoding="utf-8",
     )
@@ -416,6 +414,16 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     rc = main(["train", "--catalog", str(tmp_path / "nope.jsonl"), "--pairs", str(tmp_path / "nope2.jsonl"),
                "--out-checkpoint", str(tmp_path / "x.ckpt"), "--metrics-csv", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag", ["dim", "batch-size", "epochs", "k"])
+def test_sweep_refuses_a_size_below_one_before_printing(tmp_path, capsys, flag):
+    cat, prs = _gen(tmp_path)
+    capsys.readouterr()
+    rc = main(["sweep", "--catalog", str(cat), "--pairs", str(prs), "--variants", "full", "--seeds", "1",
+               f"--{flag}", "0"])
+    field = "co_retrieval_k" if flag == "k" else flag.replace("-", "_")
+    assert capsys.readouterr() == ("", f"error: train: {field} must be at least 1, got 0\n") and rc == 2
 
 
 def test_sweep_prints_per_seed_table(tmp_path, capsys):
@@ -493,14 +501,29 @@ def test_config_file_supplies_required_flags_in_either_form(tmp_path):
     cfg = tmp_path / "req.cfg"
     cfg.write_text(
         f"catalog={cat}\npairs={prs}\nout-checkpoint={ckpt}\nmetrics-csv={tmp_path / 'req.csv'}\n"
-        "variant=no-item\ndim=6\nepochs=2\nbatch-size=32\nsvdpp-head=no\nliteral-eq4-product=yes\n",
+        "variant=no-item\ndim=6\nepochs=2\nbatch-size=32\ntiming-in-csv=no\nsvdpp-head=yes\n",
         encoding="utf-8",
     )
     for argv, epochs in ((["--config", str(cfg)], 2), ([f"--config={cfg}", "--epochs", "1"], 1)):
         assert main(["train", *argv]) == 0
         _, config = load_checkpoint(ckpt)
         assert (config.variant, config.dim, config.epochs) == ("no_item_aspect", 6, epochs)
-        assert config.literal_eq4_product and not config.svdpp_head
+        assert config.svdpp_head
+
+
+def test_the_removed_square_product_switch_is_a_usage_error(tmp_path, capsys):
+    # the anchor-side square product is gone: its flag, or its config key
+    # set either way, exits 2 before any input is read
+    cfg = tmp_path / "square.cfg"
+    for value in (None, "true", "false"):
+        if value is None:
+            argv = ["train", *_REQUIRED_TRAIN_FLAGS, "--literal-eq4-product"]
+        else:
+            cfg.write_text(f"literal-eq4-product={value}\n", encoding="utf-8")
+            argv = ["train", "--config", str(cfg), *_REQUIRED_TRAIN_FLAGS]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: liverec") and "unrecognized arguments: --literal-eq4-product" in err
 
 
 def test_train_flag_defaults_are_train_config_defaults():
@@ -508,7 +531,7 @@ def test_train_flag_defaults_are_train_config_defaults():
     args = parser.parse_args(["train", *_REQUIRED_TRAIN_FLAGS])
     defaults = TrainConfig()
     for field in fields(TrainConfig):
-        if field.name not in ("variant", "threads"):
+        if field.name not in ("variant", "threads", "literal_eq4_product"):
             assert getattr(args, field.name) == getattr(defaults, field.name), field.name
     assert _config_from_args(args) == defaults
 

@@ -5,6 +5,7 @@ liverec`` loads no scipy subpackage beyond the one it uses.
 Package ``__init__`` files are exempt: their imports are re-exports.
 """
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -81,6 +82,22 @@ def test_every_autodiff_op_has_a_caller():
     ops = set(autodiff.__all__) - AUTODIFF_NON_OPS
     called = set().union(*(autodiff_calls(p.read_text(encoding="utf-8")) for p in MODULES if p.name != "autodiff.py"))
     assert sorted(ops - called) == []
+
+
+# the data, training, scoring and checkpoint entry points, their types and
+# the named errors; the layers and the tape are reached through their modules
+EXPORTS = {
+    "Anchor", "Catalog", "CheckpointError", "EvalReport", "IngestError", "Item", "LabeledPair", "ModelParams",
+    "NonFiniteScoreError", "ShapeError", "SyntheticSpec", "TrainConfig", "TrainingDiverged", "UnknownIdError",
+    "User", "compute_logloss", "evaluate_pairs", "forward_pair", "generate_synthetic", "ingest_logs",
+    "load_checkpoint", "save_checkpoint", "split_dataset", "train", "write_catalog", "write_pairs",
+}
+
+
+def test_the_package_exports_its_entry_points_and_named_errors_only():
+    names = {n for n, v in vars(liverec).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    assert names == EXPORTS
+    assert callable(liverec.model.pnn_encode) and callable(liverec.autodiff.backward)
 
 
 def test_import_loads_only_scipy_sparse():

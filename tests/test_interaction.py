@@ -6,6 +6,7 @@ from liverec import autodiff as ad
 from liverec.autodiff import ShapeError, Tensor
 from liverec.interaction import (
     Segments,
+    _pool,
     anchor_aspect_interaction,
     embed_similarity,
     item_aspect_interaction,
@@ -39,15 +40,16 @@ def _states(rows):
 
 def _whole(rows):
     """One pair's one group: every row of its state block, in order."""
-    return Segments(None, np.array([0 if rows is None else len(rows)]))
+    n = 0 if rows is None else len(rows)
+    return Segments(np.arange(n), np.array([n]))
 
 
-def _item(e_u, hu, e_a, ha, params, literal_square=False):
+def _item(e_u, hu, e_a, ha, params):
     """Item-aspect attention for one pair, with the model's two item
     weight vectors; the static embeddings cancel and are not passed."""
     out = item_aspect_interaction(
         hu if hu is None else _states(hu), _whole(hu), ha if ha is None else _states(ha), _whole(ha),
-        Tensor(params.item_user), Tensor(params.item_anchor), literal_square=literal_square,
+        Tensor(params.item_user), Tensor(params.item_anchor),
     ).data
     assert out.shape == (1, len(e_u))
     return out[0]
@@ -144,10 +146,9 @@ def test_item_attention_matches_bruteforce():
         hu = [rng.normal(size=d) for _ in range(m)]
         ha = [rng.normal(size=d) for _ in range(n)]
         item_w, item_b, _, _ = _paper(params, rng)
-        for literal in (False, True):
-            got = _item(e_u, hu, e_a, ha, params, literal_square=literal)
-            want = item_attention_reference(e_u, hu, e_a, ha, item_w, item_b, literal)
-            np.testing.assert_allclose(got, want, atol=1e-12)
+        got = _item(e_u, hu, e_a, ha, params)
+        want = item_attention_reference(e_u, hu, e_a, ha, item_w, item_b)
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_item_attention_empty_side_gives_zero():
@@ -239,6 +240,28 @@ def test_anchor_attention_empty_history_gives_zero():
 # gradients through the interaction ops
 
 
+def test_one_group_pools_as_the_segment_op_does():
+    # `_pool` takes a plain softmax over gathered rows for one group
+    # (forward_pair's case) and `segment_attention` for more; on one group,
+    # with a repeated row and rows no group reads, both give the same pooled
+    # row and gradients
+    rng = np.random.default_rng(41)
+    for n in (1, 4, 13):
+        block, w, g = rng.normal(size=(n + 3, 5)), rng.normal(size=5), rng.normal(size=(1, 5))
+        index = rng.choice(n + 2, size=n)
+        index[-1] = index[0]
+        runs = []
+        for pool in (lambda s, v: _pool(s, Segments(index, np.array([n])), v),
+                     lambda s, v: ad.segment_attention(s, v, index, [n])):
+            t = ad.Tape()
+            states, weights = t.watch(block), t.watch(w)
+            out = pool(states, weights)
+            grads = ad.backward(t, ad.reduce_sum(ad.multiply_elementwise(out, g)))
+            runs.append((out.data, grads[states.node_id], grads[weights.node_id]))
+        for got, want in zip(*runs):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+
+
 def test_interaction_gradients():
     rng = np.random.default_rng(13)
     d, m, n = 3, 2, 2
@@ -290,8 +313,7 @@ def _groups(owner_rows, pair_group=None):
                     np.array([len(rows) for rows in owner_rows]), pair_group)
 
 
-@pytest.mark.parametrize("literal", [False, True])
-def test_batched_item_attention_matches_per_pair_bruteforce(literal):
+def test_batched_item_attention_matches_per_pair_bruteforce():
     rng = np.random.default_rng(30)
     d = 3
     block, owner_rows, pairs = _batch_case(rng, d)
@@ -299,15 +321,15 @@ def test_batched_item_attention_matches_per_pair_bruteforce(literal):
     users, anchors = np.array([u for u, _ in pairs]), np.array([a for _, a in pairs])
     e = rng.normal(size=(len(owner_rows), d))
     got = item_aspect_interaction(Tensor(block), _groups(owner_rows, users), Tensor(block), _groups(owner_rows, anchors),
-                                  params.item_user, params.item_anchor, literal_square=literal).data
+                                  params.item_user, params.item_anchor).data
     # the same pairs with one group per pair (the co-retrieval layout)
     per_pair = item_aspect_interaction(
         block, _groups([owner_rows[u] for u in users]), block, _groups([owner_rows[a] for a in anchors]),
-        params.item_user, params.item_anchor, literal_square=literal,
+        params.item_user, params.item_anchor,
     ).data
     item_w, item_b, _, _ = _paper(params, rng)
     for b, (u, a) in enumerate(pairs):
-        want = item_attention_reference(e[u], block[owner_rows[u]], e[a], block[owner_rows[a]], item_w, item_b, literal)
+        want = item_attention_reference(e[u], block[owner_rows[u]], e[a], block[owner_rows[a]], item_w, item_b)
         np.testing.assert_allclose(got[b], want, atol=1e-12)
         np.testing.assert_allclose(per_pair[b], want, atol=1e-12)
 

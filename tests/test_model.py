@@ -90,15 +90,14 @@ def test_forward_matches_straightline_reference(variant):
         assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_forward_literal_product_variant_and_svdpp_head():
+def test_forward_svdpp_head_matches_straightline_reference():
     catalog, pairs = _tiny(seed=4)
-    for kw in (dict(literal_eq4_product=True), dict(svdpp_head=True)):
-        config = TrainConfig(**DIMS, **kw)
-        params = _params(catalog, config, seed=6)
-        for pair in pairs[:8]:
-            got = forward_pair(catalog, params, config, pair.user_id, pair.anchor_id)
-            want = forward_reference(catalog, params, config, pair.user_id, pair.anchor_id)
-            assert got == pytest.approx(want, abs=1e-12)
+    config = TrainConfig(**DIMS, svdpp_head=True)
+    params = _params(catalog, config, seed=6)
+    for pair in pairs[:8]:
+        got = forward_pair(catalog, params, config, pair.user_id, pair.anchor_id)
+        want = forward_reference(catalog, params, config, pair.user_id, pair.anchor_id)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def _edge_catalog(seed):
@@ -123,10 +122,34 @@ def _edge_catalog(seed):
     return _link_catalog(users, anchors, catalog.items), edge + pairs
 
 
+def test_the_one_pair_route_gives_each_side_every_row_of_its_block_in_order():
+    # one user and one anchor are each encoded alone, into a block of their
+    # own; each side's one rows array lists that block's rows in history
+    # order (empty for an empty history, whose block is None), and the rows
+    # hold the states the batched route computes for that owner
+    from liverec import model
+
+    catalog, pairs = _edge_catalog(seed=21)
+    config = TrainConfig(**DIMS)
+    params = _params(catalog, config)
+    other_user, other_anchor = pairs[-1].user_id, pairs[-1].anchor_id
+    for p in pairs[:15]:
+        alone = model._item_states(catalog, params, [p.user_id], [p.anchor_id])
+        batched = model._item_states(catalog, params, [p.user_id, other_user], [p.anchor_id, other_anchor])
+        histories = (catalog.users[p.user_id].browsed_items, catalog.anchors[p.anchor_id].broadcast_items)
+        for side, hist in enumerate(histories):
+            states, rows = alone[2 * side : 2 * side + 2]
+            assert len(rows) == 1
+            np.testing.assert_array_equal(rows[0], np.arange(len(hist)))
+            if not hist:
+                assert states is None
+                continue
+            block, owner_rows = batched[2 * side : 2 * side + 2]
+            np.testing.assert_allclose(states.data, block.data[owner_rows[0]], rtol=0, atol=1e-14)
+
+
 ALL_CONFIGS = {
     **{variant: dict(variant=variant) for variant in ("full", "no_item_aspect", "no_anchor_aspect", "with_co_retrieval")},
-    "literal_eq4_product": dict(literal_eq4_product=True),
-    "literal_with_co_retrieval": dict(literal_eq4_product=True, variant="with_co_retrieval"),
     "svdpp_head": dict(svdpp_head=True),
 }
 
@@ -153,7 +176,7 @@ def test_evaluate_pairs_scores_equal_forward_pair_and_the_reference(name, monkey
         assert abs(got - single) <= 1e-12 and abs(got - want) <= 1e-12, p
 
 
-@pytest.mark.parametrize("name", ["full", "no_item_aspect", "literal_eq4_product"])
+@pytest.mark.parametrize("name", ["full", "no_item_aspect"])
 def test_a_repeated_target_is_gathered_when_the_browsed_anchors_make_up_the_count(name):
     # two pairs share target 0 and their users browsed [1] and [0]: two
     # encoded anchors for two pairs, yet pair 2's target is encoded row 0
@@ -650,6 +673,8 @@ def test_config_validation():
         TrainConfig(dropout=1.0)
     with pytest.raises(ValueError, match="threads"):
         TrainConfig(threads=2)
+    with pytest.raises(ValueError, match="literal_eq4_product"):
+        TrainConfig(literal_eq4_product=True)
 
 
 def test_the_model_learns_the_planted_signal_and_the_item_aspect_helps():
@@ -1012,6 +1037,22 @@ def test_checkpoint_any_integer_thread_count_loads_as_one(tmp_path):
     assert c4 == c1 and c4.threads == 1
     for p in pairs[:20]:
         assert forward_pair(catalog, p4, c4, p.user_id, p.anchor_id) == forward_pair(catalog, p1, c1, p.user_id, p.anchor_id)
+
+
+def test_a_checkpoint_that_recorded_the_square_product_raises_checkpoint_error(tmp_path):
+    # the anchor-side square product is gone: a header that recorded it
+    # fails by naming the field instead of scoring as `full`
+    catalog, _ = _tiny()
+    config = TrainConfig(dim=6)
+    path = tmp_path / "v3.ckpt"
+    save_checkpoint(_params(catalog, config), config, path)
+    head, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    assert header["version"] == 3 and header["config"]["literal_eq4_product"] is False
+    header["config"]["literal_eq4_product"] = True
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    with pytest.raises(CheckpointError, match="literal_eq4_product"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_variant_honored(tmp_path):
