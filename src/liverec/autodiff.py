@@ -10,12 +10,13 @@ graph, call backward once, throw the tape away.  A tape must not be
 shared between threads; tensors that are not tracked on any tape are
 immutable and safe to share.
 
-Row gathers (``embedding_lookup``) are the one op whose gradient is not
-accumulated node by node: the sweep collects each gather's gradient rows
-against its source tensor and scatters them all at once when it reaches
-that source, so gathering rows from a large tensor many times costs no
-full-size buffer per gather.  Repeated rows are summed by a one-hot
-sparse product, in the same order as ``np.add.at``.
+Row gathers (``embedding_lookup``) add their gradient rows straight into
+the source's gradient buffer, which the sweep owns (`_Gradients.buffer`),
+through `_add_rows`, as the LSTM backward adds its packed rows into its
+input rows: so any number of gathers of one tensor hold one gradient
+block between them, and no gather's rows wait for the source.  Repeated
+rows are summed by a one-hot sparse product, in the same order as
+``np.add.at``.
 
 ``lstm`` is a fused kernel: a whole LSTM loop over a packed batch of
 sequences runs in plain numpy and records one node, whatever the number
@@ -66,7 +67,7 @@ from math import exp, inf, prod
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 
 __all__ = [
     "ShapeError",
@@ -635,6 +636,11 @@ def _bk_transpose(ids, saved, g, acc):
     acc(ids[0], g.T)
 
 
+def _bk_embedding_lookup(ids, saved, g, acc):
+    idx, tshape = saved
+    _add_rows(acc.buffer(ids[0], tshape), idx.reshape(-1), g.reshape(idx.size, tshape[1]))
+
+
 def _bk_lstm(ids, saved, g, acc):
     """Backpropagation through time in the forward's packed layout.  One
     reverse loop carries the state and cell gradients of step t+1's
@@ -652,7 +658,7 @@ def _bk_lstm(ids, saved, g, acc):
     the step's term of the recurrent weights' gradient, one product with
     the previous states, which for step t's sequences are the first
     ``widths[t]`` rows of step t-1's.  When the next step would not fit,
-    `_scatter_rows` adds the block's rows per input row into the (n, 4d)
+    `_add_rows` adds the block's rows into their input rows of the (n, 4d)
     projection gradient, each row's readers in packed order within the
     block, so no (sum(widths), 4d) gradient is ever held.  The input and
     weight gradients are then one (n, 4d) product each and the bias
@@ -676,9 +682,8 @@ def _bk_lstm(ids, saved, g, acc):
     if summed:
         d_proj = np.zeros((xd.shape[0], gate_rows))
 
-        def flush(first, stop):  # sum the block's packed rows [first, stop) into their input rows
-            read, at = np.unique(rows[first:stop], return_inverse=True)
-            d_proj[read] += _scatter_rows(None, (read.size, gate_rows), [(at, block[cap - (stop - first) :])])
+        def flush(first, stop):  # add the block's packed rows [first, stop) into their input rows
+            _add_rows(d_proj, rows[first:stop], block[cap - (stop - first) :])
 
     d_u = np.zeros((gate_rows, dim)) if u_id is not None else None
     slab = np.empty(gate_rows * ends[0])
@@ -783,7 +788,7 @@ def _bk_segment_attention(ids, saved, g, acc):
             ds += np.outer(dl, wd)
             ds_all[rows] += ds
     if dw is not None:
-        acc(w_id, dw, True)
+        acc(w_id, dw)
 
 
 _BACKWARD = {
@@ -798,6 +803,7 @@ _BACKWARD = {
     "dot": _bk_dot,
     "log": _bk_log,
     "clamp": _bk_clamp,
+    "embedding_lookup": _bk_embedding_lookup,
     "reshape": _bk_reshape,
     "transpose": _bk_transpose,
     "lstm": _bk_lstm,
@@ -805,51 +811,31 @@ _BACKWARD = {
 }
 
 
-def _scatter_rows(dense, shape, gathers) -> np.ndarray:
-    """Add every gather's gradient rows into a fresh buffer of ``shape``.
+def _add_rows(buf, idx, rows) -> None:
+    """Add row j of ``rows`` (m, k) into row ``idx[j]`` of ``buf`` (n, k),
+    in place.
 
-    The sums equal ``np.add.at`` on a copy of the dense gradient (never
-    that array itself, which another node may share) or on zeros, bit for
-    bit.  When no row index repeats, a plain indexed add does it; else a
-    one-hot CSR matrix times the stacked rows, with the dense row leading
-    each row's sum as ``np.add.at``'s start value, adds every row in
-    gather order.
+    When no index repeats, which one ``np.bincount`` tells with no sort,
+    this is ``buf[idx] += rows``, with the bits of ``np.add.at(buf, idx,
+    rows)``.  Otherwise an (n, m) one-hot matrix, its column j a 1 in row
+    ``idx[j]``, sums each row's entries from zero in index order, and the
+    sums are added to ``buf``: the bits of ``buf + np.add.at(zeros, idx,
+    rows)``.
     """
-    idx = np.concatenate([np.reshape(i, -1) for i, _ in gathers])
-    parts = [np.reshape(g, (-1,) + shape[1:]) for _, g in gathers]
-
-    def stacked():  # one gather's rows as they are, without a copy
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    n = shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[idx] = True
-    if np.count_nonzero(seen) == idx.size:
-        buf = np.zeros(shape) if dense is None else np.array(dense)
-        buf[idx] += stacked()
-        return buf
-    counts = np.bincount(idx, minlength=n)
-    cols = np.argsort(idx, kind="stable")
-    if dense is not None:
-        parts.insert(0, np.broadcast_to(dense, shape))
-        counts += 1
-        lead = np.cumsum(counts) - counts  # where each row's dense entry goes
-        rest = np.ones(n + idx.size, dtype=bool)
-        rest[lead] = False
-        merged = np.empty(n + idx.size, dtype=np.intp)
-        merged[lead] = np.arange(n)
-        merged[rest] = cols + n
-        cols = merged
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    onehot = csr_matrix((np.ones(cols.size), cols, indptr), shape=(n, cols.size))
-    return (onehot @ stacked().reshape(cols.size, -1)).reshape(shape)
+    if np.bincount(idx).max(initial=0) < 2:
+        buf[idx] += rows
+        return
+    m = idx.size
+    buf += csc_matrix((np.ones(m), idx, np.arange(m + 1)), shape=(buf.shape[0], m)) @ rows
 
 
 class _Gradients:
     """The reverse sweep's gradient per node: ``slots[nid]``, None until a
-    rule adds one.  Calling it adds a gradient (the rules' ``acc``), and
-    `buffer` hands a rule the node's gradient as an array the sweep owns,
-    for the rule to add into in place."""
+    rule adds one.  Calling it adds a gradient (the rules' ``acc``); the
+    gradient it is handed may be shared (`_bk_add` gives one array to both
+    inputs, `_bk_reshape` a view), so it is never written.  `buffer` hands a
+    rule the node's gradient as an array the sweep owns, for the rule to add
+    into in place: gathers and poolings add their rows there."""
 
     __slots__ = ("slots", "owned")
 
@@ -857,18 +843,13 @@ class _Gradients:
         self.slots: list = [None] * n
         self.owned = set()  # nodes whose gradient buffer no other array shares, so a sum may go into it
 
-    def __call__(self, nid, g, fresh=False):
-        # ``fresh``: the rule allocated g itself and reads it no more.  Any
-        # other g may be shared (`_bk_add` gives one array to both inputs,
-        # `_bk_reshape` a view), so it is never written.
+    def __call__(self, nid, g):
         if nid is None:
             return
         slots = self.slots
         cur = slots[nid]
         if cur is None:
             slots[nid] = g
-            if fresh:
-                self.owned.add(nid)
         elif nid in self.owned:
             cur += g
         else:
@@ -892,12 +873,11 @@ class _Gradients:
 def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
     """Reverse sweep from a scalar root; returns gradients per leaf node id.
 
-    Leaves the root does not depend on get explicit zero gradients.
-    Gather gradients wait in ``pending`` until the sweep reaches their
-    source; every node that reads the source has a larger id, so by then
-    all of them have been collected.  A non-leaf node's gradient is
-    dropped once its rule has run: every node that feeds it has a smaller
-    id, so nothing reads it again.
+    Leaves the root does not depend on get explicit zero gradients.  Each
+    node's gradient is complete when the sweep reaches it, because every
+    node that reads it has a larger id.  A leaf keeps it; any other node
+    hands it to its kind's rule in `_BACKWARD` and drops it, since every
+    node that feeds it has a smaller id and nothing reads it again.
     """
     if root.tape is not tape or root.node_id is None:
         raise ValueError("backward: root is not tracked on this tape")
@@ -908,22 +888,13 @@ def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
     grads = acc.slots
     grads[root.node_id] = np.ones(())
 
-    pending: dict[int, tuple] = {}  # source id -> (shape, [(indices, gradient rows)])
     rules = _BACKWARD
     for nid in range(root.node_id, -1, -1):
         kind, ids, saved = nodes[nid]
-        if nid in pending:
-            tshape, gathers = pending.pop(nid)
-            grads[nid] = _scatter_rows(grads[nid], tshape, gathers)
         g = grads[nid]
         if g is None or kind == "leaf":
             continue
         grads[nid] = None
-        if kind == "embedding_lookup":
-            if ids[0] is not None:
-                idx, tshape = saved
-                pending.setdefault(ids[0], (tshape, []))[1].append((idx, g))
-            continue
         rules[kind](ids, saved, g, acc)
 
     out = {}

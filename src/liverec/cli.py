@@ -199,24 +199,23 @@ def cmd_score(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # every run's config is built, and so checked, before any output
+    base = _config_from_args(args)
+    runs = [(flag, replace(base, variant=_VARIANT_FLAGS[flag], seed=seed))
+            for flag in args.variants for seed in range(args.seeds)]
     catalog, pairs = ingest_logs(args.catalog, args.pairs)
     train_split, _, test_split = split_dataset(pairs, seed=args.split_seed)
-    base = _config_from_args(args)
     check_training(catalog, train_split, base)  # the runs differ from base only in variant and seed
     print("variant,seed,test_auc,test_acc,test_logloss")
-    summary = {}
-    for flag in args.variants:
-        aucs = []
-        for seed in range(args.seeds):
-            config = replace(base, variant=_VARIANT_FLAGS[flag], seed=seed)
-            params, _ = train(catalog, train_split, config)
-            report = evaluate_pairs(catalog, params, config, test_split)
-            auc = float("nan") if report.auc is None else report.auc
-            aucs.append(auc)
-            print(f"{flag},{seed},{auc:.6f},{report.acc:.6f},{report.logloss:.6f}")
-        summary[flag] = float(np.mean(aucs))
-    for flag, mean_auc in summary.items():
-        print(f"# mean {flag}: {mean_auc:.6f}")
+    aucs = {}
+    for flag, config in runs:
+        params, _ = train(catalog, train_split, config)
+        report = evaluate_pairs(catalog, params, config, test_split)
+        auc = float("nan") if report.auc is None else report.auc
+        aucs.setdefault(flag, []).append(auc)
+        print(f"{flag},{config.seed},{auc:.6f},{report.acc:.6f},{report.logloss:.6f}")
+    for flag, values in aucs.items():
+        print(f"# mean {flag}: {float(np.mean(values)):.6f}")
     return 0
 
 

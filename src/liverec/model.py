@@ -63,7 +63,7 @@ from .interaction import (
     item_aspect_interaction,
     svdpp_similarity,
 )
-from .metrics import EvalReport, make_report
+from .metrics import CLAMP, EvalReport, make_report
 from .retrieval import co_retrieve
 from .seeding import stream_rng
 
@@ -80,7 +80,6 @@ CHECKPOINT_VERSION = 3
 _V1_GATES = "ifoc"
 
 GRAD_CLIP_NORM = 10.0
-PRED_CLAMP = 1e-7
 # the most rows `train` gives one embedding table: a feature value indexes a
 # row, so one value of 2**40 would ask for a 32 TiB table at dim 4; at dim 32
 # this bound is already 4 GiB of float64 per table
@@ -145,6 +144,9 @@ class TrainConfig:
         if self.literal_eq4_product:
             raise ValueError("literal_eq4_product must be False (the anchor-side square product was removed), "
                              f"got {self.literal_eq4_product!r}")
+        if self.svdpp_head and self.variant != "full":
+            raise ValueError("svdpp_head=True scores with the dot-product head, which has no ablation: "
+                             f"variant must be 'full', got {self.variant!r}")
 
 
 @dataclass
@@ -451,7 +453,7 @@ def batch_loss(predictions, labels) -> Tensor:
     """Summed log loss of a (B,) prediction tensor (the trainer adds the L2 term)."""
     if predictions.shape != (len(labels),):
         raise ValueError(f"batch_loss: predictions of shape {predictions.shape} vs {len(labels)} labels")
-    p = ad.clamp(predictions, PRED_CLAMP, 1.0 - PRED_CLAMP)
+    p = ad.clamp(predictions, CLAMP, 1.0 - CLAMP)
     y = np.asarray(labels, dtype=np.float64)
     pos = ad.dot(ad.log(p), y)
     neg = ad.dot(ad.log(ad.add(ad.multiply_elementwise(p, -1.0), 1.0)), 1.0 - y)

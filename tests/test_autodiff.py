@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from liverec import autodiff as ad
-from liverec.autodiff import _BACKWARD, ShapeError, Tape, Tensor, _scatter_rows, backward
+from liverec.autodiff import _BACKWARD, ShapeError, Tape, Tensor, _add_rows, backward
 
 from oracles import fd_max_rel_error, lstm_gates, lstm_reference, segment_attention_reference
 
 FD_TOL = 1e-4
 
-# every differentiable op kind; gathers take their own route in backward
+# every differentiable op kind, one per rule in `_BACKWARD`
 FD_KINDS = (
     "add", "multiply_elementwise", "matmul", "concat", "sum", "sigmoid", "softmax", "relu",
     "dot", "log", "clamp", "embedding_lookup", "reshape", "transpose", "lstm", "segment_attention",
@@ -207,22 +207,79 @@ def test_embedding_lookup_scatters_gradient():
 
 
 def test_gather_gradient_buffers_are_not_shared():
-    # reduce_sum hands its source a read-only broadcast view as the dense
-    # gradient; scattering the gather rows must not write into it
-    t = Tape()
-    table = t.watch(np.ones((3, 2)))
-    src = ad.multiply_elementwise(table, 1.0)
-    loss = ad.add(ad.reduce_sum(src), ad.reduce_sum(ad.embedding_lookup(src, np.array([2, 2]))))
-    g = backward(t, loss)
-    np.testing.assert_array_equal(g[table.node_id], [[1.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
-    for idx in (np.array([2, 0]), np.array([2, 2])):  # unique and repeated rows
-        dense = np.broadcast_to(np.ones(()), (3, 2))
-        buf = _scatter_rows(dense, (3, 2), [(idx, np.full((2, 2), 5.0))])
-        np.testing.assert_array_equal(dense, np.ones((3, 2)))
-        assert not np.shares_memory(buf, dense)
-        want = np.ones((3, 2))
-        np.add.at(want, idx, 5.0)
-        np.testing.assert_array_equal(buf, want)
+    # The source has two dense readers: a sum, whose rule hands it a
+    # read-only broadcast view, and an add, whose rule hands one array to it
+    # and to another leaf.  One reader comes after the gathers on the tape,
+    # so its gradient reaches the source alone, before the gathers' rows;
+    # the other comes before them, so its gradient arrives after.  The rows
+    # go into a copy the sweep owns, so neither array is written.
+    rng = np.random.default_rng(24)
+    arrays = [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))]
+    cot = rng.normal(size=(4, 3))
+    gathers = [np.array([2, 0]), np.array([3, 3, 1, 3])]  # unique rows, then repeated ones
+    want = cot + 1.0
+    np.add.at(want, np.concatenate(gathers), 1.0)
+    for late in ("view", "shared"):
+
+        def build(xs):
+            src = ad.multiply_elementwise(xs[0], 1.0)
+            readers = {
+                "view": lambda: ad.reduce_sum(src),
+                "shared": lambda: ad.reduce_sum(ad.multiply_elementwise(ad.add(src, xs[1]), cot)),
+            }
+            total = readers["shared" if late == "view" else "view"]()
+            for idx in gathers:
+                total = ad.add(total, ad.reduce_sum(ad.embedding_lookup(src, idx)))
+            return ad.add(total, readers[late]())
+
+        t = Tape()
+        ops = [t.watch(a) for a in arrays]
+        grads = backward(t, build(ops))
+        np.testing.assert_allclose(grads[ops[0].node_id], want, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(grads[ops[1].node_id], cot)  # the array `_bk_add` shared
+        assert fd_max_rel_error(build, arrays) <= FD_TOL
+
+
+@pytest.mark.parametrize("repeats", [False, True])
+def test_ten_gathers_of_one_block_hold_one_gradient_block(repeats):
+    # Ten gathers of a tenth of a (40,000, 32) source each, with a gradient
+    # array of their own (a product with a cotangent), as encoders and
+    # pairs gather their tables' and owners' rows.  Each gather's rule adds
+    # its rows into the one buffer the sweep owns for the source and drops
+    # them, so no gather's rows wait for the source.  Gathers that repeat a
+    # row add one transient (n, d) sum, the one-hot product, on top.  The
+    # slack covers one gather's gradient rows, the indexed add's copy of its
+    # buffer rows and the product's operands, and the row counts; it is under
+    # half a block, so a second gradient block (or the ten gathers' rows
+    # held at once) fails the bound.
+    rng = np.random.default_rng(25)
+    n, d, m = 40_000, 32, 4_000
+    source = rng.normal(size=(n, d))
+    index = [rng.integers(0, n, size=m) if repeats else rng.permutation(n)[:m] for _ in range(10)]
+    cotangents = [rng.normal(size=(m, d)) for _ in index]
+    block = source.nbytes
+    slack = 3 * m * d * 8 + 3 * m * 8 + 2 * n * 8
+    assert slack < block / 2
+    tracemalloc.start()
+    try:
+        t = Tape()
+        x = t.watch(source)
+        parts = [ad.reduce_sum(ad.multiply_elementwise(ad.embedding_lookup(x, i), c))
+                 for i, c in zip(index, cotangents)]
+        total = parts[0]
+        for p in parts[1:]:
+            total = ad.add(total, p)
+        saved = tracemalloc.get_traced_memory()[0]  # the gathered rows, which the products keep, and the tape
+        grads = backward(t, total)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = np.zeros((n, d))
+    for i, c in zip(index, cotangents):
+        np.add.at(want, i, c)
+    np.testing.assert_allclose(grads[x.node_id], want, rtol=1e-14, atol=1e-14)
+    bound = saved + (2 if repeats else 1) * block + slack
+    assert peak < bound, (peak, saved, block, slack)
 
 
 def test_backward_frees_gradients_during_the_sweep():
@@ -244,26 +301,30 @@ def test_backward_frees_gradients_during_the_sweep():
     assert peak < 10 * n * 8
 
 
-@pytest.mark.parametrize("dense", [False, True])
-def test_scatter_rows_equals_add_at_bit_for_bit(dense):
-    # repeated indices take the one-hot product, unique ones the indexed add
+def test_add_rows_equals_add_at_bit_for_bit():
+    # unique indices take the indexed add, which is np.add.at on the
+    # buffer; repeated ones sum each row's entries from zero in index order
+    # (the one-hot product) and add the sums, which is the buffer plus
+    # np.add.at on zeros
     rng = np.random.default_rng(21)
-    for n, sizes in ((7, (40, 3)), (500, (300, 1)), (6, (2, 2)), (50, (7,))):
-        start = rng.normal(size=(n, 3)) if dense else None
-        gathers = [(rng.integers(0, n, size=m), rng.normal(size=(m, 3))) for m in sizes]
-        gathers.append((rng.permutation(n)[:3].reshape(3, 1), rng.normal(size=(3, 1, 3))))
-        want = np.zeros((n, 3)) if start is None else start.copy()
-        for idx, rows in gathers:
-            np.add.at(want, idx.reshape(-1), rows.reshape(-1, 3))
-        assert np.array_equal(_scatter_rows(start, (n, 3), gathers), want)
-        unique = [(rng.permutation(n)[:5], rng.normal(size=(5, 3)))]
-        want = np.zeros((n, 3)) if start is None else start.copy()
-        np.add.at(want, unique[0][0], unique[0][1])
-        assert np.array_equal(_scatter_rows(start, (n, 3), unique), want)
+    for n, m, k in ((7, 40, 3), (500, 300, 1), (6, 2, 2), (50, 7, 3), (4, 0, 3)):
+        start = rng.normal(size=(n, k))
+        for idx in (rng.integers(0, n, size=m), rng.permutation(n)[: min(m, n)]):
+            rows = rng.normal(size=(idx.size, k))
+            buf = start.copy()
+            _add_rows(buf, idx, rows)
+            if np.unique(idx).size == idx.size:
+                want = start.copy()
+                np.add.at(want, idx, rows)
+            else:
+                summed = np.zeros((n, k))
+                np.add.at(summed, idx, rows)
+                want = start + summed
+            assert np.array_equal(buf, want)
 
 
 def _gather_case(case, rng):
-    """(build(arrays) -> scalar Tensor, arrays) exercising the deferred gather scatter."""
+    """(build(arrays) -> scalar Tensor, arrays) exercising the gather rule and `_add_rows`."""
     v, d = rng.integers(2, 6), rng.integers(1, 5)
 
     def cot(out):  # the same cotangent on every rebuild
@@ -729,7 +790,7 @@ def test_lstm_saves_activations_only_when_tracked():
 
 
 def test_fd_kinds_cover_every_backward_rule():
-    assert sorted(FD_KINDS) == sorted(set(_BACKWARD) | {"embedding_lookup"})
+    assert sorted(FD_KINDS) == sorted(_BACKWARD)
 
 
 @pytest.mark.parametrize("kind", FD_KINDS)
@@ -769,11 +830,11 @@ def test_lstm_backward_sums_a_row_across_blocks_like_one_block(monkeypatch):
     step_rows, widths, _ = _packed([[0, 1, 2], [3, 0]])
     cot = rng.normal(size=(5, d))
     flushed = []
-    real = ad._scatter_rows
+    real = ad._add_rows
 
-    def spy(dense, shape, gathers):
-        flushed.append(shape[0])
-        return real(dense, shape, gathers)
+    def spy(buf, idx, rows):
+        flushed.append(idx.tolist())
+        return real(buf, idx, rows)
 
     def grads():
         t = Tape()
@@ -782,13 +843,13 @@ def test_lstm_backward_sums_a_row_across_blocks_like_one_block(monkeypatch):
         got = backward(t, ad.reduce_sum(ad.multiply_elementwise(out, cot)))
         return [got[op.node_id] for op in ops]
 
-    monkeypatch.setattr(ad, "_scatter_rows", spy)
+    monkeypatch.setattr(ad, "_add_rows", spy)
     whole = grads()
-    assert flushed == [4]
+    assert flushed == [[0, 3, 1, 0, 2]]
     flushed.clear()
     monkeypatch.setattr(ad, "_BLOCK_ROWS", SMALL_BLOCK)
     blocked = grads()
-    assert flushed == [3, 2]  # rows {0, 1, 2}, then {0, 3}
+    assert flushed == [[1, 0, 2], [0, 3]]
     for got, want in zip(blocked, whole):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 

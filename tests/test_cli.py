@@ -501,14 +501,35 @@ def test_config_file_supplies_required_flags_in_either_form(tmp_path):
     cfg = tmp_path / "req.cfg"
     cfg.write_text(
         f"catalog={cat}\npairs={prs}\nout-checkpoint={ckpt}\nmetrics-csv={tmp_path / 'req.csv'}\n"
-        "variant=no-item\ndim=6\nepochs=2\nbatch-size=32\ntiming-in-csv=no\nsvdpp-head=yes\n",
+        "variant=no-item\ndim=6\nepochs=2\nbatch-size=32\ntiming-in-csv=yes\nsvdpp-head=no\n",
         encoding="utf-8",
     )
     for argv, epochs in ((["--config", str(cfg)], 2), ([f"--config={cfg}", "--epochs", "1"], 1)):
         assert main(["train", *argv]) == 0
         _, config = load_checkpoint(ckpt)
         assert (config.variant, config.dim, config.epochs) == ("no_item_aspect", 6, epochs)
-        assert config.svdpp_head
+        assert not config.svdpp_head
+        assert not (tmp_path / "req.csv").read_text(encoding="utf-8").rstrip().endswith(",0.000")  # timed
+
+
+def test_the_svdpp_head_with_an_ablation_exits_2_before_printing(tmp_path, capsys):
+    # the SVD++ head has no ablation: train, a sweep over the default
+    # variants and eval --variant on an SVD++ checkpoint all refuse it
+    cat, prs = _gen(tmp_path)
+    ckpt, _ = _train(tmp_path, cat, prs, "svdpp", extra=["--svdpp-head"])
+    capsys.readouterr()
+    refused = "error: svdpp_head=True scores with the dot-product head, which has no ablation: "
+    runs = {
+        "train": ["train", *_REQUIRED_TRAIN_FLAGS, "--svdpp-head", "--variant", "no-item"],
+        "sweep": ["sweep", "--catalog", str(cat), "--pairs", str(prs), "--svdpp-head", "--seeds", "1"],
+        "eval": ["eval", "--catalog", str(cat), "--pairs", str(prs), "--checkpoint", str(ckpt),
+                 "--variant", "no-anchor"],
+    }
+    for name, argv in runs.items():
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, ""), name
+        assert err.startswith(refused) and "variant must be 'full'" in err, (name, err)
 
 
 def test_the_removed_square_product_switch_is_a_usage_error(tmp_path, capsys):

@@ -675,6 +675,11 @@ def test_config_validation():
         TrainConfig(threads=2)
     with pytest.raises(ValueError, match="literal_eq4_product"):
         TrainConfig(literal_eq4_product=True)
+    # the SVD++ head has no ablation, so it takes only the full variant
+    for variant in ("no_item_aspect", "no_anchor_aspect", "with_co_retrieval"):
+        with pytest.raises(ValueError, match=f"svdpp_head=True .* variant must be 'full', got '{variant}'"):
+            TrainConfig(variant=variant, svdpp_head=True)
+    assert TrainConfig(svdpp_head=True).variant == "full"
 
 
 def test_the_model_learns_the_planted_signal_and_the_item_aspect_helps():
@@ -1052,6 +1057,21 @@ def test_a_checkpoint_that_recorded_the_square_product_raises_checkpoint_error(t
     header["config"]["literal_eq4_product"] = True
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
     with pytest.raises(CheckpointError, match="literal_eq4_product"):
+        load_checkpoint(path)
+
+
+def test_a_checkpoint_that_recorded_an_svdpp_head_ablation_raises_checkpoint_error(tmp_path):
+    # the SVD++ head ignores the variant: a header that pairs them fails by
+    # naming both instead of scoring as the plain SVD++ model
+    catalog, _ = _tiny()
+    config = TrainConfig(dim=6, svdpp_head=True)
+    path = tmp_path / "svdpp.ckpt"
+    save_checkpoint(_params(catalog, config), config, path)
+    head, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    header["config"]["variant"] = "no_item_aspect"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    with pytest.raises(CheckpointError, match="bad config in header: svdpp_head=True .* got 'no_item_aspect'"):
         load_checkpoint(path)
 
 
