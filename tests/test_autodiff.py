@@ -301,14 +301,16 @@ def test_backward_frees_gradients_during_the_sweep():
     assert peak < 10 * n * 8
 
 
-def test_add_rows_equals_add_at_bit_for_bit():
+@pytest.mark.parametrize("dense", [False, True])
+def test_add_rows_equals_add_at_bit_for_bit(dense):
     # unique indices take the indexed add, which is np.add.at on the
     # buffer; repeated ones sum each row's entries from zero in index order
     # (the one-hot product) and add the sums, which is the buffer plus
-    # np.add.at on zeros
+    # np.add.at on zeros. The buffer starts at zeros (a source's first
+    # gradient term) or holds a dense term already.
     rng = np.random.default_rng(21)
     for n, m, k in ((7, 40, 3), (500, 300, 1), (6, 2, 2), (50, 7, 3), (4, 0, 3)):
-        start = rng.normal(size=(n, k))
+        start = rng.normal(size=(n, k)) if dense else np.zeros((n, k))
         for idx in (rng.integers(0, n, size=m), rng.permutation(n)[: min(m, n)]):
             rows = rng.normal(size=(idx.size, k))
             buf = start.copy()
