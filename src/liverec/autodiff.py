@@ -54,6 +54,9 @@ block, the item aspect's two among them, share one gradient block.
 ``sigmoid`` takes libm's ``exp`` element by element, so its values have
 the bits of ``scipy.special.expit`` without importing ``scipy.special``.
 
+``log_loss`` is the training loss, a clipped log loss summed over a batch
+of predictions, in one node.
+
 Operands may be Tensors, numpy arrays, or Python scalars; non-Tensor
 operands are treated as constants.  ``add``/``multiply_elementwise``
 broadcast as numpy does (a (B, d) block against a (d,) vector, say).
@@ -82,9 +85,7 @@ __all__ = [
     "sigmoid",
     "relu",
     "softmax",
-    "dot",
-    "log",
-    "clamp",
+    "log_loss",
     "embedding_lookup",
     "reshape",
     "transpose",
@@ -215,11 +216,7 @@ def multiply_elementwise(a, b) -> Tensor:
 def matmul(a, b) -> Tensor:
     ad, ai, at = _parts(a)
     bd, bi, bt = _parts(b)
-    ok = (
-        (ad.ndim == 2 and bd.ndim in (1, 2) and ad.shape[1] == bd.shape[0])
-        or (ad.ndim == 1 and bd.ndim == 2 and ad.shape[0] == bd.shape[0])
-    )
-    if not ok:
+    if not (ad.ndim == 2 and bd.ndim in (1, 2) and ad.shape[1] == bd.shape[0]):
         raise ShapeError("matmul", ad.shape, bd.shape)
     out = ad @ bd
     tape = _tape_of((ai, at), (bi, bt))
@@ -295,28 +292,19 @@ def softmax(x) -> Tensor:
     return _emit(_tape_of((xi, xt)), "softmax", (xi,), (out,), out)
 
 
-def dot(a, b) -> Tensor:
-    ad, ai, at = _parts(a)
-    bd, bi, bt = _parts(b)
-    if ad.ndim != 1 or bd.ndim != 1 or ad.shape != bd.shape:
-        raise ShapeError("dot", ad.shape, bd.shape)
-    out = np.asarray(ad @ bd)
-    tape = _tape_of((ai, at), (bi, bt))
-    return _emit(tape, "dot", (ai, bi), (ad, bd), out)
-
-
-def log(x) -> Tensor:
-    xd, xi, xt = _parts(x)
-    out = np.log(xd)
-    return _emit(_tape_of((xi, xt)), "log", (xi,), (xd,), out)
-
-
-def clamp(x, lo: float, hi: float) -> Tensor:
-    """Clip to [lo, hi]; gradient passes only through the interior."""
-    xd, xi, xt = _parts(x)
-    out = np.clip(xd, lo, hi)
-    mask = (xd > lo) & (xd < hi)
-    return _emit(_tape_of((xi, xt)), "clamp", (xi,), (mask,), out)
+def log_loss(predictions, labels, eps: float) -> Tensor:
+    """Summed log loss of (B,) predictions against (B,) labels, as one node:
+    ``-(log(p) @ y + log(1 - p) @ (1 - y))`` with ``p`` the predictions
+    clipped to [eps, 1 - eps].  A clipped prediction gets no gradient."""
+    pd, pi, pt = _parts(predictions)
+    y = np.asarray(labels, dtype=np.float64)
+    if pd.ndim != 1 or y.shape != pd.shape:
+        raise ShapeError("log_loss", pd.shape, y.shape)
+    p = np.clip(pd, eps, 1.0 - eps)
+    q = 1.0 - p
+    out = np.asarray(-(np.log(p) @ y + np.log(q) @ (1.0 - y)))
+    mask = (pd > eps) & (pd < 1.0 - eps)
+    return _emit(_tape_of((pi, pt)), "log_loss", (pi,), (p, q, y, mask), out)
 
 
 def embedding_lookup(table, indices) -> Tensor:
@@ -562,21 +550,10 @@ def _bk_mul(ids, saved, g, acc):
 
 def _bk_matmul(ids, saved, g, acc):
     ad, bd = saved
-    if ad.ndim == 2 and bd.ndim == 1:
-        if ids[0] is not None:
-            acc(ids[0], np.outer(g, bd))
-        if ids[1] is not None:
-            acc(ids[1], ad.T @ g)
-    elif ad.ndim == 2 and bd.ndim == 2:
-        if ids[0] is not None:
-            acc(ids[0], g @ bd.T)
-        if ids[1] is not None:
-            acc(ids[1], ad.T @ g)
-    else:  # (n,) @ (n,p)
-        if ids[0] is not None:
-            acc(ids[0], bd @ g)
-        if ids[1] is not None:
-            acc(ids[1], np.outer(ad, g))
+    if ids[0] is not None:
+        acc(ids[0], np.outer(g, bd) if bd.ndim == 1 else g @ bd.T)
+    if ids[1] is not None:
+        acc(ids[1], ad.T @ g)
 
 
 def _bk_concat(ids, saved, g, acc):
@@ -609,22 +586,13 @@ def _bk_softmax(ids, saved, g, acc):
     acc(ids[0], out * (g - np.dot(g, out)))
 
 
-def _bk_dot(ids, saved, g, acc):
-    ad, bd = saved
-    if ids[0] is not None:
-        acc(ids[0], g * bd)
-    if ids[1] is not None:
-        acc(ids[1], g * ad)
-
-
-def _bk_log(ids, saved, g, acc):
-    (xd,) = saved
-    acc(ids[0], g / xd)
-
-
-def _bk_clamp(ids, saved, g, acc):
-    (mask,) = saved
-    acc(ids[0], g * mask)
+def _bk_log_loss(ids, saved, g, acc):
+    """The clipped chain's gradient, ``-g (y/p - (1 - y)/q)`` inside the
+    clip, taken in the order a clamp, log and dot chain sweeps it, so it
+    has that chain's bits."""
+    p, q, y, mask = saved
+    ga = g * -1.0
+    acc(ids[0], ((ga * (1.0 - y)) / q * -1.0 + (ga * y) / p) * mask)
 
 
 def _bk_reshape(ids, saved, g, acc):
@@ -800,9 +768,7 @@ _BACKWARD = {
     "sigmoid": _bk_sigmoid,
     "softmax": _bk_softmax,
     "relu": _bk_relu,
-    "dot": _bk_dot,
-    "log": _bk_log,
-    "clamp": _bk_clamp,
+    "log_loss": _bk_log_loss,
     "embedding_lookup": _bk_embedding_lookup,
     "reshape": _bk_reshape,
     "transpose": _bk_transpose,

@@ -346,6 +346,9 @@ class SyntheticSpec:
         lo, hi = self.history_len_range
         if lo < 0 or hi < lo:
             raise ValueError(f"bad history_len_range {self.history_len_range}")
+        if hi > MAX_HISTORY_LEN:  # ingestion would cut the histories the labels were drawn from
+            raise ValueError(f"history_len_range must be within [0, {MAX_HISTORY_LEN}], the events ingestion "
+                             f"keeps per history, got {self.history_len_range}")
 
 
 def _interests(rng, num_categories: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # scores are clipped to [CLAMP, 1 - CLAMP] before a log, here and in the
-# training loss (`model.batch_loss`), so both take the same log loss
+# training loss (`autodiff.log_loss`), so both take the same log loss
 CLAMP = 1e-7
 
 

@@ -382,9 +382,7 @@ def _predict(catalog: Catalog, params: ModelParams, config: TrainConfig, user_id
         return ad.sigmoid(score), np.zeros(0)
 
     row = {a: k for k, a in enumerate(encoded)}
-    # distinct targets and no other anchor encoded: each pair's own target, in order
-    own_targets = pair_anchor is None and len(encoded) == len(anchors)
-    e_target = _per_pair(e_anchor, None if own_targets else [row[a] for a in anchor_ids])
+    e_target = ad.embedding_lookup(e_anchor, [row[a] for a in anchor_ids])
     y_e = embed_similarity(_per_pair(e_user, pair_user), e_target)
 
     n_pairs, d = len(user_ids), config.dim
@@ -449,17 +447,6 @@ def forward_pair(catalog: Catalog, params: ModelParams, config: TrainConfig,
     return score
 
 
-def batch_loss(predictions, labels) -> Tensor:
-    """Summed log loss of a (B,) prediction tensor (the trainer adds the L2 term)."""
-    if predictions.shape != (len(labels),):
-        raise ValueError(f"batch_loss: predictions of shape {predictions.shape} vs {len(labels)} labels")
-    p = ad.clamp(predictions, CLAMP, 1.0 - CLAMP)
-    y = np.asarray(labels, dtype=np.float64)
-    pos = ad.dot(ad.log(p), y)
-    neg = ad.dot(ad.log(ad.add(ad.multiply_elementwise(p, -1.0), 1.0)), 1.0 - y)
-    return ad.multiply_elementwise(ad.add(pos, neg), -1.0)
-
-
 def lr_schedule(config: TrainConfig, epoch: int) -> float:
     """Geometric interpolation from lr_start to lr_end across the epochs."""
     if config.epochs <= 1 or config.lr_start == 0.0:
@@ -503,7 +490,7 @@ def _batch_gradients(catalog, params, config, chunk, dropout_rng):
     bound, leaves = params.bind(tape)
     mask = _dropout_mask(config, dropout_rng, len(chunk))
     preds, _ = _predict(catalog, bound, config, [p.user_id for p in chunk], [p.anchor_id for p in chunk], mask)
-    data = batch_loss(preds, [p.label for p in chunk])
+    data = ad.log_loss(preds, [p.label for p in chunk], CLAMP)
     loss = data
     if config.l2_weight > 0.0:
         loss = ad.add(loss, ad.multiply_elementwise(_l2_term(leaves), config.l2_weight))

@@ -17,7 +17,7 @@ FD_TOL = 1e-4
 # every differentiable op kind, one per rule in `_BACKWARD`
 FD_KINDS = (
     "add", "multiply_elementwise", "matmul", "concat", "sum", "sigmoid", "softmax", "relu",
-    "dot", "log", "clamp", "embedding_lookup", "reshape", "transpose", "lstm", "segment_attention",
+    "log_loss", "embedding_lookup", "reshape", "transpose", "lstm", "segment_attention",
 )
 
 
@@ -34,14 +34,6 @@ def test_softmax_shift_invariance():
 def test_multiply_elementwise_values():
     out = ad.multiply_elementwise(np.array([1.0, 2, 3]), np.array([4.0, 5, 6]))
     np.testing.assert_array_equal(out.data, [4.0, 10.0, 18.0])
-
-
-def test_dot_linear_gradient():
-    t = Tape()
-    w = t.watch(np.array([1.0, -2.0, 0.5]))
-    x = np.array([4.0, 5.0, 6.0])
-    g = backward(t, ad.dot(w, x))
-    np.testing.assert_array_equal(g[w.node_id], x)
 
 
 def test_sigmoid_gradient_at_zero():
@@ -78,6 +70,43 @@ def test_sigmoid_has_expits_bits_and_warns_of_nothing():
     assert got[9] == 0.0 < got[8]  # either side of the overflow point
     assert shaped.shape == (3, 4) and np.array_equal(shaped.ravel(), got[:12])
     assert scalar.shape == () and scalar == 0.0
+
+
+def _log_loss_chain(pred, labels, eps, g):
+    """The loss as a clamp, two logs, two dots and a ``1 - p`` built from a
+    multiply and an add, and its gradient swept back through those ops one
+    rule at a time, each as numpy computes it."""
+    y = np.asarray(labels, dtype=np.float64)
+    p = np.clip(pred, eps, 1.0 - eps)
+    q = p * -1.0 + 1.0
+    loss = (np.asarray(np.log(p) @ y) + np.asarray(np.log(q) @ (1.0 - y))) * -1.0
+    ga = g * np.asarray(-1.0)  # the negation, then the add hands ga to both dots
+    d_q = (ga * (1.0 - y)) / q  # the second dot, then its log
+    d_p = d_q * np.asarray(-1.0)  # the add of 1.0, then the multiply by -1.0
+    d_p = d_p + (ga * y) / p  # the first dot, then its log
+    return loss, d_p * ((pred > eps) & (pred < 1.0 - eps))  # the clamp
+
+
+@pytest.mark.parametrize("scale", [1.0, -2.5])
+def test_log_loss_has_the_bits_of_the_clamp_log_and_dot_chain(scale):
+    eps = 1e-7
+    edges = [0.0, eps, 1.0 - eps, 1.0, np.nextafter(eps, 1.0), np.nextafter(1.0 - eps, 0.0), 0.5]
+    pred = np.concatenate([edges, edges, np.random.default_rng(40).uniform(size=40)])
+    labels = np.concatenate([np.zeros(len(edges)), np.ones(len(edges)),
+                             np.random.default_rng(41).integers(0, 2, size=40)]).astype(int)
+    want_loss, want_grad = _log_loss_chain(pred, labels, eps, np.asarray(scale))
+    t = Tape()
+    x = t.watch(pred)
+    loss = ad.log_loss(x, labels, eps)
+    grad = backward(t, ad.multiply_elementwise(loss, scale))[x.node_id]
+    assert loss.shape == () and loss.data.view(np.int64) == want_loss.view(np.int64)
+    np.testing.assert_array_equal(grad.view(np.int64), want_grad.view(np.int64))
+    assert not grad[[0, 1, 2, 3, 7, 8, 9, 10]].any()  # the clip's ends pass no gradient
+    inside = (pred > eps) & (pred < 1.0 - eps)
+    x_in, y_in = pred[inside], labels[inside]
+    np.testing.assert_allclose(grad[inside], -scale * (y_in / x_in - (1 - y_in) / (1.0 - x_in)), rtol=1e-12)
+    plain = ad.log_loss(pred, labels, eps)
+    assert not plain.tracked and plain.data == loss.data
 
 
 def test_fanout_accumulates_both_paths():
@@ -128,8 +157,16 @@ def test_shape_errors_name_kind_and_shapes():
         ad.matmul(np.ones((2, 3)), np.ones(4))
     assert info.value.kind == "matmul"
     assert info.value.shapes == ((2, 3), (4,))
+    with pytest.raises(ShapeError):  # a vector multiplies a matrix from the right only
+        ad.matmul(np.ones(3), np.ones((3, 2)))
+    with pytest.raises(ShapeError) as info:
+        ad.log_loss(np.full(3, 0.5), [1, 0, 1, 0], 1e-7)
+    assert info.value.kind == "log_loss" and info.value.shapes == ((3,), (4,))
+    with pytest.raises(ShapeError) as info:
+        ad.log_loss(np.full((2, 1), 0.5), [1, 0], 1e-7)
+    assert info.value.kind == "log_loss" and info.value.shapes == ((2, 1), (2,))
     with pytest.raises(ShapeError):
-        ad.dot(np.ones(3), np.ones(4))
+        ad.log_loss(np.full(2, 0.5), [[1, 0]], 1e-7)
     with pytest.raises(ShapeError):
         ad.add(np.ones(3), np.ones(4))
     with pytest.raises(ShapeError) as info:
@@ -399,13 +436,8 @@ def _sampler(kind, rng):
         return (lambda xs: _cotangent_sum(fn(xs[0], xs[1]), np.random.default_rng(7))), arrays
     if kind == "matmul":
         m, n, p = rng.integers(1, 5, size=3)
-        case = rng.integers(3)
-        if case == 0:
-            arrays = [rng.normal(size=(m, n)), rng.normal(size=n)]
-        elif case == 1:
-            arrays = [rng.normal(size=(m, n)), rng.normal(size=(n, p))]
-        else:
-            arrays = [rng.normal(size=n), rng.normal(size=(n, p))]
+        right = rng.normal(size=n) if rng.integers(2) else rng.normal(size=(n, p))
+        arrays = [rng.normal(size=(m, n)), right]
         return (lambda xs: _cotangent_sum(ad.matmul(xs[0], xs[1]), np.random.default_rng(7))), arrays
     if kind == "concat":
         k, mode = rng.integers(1, 4), rng.integers(3)
@@ -437,17 +469,10 @@ def _sampler(kind, rng):
         x = rng.normal(size=rng.integers(1, 8))
         x[np.abs(x) < 0.05] = 0.5  # keep away from the kink
         return (lambda xs: _cotangent_sum(ad.relu(xs[0]), np.random.default_rng(7))), [x]
-    if kind == "dot":
+    if kind == "log_loss":  # predictions inside the clip, away from its kinks
         n = rng.integers(1, 8)
-        arrays = [rng.normal(size=n), rng.normal(size=n)]
-        return (lambda xs: ad.dot(xs[0], xs[1])), arrays
-    if kind == "log":
-        arrays = [rng.uniform(0.1, 5.0, size=rng.integers(1, 8))]
-        return (lambda xs: _cotangent_sum(ad.log(xs[0]), np.random.default_rng(7))), arrays
-    if kind == "clamp":
-        x = rng.uniform(-2, 2, size=rng.integers(1, 8))
-        x[np.abs(np.abs(x) - 1.0) < 0.05] = 0.0  # keep away from the clamp edges
-        return (lambda xs: _cotangent_sum(ad.clamp(xs[0], -1.0, 1.0), np.random.default_rng(7))), [x]
+        labels = rng.integers(0, 2, size=n)
+        return (lambda xs: ad.log_loss(xs[0], labels, 1e-7)), [rng.uniform(0.05, 0.95, size=n)]
     if kind == "embedding_lookup":
         v, d = rng.integers(2, 6), rng.integers(1, 5)
         idx = rng.integers(0, v, size=rng.integers(1, 6))

@@ -41,7 +41,8 @@ def test_generate_missing_flag_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, field", [("--base-rate", "nan", "base_rate"), ("--base-rate", "inf", "base_rate"),
-                                                ("--signal", "nan", "signal_strength"), ("--pairs", "-3", "num_pairs")])
+                                                ("--signal", "nan", "signal_strength"), ("--pairs", "-3", "num_pairs"),
+                                                ("--hist-max", "201", "history_len_range")])
 def test_generate_bad_spec_value_exits_2(tmp_path, capsys, flag, value, field):
     cat, prs = tmp_path / "c.jsonl", tmp_path / "p.jsonl"
     rc = main(["generate", "--out-catalog", str(cat), "--out-pairs", str(prs),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from liverec.data import (
+    MAX_HISTORY_LEN,
     IngestError,
     LabeledPair,
     SyntheticSpec,
@@ -353,10 +354,25 @@ def test_generator_rejects_bad_spec():
 
 
 @pytest.mark.parametrize("field, value", [("base_rate", float("nan")), ("base_rate", float("inf")),
-                                          ("base_rate", -float("inf")), ("num_pairs", -1)])
+                                          ("base_rate", -float("inf")), ("num_pairs", -1),
+                                          ("history_len_range", (240, 300)),
+                                          ("history_len_range", (1, MAX_HISTORY_LEN + 1))])
 def test_generator_spec_names_a_bad_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         SyntheticSpec(3, 2, 4, 2, **{field: value})
+
+
+def test_histories_at_the_ingestion_cap_keep_their_planted_signal(tmp_path):
+    # the longest history a spec may ask for reaches training whole, so each
+    # pair's label still matches the histories it was drawn from
+    spec = SyntheticSpec(20, 5, 60, 10, (MAX_HISTORY_LEN - 10, MAX_HISTORY_LEN), 0.8, seed=1, num_pairs=50)
+    catalog, pairs = generate_synthetic(spec)
+    write_catalog(catalog, tmp_path / "catalog.jsonl")
+    write_pairs(pairs, tmp_path / "pairs.jsonl")
+    ingested, _ = ingest_logs(tmp_path / "catalog.jsonl", tmp_path / "pairs.jsonl")
+    assert max(len(u.browsed_items) for u in catalog.users.values()) == MAX_HISTORY_LEN
+    assert ([category_jaccard(ingested, p.user_id, p.anchor_id) for p in pairs]
+            == [category_jaccard(catalog, p.user_id, p.anchor_id) for p in pairs])
 
 
 def test_generator_spec_accepts_zero_pairs():

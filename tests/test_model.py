@@ -19,7 +19,7 @@ from liverec.data import (
     split_dataset,
 )
 from liverec.encoders import encode_sequence
-from liverec.metrics import compute_auc, compute_logloss
+from liverec.metrics import CLAMP, compute_auc, compute_logloss
 from liverec.model import (
     MAX_TABLE_ROWS,
     CheckpointError,
@@ -27,7 +27,6 @@ from liverec.model import (
     TrainConfig,
     TrainingDiverged,
     UnknownIdError,
-    batch_loss,
     evaluate_pairs,
     forward_pair,
     init_model_params,
@@ -241,7 +240,7 @@ def test_evaluate_pairs_names_an_unknown_id_before_encoding(monkeypatch):
 @pytest.mark.parametrize("variant", ["full", "with_co_retrieval"])
 def test_training_tape_size_does_not_grow_with_batch_or_history(variant, monkeypatch):
     # the batched forward records a fixed set of nodes: one more pair, or a
-    # longer history, adds no node to a training step's tape
+    # longer history, adds no node to a training step's tape; the loss is one
     from liverec import model
 
     sizes = []
@@ -255,7 +254,7 @@ def test_training_tape_size_does_not_grow_with_batch_or_history(variant, monkeyp
             model._batch_gradients(catalog, params, config, pairs[:n], stream_rng(0, "dropout"))
     assert len(sizes) == 4
     assert len(set(sizes)) == 1, sizes
-    assert sizes[0] < 150
+    assert sizes == [{"full": 102, "with_co_retrieval": 100}[variant]] * 4
 
 
 def test_forward_unknown_ids():
@@ -326,32 +325,32 @@ def test_dropout_applies_in_training_only():
 
 
 # ---------------------------------------------------------------------------
-# batch_loss
+# a batch's training loss: `autodiff.log_loss` with the metrics' clamp
 
 
 def test_batch_loss_at_half_is_n_ln2():
     n = 9
     preds = ad.Tensor(np.full(n, 0.5))
-    loss = batch_loss(preds, [1, 0, 1, 0, 1, 0, 1, 0, 1])
+    loss = ad.log_loss(preds, [1, 0, 1, 0, 1, 0, 1, 0, 1], CLAMP)
     assert float(loss.data) == pytest.approx(n * math.log(2), abs=1e-12)
 
 
 def test_batch_loss_perfect_predictions_clamped():
     preds = ad.Tensor(np.array([1.0, 0.0]))
-    loss = batch_loss(preds, [1, 0])
+    loss = ad.log_loss(preds, [1, 0], CLAMP)
     assert float(loss.data) == pytest.approx(2e-7, rel=1e-6)
 
 
 def test_batch_loss_hand_value():
     preds = ad.Tensor(np.array([0.9, 0.2]))
-    loss = batch_loss(preds, [1, 0])
+    loss = ad.log_loss(preds, [1, 0], CLAMP)
     assert float(loss.data) == pytest.approx(-(math.log(0.9) + math.log(0.8)), abs=1e-12)
     assert float(loss.data) == pytest.approx(0.3285, abs=1e-4)
 
 
 def test_batch_loss_length_mismatch():
-    with pytest.raises(ValueError, match="predictions"):
-        batch_loss(ad.Tensor(np.array([0.5])), [1, 0])
+    with pytest.raises(ValueError, match="log_loss: incompatible shapes"):
+        ad.log_loss(ad.Tensor(np.array([0.5])), [1, 0], CLAMP)
 
 
 # ---------------------------------------------------------------------------
