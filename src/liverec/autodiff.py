@@ -224,16 +224,14 @@ def matmul(a, b) -> Tensor:
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
-    """Join tensors along one axis: 1-D vectors, or (k_i, d) blocks along
-    axis 0, or (B, d_i) blocks along axis 1.
+    """Join one or more tensors along one axis: 1-D vectors, or (k_i, d)
+    blocks along axis 0, or (B, d_i) blocks along axis 1.
 
-    Scalars are lifted to length-1 vectors; every part must have the same
-    shape off the joined axis.
+    Every part must have the same shape off the joined axis.
     """
     parts = [_parts(t) for t in tensors]
-    datas = [d if d.ndim else d.reshape(1) for d, _, _ in parts]
     try:
-        out = np.concatenate(datas, axis=axis) if datas else np.zeros(0)
+        out = np.concatenate([d for d, _, _ in parts], axis=axis)
     except ValueError:  # numpy's AxisError is one too
         raise ShapeError("concat", *[d.shape for d, _, _ in parts]) from None
     tape = _tape_of(*[(nid, tp) for _, nid, tp in parts])
@@ -560,7 +558,7 @@ def _bk_concat(ids, saved, g, acc):
     shapes, axis = saved
     off = 0
     for nid, shape in zip(ids, shapes):
-        n = shape[axis] if shape else 1
+        n = shape[axis]
         if nid is not None:
             acc(nid, g[(slice(None),) * axis + (slice(off, off + n),)].reshape(shape))
         off += n

@@ -134,20 +134,18 @@ def _pnn(table, positions: np.ndarray) -> Tensor:
     return ad.add(s, second)
 
 
-def encode_sequence(embedded: Tensor, params: LstmParams) -> Tensor | None:
+def encode_sequence(embedded: Tensor, params: LstmParams) -> Tensor:
     """Run the LSTM over one (L, d) block of encoded items, oldest first.
 
     Returns the (L, d) hidden states, row t being the state after item t;
-    the state starts at zero, and an empty block yields None.
+    the state starts at zero, and an empty block yields a (0, d) block.
     """
     n = embedded.shape[0]
-    if not n:
-        return None
     return ad.lstm(embedded, np.arange(n), np.ones(n, dtype=np.intp), params.w, params.u, params.b)
 
 
 def encode_sequences_batched(histories, item_positions: np.ndarray, pnn: PnnEncoderParams,
-                             lstm: LstmParams) -> tuple[Tensor | None, list[np.ndarray]]:
+                             lstm: LstmParams) -> tuple[Tensor, list[np.ndarray]]:
     """Encode many item sequences that draw on one set of items through one LSTM.
 
     Equivalent to calling ``pnn_encode_batch`` + ``encode_sequence`` per
@@ -162,12 +160,12 @@ def encode_sequences_batched(histories, item_positions: np.ndarray, pnn: PnnEnco
     padded with -1 as in ``pnn_encode_batch``, and ``histories`` a list of
     int arrays, one per sequence, of rows into it, oldest first; rows may
     repeat within and across sequences.  Returns the packed states, one
-    (sum of lengths, d) tensor holding exactly one row per history item
-    (None when every sequence is empty), and each sequence's row indices
-    into it, aligned with the inputs and in history order; an empty
-    sequence has no rows.  The rows are step-major: step t's rows follow
-    step t-1's, and within a step the sequences keep their sorted order.
-    Readers gather or pool the rows they need from the one tensor.
+    (sum of lengths, d) tensor holding exactly one row per history item,
+    and each sequence's row indices into it, aligned with the inputs and
+    in history order; an empty sequence has no rows.  The rows are
+    step-major: step t's rows follow step t-1's, and within a step the
+    sequences keep their sorted order.  Readers gather or pool the rows
+    they need from the one tensor.
     """
     lengths = np.array([len(h) for h in histories], dtype=np.intp)
     n_seq = lengths.size
@@ -178,8 +176,6 @@ def encode_sequences_batched(histories, item_positions: np.ndarray, pnn: PnnEnco
     rank = np.empty(n_seq, dtype=np.intp)
     rank[np.argsort(-lengths, kind="stable")] = np.arange(n_seq)
     rows = [starts[:n] + r for n, r in zip(lengths.tolist(), rank.tolist())]
-    if maxlen == 0:
-        return None, rows
     items = pnn_encode_batch("item", item_positions, pnn)  # (n, d)
     step_rows = np.empty(int(widths.sum()), dtype=np.intp)
     step_rows[np.concatenate(rows)] = np.concatenate(histories)

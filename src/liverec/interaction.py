@@ -60,10 +60,6 @@ class Segments:
         """Rows over all groups."""
         return len(self.index)
 
-    @property
-    def pairs(self) -> int:
-        return len(self) if self.pair_group is None else len(self.pair_group)
-
     def per_pair(self, x):
         """Each pair's row of a per-group tensor or array."""
         if self.pair_group is None:
@@ -71,11 +67,9 @@ class Segments:
         return ad.embedding_lookup(x, self.pair_group) if isinstance(x, Tensor) else x[self.pair_group]
 
 
-def _pool(states, groups: Segments, w) -> Tensor | None:
-    """(S, d) attention-pooled rows of each group; None when no group has a row."""
-    if not groups.rows:
-        return None
-    if len(groups) > 1:
+def _pool(states, groups: Segments, w) -> Tensor:
+    """(S, d) attention-pooled rows of each group, a zero row for an empty one."""
+    if len(groups) > 1 or not groups.rows:
         return ad.segment_attention(states, w, groups.index, groups.lengths)
     # one group (forward_pair's case): a gather and a plain softmax.  At
     # d = 32, forward and untracked on a 2-core Xeon host, this took about
@@ -95,8 +89,6 @@ def embed_similarity(e_u, e_a) -> Tensor:
 
 def _enriched(e, states, groups: Segments):
     """``e`` (S, d) plus each group's rows summed with weight 1/sqrt(n)."""
-    if not groups.rows:
-        return e
     mean = ad.segment_attention(states, np.zeros(states.shape[1]), groups.index, groups.lengths)
     return ad.add(e, ad.multiply_elementwise(mean, np.sqrt(groups.lengths)[:, None]))
 
@@ -134,8 +126,6 @@ def item_aspect_interaction(user_states, user_groups: Segments, anchor_states, a
     """
     p = _pool(user_states, user_groups, w_user)
     q = _pool(anchor_states, anchor_groups, w_anchor)
-    if p is None or q is None:
-        return Tensor(np.zeros((user_groups.pairs, w_user.shape[0])))
     return ad.multiply_elementwise(user_groups.per_pair(p), anchor_groups.per_pair(q))
 
 
@@ -152,6 +142,4 @@ def anchor_aspect_interaction(browsed_embeddings, browsed_groups: Segments, e_ta
     the target: each user's browsed anchors are pooled once.
     """
     pooled = _pool(browsed_embeddings, browsed_groups, w_history)
-    if pooled is None:
-        return Tensor(np.zeros(e_target.shape))
     return ad.multiply_elementwise(browsed_groups.per_pair(pooled), e_target)

@@ -28,8 +28,11 @@ parameters.
 
 Training is plain mini-batch gradient descent with a geometric per-epoch
 learning-rate decay, dense L2 on every parameter, global-norm gradient
-clipping at 10, and inverted dropout on the MLP input.  Everything is
-deterministic given the seed; see `liverec.seeding` for the stream split.
+clipping at 10, and inverted dropout on the MLP input.  The backward sweep
+runs from the data loss alone; the L2 penalty's gradient ``2 * l2_weight *
+a`` is added to each array's gradient after it, before clipping.
+Everything is deterministic given the seed; see `liverec.seeding` for the
+stream split.
 """
 from __future__ import annotations
 
@@ -467,14 +470,6 @@ class EpochMetrics:
     wall_seconds: float
 
 
-def _l2_term(leaves) -> Tensor:
-    total = None
-    for t in leaves:
-        sq = ad.reduce_sum(ad.multiply_elementwise(t, t))
-        total = sq if total is None else ad.add(total, sq)
-    return total
-
-
 def _clip_gradients(grads) -> None:
     norm_sq = sum(float((g * g).sum()) for g in grads)
     norm = np.sqrt(norm_sq)
@@ -485,21 +480,33 @@ def _clip_gradients(grads) -> None:
 
 
 def _batch_gradients(catalog, params, config, chunk, dropout_rng):
-    """Forward+backward over one batch on a shared tape."""
+    """One batch's (data loss, loss, gradients), the gradients in
+    ``named_arrays`` order, or None when the loss is not finite.
+
+    The data loss is the batch's summed log loss, the one root of a
+    backward sweep over the batch's tape.  The loss adds ``l2_weight``
+    times each array's sum of squares, summed in array order; its gradient
+    ``2 * l2_weight * a`` is added to each array's data gradient after the
+    sweep, so the penalty records no tape node.
+    """
     tape = Tape()
     bound, leaves = params.bind(tape)
     mask = _dropout_mask(config, dropout_rng, len(chunk))
     preds, _ = _predict(catalog, bound, config, [p.user_id for p in chunk], [p.anchor_id for p in chunk], mask)
     data = ad.log_loss(preds, [p.label for p in chunk], CLAMP)
-    loss = data
+    data_value = loss_value = float(data.data)
+    arrays = [t.data for t in leaves]
     if config.l2_weight > 0.0:
-        loss = ad.add(loss, ad.multiply_elementwise(_l2_term(leaves), config.l2_weight))
-    loss_value = float(loss.data)
-    data_value = float(data.data)
+        penalty = 0.0
+        for a in arrays:  # left to right: from Python 3.12, sum() of floats compensates
+            penalty += float((a * a).sum())
+        loss_value += config.l2_weight * penalty
     if not np.isfinite(loss_value):
         return data_value, loss_value, None
-    gmap = ad.backward(tape, loss)
+    gmap = ad.backward(tape, data)
     grads = [gmap[t.node_id] for t in leaves]
+    if config.l2_weight > 0.0:
+        grads = [g + 2.0 * config.l2_weight * a for g, a in zip(grads, arrays)]
     return data_value, loss_value, grads
 
 

@@ -33,23 +33,23 @@ def _paper(params, rng):
     return paper_attention_weights(params, seed=int(rng.integers(2**32)))
 
 
-def _states(rows):
-    """Stack (d,) rows into the (M, d) state tensor the model passes."""
-    return Tensor(np.array(rows))
+def _states(rows, d):
+    """Stack (d,) rows into the (M, d) state tensor the model passes; no
+    rows make a (0, d) block."""
+    return Tensor(np.array(rows).reshape(len(rows), d))
 
 
 def _whole(rows):
     """One pair's one group: every row of its state block, in order."""
-    n = 0 if rows is None else len(rows)
-    return Segments(np.arange(n), np.array([n]))
+    return Segments(np.arange(len(rows)), np.array([len(rows)]))
 
 
 def _item(e_u, hu, e_a, ha, params):
     """Item-aspect attention for one pair, with the model's two item
     weight vectors; the static embeddings cancel and are not passed."""
+    d = len(e_u)
     out = item_aspect_interaction(
-        hu if hu is None else _states(hu), _whole(hu), ha if ha is None else _states(ha), _whole(ha),
-        Tensor(params.item_user), Tensor(params.item_anchor),
+        _states(hu, d), _whole(hu), _states(ha, d), _whole(ha), Tensor(params.item_user), Tensor(params.item_anchor),
     ).data
     assert out.shape == (1, len(e_u))
     return out[0]
@@ -57,8 +57,8 @@ def _item(e_u, hu, e_a, ha, params):
 
 def _anchor(e_u, hist, e_t, params):
     """Anchor-aspect attention for one pair, with the model's browsed-anchor weight vector."""
-    out = anchor_aspect_interaction(hist if hist is None else _states(hist), _whole(hist),
-                                    Tensor(e_t[None]), Tensor(params.browsed)).data
+    out = anchor_aspect_interaction(_states(hist, len(e_u)), _whole(hist), Tensor(e_t[None]),
+                                    Tensor(params.browsed)).data
     assert out.shape == (1, len(e_u))
     return out[0]
 
@@ -94,7 +94,7 @@ def test_embed_similarity_length_mismatch():
 def test_svdpp_empty_histories_is_plain_dot():
     rng = np.random.default_rng(0)
     e_u, e_a = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
-    got = svdpp_similarity(Tensor(e_u), None, _whole(None), Tensor(e_a), None, _whole(None))
+    got = svdpp_similarity(Tensor(e_u), _states([], 4), _whole([]), Tensor(e_a), _states([], 4), _whole([]))
     assert got.shape == (1,)
     assert float(got.data[0]) == pytest.approx(float(e_u[0] @ e_a[0]))
 
@@ -104,8 +104,8 @@ def test_svdpp_toy_expansion():
     e_a = np.array([0.5, -1.0])
     user_h = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     anchor_h = [np.array([2.0, 2.0]), np.array([-1.0, 1.0])]
-    got = svdpp_similarity(Tensor(e_u[None]), _states(user_h), _whole(user_h),
-                           Tensor(e_a[None]), _states(anchor_h), _whole(anchor_h))
+    got = svdpp_similarity(Tensor(e_u[None]), _states(user_h, 2), _whole(user_h),
+                           Tensor(e_a[None]), _states(anchor_h, 2), _whole(anchor_h))
     want = svdpp_reference(e_u, user_h, e_a, anchor_h)
     assert float(got.data[0]) == pytest.approx(want, abs=1e-12)
 
@@ -156,8 +156,8 @@ def test_item_attention_empty_side_gives_zero():
     d = 3
     params = _attn(rng, d)
     e_u, e_a, h = rng.normal(size=d), rng.normal(size=d), [rng.normal(size=d)]
-    np.testing.assert_array_equal(_item(e_u, None, e_a, h, params), np.zeros(d))
-    np.testing.assert_array_equal(_item(e_u, h, e_a, None, params), np.zeros(d))
+    np.testing.assert_array_equal(_item(e_u, [], e_a, h, params), np.zeros(d))
+    np.testing.assert_array_equal(_item(e_u, h, e_a, [], params), np.zeros(d))
 
 
 def test_item_attention_weights_sum_to_one():
@@ -232,7 +232,7 @@ def test_anchor_attention_matches_bruteforce():
 def test_anchor_attention_empty_history_gives_zero():
     rng = np.random.default_rng(12)
     d = 3
-    out = _anchor(rng.normal(size=d), None, rng.normal(size=d), _attn(rng, d))
+    out = _anchor(rng.normal(size=d), [], rng.normal(size=d), _attn(rng, d))
     np.testing.assert_array_equal(out, np.zeros(d))
 
 

@@ -124,7 +124,7 @@ def _edge_catalog(seed):
 def test_the_one_pair_route_gives_each_side_every_row_of_its_block_in_order():
     # one user and one anchor are each encoded alone, into a block of their
     # own; each side's one rows array lists that block's rows in history
-    # order (empty for an empty history, whose block is None), and the rows
+    # order (empty for an empty history, whose block is (0, d)), and the rows
     # hold the states the batched route computes for that owner
     from liverec import model
 
@@ -140,9 +140,7 @@ def test_the_one_pair_route_gives_each_side_every_row_of_its_block_in_order():
             states, rows = alone[2 * side : 2 * side + 2]
             assert len(rows) == 1
             np.testing.assert_array_equal(rows[0], np.arange(len(hist)))
-            if not hist:
-                assert states is None
-                continue
+            assert states.shape == (len(hist), config.dim)
             block, owner_rows = batched[2 * side : 2 * side + 2]
             np.testing.assert_allclose(states.data, block.data[owner_rows[0]], rtol=0, atol=1e-14)
 
@@ -241,6 +239,7 @@ def test_evaluate_pairs_names_an_unknown_id_before_encoding(monkeypatch):
 def test_training_tape_size_does_not_grow_with_batch_or_history(variant, monkeypatch):
     # the batched forward records a fixed set of nodes: one more pair, or a
     # longer history, adds no node to a training step's tape; the loss is one
+    # node and the L2 penalty none (its gradient is added after the sweep)
     from liverec import model
 
     sizes = []
@@ -254,7 +253,46 @@ def test_training_tape_size_does_not_grow_with_batch_or_history(variant, monkeyp
             model._batch_gradients(catalog, params, config, pairs[:n], stream_rng(0, "dropout"))
     assert len(sizes) == 4
     assert len(set(sizes)) == 1, sizes
-    assert sizes == [{"full": 102, "with_co_retrieval": 100}[variant]] * 4
+    assert sizes == [{"full": 62, "with_co_retrieval": 60}[variant]] * 4
+
+
+def _on_tape_l2_step(catalog, params, config, chunk):
+    """A batch's loss and gradients with the L2 penalty recorded on the
+    tape: per array a square and a sum, summed in array order, scaled and
+    added to the data loss, then one sweep from that root."""
+    from liverec.model import _predict
+
+    tape = ad.Tape()
+    bound, leaves = params.bind(tape)
+    preds, _ = _predict(catalog, bound, config, [p.user_id for p in chunk], [p.anchor_id for p in chunk])
+    penalty = None
+    for t in leaves:
+        sq = ad.reduce_sum(ad.multiply_elementwise(t, t))
+        penalty = sq if penalty is None else ad.add(penalty, sq)
+    loss = ad.add(ad.log_loss(preds, [p.label for p in chunk], CLAMP), ad.multiply_elementwise(penalty, config.l2_weight))
+    grads = ad.backward(tape, loss)
+    return float(loss.data), [grads[t.node_id] for t in leaves]
+
+
+@pytest.mark.parametrize("variant", ["full", "no_item_aspect"])
+def test_l2_gradient_added_after_the_sweep_has_the_bits_of_the_on_tape_penalty(variant):
+    # each array's data gradient plus 2 * l2_weight * a equals, bit for bit,
+    # the sweep through an on-tape penalty; under no_item_aspect the LSTM and
+    # item-attention arrays get no data gradient, only the penalty's
+    from liverec import model
+
+    catalog, pairs = _edge_catalog(seed=21)
+    config = TrainConfig(**{**DIMS, "variant": variant, "l2_weight": 3e-2})
+    params = _params(catalog, config, seed=4)
+    prng = np.random.default_rng(8)
+    for _, arr in params.named_arrays():
+        arr += prng.uniform(-0.3, 0.3, size=arr.shape)
+    for chunk in (pairs[:2], pairs[:24], pairs):
+        _, loss_value, grads = model._batch_gradients(catalog, params, config, chunk, None)
+        want_loss, want = _on_tape_l2_step(catalog, params, config, chunk)
+        assert loss_value == want_loss
+        for (name, _), g, w in zip(params.named_arrays(), grads, want, strict=True):
+            assert np.shape(g) == w.shape and np.asarray(g).tobytes() == w.tobytes(), name
 
 
 def test_forward_unknown_ids():
