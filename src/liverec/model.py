@@ -19,7 +19,11 @@ tape holds a fixed number of nodes whatever the batch size and history
 lengths.
 Under ``with_co_retrieval`` a pooled group is one pair's kept rows.
 Training, ``evaluate_pairs`` and ``forward_pair`` (a batch of one, which
-encodes its two histories alone) all take this path.
+encodes its two histories alone) all take this path.  On the batched
+route, where both sides share the packed LSTM block, the rows either side
+keeps are gathered once into one compact block, and both item-aspect
+poolings walk that block alone, forward and backward, not the whole LSTM
+block; the gather adds their gradient rows back into the LSTM's.
 
 The attention weights are the three (d,) blocks of the paper's logit
 vectors that score pooled rows (`AttentionParams`); the blocks and biases
@@ -394,12 +398,12 @@ def _predict(catalog: Catalog, params: ModelParams, config: TrainConfig, user_id
         budgets = np.zeros(n_pairs)
     else:
         u_states, u_rows, a_states, a_rows = _item_states(catalog, params, users, anchors)
+        u_groups, a_groups = _segments(u_rows, pair_user), _segments(a_rows, pair_anchor)
         if config.variant == "with_co_retrieval":
-            kept_u, kept_a = _kept_rows(catalog, config, user_ids, anchor_ids,
-                                        _pair_rows(u_rows, pair_user), _pair_rows(a_rows, pair_anchor))
-            u_groups, a_groups = _segments(kept_u), _segments(kept_a)
-        else:
-            u_groups, a_groups = _segments(u_rows, pair_user), _segments(a_rows, pair_anchor)
+            u_groups, a_groups = _kept_rows(catalog, config, user_ids, anchor_ids, u_groups, a_groups)
+            if u_states is a_states:  # the batched route: pool from the kept rows alone
+                block, u_groups, a_groups = _gather_kept(u_states, u_groups, a_groups)
+                u_states = a_states = block
         y_i = item_aspect_interaction(
             u_states, u_groups, a_states, a_groups, params.attn.item_user, params.attn.item_anchor
         )
@@ -421,21 +425,43 @@ def _predict(catalog: Catalog, params: ModelParams, config: TrainConfig, user_id
     return ad.sigmoid(ad.add(ad.matmul(hidden, mlp.w2), mlp.b2)), budgets
 
 
-def _pair_rows(rows, pair_owner) -> list[np.ndarray]:
-    """Each pair's owner's row indices, from `_item_states`' per-owner rows."""
-    return rows if pair_owner is None else [rows[k] for k in pair_owner]
+def _kept_rows(catalog: Catalog, config: TrainConfig, user_ids, anchor_ids, users: Segments,
+               anchors: Segments) -> tuple[Segments, Segments]:
+    """Co-retrieval's groups, one per pair, user side then anchor side.
 
-
-def _kept_rows(catalog: Catalog, config: TrainConfig, user_ids, anchor_ids, user_rows, anchor_rows):
-    """Co-retrieval's per-pair groups: of each pair's owners' rows, those
-    that ``co_retrieve`` keeps for the pair, user side then anchor side."""
+    ``users`` and ``anchors`` are each side's per-owner groups (an owner's
+    rows in history order) with each pair's owner.  ``co_retrieve`` runs
+    once per pair, and of the pair's owners' rows each side's group keeps
+    those at the retrieved history positions, in history order; a side
+    with no common category gets an empty group.
+    """
     user_index, anchor_index = catalog.kkv_indices()
-    kept_u, kept_a = [], []
-    for u, a, u_rows, a_rows in zip(user_ids, anchor_ids, user_rows, anchor_rows):
-        ret = co_retrieve(user_index, anchor_index, u, a, config.co_retrieval_k)
-        kept_u.append(u_rows[np.asarray(ret.user_positions, dtype=np.intp)])
-        kept_a.append(a_rows[np.asarray(ret.anchor_positions, dtype=np.intp)])
-    return kept_u, kept_a
+    cap = config.co_retrieval_k
+    kept = [co_retrieve(user_index, anchor_index, u, a, cap) for u, a in zip(user_ids, anchor_ids)]
+    return (_kept_side(users, [r.user_positions for r in kept]),
+            _kept_side(anchors, [r.anchor_positions for r in kept]))
+
+
+def _kept_side(owners: Segments, positions) -> Segments:
+    """One group per pair: its owner's rows at ``positions``, indices into
+    that owner's history."""
+    counts = list(map(len, positions))
+    lengths = np.array(counts, dtype=np.intp)
+    flat = np.fromiter(chain.from_iterable(positions), dtype=np.intp, count=sum(counts))
+    starts = owners.per_pair(np.cumsum(owners.lengths) - owners.lengths)
+    return Segments(owners.index[np.repeat(starts, lengths) + flat], lengths)
+
+
+def _gather_kept(states: Tensor, users: Segments, anchors: Segments) -> tuple[Tensor, Segments, Segments]:
+    """The rows of ``states`` that either side's groups read, as one
+    gathered block in row order, and both sides' groups re-indexed into
+    it.  The poolings then walk these rows alone, forward and backward,
+    and the gather adds their gradient rows into ``states``' in one
+    step."""
+    rows, at = np.unique(np.concatenate([users.index, anchors.index]), return_inverse=True)
+    split = users.rows
+    return (ad.embedding_lookup(states, rows),
+            Segments(at[:split], users.lengths), Segments(at[split:], anchors.lengths))
 
 
 def forward_pair(catalog: Catalog, params: ModelParams, config: TrainConfig,
@@ -471,7 +497,11 @@ class EpochMetrics:
 
 
 def _clip_gradients(grads) -> None:
-    norm_sq = sum(float((g * g).sum()) for g in grads)
+    """Scale the gradients in place to a global norm of at most
+    `GRAD_CLIP_NORM`, the squared norms summed left to right."""
+    norm_sq = 0.0
+    for g in grads:  # from Python 3.12, sum() of floats compensates
+        norm_sq += float((g * g).sum())
     norm = np.sqrt(norm_sq)
     if norm > GRAD_CLIP_NORM:
         scale = GRAD_CLIP_NORM / norm

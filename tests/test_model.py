@@ -239,7 +239,8 @@ def test_evaluate_pairs_names_an_unknown_id_before_encoding(monkeypatch):
 def test_training_tape_size_does_not_grow_with_batch_or_history(variant, monkeypatch):
     # the batched forward records a fixed set of nodes: one more pair, or a
     # longer history, adds no node to a training step's tape; the loss is one
-    # node and the L2 penalty none (its gradient is added after the sweep)
+    # node and the L2 penalty none (its gradient is added after the sweep);
+    # co-retrieval adds one gather of the kept rows
     from liverec import model
 
     sizes = []
@@ -253,7 +254,120 @@ def test_training_tape_size_does_not_grow_with_batch_or_history(variant, monkeyp
             model._batch_gradients(catalog, params, config, pairs[:n], stream_rng(0, "dropout"))
     assert len(sizes) == 4
     assert len(set(sizes)) == 1, sizes
-    assert sizes == [{"full": 62, "with_co_retrieval": 60}[variant]] * 4
+    assert sizes == [{"full": 62, "with_co_retrieval": 61}[variant]] * 4
+
+
+def _data(x):
+    return x.data if isinstance(x, ad.Tensor) else x
+
+
+def test_co_retrieval_pools_only_the_kept_rows_on_the_batched_route(monkeypatch):
+    # a training batch gathers the rows either side keeps once, and both
+    # item-aspect poolings walk that block alone, not the whole LSTM block;
+    # the one-pair route pools from its own two blocks and gathers nothing more
+    from liverec import model
+
+    catalog, pairs = _tiny(seed=23, history_len_range=(20, 40), num_pairs=60)
+    config = TrainConfig(variant="with_co_retrieval", co_retrieval_k=3, **DIMS)
+    params = _params(catalog, config)
+    item_w = (params.attn.item_user, params.attn.item_anchor)
+    sources = []
+    real = ad.segment_attention
+    monkeypatch.setattr(ad, "segment_attention",
+                        lambda states, w, *rest: sources.append((states, _data(w))) or real(states, w, *rest))
+    batch = pairs[:24]
+    kept = set()
+    for p in batch:
+        ret = naive_co_retrieve(catalog, p.user_id, p.anchor_id, config.co_retrieval_k)
+        kept |= {("user", p.user_id, i) for i in ret["user_positions"]}
+        kept |= {("anchor", p.anchor_id, i) for i in ret["anchor_positions"]}
+    owners = {("user", p.user_id) for p in batch} | {("anchor", p.anchor_id) for p in batch}
+    whole = sum(len(catalog.users[o].browsed_items if side == "user" else catalog.anchors[o].broadcast_items)
+                for side, o in owners)
+    model._batch_gradients(catalog, params, config, batch, None)
+    pooled = [states for states, w in sources if any(w is x for x in item_w)]
+    assert len(pooled) == 2 and pooled[0] is pooled[1]
+    assert pooled[0].shape == (len(kept), config.dim) and len(kept) < whole
+
+    gathers = []
+    real_lookup = ad.embedding_lookup
+    monkeypatch.setattr(ad, "embedding_lookup", lambda *args: gathers.append(1) or real_lookup(*args))
+    full = TrainConfig(**DIMS)
+    for p in batch:
+        ret = naive_co_retrieve(catalog, p.user_id, p.anchor_id, config.co_retrieval_k)
+        if not (ret["user_positions"] and ret["anchor_positions"]):
+            continue  # an empty side pools through the segment op, not a gather
+        counts = []
+        for cfg in (config, full):
+            gathers.clear()
+            forward_pair(catalog, params, cfg, p.user_id, p.anchor_id)
+            counts.append(len(gathers))
+        assert counts[0] == counts[1], p
+
+
+@pytest.mark.parametrize("history", [(2, 6), (150, 200)], ids=["short", "past-one-block"])
+def test_the_kept_row_block_scores_and_trains_like_the_whole_block(history, monkeypatch):
+    # the batched route pools from a gathered block of the kept rows; pooling
+    # the whole LSTM block through the same groups gives the same predictions
+    # and every leaf the same gradient, with a pair that has no common
+    # category (both kept sides empty) and, for long histories, a whole block
+    # past one backward block, which the pooling rule walks in row slices
+    from liverec import model
+
+    catalog, pairs = _tiny(seed=24, num_users=40, history_len_range=history, num_pairs=120)
+    by_category = {}
+    for iid, item in sorted(catalog.items.items()):
+        by_category.setdefault(item.category, []).append(iid)
+    users, anchors = dict(catalog.users), dict(catalog.anchors)
+    lone_user, lone_anchor = sorted(users)[0], sorted(anchors)[0]
+    users[lone_user] = replace(users[lone_user], browsed_items=tuple(by_category[0][:4]))
+    anchors[lone_anchor] = replace(anchors[lone_anchor], broadcast_items=tuple(by_category[1][:5]))
+    catalog = _link_catalog(users, anchors, catalog.items)
+    batch = [LabeledPair(lone_user, lone_anchor, 1)] + pairs[:80]
+    config = TrainConfig(variant="with_co_retrieval", co_retrieval_k=3, **{**DIMS, "dropout": 0.5})
+    params = _params(catalog, config, seed=5)
+    prng = np.random.default_rng(9)
+    for _, arr in params.named_arrays():
+        arr += prng.uniform(-0.3, 0.3, size=arr.shape)
+    ids = [p.user_id for p in batch], [p.anchor_id for p in batch]
+
+    def run():
+        preds, budgets = model._predict(catalog, params, config, *ids)
+        return preds.data, budgets, model._batch_gradients(catalog, params, config, batch, stream_rng(0, "dropout"))
+
+    compact = run()
+    rows = []
+    real = model.item_aspect_interaction
+    monkeypatch.setattr(model, "item_aspect_interaction", lambda states, *rest: rows.append(states.shape[0]) or real(states, *rest))
+    monkeypatch.setattr(model, "_gather_kept", lambda states, users, anchors: (states, users, anchors))
+    whole = run()
+    assert compact[1][0] == 0 and (compact[1] > 0).any()
+    np.testing.assert_array_equal(compact[1], whole[1])
+    if history == (150, 200):
+        assert min(rows) > ad._BLOCK_ROWS
+    np.testing.assert_allclose(compact[0], whole[0], rtol=0, atol=1e-12)
+    (data_c, loss_c, grads_c), (data_w, loss_w, grads_w) = compact[2], whole[2]
+    assert data_c == pytest.approx(data_w, abs=1e-12) and loss_c == pytest.approx(loss_w, abs=1e-12)
+    for (name, _), g, w in zip(params.named_arrays(), grads_c, grads_w, strict=True):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_clipping_sums_the_squared_norms_left_to_right():
+    # squared norms of 1e16, 1 and 1 sum to 1e16 left to right and to 1e16 + 2
+    # compensated (math.fsum, or sum() from Python 3.12); the clip scale is the
+    # left-to-right one on every Python
+    from liverec import model
+
+    grads = [np.array([1e8]), np.array([1.0]), np.array([1.0])]
+    squares = [float((g * g).sum()) for g in grads]
+    left = 0.0
+    for s in squares:
+        left += s
+    scale = model.GRAD_CLIP_NORM / np.sqrt(left)
+    assert scale != model.GRAD_CLIP_NORM / np.sqrt(math.fsum(squares))
+    clipped = list(grads)
+    model._clip_gradients(clipped)
+    assert [g.tobytes() for g in clipped] == [(g * scale).tobytes() for g in grads]
 
 
 def _on_tape_l2_step(catalog, params, config, chunk):
