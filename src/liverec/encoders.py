@@ -12,17 +12,18 @@ each step over the histories still running) and returns one block with
 exactly one state row per history item, and each history's row indices
 into it.
 
-Each encoder has one kernel.  ``pnn_encode_batch`` encodes a block of
-objects and ``pnn_encode`` is its one-object form; ``encode_sequence``
-runs the LSTM kernel of ``encode_sequences_batched`` on a single history.
-Objects with fewer feature slots than the layout pad with position -1.
-The LSTM loop is one fused op: ``autodiff.lstm`` reads the gate weights
-as stored, (4d, d) row blocks in gate order ``[i | f | o | c]``,
-projects each input row once, runs every step of width 2 or more on one
-(4, width, d) slab of four gate blocks, and the width-1 steps (the last
-steps of a batch, every step but the first of a lone history) on one flat
-``[i | f | o | g | c]`` vector, in plain numpy, and records a single tape
-node for the whole loop.
+Each encoder has one kernel, a fused op that records one tape node.
+``pnn_encode_batch`` encodes a block of objects and ``pnn_encode`` is its
+one-object form, both through ``autodiff.pnn``; ``encode_sequence`` runs
+the LSTM kernel of ``encode_sequences_batched`` on a single history.
+Objects with fewer feature slots than the layout pad with position -1,
+the only negative position allowed.  The LSTM loop is one fused op:
+``autodiff.lstm`` reads the gate weights as stored, (4d, d) row blocks in
+gate order ``[i | f | o | c]``, projects each input row once, runs every
+step of width 2 or more on one (4, width, d) slab of four gate blocks,
+and the width-1 steps (the last steps of a batch, every step but the
+first of a lone history) on one flat ``[i | f | o | g | c]`` vector, in
+plain numpy, and records a single tape node for the whole loop.
 """
 from __future__ import annotations
 
@@ -101,7 +102,7 @@ def pnn_encode(kind: str, positions: Sequence[int], params: PnnEncoderParams) ->
 
     One row of ``pnn_encode_batch``: same kernel, same padding rule.
     """
-    return _pnn(params.table(kind), np.asarray(positions, dtype=np.intp))
+    return ad.pnn(params.table(kind), positions)
 
 
 def pnn_encode_batch(kind: str, positions: np.ndarray, params: PnnEncoderParams) -> Tensor:
@@ -109,29 +110,16 @@ def pnn_encode_batch(kind: str, positions: np.ndarray, params: PnnEncoderParams)
 
     ``positions`` is an (L, F) int array of one-hot positions, every
     active field having value 1.  An object with fewer than F slots pads
-    its row with position -1, which contributes nothing.  Returns an
-    (L, d) tensor; row order follows the input.  The output per row is
-    ``sum_j v_j + sum_{j'<j''} v_j' * v_j''``, computed through the
+    its row with position -1, which contributes nothing; any other
+    negative position raises IndexError, as one past the table does.
+    Returns an (L, d) tensor; row order follows the input.  The output per
+    row is ``sum_j v_j + sum_{j'<j''} v_j' * v_j''``, computed through the
     half-square identity rather than the double loop.
     """
     positions = np.asarray(positions, dtype=np.intp)
     if positions.ndim != 2:
         raise ValueError(f"positions must be 2-D, got shape {positions.shape}")
-    return _pnn(params.table(kind), positions)
-
-
-def _pnn(table, positions: np.ndarray) -> Tensor:
-    """The PNN kernel: one (..., F, d) gather, then sums along the field axis."""
-    absent = positions < 0
-    if absent.any():
-        vecs = ad.multiply_elementwise(ad.embedding_lookup(table, np.where(absent, 0, positions)),
-                                       ~absent[..., None])
-    else:
-        vecs = ad.embedding_lookup(table, positions)
-    s = ad.reduce_sum(vecs, axis=-2)
-    sq = ad.reduce_sum(ad.multiply_elementwise(vecs, vecs), axis=-2)
-    second = ad.multiply_elementwise(ad.add(ad.multiply_elementwise(s, s), ad.multiply_elementwise(sq, -1.0)), 0.5)
-    return ad.add(s, second)
+    return ad.pnn(params.table(kind), positions)
 
 
 def encode_sequence(embedded: Tensor, params: LstmParams) -> Tensor:

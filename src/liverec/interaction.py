@@ -17,11 +17,11 @@ What is left is a pooling of one owner's rows: the item-aspect softmax
 over all M*N pairs factors into one softmax per side, and the
 anchor-aspect softmax never sees the target.  So each function pools
 every group of rows once, with one `autodiff.segment_attention` node per
-side (a gather and a plain softmax when the side has one group), then
-gathers one pooled row per pair.  That node scores each row of the
-side's block once and pools through a sparse matrix of the softmax
-weights, so a row read by many groups, or many times by one
-(an anchor a user browsed again), is never copied.  A group is the rows
+side whatever its number of groups, then gathers one pooled row per
+pair.  That node scores each row of the side's block once and pools
+through a matrix of the softmax weights (sparse, or one dense row for a
+lone group), so a row read by many groups, or many times by one (an
+anchor a user browsed again), is never copied.  A group is the rows
 of one owner's history, or under co-retrieval one pair's kept rows;
 `Segments` says which rows form each group and which group each pair
 reads.  Each function takes the (d,) weight vector that scores the rows
@@ -65,19 +65,6 @@ class Segments:
         if self.pair_group is None:
             return x
         return ad.embedding_lookup(x, self.pair_group) if isinstance(x, Tensor) else x[self.pair_group]
-
-
-def _pool(states, groups: Segments, w) -> Tensor:
-    """(S, d) attention-pooled rows of each group, a zero row for an empty one."""
-    if len(groups) > 1 or not groups.rows:
-        return ad.segment_attention(states, w, groups.index, groups.lengths)
-    # one group (forward_pair's case): a gather and a plain softmax.  At
-    # d = 32, forward and untracked on a 2-core Xeon host, this took about
-    # 16 us a call over 5-15 rows and 22 us over 200; the segment op, which
-    # builds a sparse weight matrix, 51 and 57 us
-    rows = ad.embedding_lookup(states, groups.index)
-    p = ad.softmax(ad.matmul(rows, w))
-    return ad.matmul(ad.reshape(p, (1, p.shape[0])), rows)
 
 
 def embed_similarity(e_u, e_a) -> Tensor:
@@ -130,8 +117,8 @@ def item_aspect_interaction(user_states, user_groups: Segments, anchor_states, a
     does not depend on ``w1``, ``w3``, the bias or the static embeddings,
     so none of them is taken.
     """
-    p = _pool(user_states, user_groups, w_user)
-    q = _pool(anchor_states, anchor_groups, w_anchor)
+    p = ad.segment_attention(user_states, w_user, user_groups.index, user_groups.lengths)
+    q = ad.segment_attention(anchor_states, w_anchor, anchor_groups.index, anchor_groups.lengths)
     return ad.multiply_elementwise(user_groups.per_pair(p), anchor_groups.per_pair(q))
 
 
@@ -147,5 +134,5 @@ def anchor_aspect_interaction(browsed_embeddings, browsed_groups: Segments, e_ta
     b`` cancels in the softmax and is not taken, so the softmax never sees
     the target: each user's browsed anchors are pooled once.
     """
-    pooled = _pool(browsed_embeddings, browsed_groups, w_history)
+    pooled = ad.segment_attention(browsed_embeddings, w_history, browsed_groups.index, browsed_groups.lengths)
     return ad.multiply_elementwise(browsed_groups.per_pair(pooled), e_target)

@@ -12,11 +12,11 @@ product of a user-side and an anchor-side vector that depends on one
 owner alone: ``y_e = e_u * e_a``, ``y_i = P_u * Q_a`` and
 ``y_a = A_u * e_a``, where ``P_u``, ``Q_a`` and ``A_u`` pool one owner's
 rows with its own softmax.  So every distinct user, anchor and history
-item is PNN-encoded once, every item history goes through one batched
-LSTM, each side's owners are pooled by one segment-attention node, one
-row per pair is gathered, and the MLP runs on one (B, 3d) block.  The
-tape holds a fixed number of nodes whatever the batch size and history
-lengths.
+item is PNN-encoded once, by one node per object kind, every item
+history goes through one batched LSTM, each side's owners are pooled by
+one segment-attention node, however many they are, one row per pair is
+gathered, and the MLP runs on one (B, 3d) block.  The tape holds a fixed
+number of nodes whatever the batch size and history lengths.
 Under ``with_co_retrieval`` a pooled group is one pair's kept rows.
 Training, ``evaluate_pairs`` and ``forward_pair`` (a batch of one, which
 encodes its two histories alone) all take this path.  On the batched
@@ -30,11 +30,13 @@ vectors that score pooled rows (`AttentionParams`); the blocks and biases
 every candidate of a softmax shares would cancel in it, so they are not
 parameters.
 
-Training is plain mini-batch gradient descent with a geometric per-epoch
-learning-rate decay, dense L2 on every parameter, global-norm gradient
-clipping at 10, and inverted dropout on the MLP input.  The backward sweep
-runs from the data loss alone; the L2 penalty's gradient ``2 * l2_weight *
-a`` is added to each array's gradient after it, before clipping.
+Training is mini-batch gradient descent, plain SGD by default or Adam
+(``TrainConfig.optimizer``; Adam at beta1 0.9, beta2 0.999), with a
+geometric per-epoch learning-rate decay, dense L2 on every parameter,
+global-norm gradient clipping at 10, and inverted dropout on the MLP
+input.  The backward sweep runs from the data loss alone; the L2
+penalty's gradient ``2 * l2_weight * a`` is added to each array's
+gradient after it, before clipping.
 Everything is deterministic given the seed; see `liverec.seeding` for the
 stream split.
 """

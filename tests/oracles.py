@@ -2,7 +2,9 @@
 
 Everything here is deliberately written as straight-line numpy / Python
 loops, separate from the library's vectorized tape code paths, so the two
-routes can be compared against each other.
+routes can be compared against each other.  ``pnn_chain`` is the one
+tape-built reference: the chain of generic ops that the fused
+``autodiff.pnn`` replaced, kept so that the op's bits stay pinned to it.
 """
 from __future__ import annotations
 
@@ -76,6 +78,22 @@ def pnn_reference(active_fields, table):
             jb, xb = active_fields[b]
             out += (table[ja] * table[jb]) * xa * xb
     return out
+
+
+def pnn_chain(table, positions):
+    """``autodiff.pnn`` as the chain of generic tape ops it fuses: a gather
+    (a -1 slot reads row 0), a mask when a slot is absent, the sum and the
+    sum of squares over the slots, and the half-square arithmetic, nine
+    nodes (ten with the mask)."""
+    positions = np.asarray(positions, dtype=np.intp)
+    absent = positions < 0
+    vecs = ad.embedding_lookup(table, np.where(absent, 0, positions))
+    if absent.any():
+        vecs = ad.multiply_elementwise(vecs, ~absent[..., None])
+    s = ad.reduce_sum(vecs, axis=-2)
+    sq = ad.reduce_sum(ad.multiply_elementwise(vecs, vecs), axis=-2)
+    second = ad.multiply_elementwise(ad.add(ad.multiply_elementwise(s, s), ad.multiply_elementwise(sq, -1.0)), 0.5)
+    return ad.add(s, second)
 
 
 def lstm_gates(p):

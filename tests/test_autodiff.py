@@ -10,14 +10,21 @@ import pytest
 from liverec import autodiff as ad
 from liverec.autodiff import _BACKWARD, ShapeError, Tape, Tensor, _add_rows, backward
 
-from oracles import fd_max_rel_error, lstm_gates, lstm_reference, segment_attention_reference
+from oracles import (
+    fd_max_rel_error,
+    lstm_gates,
+    lstm_reference,
+    pnn_chain,
+    segment_attention_reference,
+    softmax_list,
+)
 
 FD_TOL = 1e-4
 
 # every differentiable op kind, one per rule in `_BACKWARD`
 FD_KINDS = (
-    "add", "multiply_elementwise", "matmul", "concat", "sum", "sigmoid", "softmax", "relu",
-    "log_loss", "embedding_lookup", "reshape", "transpose", "lstm", "segment_attention",
+    "add", "multiply_elementwise", "matmul", "concat", "sum", "sigmoid", "relu",
+    "log_loss", "embedding_lookup", "pnn", "transpose", "lstm", "segment_attention",
 )
 
 
@@ -25,10 +32,18 @@ def test_sigmoid_at_zero():
     assert ad.sigmoid(np.zeros(1)).data[0] == 0.5
 
 
+def _lone_group(x):
+    """The softmax weights a lone group of len(x) rows gives logits x: the
+    pooling of an identity block whose rows score x."""
+    n = x.size
+    return ad.segment_attention(np.hstack([np.eye(n), x[:, None]]), np.eye(n + 1)[n], np.arange(n), [n]).data[0, :n]
+
+
 def test_softmax_shift_invariance():
-    for c in (-3.0, 0.0, 17.5):
-        out = ad.softmax(np.full(3, c)).data
-        np.testing.assert_allclose(out, np.full(3, 1 / 3), atol=1e-15)
+    # the pooling's softmax subtracts the group's largest logit, so equal
+    # logits weigh every row alike however large they are
+    for c in (-3.0, 0.0, 17.5, 800.0):
+        np.testing.assert_allclose(_lone_group(np.full(3, c)), np.full(3, 1 / 3), atol=1e-15)
 
 
 def test_multiply_elementwise_values():
@@ -198,7 +213,7 @@ def test_softmax_normalization_property():
     rng = np.random.default_rng(0)
     for _ in range(200):
         x = rng.uniform(-50, 50, size=rng.integers(1, 12))
-        out = ad.softmax(x).data
+        out = _lone_group(x)
         assert np.all(out >= 0)
         assert abs(out.sum() - 1.0) <= 1e-12
 
@@ -207,7 +222,7 @@ def test_outputs_finite_on_finite_inputs():
     rng = np.random.default_rng(1)
     for _ in range(100):
         x = rng.uniform(-700, 700, size=6)
-        for fn in (ad.sigmoid, ad.softmax, ad.relu):
+        for fn in (ad.sigmoid, _lone_group, ad.relu):
             assert np.all(np.isfinite(fn(x).data))
 
 
@@ -453,10 +468,9 @@ def _sampler(kind, rng):
             return (lambda xs: _cotangent_sum(ad.reduce_sum(xs[0], axis=axis), np.random.default_rng(7))), arrays
         arrays = [rng.normal(size=tuple(rng.integers(1, 5, size=rng.integers(1, 3))))]
         return (lambda xs: ad.reduce_sum(xs[0])), arrays
-    if kind in ("sigmoid", "softmax"):
-        fn = getattr(ad, kind)
+    if kind == "sigmoid":
         arrays = [rng.uniform(-3, 3, size=rng.integers(1, 8))]
-        return (lambda xs: _cotangent_sum(fn(xs[0]), np.random.default_rng(7))), arrays
+        return (lambda xs: _cotangent_sum(ad.sigmoid(xs[0]), np.random.default_rng(7))), arrays
     if kind == "relu":
         x = rng.normal(size=rng.integers(1, 8))
         x[np.abs(x) < 0.05] = 0.5  # keep away from the kink
@@ -470,10 +484,13 @@ def _sampler(kind, rng):
         idx = rng.integers(0, v, size=rng.integers(1, 6))
         table = rng.normal(size=(v, d))
         return (lambda xs: _cotangent_sum(ad.embedding_lookup(xs[0], idx), np.random.default_rng(7))), [table]
-    if kind == "reshape":
-        m, n = rng.integers(1, 5, size=2)
-        x = rng.normal(size=m * n)
-        return (lambda xs: _cotangent_sum(ad.reshape(xs[0], (m, n)), np.random.default_rng(7))), [x]
+    if kind == "pnn":  # one object or a block of them, slots padded with -1, a row read twice
+        v, d = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        shape = tuple(rng.integers(1, 5, size=rng.integers(1, 3)))
+        positions = rng.integers(-1, v, size=shape)
+        if positions.size > 1:
+            positions.flat[0] = positions.flat[-1] = rng.integers(v)
+        return (lambda xs: _cotangent_sum(ad.pnn(xs[0], positions), np.random.default_rng(7))), [rng.normal(size=(v, d))]
     if kind == "transpose":
         x = rng.normal(size=tuple(rng.integers(1, 5, size=2)))
         return (lambda xs: _cotangent_sum(ad.transpose(xs[0]), np.random.default_rng(7))), [x]
@@ -489,13 +506,22 @@ def _segment_case(rng):
     one-row group and a longer one, rows repeated across and within groups
     (as co-retrieved pairs share an owner's rows), in shuffled order.  One
     instance in two reads only some rows of a larger source block, as the
-    pooled LSTM block and co-retrieval do.  One instance in four holds w
-    constant."""
+    pooled LSTM block and co-retrieval do.  One instance in four pools a
+    lone group instead, the dense weight row's case, which reads a row
+    twice and leaves rows of the source unread.  One instance in four holds
+    w constant."""
     n, k = int(rng.integers(2, 8)), int(rng.integers(1, 4))
-    lengths = np.concatenate([[0, 1, rng.integers(2, 5)], rng.integers(0, 4, size=rng.integers(0, 3))])
-    rng.shuffle(lengths)
-    read = np.arange(n) if rng.integers(2) else rng.permutation(n)[: rng.integers(1, n)]
+    lone = rng.integers(4) == 0
+    if lone:
+        lengths = np.array([rng.integers(2, 9)])
+        read = rng.permutation(n)[: rng.integers(1, n)]
+    else:
+        lengths = np.concatenate([[0, 1, rng.integers(2, 5)], rng.integers(0, 4, size=rng.integers(0, 3))])
+        rng.shuffle(lengths)
+        read = np.arange(n) if rng.integers(2) else rng.permutation(n)[: rng.integers(1, n)]
     index = rng.choice(read, size=int(lengths.sum()))
+    if lone:
+        index[-1] = index[0]
     arrays = [rng.normal(size=(n, k)), rng.normal(size=k)]
     fixed = arrays.pop(1) if rng.integers(4) == 0 else None
 
@@ -544,7 +570,7 @@ def test_a_row_read_k_times_pools_like_one_row_with_log_k_added():
     distinct, times = np.array([5, 1, 3, 6]), np.array([3, 1, 4, 2])
     index = rng.permutation(np.repeat(distinct, times))
     out = ad.segment_attention(states, w, index, [index.size]).data[0]
-    p = ad.softmax(states[distinct] @ w + np.log(times)).data
+    p = np.array(softmax_list(list(states[distinct] @ w + np.log(times))))
     np.testing.assert_allclose(out, p @ states[distinct], rtol=0, atol=1e-14)
 
 
@@ -668,7 +694,7 @@ def test_segment_attention_matches_a_softmax_per_group():
         if not n:
             np.testing.assert_array_equal(out[s], 0.0)
             continue
-        p = ad.softmax(states[rows] @ w).data
+        p = np.array(softmax_list(list(states[rows] @ w)))
         np.testing.assert_allclose(out[s], p @ states[rows], atol=1e-15)
     # every row in order as one group; a zero weight vector is the mean
     whole = ad.segment_attention(states, np.zeros(3), np.arange(6), [6]).data
@@ -681,6 +707,61 @@ def test_segment_attention_matches_a_softmax_per_group():
         assert info.value.kind == "segment_attention"
     with pytest.raises(IndexError, match="out of range"):
         ad.segment_attention(states, w, np.array([6]), [1])
+
+
+def test_a_lone_group_over_many_blocks_matches_the_reference(monkeypatch):
+    # a lone group's weights are one dense row, which the backward walks in
+    # 64-row slices here, as a CSR matrix is walked; a third of the source
+    # is read by no group and some rows are read many times.  The states'
+    # gradient is a per-row product, so the slices keep a one-block run's
+    # bits; only w's gradient, summed slice by slice, may round differently.
+    rng = np.random.default_rng(40)
+    n, k = 300, 6
+    states, w = rng.normal(size=(n, k)), rng.normal(size=k)
+    index = rng.choice(rng.permutation(n)[: 2 * n // 3], size=500)
+    g = rng.normal(size=(1, k))
+    runs = []
+    for rows in (ad._BLOCK_ROWS, 64):
+        monkeypatch.setattr(ad, "_BLOCK_ROWS", rows)
+        t = Tape()
+        ops = [t.watch(states), t.watch(w)]
+        out = ad.segment_attention(ops[0], ops[1], index, [index.size])
+        grads = backward(t, ad.reduce_sum(ad.multiply_elementwise(out, g)))
+        runs.append((out.data, grads[ops[0].node_id], grads[ops[1].node_id]))
+    want, (want_s, want_w) = segment_attention_reference(states, w, index, [index.size], g)
+    for out, d_states, d_w in runs:
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(d_states, want_s, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(d_w, want_w, rtol=1e-13, atol=1e-13)
+    np.testing.assert_array_equal(runs[1][1], runs[0][1])
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_pnn_has_the_bits_of_the_gather_and_sum_chain(padded):
+    # the fused op against the generic-op chain it replaces, on one object
+    # and on a block of objects: the same values and the same table
+    # gradient, bit for bit.  The table is also summed after the encoding,
+    # so it holds a gradient (a shared view) before the op's rule adds its
+    # rows.  Padded, some slots read -1, and the block's first object has
+    # none present.
+    rng = np.random.default_rng(41 + padded)
+    for shape in ((7,), (30, 6)):
+        table = rng.normal(size=(12, 5))
+        positions = rng.integers(0, 12, size=shape)
+        if padded:
+            positions[rng.random(shape) < 0.3] = -1
+            positions[0] = -1
+        g = rng.normal(size=shape[:-1] + (5,))
+        runs = []
+        for encode in (ad.pnn, pnn_chain):
+            t = Tape()
+            x = t.watch(table)
+            out = encode(x, positions)
+            grads = backward(t, ad.add(ad.reduce_sum(ad.multiply_elementwise(out, g)), ad.reduce_sum(x)))
+            runs.append((out.data, grads[x.node_id]))
+        (value, grad), (want, want_grad) = runs
+        np.testing.assert_array_equal(value.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(grad.view(np.int64), want_grad.view(np.int64))
 
 
 def test_concat_along_axis_1_and_transpose():

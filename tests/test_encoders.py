@@ -83,6 +83,18 @@ def test_pnn_out_of_range_field():
         pnn_encode_batch("user", np.array([[0, 4]]), _params(table))
 
 
+def test_pnn_pads_with_minus_one_only():
+    # -1 marks an absent slot; any other negative position is out of range,
+    # not a second padding value that drops the field
+    table = np.arange(8.0).reshape(4, 2)
+    np.testing.assert_array_equal(pnn_encode_batch("user", np.array([[-1, 2]]), _params(table)).data, [table[2]])
+    for bad in (-2, -5):
+        with pytest.raises(IndexError, match="out of range"):
+            pnn_encode_batch("user", np.array([[bad, 2]]), _params(table))
+        with pytest.raises(IndexError, match="out of range"):
+            pnn_encode("user", [2, bad], _params(table))
+
+
 def test_pnn_batch_matches_single():
     rng = np.random.default_rng(6)
     table = rng.normal(size=(12, 4))

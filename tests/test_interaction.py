@@ -6,7 +6,6 @@ from liverec import autodiff as ad
 from liverec.autodiff import ShapeError, Tensor
 from liverec.interaction import (
     Segments,
-    _pool,
     anchor_aspect_interaction,
     embed_similarity,
     item_aspect_interaction,
@@ -240,26 +239,25 @@ def test_anchor_attention_empty_history_gives_zero():
 # gradients through the interaction ops
 
 
-def test_one_group_pools_as_the_segment_op_does():
-    # `_pool` takes a plain softmax over gathered rows for one group
-    # (forward_pair's case) and `segment_attention` for more; on one group,
-    # with a repeated row and rows no group reads, both give the same pooled
-    # row and gradients
+def test_a_lone_group_pools_as_it_does_beside_an_empty_group():
+    # a lone group (forward_pair's case) pools through a dense weight row,
+    # and the same group beside an empty one through the sparse matrix; with
+    # a repeated row and rows no group reads, both give the same pooled row
+    # and gradients
     rng = np.random.default_rng(41)
     for n in (1, 4, 13):
         block, w, g = rng.normal(size=(n + 3, 5)), rng.normal(size=5), rng.normal(size=(1, 5))
         index = rng.choice(n + 2, size=n)
         index[-1] = index[0]
         runs = []
-        for pool in (lambda s, v: _pool(s, Segments(index, np.array([n])), v),
-                     lambda s, v: ad.segment_attention(s, v, index, [n])):
+        for lengths, cotangent in (([n], g), ([n, 0], np.vstack([g, rng.normal(size=(1, 5))]))):
             t = ad.Tape()
             states, weights = t.watch(block), t.watch(w)
-            out = pool(states, weights)
-            grads = ad.backward(t, ad.reduce_sum(ad.multiply_elementwise(out, g)))
-            runs.append((out.data, grads[states.node_id], grads[weights.node_id]))
+            out = ad.segment_attention(states, weights, index, lengths)
+            grads = ad.backward(t, ad.reduce_sum(ad.multiply_elementwise(out, cotangent)))
+            runs.append((out.data[:1], grads[states.node_id], grads[weights.node_id]))
         for got, want in zip(*runs):
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_interaction_gradients():

@@ -239,8 +239,8 @@ def test_evaluate_pairs_names_an_unknown_id_before_encoding(monkeypatch):
 def test_training_tape_size_does_not_grow_with_batch_or_history(variant, monkeypatch):
     # the batched forward records a fixed set of nodes: one more pair, or a
     # longer history, adds no node to a training step's tape; the loss is one
-    # node and the L2 penalty none (its gradient is added after the sweep);
-    # co-retrieval adds one gather of the kept rows
+    # node, each PNN encoding one, and the L2 penalty none (its gradient is
+    # added after the sweep); co-retrieval adds one gather of the kept rows
     from liverec import model
 
     sizes = []
@@ -254,7 +254,7 @@ def test_training_tape_size_does_not_grow_with_batch_or_history(variant, monkeyp
             model._batch_gradients(catalog, params, config, pairs[:n], stream_rng(0, "dropout"))
     assert len(sizes) == 4
     assert len(set(sizes)) == 1, sizes
-    assert sizes == [{"full": 62, "with_co_retrieval": 61}[variant]] * 4
+    assert sizes == [{"full": 38, "with_co_retrieval": 37}[variant]] * 4
 
 
 def _data(x):
