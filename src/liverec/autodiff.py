@@ -55,23 +55,27 @@ straight into the source's gradient buffer, which the sweep hands it
 (`_Gradients.buffer`), so any number of poolings of one block, the item
 aspect's two among them, share one gradient block.
 
+``mlp_head`` is the model's scoring head in one node: the join of the
+interaction signals, the dropout mask, both layers, the relu and the
+sigmoid.  Its rule sweeps the chain of generic ops it replaced, rule for
+rule, so its values and gradients have that chain's bits.
+
 ``sigmoid`` takes libm's ``exp`` element by element, so its values have
-the bits of ``scipy.special.expit`` without importing ``scipy.special``.
+the bits of ``scipy.special.expit`` without importing ``scipy.special``;
+``mlp_head``'s sigmoid is the same one.
 
 ``log_loss`` is the training loss, a clipped log loss summed over a batch
 of predictions, in one node.
 
 Operands may be Tensors, numpy arrays, or Python scalars; non-Tensor
 operands are treated as constants.  ``add``/``multiply_elementwise``
-broadcast as numpy does (a (B, d) block against a (d,) vector, say).
-``concat`` joins along one axis and ``reduce_sum`` sums all elements or
-one axis.
+broadcast as numpy does (a (B, d) block against a (d,) vector, say), and
+``reduce_sum`` sums all elements or one axis.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from math import exp, inf
-from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
@@ -83,15 +87,12 @@ __all__ = [
     "backward",
     "add",
     "multiply_elementwise",
-    "matmul",
-    "concat",
     "reduce_sum",
     "sigmoid",
-    "relu",
+    "mlp_head",
     "log_loss",
     "embedding_lookup",
     "pnn",
-    "transpose",
     "lstm",
     "segment_attention",
 ]
@@ -216,33 +217,6 @@ def multiply_elementwise(a, b) -> Tensor:
     return _emit(tape, "multiply_elementwise", (ai, bi), (ad, bd), out)
 
 
-def matmul(a, b) -> Tensor:
-    ad, ai, at = _parts(a)
-    bd, bi, bt = _parts(b)
-    if not (ad.ndim == 2 and bd.ndim in (1, 2) and ad.shape[1] == bd.shape[0]):
-        raise ShapeError("matmul", ad.shape, bd.shape)
-    out = ad @ bd
-    tape = _tape_of((ai, at), (bi, bt))
-    return _emit(tape, "matmul", (ai, bi), (ad, bd), out)
-
-
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
-    """Join one or more tensors along one axis: 1-D vectors, or (k_i, d)
-    blocks along axis 0, or (B, d_i) blocks along axis 1.
-
-    Every part must have the same shape off the joined axis.
-    """
-    parts = [_parts(t) for t in tensors]
-    try:
-        out = np.concatenate([d for d, _, _ in parts], axis=axis)
-    except ValueError:  # numpy's AxisError is one too
-        raise ShapeError("concat", *[d.shape for d, _, _ in parts]) from None
-    tape = _tape_of(*[(nid, tp) for _, nid, tp in parts])
-    ids = tuple(nid for _, nid, tp in parts)
-    shapes = tuple(d.shape for d, _, _ in parts)
-    return _emit(tape, "concat", ids, (shapes, axis % out.ndim), out)
-
-
 def reduce_sum(x, axis: int | None = None) -> Tensor:
     """Sum over all elements (axis None) or along one axis."""
     xd, xi, xt = _parts(x)
@@ -261,26 +235,58 @@ def _exp_or_inf(x: float) -> float:
         return inf
 
 
-def sigmoid(x) -> Tensor:
-    """``1 / (1 + exp(-x))`` with libm's ``exp`` (``math.exp``) taken
-    element by element, so it has the bits of ``scipy.special.expit``
-    (numpy's SIMD ``exp`` rounds some values differently); where ``exp(-x)``
-    overflows it reads infinity and the sigmoid 0.0, with no warning."""
-    xd, xi, xt = _parts(x)
+def _sigmoid(xd: np.ndarray) -> np.ndarray:
     neg = (-xd).ravel().tolist()
     try:
         e = np.fromiter(map(exp, neg), np.float64, xd.size)
     except OverflowError:
         e = np.fromiter(map(_exp_or_inf, neg), np.float64, xd.size)
     e += 1.0
-    out = np.divide(1.0, e, out=e).reshape(xd.shape)
+    return np.divide(1.0, e, out=e).reshape(xd.shape)
+
+
+def sigmoid(x) -> Tensor:
+    """``1 / (1 + exp(-x))`` with libm's ``exp`` (``math.exp``) taken
+    element by element, so it has the bits of ``scipy.special.expit``
+    (numpy's SIMD ``exp`` rounds some values differently); where ``exp(-x)``
+    overflows it reads infinity and the sigmoid 0.0, with no warning."""
+    xd, xi, xt = _parts(x)
+    out = _sigmoid(xd)
     return _emit(_tape_of((xi, xt)), "sigmoid", (xi,), (out,), out)
 
 
-def relu(x) -> Tensor:
-    xd, xi, xt = _parts(x)
-    out = np.maximum(xd, 0.0)
-    return _emit(_tape_of((xi, xt)), "relu", (xi,), (xd,), out)
+def mlp_head(parts, mask, w1, b1, w2, b2) -> Tensor:
+    """A two-layer MLP's (B,) sigmoid scores over the join of (B, d_i)
+    ``parts``, as one op: ``sigmoid(relu((z * mask) @ w1.T + b1) @ w2 +
+    b2)`` with ``z`` the parts joined along axis 1, ``w1`` (k, D), ``b1``
+    and ``w2`` (k,), ``b2`` () and ``mask`` a (B, D) dropout mask or None.
+    The arithmetic is a join, multiply, transpose, matmul, add, relu,
+    matmul, add and sigmoid chain's, step for step, so the values and the
+    gradients have that chain's bits."""
+    split = [_parts(p) for p in parts]
+    w1d, w1i, w1t = _parts(w1)
+    b1d, b1i, b1t = _parts(b1)
+    w2d, w2i, w2t = _parts(w2)
+    b2d, b2i, b2t = _parts(b2)
+    shapes = [d.shape for d, _, _ in split]
+    if not shapes or any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes):
+        raise ShapeError("mlp_head", *shapes)
+    z = np.concatenate([d for d, _, _ in split], axis=1)
+    md = None if mask is None else np.asarray(mask, dtype=np.float64)
+    k = w1d.shape[0] if w1d.ndim == 2 else -1
+    if ((md is not None and md.shape != z.shape) or w1d.shape != (k, z.shape[1])
+            or b1d.shape != (k,) or w2d.shape != (k,) or b2d.shape != ()):
+        raise ShapeError("mlp_head", z.shape, () if md is None else md.shape,
+                         w1d.shape, b1d.shape, w2d.shape, b2d.shape)
+    if md is not None:
+        z = z * md
+    a1 = z @ w1d.T + b1d
+    h = np.maximum(a1, 0.0)
+    out = _sigmoid(h @ w2d + b2d)
+    tape = _tape_of(*[(nid, tp) for _, nid, tp in split], (w1i, w1t), (b1i, b1t), (w2i, w2t), (b2i, b2t))
+    ids = (w1i, b1i, w2i, b2i) + tuple(nid for _, nid, _ in split)
+    saved = (shapes, md, z, w1d, a1, h, w2d, out) if tape is not None else None
+    return _emit(tape, "mlp_head", ids, saved, out)
 
 
 def log_loss(predictions, labels, eps: float) -> Tensor:
@@ -334,14 +340,6 @@ def pnn(table, positions) -> Tensor:
     tape = _tape_of((ti, tt))
     saved = (idx, mask, v, s, td.shape) if tape is not None else None
     return _emit(tape, "pnn", (ti,), saved, out)
-
-
-def transpose(x) -> Tensor:
-    """Swap the two axes of a matrix."""
-    xd, xi, xt = _parts(x)
-    if xd.ndim != 2:
-        raise ShapeError("transpose", xd.shape)
-    return _emit(_tape_of((xi, xt)), "transpose", (xi,), None, xd.T)
 
 
 # a step gathers its input rows of the projection in one call, or, when it
@@ -559,24 +557,6 @@ def _bk_mul(ids, saved, g, acc):
         acc(ids[1], _unbroadcast(g * ad, bd.shape))
 
 
-def _bk_matmul(ids, saved, g, acc):
-    ad, bd = saved
-    if ids[0] is not None:
-        acc(ids[0], np.outer(g, bd) if bd.ndim == 1 else g @ bd.T)
-    if ids[1] is not None:
-        acc(ids[1], ad.T @ g)
-
-
-def _bk_concat(ids, saved, g, acc):
-    shapes, axis = saved
-    off = 0
-    for nid, shape in zip(ids, shapes):
-        n = shape[axis]
-        if nid is not None:
-            acc(nid, g[(slice(None),) * axis + (slice(off, off + n),)].reshape(shape))
-        off += n
-
-
 def _bk_sum(ids, saved, g, acc):
     xshape, axis = saved
     acc(ids[0], np.broadcast_to(g if axis is None else np.expand_dims(g, axis), xshape))
@@ -587,9 +567,31 @@ def _bk_sigmoid(ids, saved, g, acc):
     acc(ids[0], g * out * (1.0 - out))
 
 
-def _bk_relu(ids, saved, g, acc):
-    (xd,) = saved
-    acc(ids[0], g * (xd > 0.0))
+def _bk_mlp_head(ids, saved, g, acc):
+    """The chain's reverse sweep, rule for rule: the sigmoid, the output
+    layer's add and matmul, the relu, the hidden layer's add and matmul,
+    the transpose, the mask and the join; an untracked part gets nothing."""
+    w1_id, b1_id, w2_id, b2_id, *part_ids = ids
+    shapes, md, z, w1d, a1, h, w2d, out = saved
+    g = g * out * (1.0 - out)
+    acc(b2_id, _unbroadcast(g, ()))
+    if w2_id is not None:
+        acc(w2_id, h.T @ g)
+    g = np.outer(g, w2d)
+    g = g * (a1 > 0.0)
+    acc(b1_id, _unbroadcast(g, w1d.shape[:1]))
+    if w1_id is not None:
+        acc(w1_id, (z.T @ g).T)
+    if all(nid is None for nid in part_ids):
+        return
+    g = g @ w1d
+    if md is not None:
+        g = g * md
+    off = 0
+    for nid, shape in zip(part_ids, shapes):
+        if nid is not None:
+            acc(nid, g[:, off : off + shape[1]])
+        off += shape[1]
 
 
 def _bk_log_loss(ids, saved, g, acc):
@@ -599,10 +601,6 @@ def _bk_log_loss(ids, saved, g, acc):
     p, q, y, mask = saved
     ga = g * -1.0
     acc(ids[0], ((ga * (1.0 - y)) / q * -1.0 + (ga * y) / p) * mask)
-
-
-def _bk_transpose(ids, saved, g, acc):
-    acc(ids[0], g.T)
 
 
 def _bk_embedding_lookup(ids, saved, g, acc):
@@ -778,15 +776,12 @@ def _bk_segment_attention(ids, saved, g, acc):
 _BACKWARD = {
     "add": _bk_add,
     "multiply_elementwise": _bk_mul,
-    "matmul": _bk_matmul,
-    "concat": _bk_concat,
     "sum": _bk_sum,
     "sigmoid": _bk_sigmoid,
-    "relu": _bk_relu,
+    "mlp_head": _bk_mlp_head,
     "log_loss": _bk_log_loss,
     "embedding_lookup": _bk_embedding_lookup,
     "pnn": _bk_pnn,
-    "transpose": _bk_transpose,
     "lstm": _bk_lstm,
     "segment_attention": _bk_segment_attention,
 }

@@ -94,6 +94,13 @@ class Catalog:
     def vocab(self, kind: str) -> tuple[int, ...]:
         return {"user": self.user_vocab, "anchor": self.anchor_vocab, "item": self.item_vocab}[kind]
 
+    def history(self, side: str, owner_id: int) -> tuple[int, ...]:
+        """The item ids in one owner's history, oldest first: a user's
+        browsed items (side "user") or an anchor's broadcast items."""
+        if side == "user":
+            return self.users[owner_id].browsed_items
+        return self.anchors[owner_id].broadcast_items
+
     def kkv_indices(self):
         """Build (once) and return the (user, anchor) retrieval indices."""
         if "pair" not in self._kkv:
@@ -279,8 +286,10 @@ def split_dataset(pairs, ratios=(0.6, 0.2, 0.2), seed: int = 0):
 
     Sizes follow largest-remainder rounding of the ratios; ties go to the
     earlier split.  The partition is exhaustive, disjoint, and
-    reproducible from the seed.
+    reproducible from the seed.  ``ratios`` must be exactly three.
     """
+    if len(ratios) != 3:
+        raise ValueError(f"ratios must be three (train, validation, test), got {ratios}")
     if any(not r >= 0 for r in ratios):
         raise ValueError(f"ratios must be non-negative, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:

@@ -15,7 +15,8 @@ rows with its own softmax.  So every distinct user, anchor and history
 item is PNN-encoded once, by one node per object kind, every item
 history goes through one batched LSTM, each side's owners are pooled by
 one segment-attention node, however many they are, one row per pair is
-gathered, and the MLP runs on one (B, 3d) block.  The tape holds a fixed
+gathered, and the MLP head, from the join of the three signals to the
+sigmoid, is one node over one (B, 3d) block.  The tape holds a fixed
 number of nodes whatever the batch size and history lengths.
 Under ``with_co_retrieval`` a pooled group is one pair's kept rows.
 Training, ``evaluate_pairs`` and ``forward_pair`` (a batch of one, which
@@ -257,10 +258,7 @@ def _item_positions(catalog: Catalog, offsets, owners) -> tuple[np.ndarray, list
     """The (n, F) one-hot positions of the distinct items in the (side,
     owner id)s' histories in id order, -1 padded, and each history as an
     int array of rows into them, in history order."""
-    histories = [
-        (catalog.users[oid].browsed_items if side == "user" else catalog.anchors[oid].broadcast_items)
-        for side, oid in owners
-    ]
+    histories = [catalog.history(side, oid) for side, oid in owners]
     lengths = [len(hist) for hist in histories]
     flat = np.fromiter(chain.from_iterable(histories), dtype=np.intp, count=sum(lengths))
     items, rows = np.unique(flat, return_inverse=True)
@@ -357,11 +355,12 @@ def _predict(catalog: Catalog, params: ModelParams, config: TrainConfig, user_id
     PNN-encoded once per side, and every owner's item history once, so the
     tape has a fixed number of nodes whatever the batch size: the
     interaction layer pools each owner's rows once and gathers one row per
-    pair, and the MLP runs on one (B, 3d) block.  ``dropout_mask`` is the
-    (B, 3d) block `_dropout_mask` draws.  Objects with fewer feature slots
-    than the layout pad their position rows with -1.  A catalog slot whose
-    vocabulary outgrew its trained size raises ValueError, and an unknown
-    id UnknownIdError, before anything is encoded.
+    pair, and the MLP head is one `ad.mlp_head` node over one (B, 3d)
+    block.  ``dropout_mask`` is the (B, 3d) block `_dropout_mask` draws.
+    Objects with fewer feature slots than the layout pad their position
+    rows with -1.  A catalog slot whose vocabulary outgrew its trained
+    size raises ValueError, and an unknown id UnknownIdError, before
+    anything is encoded.
     """
     for kind in ("user", "anchor", "item"):
         _check_layout(kind, catalog.vocab(kind), params.offsets[kind], params.pnn.table(kind).shape[0])
@@ -419,12 +418,8 @@ def _predict(catalog: Catalog, params: ModelParams, config: TrainConfig, user_id
     else:
         y_a = Tensor(np.zeros((n_pairs, d)))
 
-    z = ad.concat([y_e, y_i, y_a], axis=1)
-    if dropout_mask is not None:
-        z = ad.multiply_elementwise(z, dropout_mask)
     mlp = params.mlp
-    hidden = ad.relu(ad.add(ad.matmul(z, ad.transpose(mlp.w1)), mlp.b1))
-    return ad.sigmoid(ad.add(ad.matmul(hidden, mlp.w2), mlp.b2)), budgets
+    return ad.mlp_head([y_e, y_i, y_a], dropout_mask, mlp.w1, mlp.b1, mlp.w2, mlp.b2), budgets
 
 
 def _kept_rows(catalog: Catalog, config: TrainConfig, user_ids, anchor_ids, users: Segments,

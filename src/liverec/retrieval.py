@@ -39,12 +39,6 @@ class RetrievedHistories:
     anchor_positions: list[int]
 
 
-def _history(catalog, side: str, owner_id: int):
-    if side == "user":
-        return catalog.users[owner_id].browsed_items
-    return catalog.anchors[owner_id].broadcast_items
-
-
 def build_index(catalog, side: str) -> KKVIndex:
     """Group every owner's item history by category, most recent first."""
     if side not in ("user", "anchor"):
@@ -54,7 +48,7 @@ def build_index(catalog, side: str) -> KKVIndex:
     category = {iid: item.category for iid, item in catalog.items.items()}
     for oid in ids:
         per_cat: dict[int, list[tuple[int, int]]] = {}
-        history = _history(catalog, side, oid)
+        history = catalog.history(side, oid)
         for pos in range(len(history) - 1, -1, -1):
             iid = history[pos]
             per_cat.setdefault(category[iid], []).append((pos, iid))

@@ -5,6 +5,8 @@ loops, separate from the library's vectorized tape code paths, so the two
 routes can be compared against each other.  ``pnn_chain`` is the one
 tape-built reference: the chain of generic ops that the fused
 ``autodiff.pnn`` replaced, kept so that the op's bits stay pinned to it.
+``mlp_head_chain`` does the same for ``autodiff.mlp_head`` in plain numpy,
+since the ops of its chain have left the tape.
 """
 from __future__ import annotations
 
@@ -94,6 +96,34 @@ def pnn_chain(table, positions):
     sq = ad.reduce_sum(ad.multiply_elementwise(vecs, vecs), axis=-2)
     second = ad.multiply_elementwise(ad.add(ad.multiply_elementwise(s, s), ad.multiply_elementwise(sq, -1.0)), 0.5)
     return ad.add(s, second)
+
+
+def mlp_head_chain(parts, mask, w1, b1, w2, b2, g):
+    """``autodiff.mlp_head`` as the chain of generic tape ops it fuses,
+    each forward step and each backward rule as numpy computes it: join,
+    mask, transpose, matmul, add, relu, matmul, add and a libm sigmoid, then
+    the reverse sweep from the cotangent ``g`` of the (B,) scores.  Returns
+    (scores, [d_w1, d_b1, d_w2, d_b2], [d_part for each part])."""
+    z = np.concatenate(parts, axis=1)
+    if mask is not None:
+        z = z * mask
+    w1_t = w1.T
+    a1 = z @ w1_t + b1
+    h = np.maximum(a1, 0.0)
+    a2 = h @ w2 + b2
+    out = np.array([1.0 / (math.exp(-v) + 1.0) for v in a2.tolist()])
+    d_a2 = g * out * (1.0 - out)  # the sigmoid
+    d_b2 = d_a2.sum(axis=0)  # the output add
+    d_w2 = h.T @ d_a2  # the output matmul
+    d_h = np.outer(d_a2, w2)
+    d_a1 = d_h * (a1 > 0.0)  # the relu
+    d_b1 = d_a1.sum(axis=0)  # the hidden add
+    d_w1 = (z.T @ d_a1).T  # the hidden matmul, then the transpose
+    d_z = d_a1 @ w1_t.T
+    if mask is not None:  # the mask
+        d_z = d_z * mask
+    ends = np.cumsum([p.shape[1] for p in parts])
+    return out, [d_w1, d_b1, d_w2, d_b2], [d_z[:, end - p.shape[1] : end] for p, end in zip(parts, ends)]
 
 
 def lstm_gates(p):

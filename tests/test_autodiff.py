@@ -14,6 +14,7 @@ from oracles import (
     fd_max_rel_error,
     lstm_gates,
     lstm_reference,
+    mlp_head_chain,
     pnn_chain,
     segment_attention_reference,
     softmax_list,
@@ -23,9 +24,20 @@ FD_TOL = 1e-4
 
 # every differentiable op kind, one per rule in `_BACKWARD`
 FD_KINDS = (
-    "add", "multiply_elementwise", "matmul", "concat", "sum", "sigmoid", "relu",
-    "log_loss", "embedding_lookup", "pnn", "transpose", "lstm", "segment_attention",
+    "add", "multiply_elementwise", "sum", "sigmoid", "mlp_head",
+    "log_loss", "embedding_lookup", "pnn", "lstm", "segment_attention",
 )
+
+# the rules of the chain that `mlp_head` fuses, each checked through the
+# fused op with only the inputs its gradient reaches tracked: the join's
+# column slices reach the parts, the two products reach w1 and w2, the
+# transposed product reaches w1 alone and the relu's gate reaches b1
+MLP_HEAD_RULES = {
+    "concat": ("parts",),
+    "matmul": ("w1", "w2"),
+    "relu": ("b1",),
+    "transpose": ("w1",),
+}
 
 
 def test_sigmoid_at_zero():
@@ -168,12 +180,17 @@ def test_backward_rejects_untracked_root():
 
 
 def test_shape_errors_name_kind_and_shapes():
+    w1, b1, w2, b2 = np.ones((4, 5)), np.ones(4), np.ones(4), np.ones(())
+    parts, mask = [np.ones((2, 3)), np.ones((2, 2))], np.ones((2, 5))
     with pytest.raises(ShapeError) as info:
-        ad.matmul(np.ones((2, 3)), np.ones(4))
-    assert info.value.kind == "matmul"
-    assert info.value.shapes == ((2, 3), (4,))
-    with pytest.raises(ShapeError):  # a vector multiplies a matrix from the right only
-        ad.matmul(np.ones(3), np.ones((3, 2)))
+        ad.mlp_head(parts, None, np.ones((4, 6)), b1, w2, b2)
+    assert info.value.kind == "mlp_head"
+    assert info.value.shapes == ((2, 5), (), (4, 6), (4,), (4,), ())
+    for bad in ((mask[:, :4], w1, b1, w2, b2), (mask[:1], w1, b1, w2, b2), (None, np.ones(5), b1, w2, b2),
+                (None, w1, np.ones(5), w2, b2), (None, w1, b1, np.ones((4, 1)), b2), (None, w1, b1, w2, np.ones(1))):
+        with pytest.raises(ShapeError) as info:
+            ad.mlp_head(parts, *bad)
+        assert info.value.kind == "mlp_head"
     with pytest.raises(ShapeError) as info:
         ad.log_loss(np.full(3, 0.5), [1, 0, 1, 0], 1e-7)
     assert info.value.kind == "log_loss" and info.value.shapes == ((3,), (4,))
@@ -184,14 +201,16 @@ def test_shape_errors_name_kind_and_shapes():
         ad.log_loss(np.full(2, 0.5), [[1, 0]], 1e-7)
     with pytest.raises(ShapeError):
         ad.add(np.ones(3), np.ones(4))
-    with pytest.raises(ShapeError) as info:
-        ad.concat([np.ones((2, 3)), np.ones((1, 4))])
-    assert info.value.kind == "concat" and info.value.shapes == ((2, 3), (1, 4))
+    with pytest.raises(ShapeError) as info:  # the parts' rows disagree
+        ad.mlp_head([np.ones((2, 3)), np.ones((1, 4))], None, np.ones((4, 7)), b1, w2, b2)
+    assert info.value.kind == "mlp_head" and info.value.shapes == ((2, 3), (1, 4))
     with pytest.raises(ShapeError):
-        ad.concat([np.ones(3), np.ones((1, 3))])
-    with pytest.raises(ShapeError) as info:  # a 0-d operand is not lifted to a vector
-        ad.concat([np.array(2.0), np.ones(2)])
-    assert info.value.kind == "concat" and info.value.shapes == ((), (2,))
+        ad.mlp_head([np.ones(3), np.ones((1, 3))], None, np.ones((4, 6)), b1, w2, b2)
+    with pytest.raises(ShapeError) as info:  # a 0-d part is not lifted to a vector
+        ad.mlp_head([np.array(2.0), np.ones(2)], None, np.ones((4, 3)), b1, w2, b2)
+    assert info.value.kind == "mlp_head" and info.value.shapes == ((), (2,))
+    with pytest.raises(ShapeError):
+        ad.mlp_head([], None, w1, b1, w2, b2)
     with pytest.raises(ShapeError):
         ad.reduce_sum(np.ones((2, 3)), axis=2)
     x, rows, widths = np.ones((4, 3)), np.zeros(3, dtype=int), np.array([2, 1])
@@ -220,9 +239,14 @@ def test_softmax_normalization_property():
 
 def test_outputs_finite_on_finite_inputs():
     rng = np.random.default_rng(1)
+    signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+
+    def head(x):  # relu keeps the positive logits, whose signed sum may overflow exp(-s)
+        return ad.mlp_head([x[None]], None, np.eye(6), np.zeros(6), signs, np.zeros(()))
+
     for _ in range(100):
         x = rng.uniform(-700, 700, size=6)
-        for fn in (ad.sigmoid, _lone_group, ad.relu):
+        for fn in (ad.sigmoid, _lone_group, head):
             assert np.all(np.isfinite(fn(x).data))
 
 
@@ -393,14 +417,13 @@ def _gather_case(case, rng):
         total = ad.reduce_sum(ad.multiply_elementwise(src, src))  # dense use
         for idx in gathers:
             total = ad.add(total, cot(ad.embedding_lookup(src, idx)))
-        return ad.add(total, ad.reduce_sum(ad.matmul(src, np.arange(1.0, d + 1))))  # second dense use
+        return ad.add(total, ad.reduce_sum(ad.multiply_elementwise(src, np.arange(1.0, d + 1))))  # second dense use
 
     if case == "many_gathers_and_dense_leaf":
         return (lambda xs: many_gathers_and_dense(xs[0])), [rng.normal(size=(v, d))]
     if case == "many_gathers_and_dense_nonleaf":
-        k = rng.integers(1, 4)
-        return (lambda xs: many_gathers_and_dense(ad.sigmoid(ad.matmul(xs[0], xs[1])))), [
-            rng.normal(size=(v, k)), rng.normal(size=(k, d))
+        return (lambda xs: many_gathers_and_dense(ad.sigmoid(ad.multiply_elementwise(xs[0], xs[1])))), [
+            rng.normal(size=(v, 1)), rng.normal(size=(1, d))
         ]
     raise AssertionError(case)
 
@@ -441,22 +464,6 @@ def _sampler(kind, rng):
         else:  # outer (M,1) x (1,N)
             arrays = [rng.normal(size=(rng.integers(1, 5), 1)), rng.normal(size=(1, rng.integers(1, 5)))]
         return (lambda xs: _cotangent_sum(fn(xs[0], xs[1]), np.random.default_rng(7))), arrays
-    if kind == "matmul":
-        m, n, p = rng.integers(1, 5, size=3)
-        right = rng.normal(size=n) if rng.integers(2) else rng.normal(size=(n, p))
-        arrays = [rng.normal(size=(m, n)), right]
-        return (lambda xs: _cotangent_sum(ad.matmul(xs[0], xs[1]), np.random.default_rng(7))), arrays
-    if kind == "concat":
-        k, mode = rng.integers(1, 4), rng.integers(3)
-        d = rng.integers(1, 4)
-        if mode == 0:  # (k_i, d) blocks along axis 0
-            arrays = [rng.normal(size=(rng.integers(1, 4), d)) for _ in range(k)]
-        elif mode == 1:  # (d, k_i) blocks along axis 1
-            arrays = [rng.normal(size=(d, rng.integers(1, 4))) for _ in range(k)]
-            return (lambda xs: _cotangent_sum(ad.concat(xs, axis=1), np.random.default_rng(7))), arrays
-        else:
-            arrays = [rng.normal(size=rng.integers(1, 5)) for _ in range(k)]
-        return (lambda xs: _cotangent_sum(ad.concat(xs), np.random.default_rng(7))), arrays
     if kind == "sum":
         mode = rng.integers(3)
         if mode == 0:
@@ -471,10 +478,10 @@ def _sampler(kind, rng):
     if kind == "sigmoid":
         arrays = [rng.uniform(-3, 3, size=rng.integers(1, 8))]
         return (lambda xs: _cotangent_sum(ad.sigmoid(xs[0]), np.random.default_rng(7))), arrays
-    if kind == "relu":
-        x = rng.normal(size=rng.integers(1, 8))
-        x[np.abs(x) < 0.05] = 0.5  # keep away from the kink
-        return (lambda xs: _cotangent_sum(ad.relu(xs[0]), np.random.default_rng(7))), [x]
+    if kind == "mlp_head":
+        return _mlp_head_case(rng)
+    if kind in MLP_HEAD_RULES:
+        return _mlp_head_case(rng, MLP_HEAD_RULES[kind])
     if kind == "log_loss":  # predictions inside the clip, away from its kinks
         n = rng.integers(1, 8)
         labels = rng.integers(0, 2, size=n)
@@ -491,14 +498,41 @@ def _sampler(kind, rng):
         if positions.size > 1:
             positions.flat[0] = positions.flat[-1] = rng.integers(v)
         return (lambda xs: _cotangent_sum(ad.pnn(xs[0], positions), np.random.default_rng(7))), [rng.normal(size=(v, d))]
-    if kind == "transpose":
-        x = rng.normal(size=tuple(rng.integers(1, 5, size=2)))
-        return (lambda xs: _cotangent_sum(ad.transpose(xs[0]), np.random.default_rng(7))), [x]
     if kind == "lstm":
         return _lstm_case(rng)
     if kind == "segment_attention":
         return _segment_case(rng)
     raise AssertionError(f"no sampler for {kind}")
+
+
+def _mlp_head_case(rng, tracked=("parts", "w1", "b1", "w2", "b2")):
+    """One to three parts of one to three columns, over one to four pairs
+    and one to four hidden units, with a dropout mask one instance in two.
+    The instance is drawn again until every hidden pre-activation is at
+    least 0.05 from the relu's kink and every score's logit within 4 of 0,
+    where the sigmoid's slope is not too small for the differences.  The
+    inputs not named in ``tracked`` are held fixed."""
+    while True:
+        b, k = rng.integers(1, 5, size=2)
+        parts = [rng.normal(size=(b, rng.integers(1, 4))) for _ in range(rng.integers(1, 4))]
+        width = sum(p.shape[1] for p in parts)
+        mask = (rng.random((b, width)) < 0.5) * 2.0 if rng.integers(2) else None
+        weights = [rng.normal(size=(k, width)), rng.normal(size=k), rng.normal(size=k), rng.normal(size=())]
+        z = np.concatenate(parts, axis=1) * (1.0 if mask is None else mask)
+        a1 = z @ weights[0].T + weights[1]
+        if np.abs(a1).min() >= 0.05 and np.abs(np.maximum(a1, 0.0) @ weights[2] + weights[3]).max() <= 4.0:
+            break
+    inputs = [("parts", p) for p in parts] + list(zip(("w1", "b1", "w2", "b2"), weights))
+    free = [i for i, (name, _) in enumerate(inputs) if name in tracked]
+    n = len(parts)
+
+    def build(xs):
+        ops = [x for _, x in inputs]
+        for i, x in zip(free, xs):
+            ops[i] = x
+        return _cotangent_sum(ad.mlp_head(ops[:n], mask, *ops[n:]), np.random.default_rng(7))
+
+    return build, [inputs[i][1] for i in free]
 
 
 def _segment_case(rng):
@@ -764,20 +798,37 @@ def test_pnn_has_the_bits_of_the_gather_and_sum_chain(padded):
         np.testing.assert_array_equal(grad.view(np.int64), want_grad.view(np.int64))
 
 
-def test_concat_along_axis_1_and_transpose():
+@pytest.mark.parametrize("masked", [False, True])
+def test_mlp_head_has_the_bits_of_the_concat_to_sigmoid_chain(masked):
+    # the fused op against the numpy chain it replaces: the same scores and
+    # every input's gradient, bit for bit, with and without a dropout mask.
+    # The middle part is untracked, as the no-item-aspect variant's zero
+    # block is, and gets no gradient.  The first pair's parts and one
+    # entry of b1 are zero, as at initialisation, so one pre-activation is
+    # exactly 0.0, where the relu passes no gradient.
+    rng = np.random.default_rng(43 + masked)
+    b, d = 50, 6
+    parts = [rng.normal(size=(b, d)), np.zeros((b, d)), rng.normal(size=(b, d))]
+    parts[0][0] = parts[2][0] = 0.0
+    weights = [rng.normal(size=(d, 3 * d)), rng.normal(size=d), rng.normal(size=d), rng.normal(size=())]
+    weights[1][0] = 0.0
+    mask = (rng.random((b, 3 * d)) < 0.5) / 0.5 if masked else None
+    g = rng.normal(size=b)
     t = Tape()
-    a, b = t.watch(np.ones((2, 1))), t.watch(np.arange(4.0).reshape(2, 2))
-    out = ad.concat([a, b], axis=1)
-    np.testing.assert_array_equal(out.data, [[1.0, 0.0, 1.0], [1.0, 2.0, 3.0]])
-    flipped = ad.transpose(out)
-    assert flipped.shape == (3, 2)
-    g = backward(t, ad.reduce_sum(ad.multiply_elementwise(flipped, np.arange(6.0).reshape(3, 2))))
-    np.testing.assert_array_equal(g[a.node_id], [[0.0], [1.0]])
-    np.testing.assert_array_equal(g[b.node_id], [[2.0, 4.0], [3.0, 5.0]])
-    with pytest.raises(ShapeError):
-        ad.concat([np.ones((2, 1)), np.ones((3, 1))], axis=1)
-    with pytest.raises(ShapeError):
-        ad.transpose(np.ones(3))
+    ws = [t.watch(w) for w in weights]
+    ps = [t.watch(parts[0]), parts[1], t.watch(parts[2])]
+    out = ad.mlp_head(ps, mask, *ws)
+    grads = backward(t, ad.reduce_sum(ad.multiply_elementwise(out, g)))
+    want, want_w, want_p = mlp_head_chain(parts, mask, *weights, g)
+    assert out.shape == (b,)
+    np.testing.assert_array_equal(out.data.view(np.int64), want.view(np.int64))
+    for w, want_g in zip(ws, want_w):
+        np.testing.assert_array_equal(np.asarray(grads[w.node_id]).view(np.int64), want_g.view(np.int64))
+    for k in (0, 2):
+        np.testing.assert_array_equal(grads[ps[k].node_id].view(np.int64), want_p[k].view(np.int64))
+    plain = ad.mlp_head(parts, mask, *weights)
+    assert not plain.tracked
+    np.testing.assert_array_equal(plain.data, out.data)
 
 
 def _packed(histories):
@@ -893,7 +944,7 @@ def test_fd_kinds_cover_every_backward_rule():
     assert sorted(FD_KINDS) == sorted(_BACKWARD)
 
 
-@pytest.mark.parametrize("kind", FD_KINDS)
+@pytest.mark.parametrize("kind", FD_KINDS + tuple(MLP_HEAD_RULES))
 def test_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(sum(map(ord, kind)))
     for _ in range(100):

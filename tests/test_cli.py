@@ -2,6 +2,7 @@
 import importlib
 import json
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -145,6 +146,21 @@ def test_train_and_sweep_reject_a_bad_rate_or_l2_weight(tmp_path, capsys, flags,
                "--dim", "4", *flags])
     assert capsys.readouterr() == ("", want) and rc == 2  # refused before the table's header
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([cat.name, prs.name])
+
+
+def test_train_exits_3_when_training_diverges(tmp_path, capsys):
+    # an absurd learning rate overflows activations within a batch or two
+    cat, prs = _gen(tmp_path)
+    ckpt, csv = tmp_path / "x.ckpt", tmp_path / "x.csv"
+    capsys.readouterr()
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["train", "--catalog", str(cat), "--pairs", str(prs), "--out-checkpoint", str(ckpt),
+                   "--metrics-csv", str(csv), "--dim", "4", "--epochs", "3", "--batch-size", "16",
+                   "--dropout", "0", "--l2", "0", "--lr-start", "1e150", "--lr-end", "1e150"])
+    assert rc == 3
+    assert re.fullmatch(r"error: non-finite loss in batch \d+; aborting\n", capsys.readouterr().err)
+    assert not ckpt.exists() and not csv.exists()
 
 
 def _huge_feature_catalog(tmp_path):

@@ -214,6 +214,14 @@ def test_history_membership_invariants():
         assert all(i in catalog.items for i in a.broadcast_items)
 
 
+def test_history_is_the_owners_items_per_side():
+    catalog, _ = generate_synthetic(SyntheticSpec(40, 10, 60, 8, (1, 10), 0.7, seed=5))
+    for uid, u in catalog.users.items():
+        assert catalog.history("user", uid) is u.browsed_items
+    for aid, a in catalog.anchors.items():
+        assert catalog.history("anchor", aid) is a.broadcast_items
+
+
 # ---------------------------------------------------------------------------
 # split_dataset
 
@@ -255,6 +263,14 @@ def test_split_tiny_input_warns():
 def test_split_bad_ratios():
     with pytest.raises(ValueError, match="sum to 1"):
         split_dataset(_pairs(10), ratios=(0.5, 0.2, 0.2), seed=0)
+
+
+@pytest.mark.parametrize("ratios", [(0.25, 0.25, 0.25, 0.25), (1.0,), (0.5, 0.5), ()])
+def test_split_rejects_other_than_three_ratios(ratios):
+    # four ratios once merged the last two parts into the test split, and
+    # one ratio failed with a bare IndexError
+    with pytest.raises(ValueError, match="three"):
+        split_dataset(_pairs(10), ratios=ratios, seed=0)
 
 
 @pytest.mark.parametrize("ratios", [(1.5, -0.5, 0.0), (0.5, 0.6, -0.1), (0.5, float("nan"), 0.5)])

@@ -239,8 +239,9 @@ def test_evaluate_pairs_names_an_unknown_id_before_encoding(monkeypatch):
 def test_training_tape_size_does_not_grow_with_batch_or_history(variant, monkeypatch):
     # the batched forward records a fixed set of nodes: one more pair, or a
     # longer history, adds no node to a training step's tape; the loss is one
-    # node, each PNN encoding one, and the L2 penalty none (its gradient is
-    # added after the sweep); co-retrieval adds one gather of the kept rows
+    # node, each PNN encoding one, the MLP head one, and the L2 penalty none
+    # (its gradient is added after the sweep); co-retrieval adds one gather
+    # of the kept rows
     from liverec import model
 
     sizes = []
@@ -254,7 +255,7 @@ def test_training_tape_size_does_not_grow_with_batch_or_history(variant, monkeyp
             model._batch_gradients(catalog, params, config, pairs[:n], stream_rng(0, "dropout"))
     assert len(sizes) == 4
     assert len(set(sizes)) == 1, sizes
-    assert sizes == [{"full": 38, "with_co_retrieval": 37}[variant]] * 4
+    assert sizes == [{"full": 30, "with_co_retrieval": 29}[variant]] * 4
 
 
 def _data(x):
@@ -934,6 +935,29 @@ def test_checkpoint_truncated_file(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 40])
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+_UNREADABLE = {
+    "not a checkpoint": (lambda head, body: head.replace(b'"liverec-checkpoint"', b'"other"') + b"\n" + body,
+                         "not a liverec-checkpoint file"),
+    "no header line": (lambda head, body: head, "no header line found"),
+    "header not utf-8": (lambda head, body: b"\xff" + head + b"\n" + body, "unreadable header"),
+    "header not json": (lambda head, body: head[:-1] + b"\n" + body, "unreadable header"),
+    "trailing bytes": (lambda head, body: head + b"\n" + body + b"\0\0\0", "3 trailing bytes after arrays"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE))
+def test_checkpoint_unreadable_file_raises_checkpoint_error(tmp_path, case):
+    catalog, _ = _tiny()
+    config = TrainConfig(dim=6)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_params(catalog, config), config, path)
+    head, _, body = path.read_bytes().partition(b"\n")
+    edit, message = _UNREADABLE[case]
+    path.write_bytes(edit(head, body))
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
 
 
