@@ -32,13 +32,16 @@ gates, states and cells are all (width, d) row blocks, no step copies a
 transpose, and one tanh covers all four gates (a sigmoid is
 ``0.5*tanh(x/2) + 0.5``).  Once one sequence is left, its steps run on
 one flat ``[i | f | o | g | c]`` vector instead, with no view made and
-nothing allocated per step.  Only when an operand is tracked does it keep
-every step's slab of gate activations and its cells, packed one after
-another, 5d floats per state row.  Its backward rule is a hand-written
-reverse loop through time in the same layout: it takes the cells' tanh
-again, sums the step gradients per input row a block of steps at a time,
-so it holds no gradient row per state row, and the per-step ops never
-reach the tape.
+nothing allocated per step.  Every step's gates go into the one slab,
+tracked or not, so no gate activation outlives its step: when an operand
+is tracked the node keeps every step's cells, packed one after another, d
+floats per state row next to the d of the states it returns, and what a
+step's gates are rebuilt from (the projection and the recurrent blocks).
+Its backward rule is a hand-written reverse loop through time in the same
+layout: it rebuilds each step's slab with the forward's own calls on the
+same operands, so with the same bits, takes the cells' tanh again, sums
+the step gradients per input row a block of steps at a time, so it holds
+no gradient row per state row, and the per-step ops never reach the tape.
 
 ``pnn`` is the static encoder in one node: each object's table rows'
 sum plus their pairwise products' (the half-square identity); its rule
@@ -395,11 +398,12 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
     new cell (IEEE addition commutes, so it has the bits of ``f*c + i*g``).
     The sigmoid is ``0.5*tanh(x/2) + 0.5``, with the projection's and
     ``u``'s sigmoid rows halved (exactly), so one tanh per step, in place,
-    covers all four gates.  When an operand is tracked, every step's gate
-    activations and cells are kept in packed buffers for the backward
-    sweep, which recomputes the cells' tanh; a width-1 step's slab is the
-    flat ``z[:4d]``, copied there.  Otherwise one slab and one block of
-    cells are reused from step to step.
+    covers all four gates; a wide step's gates are `_lstm_step_gates`'.
+    Every step writes its gates into the one slab (or ``z``), reused from
+    step to step.  When an operand is tracked, every step's cells are kept
+    in one packed buffer for the backward sweep, which rebuilds each step's
+    gates and recomputes the cells' tanh; otherwise one block of cells is
+    reused too.
     """
     xd, xi, xt = _parts(embedded)
     wd, wi, wt = _parts(w)
@@ -424,38 +428,32 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
     u_half = ud.copy()
     u_half[:sig] *= 0.5
     wide = int(np.count_nonzero(sizes > 1))  # the steps of width 2 or more; the width-1 steps follow them
+    u_gates = None
     if wide:
         u_gates = np.ascontiguousarray(u_half.reshape(4, dim, dim).transpose(0, 2, 1))  # h @ u_gates[j] is gate j's
     out = np.empty((total, dim))
     tracked = tape is not None
-    held = total if tracked else ends[0] if ends else 0  # the state rows whose gates and cells are kept
-    gates = np.empty(gate_rows * held)
-    cells = np.empty(dim * held)
+    widest = ends[0] if ends else 0
+    gates = np.empty(gate_rows * widest)  # one step's slab, reused from step to step
+    cells = np.empty(dim * (total if tracked else widest))  # every step's cells when tracked, else one step's
     start = width = stop = 0
     h = c = None
     lead = ends[: max(wide, 1)]  # the wide steps, or a lone sequence's first step, which reads no state
     for t, end in enumerate(lead):
         n = end - start
-        if tracked or n != width:  # untracked steps reuse one slab and cell block: new views only on a new width
+        if n != width:  # new views only on a new width
+            a = gates[: gate_rows * n].reshape(4, n, dim)
+            i_g, f_g, o_g, g_g = a
+            if h is not None:  # the sequences past the first n have ended
+                h, c = h[:n], c[:n]
+        if tracked or n != width:
             at = start if tracked else 0
-            a = gates[gate_rows * at : gate_rows * (at + n)].reshape(4, n, dim)
-            s, i_g, f_g, o_g, g_g = a[:3], a[0], a[1], a[2], a[3]
             cs = cells[dim * at : dim * (at + n)].reshape(n, dim)
         if end > stop:  # gather the input rows of the next steps that fit in _GATHER_ROWS
             first, stop = start, lead[max(bisect_right(lead, start + _GATHER_ROWS) - 1, t)]
             block = proj[rows[first:stop]]
-        if h is not None and n != width:  # the sequences past the first n have ended
-            h, c = h[:n], c[:n]
-        x_t = block[start - first : end - first].reshape(n, 4, dim).transpose(1, 0, 2)
-        if h is None:
-            a[...] = x_t
-        else:
-            np.matmul(h, u_gates, out=a)
-            a += x_t
+        _lstm_step_gates(a, h, u_gates, block[start - first : end - first])
         width = n
-        np.tanh(a, out=a)
-        s *= 0.5
-        s += 0.5
         if c is None:
             c = np.multiply(i_g, g_g, out=cs)
         else:
@@ -471,7 +469,7 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
         z = np.empty(gate_rows + dim)
         z_gates, z_sig, z_if, z_gc, z_c = z[:gate_rows], z[:sig], z[: 2 * dim], z[sig:], z[gate_rows:]
         z_i, z_f, z_o = z[:dim], z[dim : 2 * dim], z[2 * dim : sig]
-        kept_gates, kept_cells = gates.reshape(held, gate_rows), cells.reshape(held, dim)
+        kept_cells = cells.reshape(-1, dim)
         h = h[0]
         z_c[:] = c[0]
         for first in range(start, total, _GATHER_ROWS):
@@ -481,8 +479,6 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
                 tanh(z_gates, z_gates)
                 multiply(z_sig, half, z_sig)
                 add(z_sig, half, z_sig)
-                if tracked:
-                    kept_gates[j] = z_gates
                 multiply(z_if, z_gc, z_if)  # [i*g | f*c]
                 add(z_i, z_f, z_c)  # c = i*g + f*c, the bits of f*c + i*g
                 h = out[j]
@@ -490,8 +486,27 @@ def lstm(embedded, step_rows, widths, w, u, b) -> Tensor:
                 multiply(h, z_o, h)
                 if tracked:
                     kept_cells[j] = z_c
-    saved = (xd, rows, sizes, wd, ud, gates, cells, out) if tracked else None
+    saved = (xd, rows, sizes, wd, ud, proj, u_half, u_gates, cells, out) if tracked else None
     return _emit(tape, "lstm", (xi, wi, ui, bi), saved, out)
+
+
+def _lstm_step_gates(slab, h, u_gates, x_rows) -> None:
+    """Write a step's gate activations into ``slab`` (4, n, d): ``h @
+    u_gates`` (none at a first step, ``h`` None) plus the step's (n, 4d)
+    projection rows ``x_rows``, joined through a (4, n, d) view, then one
+    tanh and the sigmoid blocks' ``0.5*t + 0.5``.  The forward and the
+    backward's recompute both call it, so a rebuilt slab has the bits of
+    the forward's."""
+    x_t = x_rows.reshape(-1, 4, slab.shape[2]).transpose(1, 0, 2)
+    if h is None:
+        slab[...] = x_t
+    else:
+        np.matmul(h, u_gates, out=slab)
+        slab += x_t
+    np.tanh(slab, out=slab)
+    s = slab[:3]
+    s *= 0.5
+    s += 0.5
 
 
 def segment_attention(states, w, index, lengths) -> Tensor:
@@ -627,12 +642,17 @@ def _bk_lstm(ids, saved, g, acc):
     """Backpropagation through time in the forward's packed layout.  One
     reverse loop carries the state and cell gradients of step t+1's
     sequences, the first ``widths[t+1]`` of step t's, as prefix rows.  It
-    takes each step's cell tanh again from the saved cells (the forward's
-    own call on the same values, so the same bits) and writes the step's
-    four gate gradients into one contiguous (4, widths[t], d) slab, the
-    forward's layout, so every operand is a (widths[t], d) row block.
+    rebuilds each step's gate activations into one reused slab just before
+    sweeping the step, from the saved projection, recurrent blocks and
+    previous states: a wide step through `_lstm_step_gates`, a width-1
+    step with the forward's flat-loop calls, so the gates have the
+    forward's bits.  It takes the step's cell tanh again from the saved
+    cells (the forward's own call on the same values, so the same bits)
+    and writes the step's four gate gradients into one contiguous (4,
+    widths[t], d) slab, the forward's layout, so every operand is a
+    (widths[t], d) row block.
 
-    The slab is copied into a block of `_BLOCK_ROWS` packed rows as
+    The gradient slab is copied into a block of `_BLOCK_ROWS` packed rows as
     (widths[t], 4, d) rows, that is one (widths[t], 4d) row per sequence
     (every row, when there are fewer, so a short batch allocates no row it
     never writes; the first step's width, when that is more).  From those
@@ -648,14 +668,15 @@ def _bk_lstm(ids, saved, g, acc):
     reorders the input-weight and bias sums, and summing per step the
     recurrent ones, so they match one product over every step to rounding,
     not bit for bit."""
-    xd, rows, sizes, wd, ud, gates, cells, out = saved
+    xd, rows, sizes, wd, ud, proj, u_half, u_gates, cells, out = saved
     if not rows.size:  # no step ran
         return
     x_id, w_id, u_id, b_id = ids
     dim = ud.shape[1]
-    gate_rows = 4 * dim
+    gate_rows, sig = 4 * dim, 3 * dim
     ends = np.cumsum(sizes).tolist()
     starts = [0] + ends[:-1]
+    wide = max(int(np.count_nonzero(sizes > 1)), 1)  # the steps the forward ran on a slab; the rest on z
     summed = x_id is not None or w_id is not None or b_id is not None
     # with no sum to take, the block only holds the step being swept
     cap = max(min(_BLOCK_ROWS, ends[-1]), ends[0]) if summed else ends[0]
@@ -669,11 +690,27 @@ def _bk_lstm(ids, saved, g, acc):
 
     d_u = np.zeros((gate_rows, dim)) if u_id is not None else None
     slab = np.empty(gate_rows * ends[0])
+    gates = np.empty(gate_rows * ends[0])  # the step's rebuilt gate activations
+    x_rows = np.empty((ends[0], gate_rows))  # the step's projection rows
+    z, z_sig, half = gates[:gate_rows], gates[:sig], np.array(0.5)
     dh = dc = None
     for t in range(len(ends) - 1, -1, -1):
         start, end = starts[t], ends[t]
         n = end - start
-        i_g, f_g, o_g, g_g = gates[gate_rows * start : gate_rows * end].reshape(4, n, dim)
+        prev = starts[t - 1] if t else 0
+        if t < wide:
+            # the forward checked the rows; "clip" mode writes into out with no buffer
+            np.take(proj, rows[start:end], axis=0, out=x_rows[:n], mode="clip")
+            a = gates[: gate_rows * n].reshape(4, n, dim)
+            _lstm_step_gates(a, out[prev : prev + n] if t else None, u_gates, x_rows[:n])
+        else:  # the flat loop's calls on z[:4d]
+            np.dot(u_half, out[prev], z)
+            np.add(z, proj[rows[start]], z)
+            np.tanh(z, z)
+            np.multiply(z_sig, half, z_sig)
+            np.add(z_sig, half, z_sig)
+            a = z.reshape(4, 1, dim)
+        i_g, f_g, o_g, g_g = a
         tc = np.tanh(cells[dim * start : dim * end].reshape(n, dim))
         if dh is None:
             dh = g[start:end]
@@ -701,7 +738,6 @@ def _bk_lstm(ids, saved, g, acc):
         np.multiply(dc, i_g, out=d_g)
         d_g *= 1.0 - g_g * g_g
         if t:
-            prev = starts[t - 1]
             np.multiply(dc, cells[dim * prev : dim * (prev + n)].reshape(n, dim), out=d_f)
             d_f *= f_g
             d_f *= 1.0 - f_g

@@ -25,6 +25,7 @@ line numbers; dangling id references are hard errors.
 """
 from __future__ import annotations
 
+import codecs
 import json
 import logging
 import warnings
@@ -174,20 +175,30 @@ def _features(raw) -> tuple[int, ...]:
 _MALFORMED = (ValueError, KeyError, TypeError, RecursionError)
 
 
+def _numbered_lines(fh):
+    """A binary file's lines numbered from 1, one leading UTF-8 byte-order
+    mark dropped from the first (editors on some systems write one)."""
+    lines = enumerate(fh, start=1)
+    for lineno, line in lines:
+        yield lineno, line.removeprefix(codecs.BOM_UTF8)
+        break
+    yield from lines
+
+
 def ingest_logs(catalog_file, pairs_file) -> tuple[Catalog, list[LabeledPair]]:
     """Read catalog and pairs JSONL files into a linked Catalog.
 
     Malformed lines, invalid UTF-8 and over-deep JSON nesting included,
-    are skipped and logged with their line numbers.  Dangling id
-    references (a pair or history entry naming an unknown object) raise
-    IngestError.
+    are skipped and logged with their line numbers; a UTF-8 byte-order
+    mark opening either file is dropped.  Dangling id references (a pair
+    or history entry naming an unknown object) raise IngestError.
     """
     users: dict[int, User] = {}
     anchors: dict[int, Anchor] = {}
     items: dict[int, Item] = {}
 
     with open(catalog_file, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in _numbered_lines(fh):
             if not line.strip():
                 continue
             try:
@@ -223,7 +234,7 @@ def ingest_logs(catalog_file, pairs_file) -> tuple[Catalog, list[LabeledPair]]:
 
     pairs: list[LabeledPair] = []
     with open(pairs_file, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in _numbered_lines(fh):
             if not line.strip():
                 continue
             try:

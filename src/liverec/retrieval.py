@@ -14,6 +14,7 @@ surviving items are returned in their original chronological order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice, zip_longest
 
 
 @dataclass
@@ -71,7 +72,7 @@ def co_retrieve(
         raise ValueError(f"cap must be positive, got {cap}")
     u_cats = user_index.owners.get(user_id, {})
     a_cats = anchor_index.owners.get(anchor_id, {})
-    common = set(u_cats) & set(a_cats)
+    common = u_cats.keys() & a_cats.keys()
     u_pos, u_items = _select(u_cats, common, cap)
     a_pos, a_items = _select(a_cats, common, cap)
     return RetrievedHistories(u_items, a_items, common, u_pos, a_pos)
@@ -79,19 +80,10 @@ def co_retrieve(
 
 def _select(per_cat, common: set[int], cap: int):
     """Round-robin the common categories, most recent first, then restore
-    chronological order."""
-    queues = {c: iter(per_cat[c]) for c in sorted(common)}
-    picked: list[tuple[int, int]] = []
-    while queues and len(picked) < cap:
-        for c in list(queues):
-            if len(picked) >= cap:
-                break
-            nxt = next(queues[c], None)
-            if nxt is None:
-                del queues[c]
-            else:
-                picked.append(nxt)
-    picked.sort()
+    chronological order: round r takes each category's r-th item, in
+    ascending category order, skipping the categories already used up."""
+    rounds = zip_longest(*(per_cat[c] for c in sorted(common)))
+    picked = sorted(islice(filter(None, chain.from_iterable(rounds)), cap))
     return [p for p, _ in picked], [i for _, i in picked]
 
 

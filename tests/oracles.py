@@ -282,6 +282,26 @@ def naive_filtered_history(catalog, side, owner_id, common):
     return [(pos, iid) for pos, iid in enumerate(history) if catalog.items[iid].category in common]
 
 
+def select_round_robin(per_cat, common, cap):
+    """Queue-by-queue round-robin truncation, as ``retrieval._select`` once
+    ran it: cycle the common categories in ascending order, one item (most
+    recent first) per category a turn, dropping a category once it is used
+    up, until ``cap`` items are picked; then restore chronological order."""
+    queues = {c: iter(per_cat[c]) for c in sorted(common)}
+    picked: list[tuple[int, int]] = []
+    while queues and len(picked) < cap:
+        for c in list(queues):
+            if len(picked) >= cap:
+                break
+            nxt = next(queues[c], None)
+            if nxt is None:
+                del queues[c]
+            else:
+                picked.append(nxt)
+    picked.sort()
+    return [p for p, _ in picked], [i for _, i in picked]
+
+
 def naive_co_retrieve(catalog, user_id, anchor_id, cap):
     """Scan-and-filter retrieval with the same round-robin truncation."""
     u_hist = catalog.users[user_id].browsed_items

@@ -9,6 +9,8 @@ import pytest
 
 from liverec import autodiff as ad
 from liverec.autodiff import _BACKWARD, ShapeError, Tape, Tensor, _add_rows, backward
+from liverec.encoders import PnnEncoderParams, pnn_encode_batch
+from liverec.seeding import stream_rng
 
 from oracles import (
     fd_max_rel_error,
@@ -914,7 +916,7 @@ def test_lstm_saturated_gates_stay_finite():
     out = ad.lstm(t.watch(x), step_rows, widths, t.watch(w), t.watch(np.full((4 * d, d), 0.5)),
                   t.watch(np.zeros(4 * d)))
     _, _, saved = t.nodes[out.node_id]
-    gates = saved[5]  # each step's (4, width, d) slab, packed; its first 3*d*width floats are the sigmoid gates
+    gates = _rebuilt_gates(saved)  # each step's (4, width, d) slab; its first 3*d*width floats are the sigmoids
     slabs = np.split(gates, 4 * d * np.cumsum(widths)[:-1])
     sigmoids = np.concatenate([s.reshape(4 * d, -1)[: 3 * d].ravel() for s in slabs])
     assert gates.size == 4 * d * widths.sum() and np.isfinite(out.data).all()
@@ -926,15 +928,16 @@ def test_lstm_saturated_gates_stay_finite():
 
 def test_lstm_saves_activations_only_when_tracked():
     rng = np.random.default_rng(20)
-    x, w, u, b = rng.normal(size=(4, 2)), rng.normal(size=(8, 2)), rng.normal(size=(8, 2)), np.zeros(8)
-    step_rows, widths = np.array([0, 1, 2, 3]), np.array([2, 2])
+    x, w, u, b = rng.normal(size=(3, 2)), rng.normal(size=(8, 2)), rng.normal(size=(8, 2)), np.zeros(8)
+    step_rows, widths = np.array([0, 1, 2, 0]), np.array([2, 2])  # 4 state rows over 3 input rows
     t = Tape()
     out = ad.lstm(x, step_rows, widths, t.watch(w), u, b)
     kind, _, saved = t.nodes[out.node_id]
     assert len(t.nodes) == 2 and kind == "lstm"
     shapes = [np.shape(v) for v in saved]
-    assert (8 * 4,) in shapes  # the gate activations, a 4d slab per step
-    assert shapes.count((2 * 4,)) == 1  # the cells, and not their tanh: the backward takes it again
+    assert shapes.count((4 * 2,)) == 1  # the cells, and not their tanh: the backward takes it again
+    # nor the gate activations, 4d floats per state row: the backward rebuilds them
+    assert max(np.size(v) for v in saved) < 4 * 4 * 2
     plain = ad.lstm(x, step_rows, widths, w, u, b)
     assert plain.tape is None and not plain.tracked
     np.testing.assert_array_equal(plain.data, out.data)
@@ -1056,6 +1059,45 @@ def test_lstm_width_cases_match_finite_differences_in_small_blocks(case, monkeyp
 LSTM_TAIL_CASES = {"lone": LSTM_WIDTH_CASES["falls_to_one"][:1], **LSTM_WIDTH_CASES}
 
 
+def _rebuilt_gates(saved):
+    """Every step's gate slab, rebuilt from a tracked ``lstm`` node's saved
+    values as `_bk_lstm` rebuilds it (a wide step through
+    `ad._lstm_step_gates`, a width-1 step with the flat loop's calls), packed
+    one after another as the forward once kept them."""
+    _, rows, widths, _, ud, proj, u_half, u_gates, _, out = saved
+    d = ud.shape[1]
+    starts = np.cumsum(widths) - widths
+    wide = max(np.count_nonzero(widths > 1), 1)
+    slabs = []
+    for t, (start, n) in enumerate(zip(starts, widths)):
+        prev = starts[t - 1] if t else 0
+        if t < wide:
+            a = np.empty((4, n, d))
+            ad._lstm_step_gates(a, out[prev : prev + n] if t else None, u_gates, proj[rows[start : start + n]])
+        else:
+            a = np.dot(u_half, out[prev])
+            a += proj[rows[start]]
+            np.tanh(a, out=a)
+            a[: 3 * d] *= 0.5
+            a[: 3 * d] += 0.5
+        slabs.append(a.ravel())
+    return np.concatenate(slabs)
+
+
+def _forward_from_gates(gates, widths, d):
+    """The cells and states the forward makes of the packed gate slabs
+    ``gates``: ``c = f*c + i*g`` and ``h = o*tanh(c)``, step after step."""
+    ends = np.cumsum(widths)
+    cells, states = np.empty((ends[-1], d)), np.empty((ends[-1], d))
+    c = None
+    for start, n in zip(ends - widths, widths):
+        i, f, o, g = gates[4 * d * start : 4 * d * (start + n)].reshape(4, n, d)
+        c = i * g if c is None else f * c[:n] + i * g
+        cells[start : start + n] = c
+        states[start : start + n] = o * np.tanh(c)
+    return cells.ravel(), states
+
+
 def _step_loop_gates_and_cells(x, w, u, b, histories):
     """The gate activations and cells of a plain step loop over each history,
     laid out as ``ad.lstm`` saves them: step t's (4, widths[t], d) slab of
@@ -1086,8 +1128,13 @@ def test_tracked_lstm_equals_untracked_and_saves_a_step_loops_gates_and_cells(ca
     out = ad.lstm(x, step_rows, widths, t.watch(w), u, b)
     _, _, saved = t.nodes[out.node_id]
     np.testing.assert_array_equal(plain.data, out.data)
-    np.testing.assert_allclose(saved[5], want_gates, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(saved[6], want_cells, rtol=0, atol=1e-14)
+    gates, cells = _rebuilt_gates(saved), saved[-2]
+    np.testing.assert_allclose(gates, want_gates, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(cells, want_cells, rtol=0, atol=1e-14)
+    # the rebuilt gates are the forward's to the bit: they make its cells and states
+    got_cells, got_states = _forward_from_gates(gates, widths, x.shape[1])
+    np.testing.assert_array_equal(got_cells, cells)
+    np.testing.assert_array_equal(got_states, out.data)
 
 
 @pytest.mark.parametrize("case", sorted(LSTM_TAIL_CASES))
@@ -1103,7 +1150,7 @@ def test_lstm_gathers_in_small_chunks_like_one_chunk(case, monkeypatch):
         t = Tape()
         out = ad.lstm(x, step_rows, widths, t.watch(w), u, b)
         _, _, saved = t.nodes[out.node_id]
-        return ad.lstm(x, step_rows, widths, w, u, b).data, out.data, saved[5], saved[6]
+        return ad.lstm(x, step_rows, widths, w, u, b).data, out.data, _rebuilt_gates(saved), saved[-2]
 
     whole = run()
     monkeypatch.setattr(ad, "_GATHER_ROWS", SMALL_BLOCK)
@@ -1123,16 +1170,17 @@ def test_lstm_width_cases_match_finite_differences_in_small_gathers(case, monkey
 
 def test_tracked_lstm_holds_no_gradient_row_per_state_beyond_a_block():
     # T = 200 steps over B = 200 sequences, d = 32: the tracked forward keeps
-    # the gate activations (4d floats per state row), the cells (d) and the
-    # states (d).  The sweep may add its block of packed gradient rows and one
-    # block's row sums on top, but no (sum(widths), 4d) gradient block and no
-    # second (sum(widths), d) buffer such as the cells' tanh.
+    # the cells (d floats per state row) and the states (d), and no gate
+    # activations, which the sweep rebuilds a step at a time.  The sweep may
+    # add its block of packed gradient rows and one block's row sums on top,
+    # but no (sum(widths), 4d) gate or gradient block and no second
+    # (sum(widths), d) buffer such as the cells' tanh.
     rng = np.random.default_rng(22)
     d, steps, width, items = 32, 200, 200, 100
     arrays = [rng.normal(size=(items, d)), rng.normal(size=(4 * d, d)) * 0.2,
               rng.normal(size=(4 * d, d)) * 0.2, np.zeros(4 * d)]
     step_rows, widths = rng.integers(0, items, size=steps * width), np.full(steps, width)
-    saved = (4 * d + d + d) * steps * width * 8
+    saved = (d + d) * steps * width * 8
     slack = 2 * ad._BLOCK_ROWS * 4 * d * 8
     tracemalloc.start()
     try:
@@ -1144,3 +1192,24 @@ def test_tracked_lstm_holds_no_gradient_row_per_state_beyond_a_block():
         tracemalloc.stop()
     assert all(np.isfinite(g).all() for g in grads.values())
     assert peak < saved + slack, (peak, saved, slack)
+
+
+_TABLE = np.ones((3, 2))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ad.multiply_elementwise(Tape().watch(np.ones(2)), Tape().watch(np.ones(2))),
+     ValueError, "^operands tracked on different tapes$"),
+    (lambda: ad.multiply_elementwise(np.ones((2, 3)), np.ones(2)),
+     ShapeError, r"^multiply_elementwise: incompatible shapes \(2, 3\) vs \(2,\)$"),
+    (lambda: ad.embedding_lookup(np.ones(3), [0]), ShapeError, r"^embedding_lookup: incompatible shapes \(3,\)$"),
+    (lambda: ad.pnn(np.ones(3), [[0]]), ShapeError, r"^pnn: incompatible shapes \(3,\) vs \(1, 1\)$"),
+    (lambda: ad.pnn(_TABLE, 0), ShapeError, r"^pnn: incompatible shapes \(3, 2\) vs \(\)$"),
+    (lambda: pnn_encode_batch("item", np.zeros(3, dtype=int), PnnEncoderParams(_TABLE, _TABLE, _TABLE)),
+     ValueError, r"^positions must be 2-D, got shape \(3,\)$"),
+    (lambda: stream_rng(1, "noise"), ValueError, "^unknown random stream 'noise'$"),
+], ids=["two-tapes", "multiply-shapes", "lookup-table-not-2d", "pnn-table-not-2d", "pnn-positions-0d",
+        "pnn-batch-positions-not-2d", "unknown-stream"])
+def test_ops_and_streams_refuse_bad_operands_by_name(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

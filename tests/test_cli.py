@@ -500,7 +500,10 @@ _REQUIRED_TRAIN_FLAGS = ["--catalog", "c.jsonl", "--pairs", "p.jsonl",
     ("svdpp-head=maybe", "switch svdpp-head takes true or false, got 'maybe'"),
     ("nonsense=1", "unrecognized arguments: --nonsense=1"),
     ("var=no-item", "unrecognized arguments: --var=no-item"),
-], ids=["bad-choice", "bad-type", "missing-file", "no-equals", "bad-switch", "unknown-key", "abbreviated-key"])
+    ("config=other.cfg", ":1: a config file cannot name another config file"),
+    ("# a switch\nsvdpp-head=false\ntiming-in-csv=on", ":3: switch timing-in-csv takes true or false, got 'on'"),
+], ids=["bad-choice", "bad-type", "missing-file", "no-equals", "bad-switch", "unknown-key", "abbreviated-key",
+        "nested-config", "bad-switch-after-a-good-one"])
 def test_config_file_bad_setting_is_a_usage_error(tmp_path, capsys, setting, message):
     cfg = tmp_path / "bad.cfg"
     if setting is not None:

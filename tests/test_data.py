@@ -2,6 +2,7 @@
 import hashlib
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,72 @@ def test_ingest_accepts_empty_histories(tmp_path):
     assert catalog.users[1].browsed_items == ()
     assert catalog.anchors[9].broadcast_items == ()
     assert len(pairs) == 1
+
+
+def test_ingest_drops_a_byte_order_mark_from_either_file(tmp_path, caplog):
+    # a BOM opening a file was once part of its first line, which was then
+    # skipped as malformed: a pair lost, or a user and a misleading error
+    catalog, pairs = generate_synthetic(SyntheticSpec(6, 3, 12, 3, (1, 4), 0.5, seed=2, num_pairs=6))
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    for d in (plain, marked):
+        d.mkdir()
+        write_catalog(catalog, d / "c.jsonl")
+        write_pairs(pairs, d / "p.jsonl")
+    for name in ("c.jsonl", "p.jsonl"):
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + (marked / name).read_bytes())
+    want_catalog, want_pairs = ingest_logs(plain / "c.jsonl", plain / "p.jsonl")
+    with caplog.at_level(logging.WARNING, logger="liverec.data"):
+        got_catalog, got_pairs = ingest_logs(marked / "c.jsonl", marked / "p.jsonl")
+    assert not caplog.records
+    assert got_pairs == want_pairs and len(got_pairs) == 6
+    assert (got_catalog.users, got_catalog.anchors, got_catalog.items) == (
+        want_catalog.users, want_catalog.anchors, want_catalog.items)
+
+
+_ITEM = {"kind": "item", "id": 5, "features": [2, 1]}
+_USER = {"kind": "user", "id": 1, "features": [0], "browsed_items": [5], "browsed_anchors": [9]}
+_ANCHOR = {"kind": "anchor", "id": 9, "features": [3], "broadcast_items": [5]}
+_PAIR = {"user": 1, "anchor": 9, "label": 1}
+
+# (catalog lines, pairs lines, what ingestion does): a logged skip of the
+# named line, an IngestError, or the minimal files' result with no log
+INGEST_EDGE_CASES = {
+    "duplicate_user": ([_ITEM, _USER, _ANCHOR, _USER], [_PAIR], ("skip", r"catalog.jsonl:4: .*duplicate user id 1")),
+    "duplicate_anchor": ([_ITEM, _ANCHOR, _USER, _ANCHOR], [_PAIR], ("skip", r"catalog.jsonl:4: .*duplicate anchor id 9")),
+    "duplicate_item": ([_ITEM, _ITEM, _USER, _ANCHOR], [_PAIR], ("skip", r"catalog.jsonl:2: .*duplicate item id 5")),
+    "unknown_kind": ([_ITEM, {"kind": "show", "id": 2, "features": [0]}, _USER, _ANCHOR], [_PAIR],
+                     ("skip", r"catalog.jsonl:2: .*unknown kind 'show'")),
+    "blank_catalog_lines": (["", _ITEM, "  ", _USER, "\t", _ANCHOR, ""], [_PAIR], ("same", None)),
+    "blank_pairs_lines": ([_ITEM, _USER, _ANCHOR], ["", " ", _PAIR, ""], ("same", None)),
+    "pair_names_an_unknown_user": ([_ITEM, _USER, _ANCHOR], [{**_PAIR, "user": 2}],
+                                   ("error", r"pairs.jsonl:1: unknown user id 2")),
+    "missing_browsed_anchor": ([_ITEM, {**_USER, "browsed_anchors": [8]}, _ANCHOR], [_PAIR],
+                               ("error", r"user 1: browsed anchor 8 is not in the catalog")),
+    "missing_broadcast_item": ([_ITEM, _USER, {**_ANCHOR, "broadcast_items": [6]}], [_PAIR],
+                               ("error", r"anchor 9: broadcast item 6 is not in the catalog")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INGEST_EDGE_CASES))
+def test_ingest_edge_cases(tmp_path, caplog, case):
+    catalog_lines, pairs_lines, (outcome, pattern) = INGEST_EDGE_CASES[case]
+    cat, prs = tmp_path / "catalog.jsonl", tmp_path / "pairs.jsonl"
+    _write(cat, [v if isinstance(v, str) else json.dumps(v) for v in catalog_lines])
+    _write(prs, [v if isinstance(v, str) else json.dumps(v) for v in pairs_lines])
+    if outcome == "error":
+        with pytest.raises(IngestError, match=pattern):
+            ingest_logs(cat, prs)
+        return
+    with caplog.at_level(logging.WARNING, logger="liverec.data"):
+        catalog, pairs = ingest_logs(cat, prs)
+    messages = [r.getMessage() for r in caplog.records]
+    if outcome == "skip":
+        assert len(messages) == 1 and re.search(pattern, messages[0]), messages
+    else:
+        assert not messages
+    assert pairs == [LabeledPair(1, 9, 1)]
+    assert (sorted(catalog.users), sorted(catalog.anchors), sorted(catalog.items)) == ([1], [9], [5])
+    assert catalog.users[1].browsed_items == (5,) and catalog.anchors[9].broadcast_items == (5,)
 
 
 def test_ingest_malformed_lines_reported_with_numbers(tmp_path, caplog):
@@ -367,6 +434,9 @@ def test_generator_rejects_bad_spec():
         SyntheticSpec(0, 1, 1, 1)
     with pytest.raises(ValueError, match="finite"):
         SyntheticSpec(1, 1, 1, 1, signal_strength=float("nan"))
+    for bad in ((-1, 4), (5, 3)):  # a negative or inverted history range
+        with pytest.raises(ValueError, match=rf"^bad history_len_range \({bad[0]}, {bad[1]}\)$"):
+            SyntheticSpec(1, 1, 1, 1, history_len_range=bad)
 
 
 @pytest.mark.parametrize("field, value", [("base_rate", float("nan")), ("base_rate", float("inf")),

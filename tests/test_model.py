@@ -19,7 +19,7 @@ from liverec.data import (
     split_dataset,
 )
 from liverec.encoders import encode_sequence
-from liverec.metrics import CLAMP, compute_auc, compute_logloss
+from liverec.metrics import CLAMP, compute_acc, compute_auc, compute_logloss
 from liverec.model import (
     MAX_TABLE_ROWS,
     CheckpointError,
@@ -1331,3 +1331,13 @@ def test_evaluate_pairs_raises_on_a_non_finite_score():
     with pytest.raises(NonFiniteScoreError) as info:
         evaluate_pairs(catalog, params, config, pairs)
     assert (info.value.user_id, info.value.anchor_id) == (pairs[k].user_id, pairs[k].anchor_id)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TrainConfig(optimizer="rmsprop"), "^optimizer must be 'sgd' or 'adam', got 'rmsprop'$"),
+    (lambda: compute_acc([], []), "^compute_acc: empty input$"),
+    (lambda: compute_logloss([], []), "^compute_logloss: empty input$"),
+], ids=["unknown-optimizer", "acc-of-nothing", "logloss-of-nothing"])
+def test_config_and_metrics_refuse_what_they_cannot_do(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from liverec.data import Anchor, Catalog, Item, SyntheticSpec, User, generate_synthetic
-from liverec.retrieval import build_index, co_retrieve, pair_budget
+from liverec.retrieval import _select, build_index, co_retrieve, pair_budget
 
-from oracles import naive_co_retrieve
+from oracles import naive_co_retrieve, select_round_robin
 
 
 def _catalog(user_items, anchor_items, item_cats):
@@ -136,3 +136,53 @@ def test_bad_side_and_cap():
     a = build_index(catalog, "anchor")
     with pytest.raises(ValueError, match="cap"):
         co_retrieve(u, a, 0, 0, cap=0)
+
+
+def _per_cat(rng, cats, max_len):
+    """A random owner's index entry: category -> [(position, item)], most
+    recent first, positions distinct across categories."""
+    lengths = rng.integers(0, max_len + 1, size=len(cats))
+    positions = rng.permutation(int(lengths.sum()))
+    per_cat, at = {}, 0
+    for c, n in zip(cats, lengths):
+        if n:
+            chosen = np.sort(positions[at : at + n])[::-1]
+            per_cat[int(c)] = [(int(p), int(rng.integers(100))) for p in chosen]
+            at += n
+    return per_cat
+
+
+def test_select_equals_the_queue_round_robin_on_random_cases():
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        per_cat = _per_cat(rng, rng.permutation(12)[: int(rng.integers(0, 8))], int(rng.integers(1, 6)))
+        common = {c for c in per_cat if rng.random() < 0.7}  # co_retrieve's common categories are both sides'
+        cap = int(rng.integers(1, 20))
+        assert _select(per_cat, common, cap) == select_round_robin(per_cat, common, cap)
+
+
+@pytest.mark.parametrize("case", ["empty_side", "no_common", "cap_at_total", "cap_above_total",
+                                  "cap_ends_a_round", "cap_one_into_a_round"])
+def test_select_edges_equal_the_queue_round_robin(case):
+    # three common categories of 3, 1 and 2 items: rounds of 3, 2 and 1
+    per_cat = {4: [(9, 1), (5, 2), (0, 3)], 1: [(7, 4)], 8: [(8, 5), (2, 6)]}
+    common, cap = {1, 4, 8}, 10
+    if case == "empty_side":
+        per_cat = {}
+    elif case == "no_common":
+        common = {2, 3}
+    elif case == "cap_at_total":
+        cap = 6
+    elif case == "cap_above_total":
+        cap = 7
+    elif case == "cap_ends_a_round":
+        cap = 3  # the first round, one item of each category
+    else:
+        cap = 4  # the first round and the second round's first category
+    common &= per_cat.keys()
+    got = _select(per_cat, common, cap)
+    assert got == select_round_robin(per_cat, common, cap)
+    picked = {"empty_side": [], "no_common": [], "cap_at_total": [0, 2, 5, 7, 8, 9],
+              "cap_above_total": [0, 2, 5, 7, 8, 9], "cap_ends_a_round": [7, 8, 9],
+              "cap_one_into_a_round": [5, 7, 8, 9]}[case]
+    assert got[0] == picked
