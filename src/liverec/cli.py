@@ -57,7 +57,7 @@ def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
     or ``--key`` for a switch set true.  A switch is a flag whose default
     is a bool."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         parser.error(f"--config: {exc}")
@@ -171,8 +171,7 @@ def cmd_eval(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
     config = _with_variant(config, args.variant)
     catalog, pairs = ingest_logs(args.catalog, args.pairs)
-    seed = args.split_seed if args.split_seed is not None else config.seed
-    _, _, test_split = split_dataset(pairs, seed=seed)
+    _, _, test_split = split_dataset(pairs, seed=args.split_seed)
     report = evaluate_pairs(catalog, params, config, test_split)
     print(report.table())
     if args.json is not None:
@@ -261,8 +260,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--pairs", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), help="override the checkpoint's variant")
-    p.add_argument("--split-seed", type=int, default=None,
-                   help="split seed (default: the checkpoint's seed)")
+    p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--json", default=None, help="also write the report as JSON")
     p.set_defaults(fn=cmd_eval)
 

@@ -8,7 +8,7 @@ number.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,16 +70,7 @@ class EvalReport:
     wall_seconds: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "auc": self.auc,
-                "acc": self.acc,
-                "logloss": self.logloss,
-                "n_samples": self.n_samples,
-                "mean_pair_budget": self.mean_pair_budget,
-                "wall_seconds": self.wall_seconds,
-            }
-        )
+        return json.dumps(asdict(self))
 
     def table(self) -> str:
         rows = [

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from math import isfinite, prod
 
@@ -185,6 +185,12 @@ class MlpParams:
     b2: object  # ()
 
 
+# the trainable groups in checkpoint order; a group's arrays are its
+# dataclass's fields in declaration order, each named "group.field"
+_GROUPS = {"pnn": PnnEncoderParams, "lstm": LstmParams, "attn": AttentionParams, "mlp": MlpParams}
+_ARRAY_FIELDS = [(f"{group}.{f.name}", group, f.name) for group, kind in _GROUPS.items() for f in fields(kind)]
+
+
 @dataclass
 class ModelParams:
     dim: int
@@ -195,43 +201,20 @@ class ModelParams:
     mlp: MlpParams
 
     def named_arrays(self):
-        """Every trainable array exactly once, in a fixed order."""
-        out = [
-            ("pnn.user", self.pnn.user),
-            ("pnn.anchor", self.pnn.anchor),
-            ("pnn.item", self.pnn.item),
-        ]
-        out += [
-            ("lstm.w", self.lstm.w),
-            ("lstm.u", self.lstm.u),
-            ("lstm.b", self.lstm.b),
-            ("attn.item_user", self.attn.item_user),
-            ("attn.item_anchor", self.attn.item_anchor),
-            ("attn.browsed", self.attn.browsed),
-            ("mlp.w1", self.mlp.w1),
-            ("mlp.b1", self.mlp.b1),
-            ("mlp.w2", self.mlp.w2),
-            ("mlp.b2", self.mlp.b2),
-        ]
-        return out
+        """Every trainable array exactly once, in `_ARRAY_FIELDS` order."""
+        return [(name, getattr(getattr(self, group), field)) for name, group, field in _ARRAY_FIELDS]
 
     def bind(self, tape: Tape):
         """Watch every array on a tape; returns (bound params, leaf tensors)."""
         tensors = {name: tape.watch(arr) for name, arr in self.named_arrays()}
-        bound = _params_from_arrays(self.dim, self.offsets, tensors)
-        leaves = [tensors[name] for name, _ in self.named_arrays()]
-        return bound, leaves
+        return _params_from_arrays(self.dim, self.offsets, tensors), list(tensors.values())
 
 
 def _params_from_arrays(dim: int, offsets: dict, arrays: dict) -> ModelParams:
-    return ModelParams(
-        dim=dim,
-        offsets=offsets,
-        pnn=PnnEncoderParams(arrays["pnn.user"], arrays["pnn.anchor"], arrays["pnn.item"]),
-        lstm=LstmParams(arrays["lstm.w"], arrays["lstm.u"], arrays["lstm.b"]),
-        attn=AttentionParams(arrays["attn.item_user"], arrays["attn.item_anchor"], arrays["attn.browsed"]),
-        mlp=MlpParams(arrays["mlp.w1"], arrays["mlp.b1"], arrays["mlp.w2"], arrays["mlp.b2"]),
-    )
+    groups = {group: {} for group in _GROUPS}
+    for name, group, field in _ARRAY_FIELDS:
+        groups[group][field] = arrays[name]
+    return ModelParams(dim, offsets, **{group: kind(**groups[group]) for group, kind in _GROUPS.items()})
 
 
 def init_model_params(catalog: Catalog, config: TrainConfig, rng: np.random.Generator) -> ModelParams:

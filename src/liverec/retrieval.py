@@ -21,7 +21,6 @@ from itertools import chain, islice, zip_longest
 class KKVIndex:
     """owner id -> category id -> [(position, item id)], most recent first."""
 
-    side: str  # "user" or "anchor"
     owners: dict[int, dict[int, list[tuple[int, int]]]]
 
 
@@ -54,7 +53,7 @@ def build_index(catalog, side: str) -> KKVIndex:
             iid = history[pos]
             per_cat.setdefault(category[iid], []).append((pos, iid))
         owners[oid] = per_cat
-    return KKVIndex(side, owners)
+    return KKVIndex(owners)
 
 
 def co_retrieve(

@@ -12,7 +12,7 @@ import pytest
 from liverec import cli
 from liverec.cli import _build_parser, _config_from_args, main
 from liverec.data import ingest_logs, split_dataset
-from liverec.model import TrainConfig, forward_pair, load_checkpoint
+from liverec.model import TrainConfig, evaluate_pairs, forward_pair, load_checkpoint
 from liverec.retrieval import co_retrieve, pair_budget
 
 
@@ -290,6 +290,24 @@ def test_eval_zero_mlp_checkpoint_acc_is_majority_rate(tmp_path, capsys):
     assert report["auc"] == 0.5
 
 
+def test_eval_defaults_to_the_split_seed_train_uses(tmp_path, capsys):
+    # train and eval both split with seed 0 unless told otherwise, whatever
+    # the model seed, so eval's test part holds none of train's pairs
+    cat, prs = _gen(tmp_path)
+    ckpt, _ = _train(tmp_path, cat, prs, "s1", extra=("--seed", "1"))
+    json_path = tmp_path / "rep.json"
+    assert main(["eval", "--catalog", str(cat), "--pairs", str(prs), "--checkpoint", str(ckpt),
+                 "--json", str(json_path)]) == 0
+    report = json.loads(json_path.read_text(encoding="utf-8"))
+    catalog, pairs = ingest_logs(cat, prs)
+    params, config = load_checkpoint(ckpt)
+    assert config.seed == 1
+    test0 = split_dataset(pairs, seed=0)[2]
+    assert test0 != split_dataset(pairs, seed=1)[2]
+    want = json.loads(evaluate_pairs(catalog, params, config, test0).to_json())
+    assert {**report, "wall_seconds": 0} == {**want, "wall_seconds": 0}
+
+
 def test_eval_variant_override_identity_condition(tmp_path, capsys):
     # single category and short shared histories: co-retrieval is the identity
     cat = tmp_path / "c1.jsonl"
@@ -486,6 +504,18 @@ def test_score_non_finite_checkpoint_exits_2(tmp_path, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "error: non-finite score nan for pair (user 3, anchor 2)\n"
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    cat, prs = _gen(tmp_path)
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("dim=8\nepochs=1\nbatch-size=32\n", encoding="utf-8-sig")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbfdim=8")
+    ckpt = tmp_path / "bom.ckpt"
+    assert main(["train", "--config", str(cfg), "--catalog", str(cat), "--pairs", str(prs),
+                 "--out-checkpoint", str(ckpt), "--metrics-csv", str(tmp_path / "bom.csv")]) == 0
+    params, config = load_checkpoint(ckpt)
+    assert config.dim == params.dim == 8
 
 
 _REQUIRED_TRAIN_FLAGS = ["--catalog", "c.jsonl", "--pairs", "p.jsonl",

@@ -21,12 +21,14 @@ from liverec.data import (
 from liverec.encoders import encode_sequence
 from liverec.metrics import CLAMP, compute_acc, compute_auc, compute_logloss
 from liverec.model import (
+    CHECKPOINT_VERSION,
     MAX_TABLE_ROWS,
     CheckpointError,
     NonFiniteScoreError,
     TrainConfig,
     TrainingDiverged,
     UnknownIdError,
+    _array_shapes,
     evaluate_pairs,
     forward_pair,
     init_model_params,
@@ -907,6 +909,25 @@ def test_full_model_gradients_match_finite_differences_in_small_blocks(monkeypat
 
 # ---------------------------------------------------------------------------
 # checkpoints
+
+
+# the checkpoint's byte layout, Adam's moments and the left-to-right sums
+# of clipping and L2 all follow this order
+_ARRAY_NAMES = ["pnn.user", "pnn.anchor", "pnn.item", "lstm.w", "lstm.u", "lstm.b",
+                "attn.item_user", "attn.item_anchor", "attn.browsed", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"]
+
+
+def test_the_trainable_arrays_keep_their_names_and_order():
+    catalog, _ = _tiny()
+    params = init_model_params(catalog, TrainConfig(dim=4), stream_rng(0, "init"))
+    named = params.named_arrays()
+    assert [name for name, _ in named] == _ARRAY_NAMES
+    assert list(_array_shapes(4, CHECKPOINT_VERSION)) == _ARRAY_NAMES
+    # bind watches each array once, in that order, and binds each leaf in its array's place
+    bound, leaves = params.bind(ad.Tape())
+    assert all(t.data is a for t, (_, a) in zip(leaves, named, strict=True))
+    assert all(b is t for (_, b), t in zip(bound.named_arrays(), leaves, strict=True))
+    assert (bound.dim, bound.offsets) == (params.dim, params.offsets)
 
 
 def test_checkpoint_roundtrip_exact(tmp_path):
