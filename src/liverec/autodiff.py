@@ -677,16 +677,13 @@ def _bk_lstm(ids, saved, g, acc):
     ends = np.cumsum(sizes).tolist()
     starts = [0] + ends[:-1]
     wide = max(int(np.count_nonzero(sizes > 1)), 1)  # the steps the forward ran on a slab; the rest on z
-    summed = x_id is not None or w_id is not None or b_id is not None
-    # with no sum to take, the block only holds the step being swept
-    cap = max(min(_BLOCK_ROWS, ends[-1]), ends[0]) if summed else ends[0]
+    cap = max(min(_BLOCK_ROWS, ends[-1]), ends[0])
     block = np.empty((cap, gate_rows))  # its last rows hold packed rows [start, hi)
     hi = ends[-1]
-    if summed:
-        d_proj = np.zeros((xd.shape[0], gate_rows))
+    d_proj = np.zeros((xd.shape[0], gate_rows))
 
-        def flush(first, stop):  # add the block's packed rows [first, stop) into their input rows
-            _add_rows(d_proj, rows[first:stop], block[cap - (stop - first) :])
+    def flush(first, stop):  # add the block's packed rows [first, stop) into their input rows
+        _add_rows(d_proj, rows[first:stop], block[cap - (stop - first) :])
 
     d_u = np.zeros((gate_rows, dim)) if u_id is not None else None
     slab = np.empty(gate_rows * ends[0])
@@ -743,10 +740,10 @@ def _bk_lstm(ids, saved, g, acc):
             d_f *= 1.0 - f_g
         else:  # the first step has no previous cell or state
             d_f[...] = 0.0
-        if summed and hi - start > cap:
+        if hi - start > cap:
             flush(end, hi)
             hi = end
-        at = cap - (hi - start) if summed else 0
+        at = cap - (hi - start)
         step_rows = block[at : at + n]  # one (4d,) gradient row per sequence
         step_rows.reshape(n, 4, dim)[...] = blk.transpose(1, 0, 2)
         if t:
@@ -754,14 +751,13 @@ def _bk_lstm(ids, saved, g, acc):
                 d_u += step_rows.T @ out[prev : prev + n]
             dh = step_rows @ ud
             dc *= f_g
-    if summed:
-        flush(0, hi)
-        if x_id is not None:
-            acc(x_id, d_proj @ wd)
-        if w_id is not None:
-            acc(w_id, d_proj.T @ xd)
-        if b_id is not None:
-            acc(b_id, d_proj.sum(axis=0))
+    flush(0, hi)
+    if x_id is not None:
+        acc(x_id, d_proj @ wd)
+    if w_id is not None:
+        acc(w_id, d_proj.T @ xd)
+    if b_id is not None:
+        acc(b_id, d_proj.sum(axis=0))
     if d_u is not None:
         acc(u_id, d_u)
 

@@ -7,12 +7,18 @@ time-ordered, oldest first.
 
 File formats (UTF-8, newline-delimited JSON):
 
-catalog lines::
+catalog lines, in any order (`write_catalog` writes users, then anchors,
+then items)::
 
     {"kind": "user",   "id": 7, "features": [3, 1, 12],
      "browsed_items": [11, 13], "browsed_anchors": [2]}
     {"kind": "anchor", "id": 2, "features": [4, 0], "broadcast_items": [13]}
     {"kind": "item",   "id": 11, "features": [5, 9]}
+    {"kind": "item",   "id": 13, "features": [2, 9]}
+
+`_KINDS` defines this format: each kind's dataclass, and the id lists
+a line of that kind may hold (an absent list is empty), each naming the
+kind whose ids it holds.
 
 pairs lines::
 
@@ -29,7 +35,8 @@ import codecs
 import json
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -69,6 +76,16 @@ class Anchor:
     broadcast_items: tuple[int, ...]
 
 
+# the catalog format, kind by kind in file order: each kind's dataclass,
+# whose fields are its id, its features and then these id lists, and for
+# each list the kind whose ids it holds
+_KINDS = {
+    "user": (User, {"browsed_items": "item", "browsed_anchors": "anchor"}),
+    "anchor": (Anchor, {"broadcast_items": "item"}),
+    "item": (Item, {}),
+}
+
+
 @dataclass(frozen=True, order=True)
 class LabeledPair:
     user_id: int
@@ -92,8 +109,12 @@ class Catalog:
     item_vocab: tuple[int, ...]
     _kkv: dict = field(default_factory=dict, compare=False, repr=False)
 
+    def objects(self, kind: str) -> dict:
+        """One kind's objects by id: ``objects("user")`` is ``users``."""
+        return getattr(self, f"{kind}s")
+
     def vocab(self, kind: str) -> tuple[int, ...]:
-        return {"user": self.user_vocab, "anchor": self.anchor_vocab, "item": self.item_vocab}[kind]
+        return getattr(self, f"{kind}_vocab")
 
     def history(self, side: str, owner_id: int) -> tuple[int, ...]:
         """The item ids in one owner's history, oldest first: a user's
@@ -122,26 +143,19 @@ def _vocab_sizes(feature_lists) -> tuple[int, ...]:
 
 
 def _link_catalog(users, anchors, items) -> Catalog:
-    """Validate cross-references and derive vocabulary sizes."""
-    for u in users.values():
-        for iid in u.browsed_items:
-            if iid not in items:
-                raise IngestError(f"user {u.user_id}: browsed item {iid} is not in the catalog")
-        for aid in u.browsed_anchors:
-            if aid not in anchors:
-                raise IngestError(f"user {u.user_id}: browsed anchor {aid} is not in the catalog")
-    for a in anchors.values():
-        for iid in a.broadcast_items:
-            if iid not in items:
-                raise IngestError(f"anchor {a.anchor_id}: broadcast item {iid} is not in the catalog")
-    return Catalog(
-        users=users,
-        anchors=anchors,
-        items=items,
-        user_vocab=_vocab_sizes(u.features for u in users.values()),
-        anchor_vocab=_vocab_sizes(a.features for a in anchors.values()),
-        item_vocab=_vocab_sizes(i.features for i in items.values()),
-    )
+    """Validate cross-references and derive vocabulary sizes.  The first
+    dangling id is reported, object by object and list by list."""
+    objects = dict(zip(_KINDS, (users, anchors, items)))
+    for kind, (_, lists) in _KINDS.items():
+        # (list, what its ids are called, the objects they must name)
+        refs = [(name, name[:-1].replace("_", " "), objects[to]) for name, to in lists.items()]
+        for oid, obj in objects[kind].items():
+            for name, what, targets in refs:
+                for rid in getattr(obj, name):
+                    if rid not in targets:
+                        raise IngestError(f"{kind} {oid}: {what} {rid} is not in the catalog")
+    vocabs = [_vocab_sizes(o.features for o in objs.values()) for objs in objects.values()]
+    return Catalog(users, anchors, items, *vocabs)
 
 
 def _is_int(v) -> bool:
@@ -193,10 +207,8 @@ def ingest_logs(catalog_file, pairs_file) -> tuple[Catalog, list[LabeledPair]]:
     mark opening either file is dropped.  Dangling id references (a pair
     or history entry naming an unknown object) raise IngestError.
     """
-    users: dict[int, User] = {}
-    anchors: dict[int, Anchor] = {}
-    items: dict[int, Item] = {}
-
+    # per kind: its dataclass, its id lists and its objects read so far
+    kinds = {kind: (cls, tuple(lists), {}) for kind, (cls, lists) in _KINDS.items()}
     with open(catalog_file, "rb") as fh:
         for lineno, line in _numbered_lines(fh):
             if not line.strip():
@@ -208,29 +220,16 @@ def ingest_logs(catalog_file, pairs_file) -> tuple[Catalog, list[LabeledPair]]:
                 if not _is_int(oid):
                     raise ValueError("id must be an integer")
                 feats = _features(obj["features"])
-                if kind == "user":
-                    if oid in users:
-                        raise ValueError(f"duplicate user id {oid}")
-                    users[oid] = User(
-                        oid,
-                        feats,
-                        _ids(obj.get("browsed_items"), "browsed_items"),
-                        _ids(obj.get("browsed_anchors"), "browsed_anchors"),
-                    )
-                elif kind == "anchor":
-                    if oid in anchors:
-                        raise ValueError(f"duplicate anchor id {oid}")
-                    anchors[oid] = Anchor(oid, feats, _ids(obj.get("broadcast_items"), "broadcast_items"))
-                elif kind == "item":
-                    if oid in items:
-                        raise ValueError(f"duplicate item id {oid}")
-                    items[oid] = Item(oid, feats)
-                else:
+                if type(kind) is not str or kind not in kinds:  # a list or object kind is unhashable
                     raise ValueError(f"unknown kind {kind!r}")
+                cls, lists, found = kinds[kind]
+                if oid in found:
+                    raise ValueError(f"duplicate {kind} id {oid}")
+                found[oid] = cls(oid, feats, *[_ids(obj.get(name), name) for name in lists])
             except _MALFORMED as exc:
                 log.warning("%s:%d: skipping malformed line (%s)", catalog_file, lineno, exc)
 
-    catalog = _link_catalog(users, anchors, items)
+    catalog = _link_catalog(*(found for _, _, found in kinds.values()))
 
     pairs: list[LabeledPair] = []
     with open(pairs_file, "rb") as fh:
@@ -256,34 +255,14 @@ def ingest_logs(catalog_file, pairs_file) -> tuple[Catalog, list[LabeledPair]]:
 
 
 def write_catalog(catalog: Catalog, path) -> None:
+    """One line per object, kind by kind in `_KINDS` order, every id list
+    written (an empty one as ``[]``)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for u in catalog.users.values():
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "user",
-                        "id": u.user_id,
-                        "features": list(u.features),
-                        "browsed_items": list(u.browsed_items),
-                        "browsed_anchors": list(u.browsed_anchors),
-                    }
-                )
-                + "\n"
-            )
-        for a in catalog.anchors.values():
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "anchor",
-                        "id": a.anchor_id,
-                        "features": list(a.features),
-                        "broadcast_items": list(a.broadcast_items),
-                    }
-                )
-                + "\n"
-            )
-        for i in catalog.items.values():
-            fh.write(json.dumps({"kind": "item", "id": i.item_id, "features": list(i.features)}) + "\n")
+        for kind, (cls, lists) in _KINDS.items():
+            keys = ("kind", "id", "features", *lists)  # the kind, then the dataclass's fields in order
+            values = attrgetter(*(f.name for f in fields(cls)))
+            for obj in catalog.objects(kind).values():
+                fh.write(json.dumps(dict(zip(keys, (kind, *values(obj))))) + "\n")
 
 
 def write_pairs(pairs, path) -> None:

@@ -51,7 +51,7 @@ class PnnEncoderParams:
     item: object
 
     def table(self, kind: str):
-        return {"user": self.user, "anchor": self.anchor, "item": self.item}[kind]
+        return getattr(self, kind)
 
 
 @dataclass
@@ -88,7 +88,7 @@ def init_pnn_params(catalog, dim: int, rng: np.random.Generator) -> PnnEncoderPa
     for kind in ("user", "anchor", "item"):
         total = int(sum(catalog.vocab(kind)))
         tables[kind] = rng.uniform(-bound, bound, size=(max(total, 1), dim))
-    return PnnEncoderParams(tables["user"], tables["anchor"], tables["item"])
+    return PnnEncoderParams(**tables)
 
 
 def init_lstm_params(dim: int, rng: np.random.Generator) -> LstmParams:

@@ -44,9 +44,8 @@ def build_index(catalog, side: str) -> KKVIndex:
     if side not in ("user", "anchor"):
         raise ValueError(f"side must be 'user' or 'anchor', got {side!r}")
     owners: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    ids = catalog.users if side == "user" else catalog.anchors
     category = {iid: item.category for iid, item in catalog.items.items()}
-    for oid in ids:
+    for oid in catalog.objects(side):
         per_cat: dict[int, list[tuple[int, int]]] = {}
         history = catalog.history(side, oid)
         for pos in range(len(history) - 1, -1, -1):

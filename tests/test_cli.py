@@ -1,7 +1,10 @@
 """CLI commands: exit codes, determinism, config files, wiring."""
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -92,6 +95,20 @@ def test_module_docstring_names_every_subcommand_and_no_other():
     listed = re.findall(r"``([a-z-]+)``", cli.__doc__.split("Subcommands:")[1].split("\n\n")[0])
     _, commands = _build_parser()
     assert sorted(listed) == sorted(commands)
+
+
+def test_running_the_module_reports_an_error_and_exits_2(tmp_path):
+    # `python -m liverec.cli` goes through the module's __main__ line
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    missing = tmp_path / "missing.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "liverec.cli", "train", "--catalog", str(missing), "--pairs", str(missing),
+         "--out-checkpoint", str(tmp_path / "m.ckpt"), "--metrics-csv", str(tmp_path / "m.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert re.search(r"^error: .*missing\.jsonl", proc.stderr, re.M), proc.stderr
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def _train(tmp_path, cat, prs, name, extra=()):

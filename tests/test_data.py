@@ -3,15 +3,22 @@ import hashlib
 import json
 import logging
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from liverec import data
 from liverec.data import (
+    _KINDS,
     MAX_HISTORY_LEN,
+    Anchor,
+    Catalog,
     IngestError,
+    Item,
     LabeledPair,
     SyntheticSpec,
+    User,
     category_jaccard,
     generate_synthetic,
     ingest_logs,
@@ -270,6 +277,65 @@ def test_catalog_roundtrip(tmp_path):
     catalog2, pairs2 = ingest_logs(cat_path, prs_path)
     assert catalog2 == catalog
     assert pairs2 == pairs
+
+    # by hand: ragged feature lengths, a user whose lists are all empty, and
+    # a user and an anchor whose lines leave a list key out (an empty list)
+    lines = [
+        {"kind": "item", "id": 4, "features": [1]},
+        {"kind": "item", "id": 8, "features": [0, 6, 2]},
+        {"kind": "user", "id": 1, "features": [2, 0, 3, 1], "browsed_items": [8, 4, 8], "browsed_anchors": [5]},
+        {"kind": "user", "id": 2, "features": [0], "browsed_items": [], "browsed_anchors": []},
+        {"kind": "user", "id": 3, "features": [1, 4], "browsed_items": [4]},
+        {"kind": "anchor", "id": 5, "features": [3, 0], "broadcast_items": [4]},
+        {"kind": "anchor", "id": 6, "features": [0, 0, 7]},
+    ]
+    want = Catalog(
+        users={1: User(1, (2, 0, 3, 1), (8, 4, 8), (5,)), 2: User(2, (0,), (), ()), 3: User(3, (1, 4), (4,), ())},
+        anchors={5: Anchor(5, (3, 0), (4,)), 6: Anchor(6, (0, 0, 7), ())},
+        items={4: Item(4, (1,)), 8: Item(8, (0, 6, 2))},
+        user_vocab=(3, 5, 4, 2),
+        anchor_vocab=(4, 1, 8),
+        item_vocab=(2, 7, 3),
+    )
+    _write(cat_path, [json.dumps(line) for line in lines])
+    _write(prs_path, [json.dumps({"user": 2, "anchor": 6, "label": 0})])
+    assert ingest_logs(cat_path, prs_path) == (want, [LabeledPair(2, 6, 0)])
+    write_catalog(want, cat_path)
+    # users, anchors, then items, each with every list key
+    written = [lines[2], lines[3], {**lines[4], "browsed_anchors": []}, lines[5], {**lines[6], "broadcast_items": []},
+               lines[0], lines[1]]
+    assert cat_path.read_text(encoding="utf-8") == "".join(json.dumps(line) + "\n" for line in written)
+    assert ingest_logs(cat_path, prs_path)[0] == want
+
+
+def test_kinds_table_matches_the_dataclasses():
+    # ingestion builds each kind's dataclass from its id, its features and
+    # the table's lists in that order, and write_catalog names its fields so
+    assert list(_KINDS) == ["user", "anchor", "item"]
+    for kind, (cls, lists) in _KINDS.items():
+        assert [f.name for f in fields(cls)] == [f"{kind}_id", "features", *lists]
+        assert set(lists.values()) <= set(_KINDS)
+    # the reference check builds a Catalog from its objects, then its vocabularies
+    names = [f.name for f in fields(Catalog)]
+    assert names[:6] == [f"{kind}s" for kind in _KINDS] + [f"{kind}_vocab" for kind in _KINDS]
+
+
+def test_module_docstring_format_example_ingests_as_described(tmp_path):
+    # each example line is one object or pair; written back, the catalog
+    # gives the example's lines, which hold every list key, in order
+    doc = data.__doc__
+    catalog_block, pairs_block = doc.split("catalog lines", 1)[1].split("pairs lines::", 1)
+    example = [json.loads(m) for m in re.findall(r"\{[^{}]*\}", catalog_block)]
+    example_pairs = [json.loads(m) for m in re.findall(r"\{[^{}]*\}", pairs_block.split("\n\n")[1])]
+    assert [line["kind"] for line in example] == ["user", "anchor", "item", "item"]
+    cat, prs, out = tmp_path / "catalog.jsonl", tmp_path / "pairs.jsonl", tmp_path / "written.jsonl"
+    _write(cat, [json.dumps(line) for line in example])
+    _write(prs, [json.dumps(line) for line in example_pairs])
+    catalog, pairs = ingest_logs(cat, prs)
+    assert pairs == [LabeledPair(p["user"], p["anchor"], p["label"]) for p in example_pairs] and len(pairs) == 1
+    assert sum(len(catalog.objects(kind)) for kind in _KINDS) == len(example)
+    write_catalog(catalog, out)
+    assert [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()] == example
 
 
 def test_history_membership_invariants():
