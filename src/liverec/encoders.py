@@ -6,11 +6,11 @@ conjunctions contribute their own directions.  The sequence encoder is a
 standard LSTM over already-encoded item vectors, returning every
 position's hidden state because downstream attention needs them all:
 one (L, d) matrix per history, row t being the state after item t.  The
-batched form takes the histories as rows into one block of distinct
-items, encodes each item once, runs the histories packed (longest first,
+batched form takes one block of already-encoded distinct items and the
+histories as rows into it, runs the histories packed (longest first,
 each step over the histories still running) and returns one block with
 exactly one state row per history item, and each history's row indices
-into it.
+into it.  The caller encodes the items, once, with ``pnn_encode_batch``.
 
 Each encoder has one kernel, a fused op that records one tape node.
 ``pnn_encode_batch`` encodes a block of objects and ``pnn_encode`` is its
@@ -75,13 +75,6 @@ def field_offsets(vocab_sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(int(x) for x in np.concatenate([[0], np.cumsum(vocab_sizes)[:-1]])) if len(vocab_sizes) else ()
 
 
-def active_positions(features: Sequence[int], offsets: Sequence[int]) -> list[int]:
-    """Map per-slot feature values to one-hot positions."""
-    if len(features) > len(offsets):
-        raise ValueError(f"object has {len(features)} feature slots, layout has {len(offsets)}")
-    return [offsets[j] + v for j, v in enumerate(features)]
-
-
 def init_pnn_params(catalog, dim: int, rng: np.random.Generator) -> PnnEncoderParams:
     bound = 1.0 / np.sqrt(dim)
     tables = {}
@@ -132,27 +125,24 @@ def encode_sequence(embedded: Tensor, params: LstmParams) -> Tensor:
     return ad.lstm(embedded, np.arange(n), np.ones(n, dtype=np.intp), params.w, params.u, params.b)
 
 
-def encode_sequences_batched(histories, item_positions: np.ndarray, pnn: PnnEncoderParams,
-                             lstm: LstmParams) -> tuple[Tensor, list[np.ndarray]]:
-    """Encode many item sequences that draw on one set of items through one LSTM.
+def encode_sequences_batched(histories, items: Tensor, lstm: LstmParams) -> tuple[Tensor, list[np.ndarray]]:
+    """Run many item sequences that draw on one block of items through one LSTM.
 
-    Equivalent to calling ``pnn_encode_batch`` + ``encode_sequence`` per
-    sequence, but each item is encoded once, and projected into the gates
-    once, however many sequences and steps read it, and the sequences run
-    packed: sorted longest first (a stable sort), step t works on the
-    states of the sequences still running, a prefix of step t-1's, and
-    the tape holds one PNN pass and one fused LSTM node whatever the
-    number of sequences.
+    Equivalent to calling ``encode_sequence`` per sequence on its gathered
+    items, but each item is projected into the gates once, however many
+    sequences and steps read it, and the sequences run packed: sorted
+    longest first (a stable sort), step t works on the states of the
+    sequences still running, a prefix of step t-1's, and the tape holds one
+    fused LSTM node whatever the number of sequences.
 
-    ``item_positions`` is the (n, F) one-hot position array of the items,
-    padded with -1 as in ``pnn_encode_batch``, and ``histories`` a list of
-    int arrays, one per sequence, of rows into it, oldest first; rows may
-    repeat within and across sequences.  Returns the packed states, one
-    (sum of lengths, d) tensor holding exactly one row per history item,
-    and each sequence's row indices into it, aligned with the inputs and
-    in history order; an empty sequence has no rows.  The rows are
-    step-major: step t's rows follow step t-1's, and within a step the
-    sequences keep their sorted order.  Readers gather or pool the rows
+    ``items`` is the (n, d) block of encoded items and ``histories`` a
+    list of int arrays, one per sequence, of rows into it, oldest first;
+    rows may repeat within and across sequences.  Returns the packed
+    states, one (sum of lengths, d) tensor holding exactly one row per
+    history item, and each sequence's row indices into it, aligned with
+    the inputs and in history order; an empty sequence has no rows.  The
+    rows are step-major: step t's rows follow step t-1's, and within a step
+    the sequences keep their sorted order.  Readers gather or pool the rows
     they need from the one tensor.
     """
     lengths = np.array([len(h) for h in histories], dtype=np.intp)
@@ -164,7 +154,6 @@ def encode_sequences_batched(histories, item_positions: np.ndarray, pnn: PnnEnco
     rank = np.empty(n_seq, dtype=np.intp)
     rank[np.argsort(-lengths, kind="stable")] = np.arange(n_seq)
     rows = [starts[:n] + r for n, r in zip(lengths.tolist(), rank.tolist())]
-    items = pnn_encode_batch("item", item_positions, pnn)  # (n, d)
     step_rows = np.empty(int(widths.sum()), dtype=np.intp)
     step_rows[np.concatenate(rows)] = np.concatenate(histories)
     return ad.lstm(items, step_rows, widths, lstm.w, lstm.u, lstm.b), rows

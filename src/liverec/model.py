@@ -58,7 +58,6 @@ from .data import Catalog
 from .encoders import (
     LstmParams,
     PnnEncoderParams,
-    active_positions,
     encode_sequence,
     encode_sequences_batched,
     field_offsets,
@@ -254,40 +253,42 @@ def _item_states(catalog: Catalog, params: ModelParams, users, anchors):
     """Every owner's item states: (user block, user rows, anchor block,
     anchor rows), where rows[k] indexes owner k's states in its side's
     block in history order.  Each distinct item of the batch is
-    PNN-encoded once.  All histories go through one packed LSTM and both
-    sides share its block, which holds one row per history item of every
-    owner, step-major (see `encode_sequences_batched`), so rows[k] is not
-    a contiguous range.  One user and one anchor (the single-pair case)
-    are each encoded alone from their gathered items, through
-    `encode_sequence`, so each side's one rows array is every row of its
-    own block, in order."""
+    PNN-encoded once, by one call for either route.  All histories go
+    through one packed LSTM and both sides share its block, which holds
+    one row per history item of every owner, step-major (see
+    `encode_sequences_batched`), so rows[k] is not a contiguous range.
+    One user and one anchor (the single-pair case) each run the LSTM alone
+    over their gathered items, through `encode_sequence`, so each side's
+    one rows array is every row of its own block, in order."""
     owners = [("user", u) for u in users] + [("anchor", a) for a in anchors]
     positions, histories = _item_positions(catalog, params.offsets["item"], owners)
-    pnn, lstm = params.pnn, params.lstm
+    items = pnn_encode_batch("item", positions, params.pnn)
     if len(users) == len(anchors) == 1:
-        items = pnn_encode_batch("item", positions, pnn)
-        u_states, a_states = (encode_sequence(ad.embedding_lookup(items, h), lstm) for h in histories)
+        u_states, a_states = (encode_sequence(ad.embedding_lookup(items, h), params.lstm) for h in histories)
         u_rows, a_rows = ([np.arange(len(h))] for h in histories)
         return u_states, u_rows, a_states, a_rows
-    states, rows = encode_sequences_batched(histories, positions, pnn, lstm)
+    states, rows = encode_sequences_batched(histories, items, params.lstm)
     return states, rows[: len(users)], states, rows[len(users) :]
 
 
 def _position_rows(objects, offsets) -> np.ndarray:
-    """(n, F) one-hot positions of the objects' features, rows padded with -1."""
+    """(n, F) one-hot positions of the objects' features, rows padded with -1
+    (`_check_layout` refuses an object with more than F slots)."""
     n_fields = len(offsets)
     features = [obj.features for obj in objects]
     if all(len(f) == n_fields for f in features):
         return np.array(features, dtype=np.intp).reshape(len(features), n_fields) + np.array(offsets, dtype=np.intp)
-    rows = [active_positions(f, offsets) for f in features]
-    return np.array([r + [-1] * (n_fields - len(r)) for r in rows], dtype=np.intp)
+    pad = [-1] * n_fields
+    return np.array([[offsets[j] + v for j, v in enumerate(f)] + pad[len(f) :] for f in features], dtype=np.intp)
 
 
 def _check_layout(kind: str, vocab, offsets, rows: int) -> None:
-    """Raise ValueError when a catalog feature slot outgrows its trained slot.
-
-    A catalog with more slots than the layout fails in ``active_positions``.
-    """
+    """Raise ValueError when a catalog kind outgrows its trained layout: more
+    feature slots (``vocab`` has one entry per slot of the kind's widest
+    object) or a slot's vocabulary larger than its trained size."""
+    if len(vocab) > len(offsets):
+        raise ValueError(f"catalog {kind} objects have up to {len(vocab)} feature slots, "
+                         f"the parameters were trained with {len(offsets)}")
     ends = tuple(offsets[1:]) + (rows,)
     for j, (size, start, end) in enumerate(zip(vocab, offsets, ends)):
         if size > end - start:
@@ -341,9 +342,9 @@ def _predict(catalog: Catalog, params: ModelParams, config: TrainConfig, user_id
     pair, and the MLP head is one `ad.mlp_head` node over one (B, 3d)
     block.  ``dropout_mask`` is the (B, 3d) block `_dropout_mask` draws.
     Objects with fewer feature slots than the layout pad their position
-    rows with -1.  A catalog slot whose vocabulary outgrew its trained
-    size raises ValueError, and an unknown id UnknownIdError, before
-    anything is encoded.
+    rows with -1.  A catalog kind that outgrows its trained layout
+    (`_check_layout`) raises ValueError whichever pairs are scored, and an
+    unknown id UnknownIdError, before anything is encoded.
     """
     for kind in ("user", "anchor", "item"):
         _check_layout(kind, catalog.vocab(kind), params.offsets[kind], params.pnn.table(kind).shape[0])
@@ -476,13 +477,18 @@ class EpochMetrics:
     wall_seconds: float
 
 
+def _sum_of_squares(arrays) -> float:
+    """The arrays' squared entries summed, array by array left to right."""
+    total = 0.0
+    for a in arrays:  # from Python 3.12, sum() of floats compensates
+        total += float((a * a).sum())
+    return total
+
+
 def _clip_gradients(grads) -> None:
     """Scale the gradients in place to a global norm of at most
     `GRAD_CLIP_NORM`, the squared norms summed left to right."""
-    norm_sq = 0.0
-    for g in grads:  # from Python 3.12, sum() of floats compensates
-        norm_sq += float((g * g).sum())
-    norm = np.sqrt(norm_sq)
+    norm = np.sqrt(_sum_of_squares(grads))
     if norm > GRAD_CLIP_NORM:
         scale = GRAD_CLIP_NORM / norm
         for i in range(len(grads)):
@@ -497,7 +503,8 @@ def _batch_gradients(catalog, params, config, chunk, dropout_rng):
     backward sweep over the batch's tape.  The loss adds ``l2_weight``
     times each array's sum of squares, summed in array order; its gradient
     ``2 * l2_weight * a`` is added to each array's data gradient after the
-    sweep, so the penalty records no tape node.
+    sweep, so the penalty records no tape node.  `train` reads the data
+    loss; the loss is what the gradient checks differentiate.
     """
     tape = Tape()
     bound, leaves = params.bind(tape)
@@ -507,10 +514,7 @@ def _batch_gradients(catalog, params, config, chunk, dropout_rng):
     data_value = loss_value = float(data.data)
     arrays = [t.data for t in leaves]
     if config.l2_weight > 0.0:
-        penalty = 0.0
-        for a in arrays:  # left to right: from Python 3.12, sum() of floats compensates
-            penalty += float((a * a).sum())
-        loss_value += config.l2_weight * penalty
+        loss_value += config.l2_weight * _sum_of_squares(arrays)
     if not np.isfinite(loss_value):
         return data_value, loss_value, None
     gmap = ad.backward(tape, data)
@@ -573,7 +577,7 @@ def train(catalog: Catalog, pairs, config: TrainConfig, val_pairs=None):
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             chunk = [pairs[int(i)] for i in order[start : start + config.batch_size]]
-            data_value, loss_value, grads = _batch_gradients(catalog, params, config, chunk, rng_dropout)
+            data_value, _, grads = _batch_gradients(catalog, params, config, chunk, rng_dropout)
             if grads is None:
                 raise TrainingDiverged(global_batch)
             _clip_gradients(grads)

@@ -386,11 +386,10 @@ def auc_pairwise(scores, labels):
 
 def forward_reference(catalog, params, config, user_id, anchor_id):
     """Recompute the eval-mode forward pass without the tape machinery."""
-    from liverec.encoders import active_positions
-
     def pnn(kind, features):
         table = getattr(params.pnn, kind)
-        fields = [(p, 1.0) for p in active_positions(features, params.offsets[kind])]
+        offsets = params.offsets[kind]
+        fields = [(offsets[j] + v, 1.0) for j, v in enumerate(features)]
         return pnn_reference(fields, np.asarray(table))
 
     user = catalog.users[user_id]

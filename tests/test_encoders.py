@@ -169,7 +169,8 @@ def test_batched_sequences_match_sequential_paths():
     items[5:, 1:][rng.random((4, 2)) < 0.4] = -1  # ragged items: padded slots
     # histories share items, one is empty and one repeats a single item
     histories = [np.array(h, dtype=np.intp) for h in ([0, 1, 2, 3, 4], [5], [], [6, 2, 7, 0, 8, 2, 1], [4, 4, 4])]
-    stacked, rows = encode_sequences_batched(histories, items, params, lstm)
+    encoded = pnn_encode_batch("item", items, params)
+    stacked, rows = encode_sequences_batched(histories, encoded, lstm)
     assert stacked.shape == (16, d) and len(rows) == len(histories)
     # packed step-major, longest first: widths 4, 3, 3, 2, 2, 1, 1 from row 0, 4, 7, 10, 12, 14, 15
     packed = [[1, 5, 8, 11, 13], [3], [], [0, 4, 7, 10, 12, 14, 15], [2, 6, 9]]
@@ -182,7 +183,8 @@ def test_batched_sequences_match_sequential_paths():
         np.testing.assert_allclose(seq, want.data, atol=1e-12)
         ref = lstm_reference([pnn_reference(_unit(row), table) for row in mat], lstm_gates(lstm))
         np.testing.assert_allclose(seq, np.array(ref).reshape(len(hist), d), atol=1e-12)
-    empty, rows = encode_sequences_batched([np.zeros(0, dtype=np.intp)] * 2, items[:0], params, lstm)
+    none = pnn_encode_batch("item", items[:0], params)
+    empty, rows = encode_sequences_batched([np.zeros(0, dtype=np.intp)] * 2, none, lstm)
     assert empty.shape == (0, d) and [len(r) for r in rows] == [0, 0]
 
 
@@ -199,7 +201,7 @@ def test_packed_states_match_the_scalar_loop(lengths):
     lstm = init_lstm_params(d, rng)
     items = rng.integers(0, 12, size=(4, 2))
     histories = [rng.integers(0, len(items), size=n) for n in lengths]
-    stacked, rows = encode_sequences_batched(histories, items, params, lstm)
+    stacked, rows = encode_sequences_batched(histories, pnn_encode_batch("item", items, params), lstm)
     assert stacked.shape == (sum(lengths), d)
     assert sorted(np.concatenate(rows).tolist()) == list(range(sum(lengths)))
     for hist, seq_rows in zip(histories, rows):
@@ -220,11 +222,11 @@ def test_untracked_batched_lstm_holds_no_step_by_sequence_gate_block():
     table = rng.normal(size=(40, d))
     params = PnnEncoderParams(user=table, anchor=table, item=table)
     lstm = init_lstm_params(d, rng)
-    items = rng.integers(0, 40, size=(50, 2))
-    histories = [rng.integers(0, len(items), size=steps) for _ in range(width)]
+    items = pnn_encode_batch("item", rng.integers(0, 40, size=(50, 2)), params)
+    histories = [rng.integers(0, items.shape[0], size=steps) for _ in range(width)]
     tracemalloc.start()
     try:
-        stacked, _ = encode_sequences_batched(histories, items, params, lstm)
+        stacked, _ = encode_sequences_batched(histories, items, lstm)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -250,7 +252,7 @@ def test_batched_sequences_gradients_match_sequential():
         tbl = tape.watch(table)
         pnn = PnnEncoderParams(tbl, tbl, tbl)
         if batched:
-            stacked, rows = encode_sequences_batched(histories, items, pnn, params_raw)
+            stacked, rows = encode_sequences_batched(histories, pnn_encode_batch("item", items, pnn), params_raw)
             seqs = [ad.embedding_lookup(stacked, r) for r in rows]
         else:
             seqs = [encode_sequence(pnn_encode_batch("item", items[h], pnn), params_raw) for h in histories]
@@ -271,25 +273,23 @@ def test_batched_sequences_gradients_match_sequential_in_small_blocks(monkeypatc
 
 
 def test_batched_tape_does_not_grow_with_the_sequence_count():
-    # one PNN pass and one fused LSTM node, however many sequences of
-    # whatever lengths: readers index the stacked states by the row lists
+    # one fused LSTM node, however many sequences of whatever lengths:
+    # readers index the stacked states by the row lists
     from liverec.encoders import encode_sequences_batched
 
     rng = np.random.default_rng(16)
     d, longest = 3, 12
     lstm = init_lstm_params(d, rng)
-    items = rng.integers(0, 10, size=(6, 2))
 
     def tape_nodes(lengths):
         tape = ad.Tape()
-        tbl = tape.watch(rng.normal(size=(10, d)))
-        histories = [rng.integers(0, len(items), size=n) for n in lengths]
-        encode_sequences_batched(histories, items, PnnEncoderParams(tbl, tbl, tbl), lstm)
-        return len(tape.nodes)
+        items = tape.watch(rng.normal(size=(6, d)))
+        histories = [rng.integers(0, items.shape[0], size=n) for n in lengths]
+        encode_sequences_batched(histories, items, lstm)
+        return [kind for kind, *_ in tape.nodes]
 
-    base = tape_nodes([longest])
-    for extra in ([1], [longest], [5, longest, 1, 7], [0, 0]):
-        assert tape_nodes([longest] + extra) == base
+    for extra in ([], [1], [longest], [5, longest, 1, 7], [0, 0]):
+        assert tape_nodes([longest] + extra) == ["leaf", "lstm"]
 
 
 def test_lstm_tape_nodes_do_not_grow_with_length():

@@ -724,23 +724,51 @@ def test_ragged_feature_layouts_train_and_score_like_the_reference(variant):
         assert got == pytest.approx(forward_reference(catalog, params, config, p.user_id, p.anchor_id), abs=1e-12)
 
 
-def test_position_rows_match_active_positions_on_both_paths():
+def test_position_rows_match_a_reference_on_both_paths():
     # full rows take the vectorised path, a catalog with short rows the
-    # per-object one; both give active_positions, padded with -1
-    from liverec.encoders import active_positions, field_offsets
+    # per-object one; both give each slot's value past the vocabularies of
+    # the slots before it, padded with -1
+    from liverec.encoders import field_offsets
     from liverec.model import _position_rows
 
     catalog, _ = _tiny(seed=12, id_features=True)
-    offsets = field_offsets(catalog.item_vocab)
+    vocab = catalog.item_vocab
+    offsets = field_offsets(vocab)
     full = list(catalog.items.values())
-    for objects in (full, list(_ragged(catalog, seed=12).items.values())):
-        want = [active_positions(o.features, offsets) for o in objects]
-        want = [r + [-1] * (len(offsets) - len(r)) for r in want]
+    ragged = list(_ragged(catalog, seed=12).items.values())
+    assert {len(o.features) for o in full} == {len(vocab)} and {len(o.features) for o in ragged} == {1, 2, 3}
+    for objects in (full, ragged):
+        want = []
+        for o in objects:
+            row = [-1] * len(vocab)
+            for j, v in enumerate(o.features):
+                row[j] = sum(vocab[:j]) + v
+            want.append(row)
         got = _position_rows(objects, offsets)
-        assert got.dtype == np.intp and got.tolist() == want
+        assert got.dtype == np.intp and got.shape == (len(objects), len(vocab)) and got.tolist() == want
     assert _position_rows([], offsets).shape == (0, len(offsets))
-    with pytest.raises(ValueError, match="feature slots"):
-        _position_rows(full + [replace(full[0], features=full[0].features + (0,))], offsets)
+
+
+def test_a_catalog_with_an_extra_item_slot_is_refused_for_every_pair():
+    # one item gains a slot; the pair scored reads no history holding it,
+    # and both routes still refuse the catalog, naming the kind and both
+    # slot counts
+    catalog, pairs = _tiny(seed=12)
+    config = TrainConfig(**DIMS)
+    params = _params(catalog, config)
+    pair = pairs[0]
+    read = set(catalog.users[pair.user_id].browsed_items) | set(catalog.anchors[pair.anchor_id].broadcast_items)
+    extra = min(set(catalog.items) - read)
+    item = catalog.items[extra]
+    slots = len(catalog.item_vocab)
+    items = {**catalog.items, extra: replace(item, features=item.features + (0,))}
+    wider = _link_catalog(catalog.users, catalog.anchors, items)
+    assert len(wider.item_vocab) == slots + 1 and wider.item_vocab[:slots] == catalog.item_vocab
+    message = rf"catalog item objects have up to {slots + 1} feature slots, the parameters were trained with {slots}$"
+    with pytest.raises(ValueError, match=message):
+        forward_pair(wider, params, config, pair.user_id, pair.anchor_id)
+    with pytest.raises(ValueError, match=message):
+        evaluate_pairs(wider, params, config, pairs)
 
 
 def test_catalog_that_outgrows_the_trained_layout_raises():
@@ -781,22 +809,22 @@ def test_an_empty_history_is_encoded_once_per_context(monkeypatch):
 
 def test_each_distinct_history_item_is_pnn_encoded_once(monkeypatch):
     # histories share items; the item PNN sees each distinct one once per
-    # batch, not once per history position
-    from liverec import encoders, model
+    # batch, not once per history position, and the one-pair route encodes
+    # its items through the same call
+    from liverec import model
 
     catalog, pairs = _tiny(seed=21, history_len_range=(5, 15))
     config = TrainConfig(**DIMS)
     params = _params(catalog, config)
     item_rows = []
-    for module in (model, encoders):
-        real = module.pnn_encode_batch
+    real = model.pnn_encode_batch
 
-        def spy(kind, positions, pnn, real=real):
-            if kind == "item":
-                item_rows.append(len(positions))
-            return real(kind, positions, pnn)
+    def spy(kind, positions, pnn):
+        if kind == "item":
+            item_rows.append(len(positions))
+        return real(kind, positions, pnn)
 
-        monkeypatch.setattr(module, "pnn_encode_batch", spy)
+    monkeypatch.setattr(model, "pnn_encode_batch", spy)
     batch = pairs[:20]
     histories = [catalog.users[u].browsed_items for u in {p.user_id for p in batch}]
     histories += [catalog.anchors[a].broadcast_items for a in {p.anchor_id for p in batch}]
@@ -807,6 +835,11 @@ def test_each_distinct_history_item_is_pnn_encoded_once(monkeypatch):
     item_rows.clear()
     model._batch_gradients(catalog, params, config, batch, None)
     assert item_rows == [distinct]
+    item_rows.clear()
+    pair = batch[0]
+    forward_pair(catalog, params, config, pair.user_id, pair.anchor_id)
+    read = set(catalog.users[pair.user_id].browsed_items) | set(catalog.anchors[pair.anchor_id].broadcast_items)
+    assert item_rows == [len(read)]
 
 
 def test_adam_optimizer_runs_and_is_deterministic():
